@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbs_bench::bench_workload;
 use dbs_core::BoundingBox;
 use dbs_density::{
-    Bandwidth, DensityEstimator, GridEstimator, HashGridEstimator, KdeConfig, Kernel,
-    KernelDensityEstimator,
+    Bandwidth, DensityEstimator, KdeConfig, Kernel, KernelDensityEstimator, ShiftedGrids,
 };
 use dbs_sampling::{density_biased_sample, BiasedConfig};
 
@@ -79,8 +78,12 @@ fn backend_ablation(c: &mut Criterion) {
         };
         KernelDensityEstimator::fit_dataset(&synth.data, &cfg).unwrap()
     };
-    let grid = GridEstimator::fit(&synth.data, domain.clone(), 32).unwrap();
-    let hash = HashGridEstimator::fit(&synth.data, domain, 32, 4096).unwrap();
+    let grid = ShiftedGrids::grid(domain.clone(), 32)
+        .and_then(|e| e.fit(&synth.data))
+        .unwrap();
+    let hash = ShiftedGrids::hashgrid(domain, 32, 4096)
+        .and_then(|e| e.fit(&synth.data))
+        .unwrap();
 
     let mut group = c.benchmark_group("ablation_estimator_backend");
     group.sample_size(10);

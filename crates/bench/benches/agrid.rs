@@ -14,7 +14,7 @@ use std::num::NonZeroUsize;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbs_bench::{bench_kde, bench_workload_dim};
 use dbs_core::BoundingBox;
-use dbs_density::{batch_densities, AgridConfig, AveragedGridEstimator, HashGridEstimator};
+use dbs_density::{batch_densities, ShiftedGrids};
 
 fn agrid(c: &mut Criterion) {
     let one = NonZeroUsize::MIN;
@@ -28,13 +28,15 @@ fn agrid(c: &mut Criterion) {
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(BenchmarkId::new("agrid", 1), &n, |bench, _| {
                 bench.iter(|| {
-                    AveragedGridEstimator::fit(&synth.data, &AgridConfig::with_grids(8))
+                    ShiftedGrids::agrid(BoundingBox::unit(dim), 8, None, 0)
+                        .and_then(|e| e.fit(&synth.data))
                         .expect("agrid fits")
                 });
             });
             group.bench_with_input(BenchmarkId::new("hashgrid", 1), &n, |bench, _| {
                 bench.iter(|| {
-                    HashGridEstimator::fit(&synth.data, BoundingBox::unit(dim), 32, 1 << 16)
+                    ShiftedGrids::hashgrid(BoundingBox::unit(dim), 32, 1 << 16)
+                        .and_then(|e| e.fit(&synth.data))
                         .expect("hash grid fits")
                 });
             });
@@ -45,9 +47,12 @@ fn agrid(c: &mut Criterion) {
             }
             group.finish();
 
-            let ag = AveragedGridEstimator::fit(&synth.data, &AgridConfig::with_grids(8)).unwrap();
-            let hg =
-                HashGridEstimator::fit(&synth.data, BoundingBox::unit(dim), 32, 1 << 16).unwrap();
+            let ag = ShiftedGrids::agrid(BoundingBox::unit(dim), 8, None, 0)
+                .and_then(|e| e.fit(&synth.data))
+                .unwrap();
+            let hg = ShiftedGrids::hashgrid(BoundingBox::unit(dim), 32, 1 << 16)
+                .and_then(|e| e.fit(&synth.data))
+                .unwrap();
 
             let mut group = c.benchmark_group(format!("agrid_query_d{}_{}k", dim, n / 1000));
             group.sample_size(10);

@@ -29,10 +29,7 @@ use std::time::Instant;
 use dbs_bench::bench_workload_dim;
 use dbs_core::shard::{ShardBackend, ShardedSource};
 use dbs_core::{BoundingBox, WeightedSample};
-use dbs_density::{
-    AgridConfig, AveragedGridEstimator, DensitySketch, GridEstimator, HashGridEstimator,
-    SketchConfig,
-};
+use dbs_density::{DensitySketch, ShiftedGrids, SketchConfig};
 use dbs_sampling::{one_pass_biased_sample, BiasedConfig};
 use dbs_synth::gauss::{generate_to_shards, GaussCluster};
 
@@ -160,7 +157,9 @@ fn streaming_proof() {
         ..SketchConfig::default()
     };
     let t1 = Instant::now();
-    let sketch = DensitySketch::fit(&sharded, &cfg).expect("sketch fit");
+    let sketch = DensitySketch::new(DIM, &cfg)
+        .and_then(|s| s.fit(&sharded))
+        .expect("sketch fit");
     let fit_ns = t1.elapsed().as_nanos();
     emit(&format!(
         "{{\"id\":\"stream_sketch/fit_streamed/{n}\",\"points\":{n},\"dim\":{DIM},\
@@ -168,7 +167,7 @@ fn streaming_proof() {
          \"sketch_bytes\":{},\"throughput\":{{\"per_iter\":{n},\"kind\":\"elements\",\
          \"per_second\":{}}}}}",
         sketch.grids(),
-        sketch.slots(),
+        cfg.slots,
         sketch.memory_bytes(),
         n as f64 / (fit_ns as f64 / 1e9)
     ));
@@ -191,20 +190,23 @@ fn streaming_proof() {
     // same `keyed_unit(seed, g·dim+j)` draws, so the only difference from
     // the sketch is the Count-Min hashing of cells into slots. The gap
     // between the two samples IS the hashing error.
-    let exact_cfg = AgridConfig {
-        grids: cfg.grids,
-        resolution: Some(sketch.resolution()),
-        domain: Some(BoundingBox::unit(DIM)),
-        seed: SEED,
-    };
-    let exact = AveragedGridEstimator::fit(&sharded, &exact_cfg).expect("exact grid fit");
+    let exact = ShiftedGrids::agrid(
+        BoundingBox::unit(DIM),
+        cfg.grids,
+        Some(sketch.resolution()),
+        SEED,
+    )
+    .and_then(|e| e.fit(&sharded))
+    .expect("exact grid fit");
     let (ex_sample, ex_stats) =
         one_pass_biased_sample(&sharded, &exact, &bcfg).expect("exact grid sample");
 
     // Context row: a single sharp res^d histogram. Its gap from the sketch
     // is dominated by the ensemble's deliberate smoothing, not by hashing,
     // so it is recorded but held to a looser bound.
-    let dense = GridEstimator::fit(&sharded, BoundingBox::unit(DIM), 16).expect("dense grid fit");
+    let dense = ShiftedGrids::grid(BoundingBox::unit(DIM), 16)
+        .and_then(|e| e.fit(&sharded))
+        .expect("dense grid fit");
     let (dg_sample, _) = one_pass_biased_sample(&sharded, &dense, &bcfg).expect("dense sample");
 
     let sk_alloc = allocation(&sk_sample);
@@ -268,11 +270,14 @@ fn fit_throughput() {
         ..SketchConfig::default()
     };
     let ns = median_ns(10, || {
-        DensitySketch::fit(&synth.data, &cfg).expect("sketch fits");
+        DensitySketch::new(DIM, &cfg)
+            .and_then(|s| s.fit(&synth.data))
+            .expect("sketch fits");
     });
     emit_throughput("stream_sketch_fit_d4_100k/sketch/1", ns, 10, n);
     let ns = median_ns(10, || {
-        HashGridEstimator::fit(&synth.data, BoundingBox::unit(DIM), 32, 1 << 16)
+        ShiftedGrids::hashgrid(BoundingBox::unit(DIM), 32, 1 << 16)
+            .and_then(|e| e.fit(&synth.data))
             .expect("hash grid fits");
     });
     emit_throughput("stream_sketch_fit_d4_100k/hashgrid/1", ns, 10, n);
@@ -287,9 +292,11 @@ fn merge_cost() {
         ..SketchConfig::default()
     };
     let half: Vec<usize> = (0..synth.data.len() / 2).collect();
-    let piece = DensitySketch::fit(&synth.data.select(&half), &cfg).expect("piece fits");
+    let piece = DensitySketch::new(DIM, &cfg)
+        .and_then(|s| s.fit(&synth.data.select(&half)))
+        .expect("piece fits");
     let mut acc = DensitySketch::new(DIM, &cfg).expect("empty sketch");
-    let counters = piece.grids() * piece.slots();
+    let counters = piece.counters().len();
     let ns = median_ns(100, || {
         acc.merge(&piece).expect("merge");
     });

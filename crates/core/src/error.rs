@@ -14,6 +14,9 @@ pub enum Error {
     Io(std::io::Error),
     /// A dataset file could not be parsed.
     Parse { line: usize, message: String },
+    /// Point `index` (0-based, in scan order) has a NaN or infinite
+    /// coordinate.
+    NonFinite { index: usize },
 }
 
 /// Convenience alias used across the workspace.
@@ -28,6 +31,7 @@ impl fmt::Display for Error {
             Error::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
+            Error::NonFinite { index } => write!(f, "non-finite coordinate at point {index}"),
         }
     }
 }

@@ -24,12 +24,18 @@ impl MinMaxScaler {
     /// Learns the per-dimension min/max of `data`.
     ///
     /// Dimensions with zero spread map every value to `0.0` (and invert back
-    /// to the constant). Errors on an empty dataset.
+    /// to the constant). Errors on an empty dataset, and with
+    /// [`Error::NonFinite`] naming the first point with a NaN or infinite
+    /// coordinate — every command fits a scaler first, so this one check
+    /// screens the input for every backend.
     pub fn fit(data: &Dataset) -> Result<Self> {
         if data.is_empty() {
             return Err(Error::InvalidParameter(
                 "cannot fit scaler on empty dataset".into(),
             ));
+        }
+        if let Some(index) = data.iter().position(|p| !p.iter().all(|v| v.is_finite())) {
+            return Err(Error::NonFinite { index });
         }
         let bb = data
             .bounding_box()
@@ -109,9 +115,10 @@ impl MinMaxScaler {
     /// Learns the per-dimension min/max of `source` in one chunked parallel
     /// pass, without materializing it.
     ///
-    /// Min/max merging is exactly associative, so the fitted scaler is
-    /// bit-identical to [`MinMaxScaler::fit`] on the materialized data, at
-    /// every thread count and for every storage backing.
+    /// Min/max merging is exactly associative, so the fitted scaler — or
+    /// the [`Error::NonFinite`] naming the first bad point — is identical to
+    /// [`MinMaxScaler::fit`] on the materialized data, at every thread count
+    /// and for every storage backing.
     pub fn fit_source<S: PointSource + ?Sized>(source: &S, threads: NonZeroUsize) -> Result<Self> {
         let bb = crate::par::par_bounding_box(source, threads)?
             .ok_or_else(|| Error::InvalidParameter("cannot fit scaler on empty dataset".into()))?;
@@ -275,6 +282,20 @@ mod tests {
         assert_eq!(view.collect_dataset().unwrap(), want);
         let other = Dataset::from_rows(&[vec![0.0]]).unwrap();
         assert!(fitted.scaled(&other).is_err());
+    }
+
+    #[test]
+    fn fit_names_the_first_non_finite_point() {
+        let mut rows: Vec<Vec<f64>> = (0..9000).map(|i| vec![i as f64, 1.0]).collect();
+        rows[5000][1] = f64::NAN;
+        rows[8000][0] = f64::NEG_INFINITY;
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let err = MinMaxScaler::fit(&ds).unwrap_err();
+        assert_eq!(err.to_string(), "non-finite coordinate at point 5000");
+        for threads in [1, 2, 7] {
+            let err = MinMaxScaler::fit_source(&ds, NonZeroUsize::new(threads).unwrap());
+            assert!(matches!(err, Err(Error::NonFinite { index: 5000 })));
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::sync::Mutex;
 
 use crate::bbox::BoundingBox;
 use crate::dataset::Dataset;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::obs::{Recorder, Tally};
 use crate::scan::{ChunkAccess, PointBlock, PointSource};
 
@@ -304,7 +304,9 @@ where
 }
 
 /// The tight axis-aligned bounding box of `source`, or `None` when it is
-/// empty — one chunked parallel pass.
+/// empty — one chunked parallel pass. A point with a NaN or infinite
+/// coordinate has no place in a box: the first one (in point order) is
+/// reported as [`Error::NonFinite`].
 ///
 /// Per-chunk min/max folds are merged in chunk order; min/max is exactly
 /// associative, so the result is bit-identical to the sequential fold of
@@ -314,6 +316,9 @@ where
     S: PointSource + ?Sized,
 {
     let per_chunk = par_scan(source, threads, |range, block| {
+        let first_bad = range
+            .clone()
+            .find(|&i| !block.point(i).iter().all(|v| v.is_finite()));
         let mut min = block.point(range.start).to_vec();
         let mut max = min.clone();
         for i in range.start + 1..range.end {
@@ -327,10 +332,16 @@ where
                 }
             }
         }
-        (min, max)
+        (min, max, first_bad)
     })?;
+    // Chunks come back in point order, so the first bad chunk holds the
+    // first bad point.
+    if let Some(index) = per_chunk.iter().find_map(|c| c.2) {
+        return Err(Error::NonFinite { index });
+    }
     Ok(per_chunk
         .into_iter()
+        .map(|(min, max, _)| (min, max))
         .reduce(|(mut min, mut max), (lo, hi)| {
             for j in 0..min.len() {
                 if lo[j] < min[j] {

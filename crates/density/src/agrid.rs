@@ -1,557 +1,77 @@
-//! Averaged-grid density estimator (Wells & Ting).
+//! The `agrid` preset: the Wells–Ting averaged-grid ensemble.
 //!
 //! The sub-linear backend of PAPERS.md's "A simple efficient density
-//! estimator that enables fast systematic search": an ensemble of `m`
-//! uniform grids over the same domain, each shifted by a random fractional
-//! offset per dimension, whose cell counts are averaged at query time. A
-//! single grid is a histogram whose estimate jumps at arbitrary cell
-//! boundaries; averaging `m` independently shifted grids smooths those
-//! discontinuities at `m` times the cost of one O(1) lookup — still
-//! independent of both the dataset size and (unlike KDE) the number of
-//! kernel centers.
+//! estimator that enables fast systematic search": `m` uniform grids over
+//! the same domain, each shifted by a random fractional offset per
+//! dimension, whose exact cell counts are averaged at query time. A single
+//! grid is a histogram whose estimate jumps at arbitrary cell boundaries;
+//! averaging `m` independently shifted grids smooths those discontinuities
+//! at `m` times the cost of one O(1) lookup — still independent of both the
+//! dataset size and (unlike KDE) the number of kernel centers.
 //!
-//! Construction is one dataset pass that feeds all `m` grids; the shift
-//! offsets are counter-hashed from the seed ([`dbs_core::rng::keyed_unit`])
-//! so the summary is a pure function of (data, config) regardless of scan
-//! schedule. The estimate is frequency-scaled like every other backend:
-//!
-//! ```text
-//! f(x) = (1 / m) * Σ_g count_g(cell_g(x)) / volume(cell)
-//! ```
-//!
-//! so `∫ f ≈ n` (§2.1 of the source paper). Boundary cells of a shifted
-//! grid overhang the domain, and the piecewise-constant model spreads their
-//! mass over the whole cell, so a fraction `≈ d / (3 · res)` of the total
-//! mass sits outside the domain box — the price of shift-invariance. The
-//! biased sampler only needs *relative* density (§2.2), which this does not
-//! disturb.
+//! Boundary cells of a shifted grid overhang the domain, and the
+//! piecewise-constant model spreads their mass over the whole cell, so a
+//! fraction `≈ d / (3 · res)` of the total mass sits outside the domain box
+//! — the price of shift-invariance. The biased sampler only needs
+//! *relative* density (§2.2), which this does not disturb.
 
-use dbs_core::obs::{Counter, Tally};
-use dbs_core::rng::keyed_unit;
-use dbs_core::{BoundingBox, Error, PointBlock, PointSource, Result};
+use dbs_core::{BoundingBox, Result};
 
-use crate::traits::DensityEstimator;
+use crate::shifted::{Dense, ShiftedGrids};
 
-/// Configuration for [`AveragedGridEstimator::fit`].
-#[derive(Debug, Clone)]
-pub struct AgridConfig {
-    /// Number of shifted grids `m` in the ensemble.
-    pub grids: usize,
-    /// Cells per dimension. `None` picks a dimension-dependent default
-    /// shrunk to fit the ensemble memory cap (see
-    /// [`AveragedGridEstimator::auto_resolution`]).
-    pub resolution: Option<usize>,
-    /// Domain of the data. Defaults to the unit cube when `None`; the
-    /// caller is expected to have normalized the data (§2.1).
-    pub domain: Option<BoundingBox>,
-    /// Seed for the counter-hashed shift offsets.
-    pub seed: u64,
-}
-
-impl Default for AgridConfig {
-    fn default() -> Self {
-        AgridConfig {
-            grids: 8,
-            resolution: None,
-            domain: None,
-            seed: 0,
-        }
-    }
-}
-
-impl AgridConfig {
-    /// A config with `grids` ensemble members and everything else default.
-    pub fn with_grids(grids: usize) -> Self {
-        AgridConfig {
-            grids,
-            ..Default::default()
-        }
-    }
-}
-
-/// A fitted averaged-grid (Wells–Ting) density estimator.
-#[derive(Debug, Clone)]
-pub struct AveragedGridEstimator {
-    domain: BoundingBox,
-    /// Cells per dimension before the shift extension; each grid stores
-    /// `res + 1` cells per dimension so every shifted cell covering the
-    /// domain has a counter.
-    res: usize,
-    /// Ensemble size `m`.
-    grids: usize,
-    /// Fractional shift of grid `g` along dimension `j`, in cell units:
-    /// `offsets[g * dim + j] ∈ [0, 1)`.
-    offsets: Vec<f64>,
-    /// Concatenated per-grid cell counts; grid `g` occupies
-    /// `counts[g * stride .. (g + 1) * stride]`.
-    counts: Vec<f64>,
-    /// `(res + 1)^dim`.
-    stride: usize,
-    n: f64,
-    dim: usize,
-    dmin: Vec<f64>,
-    /// `res / extent_j` per dimension (0 for degenerate extents).
-    inv_widths: Vec<f64>,
-    /// Volume of one grid cell (degenerate dimensions count as width 1).
-    cell_volume: f64,
-    /// `1 / (m * cell_volume)` — the scale applied to summed cell counts.
-    inv_norm: f64,
-}
-
-/// Flattened cell index of `p` in a grid shifted by `offs` (one fractional
-/// offset per dimension). Cell coordinates are clamped into `0..=res`, so
-/// out-of-domain points land in boundary cells (mass is preserved at build
-/// time, mirroring [`crate::GridEstimator`]).
-#[inline]
-fn cell_index(
-    p: &[f64],
-    dmin: &[f64],
-    inv_widths: &[f64],
-    offs: &[f64],
-    res: usize,
-    dim: usize,
-) -> usize {
-    let mut cell = 0usize;
-    for j in 0..dim {
-        let t = (p[j] - dmin[j]) * inv_widths[j] + offs[j];
-        let c = (t as isize).clamp(0, res as isize) as usize;
-        cell = cell * (res + 1) + c;
-    }
-    cell
-}
-
-impl AveragedGridEstimator {
-    /// The default resolution for `dim`-dimensional data with a `grids`-way
-    /// ensemble: a per-dimension table (matching the granularity the other
-    /// grid backends default to) shrunk until the whole ensemble fits a
-    /// 2^22-counter (32 MB) budget.
-    pub fn auto_resolution(dim: usize, grids: usize) -> usize {
-        const CELL_CAP: usize = 1 << 22;
-        let mut res: usize = match dim {
-            0 | 1 => 256,
-            2 => 64,
-            3 => 24,
-            4 => 16,
-            _ => 12,
-        };
-        while res > 1 {
-            let fits = (res + 1)
-                .checked_pow(dim as u32)
-                .and_then(|s| s.checked_mul(grids.max(1)))
-                .is_some_and(|total| total <= CELL_CAP);
-            if fits {
-                break;
-            }
-            res -= 1;
-        }
-        res
-    }
-
-    /// Builds the ensemble in one pass over `source`.
-    ///
-    /// All `m` grids are filled by the same scan; the shift offsets are
-    /// `keyed_unit(seed, g * dim + j)` draws, so construction is
-    /// schedule-independent. Errors on an empty source, `grids == 0`, an
-    /// explicit resolution of 0, non-finite coordinates, a domain/source
-    /// dimension mismatch, or an ensemble exceeding 2^26 counters.
-    pub fn fit<S: PointSource + ?Sized>(source: &S, config: &AgridConfig) -> Result<Self> {
-        if config.grids == 0 {
-            return Err(Error::InvalidParameter(
-                "averaged grid needs at least one grid".into(),
-            ));
-        }
-        if config.resolution == Some(0) {
-            return Err(Error::InvalidParameter(
-                "grid resolution must be >= 1".into(),
-            ));
-        }
-        if source.is_empty() {
-            return Err(Error::InvalidParameter(
-                "cannot fit averaged grid on empty source".into(),
-            ));
-        }
-        let dim = source.dim();
-        let domain = config
-            .domain
-            .clone()
-            .unwrap_or_else(|| BoundingBox::unit(dim));
-        if domain.dim() != dim {
-            return Err(Error::DimensionMismatch {
-                expected: dim,
-                got: domain.dim(),
-            });
-        }
-        let grids = config.grids;
-        let res = config
-            .resolution
-            .unwrap_or_else(|| Self::auto_resolution(dim, grids));
-        let stride = (res + 1)
-            .checked_pow(dim as u32)
-            .filter(|&s| s <= 1 << 26)
-            .ok_or_else(|| Error::InvalidParameter("averaged grid too large; lower res".into()))?;
-        let total = stride
-            .checked_mul(grids)
-            .filter(|&t| t <= 1 << 26)
-            .ok_or_else(|| {
-                Error::InvalidParameter("averaged grid too large; fewer grids or lower res".into())
-            })?;
-
-        let offsets: Vec<f64> = (0..grids * dim)
-            .map(|s| keyed_unit(config.seed, s as u64))
-            .collect();
-        let dmin: Vec<f64> = domain.min().to_vec();
-        let inv_widths: Vec<f64> = (0..dim)
-            .map(|j| {
-                let extent = domain.extent(j);
-                if extent > 0.0 {
-                    res as f64 / extent
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-
-        let mut counts = vec![0.0f64; total];
-        let mut non_finite: Option<usize> = None;
-        source.scan(&mut |i, p| {
-            if non_finite.is_some() {
-                return;
-            }
-            if !p.iter().all(|v| v.is_finite()) {
-                non_finite = Some(i);
-                return;
-            }
-            for g in 0..grids {
-                let offs = &offsets[g * dim..(g + 1) * dim];
-                let cell = cell_index(p, &dmin, &inv_widths, offs, res, dim);
-                counts[g * stride + cell] += 1.0;
-            }
-        })?;
-        if let Some(i) = non_finite {
-            return Err(Error::InvalidParameter(format!(
-                "non-finite coordinate at point {i}"
-            )));
-        }
-
-        let cell_volume: f64 = (0..dim)
-            .map(|j| {
-                let w = domain.extent(j) / res as f64;
-                if w > 0.0 {
-                    w
-                } else {
-                    1.0
-                }
-            })
-            .product();
-        let inv_norm = 1.0 / (grids as f64 * cell_volume);
-        Ok(AveragedGridEstimator {
-            domain,
-            res,
-            grids,
-            offsets,
-            counts,
-            stride,
-            n: source.len() as f64,
-            dim,
-            dmin,
-            inv_widths,
-            cell_volume,
-            inv_norm,
-        })
-    }
-
-    /// Cells per dimension (before the one-cell shift extension).
-    pub fn resolution(&self) -> usize {
-        self.res
-    }
-
-    /// Ensemble size `m`.
-    pub fn grids(&self) -> usize {
-        self.grids
-    }
-
-    /// Volume of one grid cell.
-    pub fn cell_volume(&self) -> f64 {
-        self.cell_volume
-    }
-
-    /// The summed ensemble count at `x` (i.e. `density * m * cell_volume`).
-    pub fn ensemble_count(&self, x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for g in 0..self.grids {
-            let offs = &self.offsets[g * self.dim..(g + 1) * self.dim];
-            acc += self.counts[g * self.stride
-                + cell_index(x, &self.dmin, &self.inv_widths, offs, self.res, self.dim)];
-        }
-        acc
-    }
-
-    /// The batch kernel shared by [`DensityEstimator::densities_into`] and
-    /// its tallied variant: the chunk's queries are visited in ascending
-    /// cell order of the *base* grid — the shifted grids differ from it by
-    /// less than one cell per dimension, so a single sort makes every
-    /// grid's counter reads near-monotonic at 1/m of the per-grid sorting
-    /// cost. Per-point coordinate scaling is hoisted out of the grid loop
-    /// (only the shift offset differs between grids), and per-point
-    /// accumulation stays in ascending grid order with one final
-    /// normalization — the written densities are bit-identical to
-    /// per-point [`DensityEstimator::density`] calls.
-    fn batch_into(&self, points: &PointBlock, out: &mut [f64], tally: &mut Tally) {
-        debug_assert_eq!(out.len(), points.len());
-        let len = points.len();
-        if len == 0 {
-            return;
-        }
-        let dim = self.dim;
-        let mut inside = vec![false; len];
-        let mut order: Vec<u32> = Vec::with_capacity(len);
-        // Scaled coordinates (p - dmin) * inv_width, shared by all grids:
-        // grid g's cell index only adds its shift offset on top.
-        let mut scaled = vec![0.0f64; len * dim];
-        for (k, i) in points.range().enumerate() {
-            let p = points.point(i);
-            if self.domain.contains(p) {
-                inside[k] = true;
-                order.push(k as u32);
-                for j in 0..dim {
-                    scaled[k * dim + j] = (p[j] - self.dmin[j]) * self.inv_widths[j];
-                }
-            }
-        }
-        let cell_of = |k: u32, offs: &[f64]| -> u32 {
-            let t = &scaled[k as usize * dim..k as usize * dim + dim];
-            let mut cell = 0usize;
-            for j in 0..dim {
-                let c = ((t[j] + offs[j]) as isize).clamp(0, self.res as isize) as usize;
-                cell = cell * (self.res + 1) + c;
-            }
-            cell as u32
-        };
-        let mut cells = vec![0u32; len];
-        for &k in &order {
-            cells[k as usize] = cell_of(k, &self.offsets[..dim]);
-        }
-        order.sort_unstable_by_key(|&k| cells[k as usize]);
-        let mut acc = vec![0.0f64; len];
-        let mut cell_touches = 0u64;
-        for g in 0..self.grids {
-            let base = g * self.stride;
-            if g > 0 {
-                let offs = &self.offsets[g * dim..(g + 1) * dim];
-                for &k in &order {
-                    cells[k as usize] = cell_of(k, offs);
-                }
-            }
-            let mut prev = u32::MAX;
-            for &k in &order {
-                let cell = cells[k as usize];
-                if cell != prev {
-                    cell_touches += 1;
-                    prev = cell;
-                }
-                acc[k as usize] += self.counts[base + cell as usize];
-            }
-        }
-        tally.add(Counter::AgridCellTouches, cell_touches);
-        tally.add(Counter::AgridGridsAveraged, self.grids as u64);
-        for k in 0..len {
-            out[k] = if inside[k] {
-                acc[k] * self.inv_norm
-            } else {
-                0.0
-            };
-        }
-    }
-}
-
-impl DensityEstimator for AveragedGridEstimator {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn dataset_size(&self) -> f64 {
-        self.n
-    }
-
-    fn density(&self, x: &[f64]) -> f64 {
-        // The ensemble models a density supported on the domain box, like
-        // the other grid backends.
-        if !self.domain.contains(x) {
-            return 0.0;
-        }
-        self.ensemble_count(x) * self.inv_norm
-    }
-
-    /// Exact under the piecewise-constant model: for each grid, every cell
-    /// contributes its count times the fraction of its volume covered by
-    /// `bbox ∩ domain`, and the per-grid integrals are averaged. No
-    /// quadrature, so the cost is independent of the dataset size.
-    fn integrate_box(&self, bbox: &BoundingBox) -> f64 {
-        assert_eq!(bbox.dim(), self.dim);
-        let dim = self.dim;
-        let res = self.res;
-        // Clip the query box to the domain (density is zero outside it).
-        let mut blo = vec![0.0f64; dim];
-        let mut bhi = vec![0.0f64; dim];
-        for j in 0..dim {
-            blo[j] = bbox.min()[j].max(self.domain.min()[j]);
-            bhi[j] = bbox.max()[j].min(self.domain.max()[j]);
-            if bhi[j] < blo[j] {
-                return 0.0;
-            }
-        }
-        let mut total = 0.0;
-        let mut lo = vec![0usize; dim];
-        let mut hi = vec![0usize; dim];
-        for g in 0..self.grids {
-            let base = g * self.stride;
-            let offs = &self.offsets[g * dim..(g + 1) * dim];
-            // Per-dimension cell ranges intersecting the clipped box. Cell
-            // `c` of this grid spans `dmin + (c - off) * w ..= dmin +
-            // (c + 1 - off) * w`.
-            for j in 0..dim {
-                if self.inv_widths[j] <= 0.0 {
-                    lo[j] = 0;
-                    hi[j] = 0;
-                    continue;
-                }
-                let rel_lo = (blo[j] - self.dmin[j]) * self.inv_widths[j] + offs[j];
-                let rel_hi = (bhi[j] - self.dmin[j]) * self.inv_widths[j] + offs[j];
-                lo[j] = (rel_lo.floor().max(0.0) as usize).min(res);
-                hi[j] = (rel_hi.floor().max(0.0) as usize).min(res);
-            }
-            let mut coords = lo.clone();
-            'cells: loop {
-                let mut frac = 1.0;
-                let mut cell = 0usize;
-                for j in 0..dim {
-                    cell = cell * (res + 1) + coords[j];
-                    if self.inv_widths[j] <= 0.0 {
-                        continue;
-                    }
-                    let w = 1.0 / self.inv_widths[j];
-                    let cell_lo = self.dmin[j] + (coords[j] as f64 - offs[j]) * w;
-                    let cell_hi = cell_lo + w;
-                    let ov = (bhi[j].min(cell_hi) - blo[j].max(cell_lo)).max(0.0);
-                    frac *= ov * self.inv_widths[j];
-                }
-                total += self.counts[base + cell] * frac;
-                // Odometer advance over `lo..=hi`.
-                let mut j = dim;
-                loop {
-                    if j == 0 {
-                        break 'cells;
-                    }
-                    j -= 1;
-                    if coords[j] < hi[j] {
-                        coords[j] += 1;
-                        for (t, c) in coords.iter_mut().enumerate().skip(j + 1) {
-                            *c = lo[t];
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        total / self.grids as f64
-    }
-
-    fn average_density(&self) -> f64 {
-        self.n / self.domain.volume().max(f64::MIN_POSITIVE)
-    }
-
-    /// Approximate: grid 0 partitions the data (its counts are true
-    /// per-cell point counts), and the ensemble density of each occupied
-    /// cell is probed at the cell's center — clamped into the domain for
-    /// overhanging boundary cells — standing in for the per-point values.
-    fn summary_normalizer(&self, a: f64, floor: f64) -> Option<f64> {
-        let dim = self.dim;
-        let mut total = 0.0;
-        let mut x = vec![0.0f64; dim];
-        for (cell, &count) in self.counts[..self.stride].iter().enumerate() {
-            if count <= 0.0 {
-                continue;
-            }
-            let mut rest = cell;
-            for j in (0..dim).rev() {
-                let c = rest % (self.res + 1);
-                rest /= self.res + 1;
-                let w = if self.inv_widths[j] > 0.0 {
-                    1.0 / self.inv_widths[j]
-                } else {
-                    0.0
-                };
-                let center = self.dmin[j] + (c as f64 + 0.5 - self.offsets[j]) * w;
-                x[j] = center.clamp(self.domain.min()[j], self.domain.max()[j]);
-            }
-            total += count * self.density(&x).max(floor).powf(a);
-        }
-        Some(total)
-    }
-
-    /// The sorted-lookup batch engine (see [`Self::batch_into`]),
-    /// bit-identical to per-point [`DensityEstimator::density`] calls.
-    fn densities_into(&self, points: &PointBlock, out: &mut [f64]) {
-        let mut scratch = Tally::default();
-        self.batch_into(points, out, &mut scratch);
-    }
-
-    /// [`DensityEstimator::densities_into`] with the engine's work counts
-    /// (distinct cells touched, grids averaged) recorded into `tally`.
-    /// Same computation, same bits.
-    fn densities_into_tallied(&self, points: &PointBlock, out: &mut [f64], tally: &mut Tally) {
-        self.batch_into(points, out, tally);
+impl ShiftedGrids<Dense> {
+    /// An empty `agrid` preset: `grids` dense grids over `domain`, shifted
+    /// by `keyed_unit(seed, g * dim + j)` offsets so the summary is a pure
+    /// function of (data, config) regardless of scan schedule. `None`
+    /// resolution picks a dimension-dependent default shrunk until the
+    /// ensemble fits 2^22 counters; errors on `grids == 0`, an explicit
+    /// resolution of 0, or an ensemble over 2^26 counters. Fill it with
+    /// [`ShiftedGrids::fit`].
+    pub fn agrid(
+        domain: BoundingBox,
+        grids: usize,
+        resolution: Option<usize>,
+        seed: u64,
+    ) -> Result<Self> {
+        let dim = domain.dim();
+        let res = resolution.unwrap_or_else(|| Dense::auto_resolution(dim, grids));
+        let store = Dense::sized(dim, res + 1, grids)?;
+        Self::with_layout(domain, grids, res, true, seed, store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{midpoint_integral, two_blobs, uniform_dataset};
+    use crate::DensityEstimator;
+    use dbs_core::obs::{Counter, Tally};
     use dbs_core::rng::seeded;
-    use dbs_core::Dataset;
+    use dbs_core::{Dataset, PointBlock};
     use rand::Rng;
 
-    fn uniform_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(dim, n);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            ds.push(&p).unwrap();
-        }
-        ds
-    }
-
-    fn two_blobs(n: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(2, n);
-        for i in 0..n {
-            let (cx, cy) = if i < n * 9 / 10 {
-                (0.25, 0.25)
-            } else {
-                (0.75, 0.75)
-            };
-            ds.push(&[
-                cx + (rng.gen::<f64>() - 0.5) * 0.1,
-                cy + (rng.gen::<f64>() - 0.5) * 0.1,
-            ])
-            .unwrap();
-        }
-        ds
+    fn fit(ds: &Dataset, grids: usize) -> ShiftedGrids<Dense> {
+        ShiftedGrids::agrid(BoundingBox::unit(ds.dim()), grids, None, 0)
+            .unwrap()
+            .fit(ds)
+            .unwrap()
     }
 
     #[test]
     fn fit_is_one_pass() {
         let ds = uniform_dataset(2000, 2, 1);
         let counted = dbs_core::scan::PassCounter::new(&ds);
-        let _ = AveragedGridEstimator::fit(&counted, &AgridConfig::default()).unwrap();
+        let _ = ShiftedGrids::agrid(BoundingBox::unit(2), 8, None, 0)
+            .unwrap()
+            .fit(&counted)
+            .unwrap();
         assert_eq!(counted.passes(), 1);
     }
 
     #[test]
     fn whole_domain_integral_close_to_n() {
-        let ds = uniform_dataset(20_000, 2, 2);
-        let est = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
-        let total = est.integrate_box(&BoundingBox::unit(2));
+        let est = fit(&uniform_dataset(20_000, 2, 2), 8);
+        let total = midpoint_integral(&est, &BoundingBox::unit(2), 256);
         // Boundary cells overhang the domain, so a ~d/(3·res) fraction of
         // the mass sits outside; at res 64 / d 2 that is about 1%.
         assert!((total - 20_000.0).abs() < 0.03 * 20_000.0, "total {total}");
@@ -559,32 +79,36 @@ mod tests {
 
     #[test]
     fn integral_is_additive_over_partitions() {
+        // Split the data at x = 0.37: the two halves' ensembles integrate
+        // to the whole's, and merging them gives the whole back exactly.
         let ds = two_blobs(10_000, 3);
-        let est = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
-        let whole = est.integrate_box(&BoundingBox::unit(2));
-        let left = est.integrate_box(&BoundingBox::new(vec![0.0, 0.0], vec![0.37, 1.0]));
-        let right = est.integrate_box(&BoundingBox::new(vec![0.37, 0.0], vec![1.0, 1.0]));
-        assert!(
-            (whole - (left + right)).abs() < 1e-9 * whole,
-            "{whole} vs {left} + {right}"
-        );
+        let (left, right): (Vec<usize>, Vec<usize>) =
+            (0..ds.len()).partition(|&i| ds.point(i)[0] < 0.37);
+        let whole = fit(&ds, 8);
+        let mut merged = fit(&ds.select(&left), 8);
+        let right = fit(&ds.select(&right), 8);
+        let unit = BoundingBox::unit(2);
+        let total = midpoint_integral(&whole, &unit, 256);
+        let parts = midpoint_integral(&merged, &unit, 256) + midpoint_integral(&right, &unit, 256);
+        assert!((total - parts).abs() < 1e-9 * total, "{total} vs {parts}");
+        merged.merge(&right).unwrap();
+        assert_eq!(merged, whole);
     }
 
     #[test]
     fn box_integral_approximates_point_count() {
         let ds = two_blobs(20_000, 4);
-        let est = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
+        let est = fit(&ds, 8);
         let blob = BoundingBox::new(vec![0.1, 0.1], vec![0.4, 0.4]);
         let truth = ds.iter().filter(|p| blob.contains(p)).count() as f64;
-        let got = est.integrate_box(&blob);
+        let got = midpoint_integral(&est, &blob, 256);
         let rel = (got - truth).abs() / truth;
         assert!(rel < 0.05, "got {got}, truth {truth}");
     }
 
     #[test]
     fn density_contrasts_blob_and_void() {
-        let ds = two_blobs(10_000, 5);
-        let est = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
+        let est = fit(&two_blobs(10_000, 5), 8);
         let dense = est.density(&[0.25, 0.25]);
         let sparse = est.density(&[0.75, 0.75]);
         let empty = est.density(&[0.5, 0.95]);
@@ -599,9 +123,9 @@ mod tests {
         // adjacent probes of the ensemble must be well below a single
         // grid's (count / cell_volume) quantum.
         let ds = uniform_dataset(50_000, 2, 6);
-        let one = AveragedGridEstimator::fit(&ds, &AgridConfig::with_grids(1)).unwrap();
-        let many = AveragedGridEstimator::fit(&ds, &AgridConfig::with_grids(16)).unwrap();
-        let max_jump = |est: &AveragedGridEstimator| {
+        let one = fit(&ds, 1);
+        let many = fit(&ds, 16);
+        let max_jump = |est: &ShiftedGrids<Dense>| {
             let mut prev = est.density(&[0.2, 0.5]);
             let mut jump = 0.0f64;
             for i in 1..400 {
@@ -627,88 +151,70 @@ mod tests {
         let mut queries = ds.clone();
         queries.push(&[1.5, 0.5]).unwrap();
         queries.push(&[-0.1, 0.2]).unwrap();
-        let est = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
-        let mut out = vec![0.0; queries.len()];
-        est.densities_into(
-            &PointBlock::from_dataset(&queries, 0..queries.len()),
-            &mut out,
-        );
-        for (i, &got) in out.iter().enumerate() {
-            let want = est.density(queries.point(i));
-            assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
+        let est = fit(&ds, 8);
+        let block = PointBlock::from_dataset(&queries, 0..queries.len());
+        let mut plain = vec![0.0; queries.len()];
+        let mut tallied = vec![0.0; queries.len()];
+        est.densities_into(&block, &mut plain);
+        est.densities_into_tallied(&block, &mut tallied, &mut Tally::default());
+        for i in 0..queries.len() {
+            let want = est.density(queries.point(i)).to_bits();
+            assert_eq!(plain[i].to_bits(), want, "point {i}");
+            assert_eq!(tallied[i].to_bits(), want, "point {i}");
         }
     }
 
     #[test]
     fn tally_counts_cells_and_grids() {
         let ds = uniform_dataset(1000, 2, 8);
-        let est = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
-        let mut out = vec![0.0; 1000];
+        let mut queries = ds.clone();
+        queries.push(&[1.5, 0.5]).unwrap();
+        let est = fit(&ds, 8);
+        let mut out = vec![0.0; 1001];
         let mut tally = Tally::default();
         est.densities_into_tallied(
-            &PointBlock::from_dataset(&ds, 0..1000),
+            &PointBlock::from_dataset(&queries, 0..1001),
             &mut out,
             &mut tally,
         );
         assert_eq!(tally.get(Counter::AgridGridsAveraged), 8);
-        let touches = tally.get(Counter::AgridCellTouches);
-        // At most one distinct-cell run per (point, grid), at least one
-        // per grid.
-        assert!((8..=8 * 1000).contains(&touches), "touches {touches}");
+        // One counter read per grid per in-domain query.
+        assert_eq!(tally.get(Counter::AgridCellTouches), 8 * 1000);
     }
 
     #[test]
     fn deterministic_given_seed_and_seed_sensitive() {
         let ds = uniform_dataset(2000, 2, 9);
-        let a = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
-        let b = AveragedGridEstimator::fit(&ds, &AgridConfig::default()).unwrap();
-        assert_eq!(
-            a.density(&[0.3, 0.7]).to_bits(),
-            b.density(&[0.3, 0.7]).to_bits()
-        );
-        let c = AveragedGridEstimator::fit(
-            &ds,
-            &AgridConfig {
-                seed: 99,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_ne!(a.offsets, c.offsets);
+        let a = fit(&ds, 8);
+        let b = fit(&ds, 8);
+        assert_eq!(a, b);
+        let c = ShiftedGrids::agrid(BoundingBox::unit(2), 8, None, 99)
+            .unwrap()
+            .fit(&ds)
+            .unwrap();
+        assert_ne!(a, c);
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        let ds = uniform_dataset(100, 2, 10);
-        assert!(AveragedGridEstimator::fit(&ds, &AgridConfig::with_grids(0)).is_err());
-        assert!(AveragedGridEstimator::fit(
-            &ds,
-            &AgridConfig {
-                resolution: Some(0),
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(AveragedGridEstimator::fit(&Dataset::new(2), &AgridConfig::default()).is_err());
-        assert!(AveragedGridEstimator::fit(
-            &ds,
-            &AgridConfig {
-                domain: Some(BoundingBox::unit(3)),
-                ..Default::default()
-            }
-        )
-        .is_err());
+        let unit = BoundingBox::unit(2);
+        assert!(ShiftedGrids::agrid(unit.clone(), 0, None, 0).is_err());
+        assert!(ShiftedGrids::agrid(unit.clone(), 8, Some(0), 0).is_err());
+        assert!(ShiftedGrids::agrid(unit.clone(), 64, Some(1 << 10), 0).is_err());
+        let empty = ShiftedGrids::agrid(unit, 8, None, 0).unwrap();
+        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
+        assert!(empty.clone().fit(&uniform_dataset(100, 3, 10)).is_err());
         let mut bad = uniform_dataset(10, 2, 11);
         bad.push(&[f64::NAN, 0.5]).unwrap();
-        let err = AveragedGridEstimator::fit(&bad, &AgridConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
+        let err = empty.fit(&bad).unwrap_err();
+        assert_eq!(err.to_string(), "non-finite coordinate at point 10");
     }
 
     #[test]
     fn auto_resolution_respects_memory_cap() {
         for dim in 1..=8 {
             for grids in [1usize, 8, 32] {
-                let res = AveragedGridEstimator::auto_resolution(dim, grids);
+                let res = Dense::auto_resolution(dim, grids);
                 assert!(res >= 1);
                 let total = (res + 1).pow(dim as u32) * grids;
                 assert!(
@@ -721,23 +227,23 @@ mod tests {
 
     #[test]
     fn degenerate_extent_dimension_is_ignored() {
-        // All points share x[1] = 0.5 and the domain is flat there.
+        // All points share x[1] = 0.5 and the domain is flat there: the
+        // flat dimension counts as width 1, so the density integrates to n
+        // along the other one.
         let mut ds = Dataset::with_capacity(2, 100);
         let mut rng = seeded(12);
         for _ in 0..100 {
             ds.push(&[rng.gen::<f64>(), 0.5]).unwrap();
         }
         let domain = BoundingBox::new(vec![0.0, 0.5], vec![1.0, 0.5]);
-        let est = AveragedGridEstimator::fit(
-            &ds,
-            &AgridConfig {
-                domain: Some(domain.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let est = ShiftedGrids::agrid(domain, 8, None, 0)
+            .unwrap()
+            .fit(&ds)
+            .unwrap();
         assert!(est.density(&[0.5, 0.5]) > 0.0);
-        let total = est.integrate_box(&domain);
+        let total: f64 = (0..256)
+            .map(|i| est.density(&[(i as f64 + 0.5) / 256.0, 0.5]) / 256.0)
+            .sum();
         assert!((total - 100.0).abs() < 5.0, "total {total}");
     }
 }

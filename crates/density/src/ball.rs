@@ -109,27 +109,8 @@ pub fn expected_neighbors_tallied<E: DensityEstimator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::Flat;
     use dbs_core::BoundingBox;
-
-    struct Flat {
-        dim: usize,
-        n: f64,
-    }
-
-    impl DensityEstimator for Flat {
-        fn dim(&self) -> usize {
-            self.dim
-        }
-        fn dataset_size(&self) -> f64 {
-            self.n
-        }
-        fn density(&self, _x: &[f64]) -> f64 {
-            self.n
-        }
-        fn average_density(&self) -> f64 {
-            self.n
-        }
-    }
 
     #[test]
     fn ball_samples_stay_in_ball() {

@@ -1,266 +1,54 @@
-//! Uniform-grid histogram density estimator.
+//! The `grid` preset: a uniform-grid histogram.
 //!
 //! The classical alternative to kernels (the paper's related work cites
-//! multi-dimensional histograms \[23\]\[16\]\[2\]). The domain is divided into
-//! `res^d` equal cells; the estimate inside a cell is
-//! `count(cell) / volume(cell)`, i.e. piecewise constant. Box integrals are
-//! exact under the piecewise-constant model (cells contribute their overlap
-//! fraction).
+//! multi-dimensional histograms \[23\]\[16\]\[2\]): one unshifted grid of
+//! `res^d` exact counters, so the estimate inside a cell is
+//! `count(cell) / volume(cell)`, i.e. piecewise constant. Points outside the
+//! domain are clamped into boundary cells (cell coordinates into
+//! `0..=res − 1`), so all mass is preserved.
 
-use dbs_core::{BoundingBox, Error, PointSource, Result};
+use dbs_core::{BoundingBox, Result};
 
-use crate::traits::DensityEstimator;
+use crate::shifted::{Dense, ShiftedGrids};
 
-/// A piecewise-constant histogram estimator on a uniform grid.
-#[derive(Debug, Clone)]
-pub struct GridEstimator {
-    domain: BoundingBox,
-    res: usize,
-    counts: Vec<f64>,
-    n: f64,
-    cell_volume: f64,
-}
-
-impl GridEstimator {
-    /// Builds the histogram in one pass over `source`.
-    ///
-    /// `res` is the number of cells per dimension. Points outside `domain`
-    /// are clamped into boundary cells so all mass is preserved. Errors on
-    /// an empty source, `res == 0`, non-finite coordinates, or a grid
-    /// whose `res^d` exceeds `2^26`.
-    pub fn fit<S: PointSource + ?Sized>(
-        source: &S,
-        domain: BoundingBox,
-        res: usize,
-    ) -> Result<Self> {
-        if res == 0 {
-            return Err(Error::InvalidParameter(
-                "grid resolution must be >= 1".into(),
-            ));
-        }
-        if source.is_empty() {
-            return Err(Error::InvalidParameter(
-                "cannot fit grid on empty source".into(),
-            ));
-        }
-        if domain.dim() != source.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: source.dim(),
-                got: domain.dim(),
-            });
-        }
-        let dim = source.dim();
-        let total = res
-            .checked_pow(dim as u32)
-            .filter(|&t| t <= 1 << 26)
-            .ok_or_else(|| Error::InvalidParameter("grid too large; lower res".into()))?;
-        let mut counts = vec![0.0f64; total];
-        let dmin: Vec<f64> = domain.min().to_vec();
-        let extents: Vec<f64> = (0..dim).map(|j| domain.extent(j)).collect();
-        // Validation rides the single fit pass: the first non-finite
-        // coordinate is remembered and reported after the scan.
-        let mut non_finite: Option<usize> = None;
-        source.scan(&mut |i, p| {
-            if non_finite.is_some() {
-                return;
-            }
-            if !p.iter().all(|v| v.is_finite()) {
-                non_finite = Some(i);
-                return;
-            }
-            let mut cell = 0usize;
-            for j in 0..dim {
-                let rel = if extents[j] > 0.0 {
-                    (p[j] - dmin[j]) / extents[j]
-                } else {
-                    0.0
-                };
-                let c = ((rel * res as f64) as isize).clamp(0, res as isize - 1) as usize;
-                cell = cell * res + c;
-            }
-            counts[cell] += 1.0;
-        })?;
-        if let Some(i) = non_finite {
-            return Err(Error::InvalidParameter(format!(
-                "non-finite coordinate at point {i}"
-            )));
-        }
-        let cell_volume = (0..dim)
-            .map(|j| {
-                let w = extents[j] / res as f64;
-                if w > 0.0 {
-                    w
-                } else {
-                    1.0
-                }
-            })
-            .product();
-        Ok(GridEstimator {
-            domain,
-            res,
-            counts,
-            n: source.len() as f64,
-            cell_volume,
-        })
-    }
-
-    /// Number of cells per dimension.
-    pub fn resolution(&self) -> usize {
-        self.res
-    }
-
-    /// The count stored in the cell containing `x`.
-    pub fn cell_count(&self, x: &[f64]) -> f64 {
-        self.counts[self.cell_of(x)]
-    }
-
-    fn cell_of(&self, x: &[f64]) -> usize {
-        let dim = self.domain.dim();
-        let mut cell = 0usize;
-        for j in 0..dim {
-            let extent = self.domain.extent(j);
-            let rel = if extent > 0.0 {
-                (x[j] - self.domain.min()[j]) / extent
-            } else {
-                0.0
-            };
-            let c = ((rel * self.res as f64) as isize).clamp(0, self.res as isize - 1) as usize;
-            cell = cell * self.res + c;
-        }
-        cell
-    }
-}
-
-impl DensityEstimator for GridEstimator {
-    fn dim(&self) -> usize {
-        self.domain.dim()
-    }
-
-    fn dataset_size(&self) -> f64 {
-        self.n
-    }
-
-    fn density(&self, x: &[f64]) -> f64 {
-        // Zero outside the domain box — the histogram models a density
-        // supported on the domain.
-        if !self.domain.contains(x) {
-            return 0.0;
-        }
-        self.counts[self.cell_of(x)] / self.cell_volume
-    }
-
-    /// Exact under the piecewise-constant model: each cell contributes its
-    /// count times the fraction of its volume covered by `bbox`.
-    fn integrate_box(&self, bbox: &BoundingBox) -> f64 {
-        let dim = self.dim();
-        let res = self.res;
-        // Per-dimension overlap fraction of each cell index with the box.
-        let mut acc = 0.0;
-        // Determine the per-dimension cell ranges intersecting the box.
-        let mut lo = vec![0usize; dim];
-        let mut hi = vec![0usize; dim];
-        for j in 0..dim {
-            let extent = self.domain.extent(j);
-            if extent <= 0.0 {
-                lo[j] = 0;
-                hi[j] = 0;
-                continue;
-            }
-            let w = extent / res as f64;
-            let rel_lo = (bbox.min()[j] - self.domain.min()[j]) / w;
-            let rel_hi = (bbox.max()[j] - self.domain.min()[j]) / w;
-            if rel_hi <= 0.0 || rel_lo >= res as f64 {
-                return 0.0;
-            }
-            lo[j] = (rel_lo.floor().max(0.0)) as usize;
-            hi[j] = (rel_hi.ceil().min(res as f64) as usize).saturating_sub(1);
-        }
-        let mut coords = lo.clone();
-        loop {
-            // Overlap fraction for this cell.
-            let mut frac = 1.0;
-            let mut cell = 0usize;
-            for j in 0..dim {
-                cell = cell * res + coords[j];
-                let extent = self.domain.extent(j);
-                if extent <= 0.0 {
-                    continue;
-                }
-                let w = extent / res as f64;
-                let cell_lo = self.domain.min()[j] + coords[j] as f64 * w;
-                let cell_hi = cell_lo + w;
-                let ov = (bbox.max()[j].min(cell_hi) - bbox.min()[j].max(cell_lo)).max(0.0);
-                frac *= ov / w;
-            }
-            acc += self.counts[cell] * frac;
-            // Odometer.
-            let mut j = dim;
-            loop {
-                if j == 0 {
-                    return acc;
-                }
-                j -= 1;
-                if coords[j] < hi[j] {
-                    coords[j] += 1;
-                    for (t, c) in coords.iter_mut().enumerate().skip(j + 1) {
-                        *c = lo[t];
-                    }
-                    break;
-                }
-            }
-        }
-    }
-
-    fn average_density(&self) -> f64 {
-        self.n / self.domain.volume().max(f64::MIN_POSITIVE)
-    }
-
-    /// Exact (for data inside the domain): every point of a cell sees the
-    /// density `count / cell_volume`, so the §2.2 sum is available from
-    /// the cell counts alone.
-    fn summary_normalizer(&self, a: f64, floor: f64) -> Option<f64> {
-        Some(
-            self.counts
-                .iter()
-                .filter(|&&c| c > 0.0)
-                .map(|&c| c * (c / self.cell_volume).max(floor).powf(a))
-                .sum(),
-        )
+impl ShiftedGrids<Dense> {
+    /// An empty `grid` preset: one unshifted dense grid of `res` cells per
+    /// dimension over `domain`. Errors on `res == 0` or a grid whose
+    /// `res^d` exceeds `2^26`. Fill it with [`ShiftedGrids::fit`].
+    pub fn grid(domain: BoundingBox, res: usize) -> Result<Self> {
+        let store = Dense::sized(domain.dim(), res, 1)?;
+        Self::with_layout(domain, 1, res, false, 0, store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs_core::rng::seeded;
+    use crate::test_util::{midpoint_integral, uniform_dataset};
+    use crate::DensityEstimator;
     use dbs_core::Dataset;
-    use rand::Rng;
 
-    fn uniform_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(dim, n);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            ds.push(&p).unwrap();
-        }
-        ds
+    fn fit(ds: &Dataset, res: usize) -> ShiftedGrids<Dense> {
+        ShiftedGrids::grid(BoundingBox::unit(ds.dim()), res)
+            .unwrap()
+            .fit(ds)
+            .unwrap()
     }
 
     #[test]
     fn total_mass_is_n() {
-        let ds = uniform_dataset(1000, 2, 1);
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(2), 10).unwrap();
-        let total = est.integrate_box(&BoundingBox::unit(2));
+        let est = fit(&uniform_dataset(1000, 2, 1), 10);
+        let total = midpoint_integral(&est, &BoundingBox::unit(2), 100);
         assert!((total - 1000.0).abs() < 1e-9, "total {total}");
     }
 
     #[test]
     fn aligned_box_integral_is_exact_count() {
         let ds = uniform_dataset(2000, 2, 2);
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(2), 10).unwrap();
+        let est = fit(&ds, 10);
         // Box aligned to cell boundaries: integral equals the true count.
         let bbox = BoundingBox::new(vec![0.2, 0.3], vec![0.6, 0.8]);
-        let got = est.integrate_box(&bbox);
+        let got = midpoint_integral(&est, &bbox, 40);
         let truth = ds
             .iter()
             .filter(|p| p[0] >= 0.2 && p[0] < 0.6 && p[1] >= 0.3 && p[1] < 0.8)
@@ -271,7 +59,7 @@ mod tests {
     #[test]
     fn density_reflects_cell_count() {
         let ds = Dataset::from_rows(&[vec![0.05, 0.05], vec![0.06, 0.04], vec![0.9, 0.9]]).unwrap();
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(2), 10).unwrap();
+        let est = fit(&ds, 10);
         // Cell (0,0) holds 2 points, volume 0.01 -> density 200.
         assert!((est.density(&[0.05, 0.05]) - 200.0).abs() < 1e-9);
         assert!((est.density(&[0.95, 0.95]) - 100.0).abs() < 1e-9);
@@ -280,38 +68,40 @@ mod tests {
 
     #[test]
     fn box_outside_domain_is_zero() {
-        let ds = uniform_dataset(100, 2, 3);
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(2), 4).unwrap();
+        let est = fit(&uniform_dataset(100, 2, 3), 4);
         let outside = BoundingBox::new(vec![2.0, 2.0], vec![3.0, 3.0]);
-        assert_eq!(est.integrate_box(&outside), 0.0);
+        assert_eq!(midpoint_integral(&est, &outside, 16), 0.0);
     }
 
     #[test]
     fn partial_cell_overlap_is_fractional() {
         // One point in cell [0, 0.5) of a res=2 1-d grid.
-        let ds = Dataset::from_rows(&[vec![0.25]]).unwrap();
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(1), 2).unwrap();
+        let est = fit(&Dataset::from_rows(&[vec![0.25]]).unwrap(), 2);
         // Box [0, 0.25] covers half the cell -> 0.5 expected points.
-        let got = est.integrate_box(&BoundingBox::new(vec![0.0], vec![0.25]));
+        let got = midpoint_integral(&est, &BoundingBox::new(vec![0.0], vec![0.25]), 16);
         assert!((got - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_bad_inputs() {
         let ds = uniform_dataset(10, 2, 4);
-        assert!(GridEstimator::fit(&ds, BoundingBox::unit(2), 0).is_err());
-        assert!(GridEstimator::fit(&Dataset::new(2), BoundingBox::unit(2), 4).is_err());
-        assert!(GridEstimator::fit(&ds, BoundingBox::unit(3), 4).is_err());
+        assert!(ShiftedGrids::grid(BoundingBox::unit(2), 0).is_err());
+        assert!(ShiftedGrids::grid(BoundingBox::unit(2), 1 << 14).is_err());
+        let empty = ShiftedGrids::grid(BoundingBox::unit(2), 4).unwrap();
+        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
+        assert!(ShiftedGrids::grid(BoundingBox::unit(3), 4)
+            .unwrap()
+            .fit(&ds)
+            .is_err());
         let mut bad = uniform_dataset(5, 2, 6);
         bad.push(&[0.5, f64::INFINITY]).unwrap();
-        let err = GridEstimator::fit(&bad, BoundingBox::unit(2), 4).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
+        let err = empty.fit(&bad).unwrap_err();
+        assert_eq!(err.to_string(), "non-finite coordinate at point 5");
     }
 
     #[test]
     fn average_density_sane() {
-        let ds = uniform_dataset(500, 3, 5);
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(3), 4).unwrap();
+        let est = fit(&uniform_dataset(500, 3, 5), 4);
         assert!((est.average_density() - 500.0).abs() < 1e-9);
     }
 }

@@ -1,260 +1,90 @@
-//! Hashed-grid density estimator (Palmer–Faloutsos storage model).
+//! The `hashgrid` preset: a hashed grid (Palmer–Faloutsos storage model).
 //!
 //! The comparison method of the paper (\[22\], §1.1 and §4.3) partitions the
 //! space with a grid whose cells are *hashed into a fixed-size table*
 //! because the full grid would not fit in memory; colliding cells share one
 //! counter. The paper observes that "the quality of the sample degrades
-//! with collisions implicit to any hash based approach". This estimator
+//! with collisions implicit to any hash based approach". This preset
 //! reproduces that storage scheme so the Figure 5 comparison exercises the
 //! same failure mode: a query reads the counter of its (hashed) cell, which
 //! over-reports density whenever another populated cell collided into it.
 
-use dbs_core::{BoundingBox, Error, PointSource, Result};
+use dbs_core::{BoundingBox, Result};
 
-use crate::traits::DensityEstimator;
+use crate::shifted::{Hashed, ShiftedGrids};
 
-/// A memory-capped, hash-addressed grid histogram.
-#[derive(Debug, Clone)]
-pub struct HashGridEstimator {
-    domain: BoundingBox,
-    res: usize,
-    table: Vec<f64>,
-    n: f64,
-    cell_volume: f64,
-    /// Number of distinct populated cells that collided with a previously
-    /// populated slot during the build (diagnostic).
-    collisions: usize,
-}
-
-/// Multiplicative Fibonacci hash of a flattened cell id into `table_len`.
-#[inline]
-fn slot_of(cell: u64, table_len: usize) -> usize {
-    (cell.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % table_len
-}
-
-impl HashGridEstimator {
-    /// Builds the estimator in one pass.
-    ///
-    /// `res` is the number of *virtual* grid cells per dimension — it can be
-    /// large, because only `table_slots` counters are actually allocated.
-    /// `table_slots` models the memory budget of the Palmer–Faloutsos hash
-    /// table (the paper allows it 5 MB; at 8 bytes per counter that is
-    /// 655 360 slots).
-    pub fn fit<S: PointSource + ?Sized>(
-        source: &S,
-        domain: BoundingBox,
-        res: usize,
-        table_slots: usize,
-    ) -> Result<Self> {
-        if res == 0 || table_slots == 0 {
-            return Err(Error::InvalidParameter(
-                "res and table_slots must be >= 1".into(),
-            ));
-        }
-        if source.is_empty() {
-            return Err(Error::InvalidParameter(
-                "cannot fit hash grid on empty source".into(),
-            ));
-        }
-        if domain.dim() != source.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: source.dim(),
-                got: domain.dim(),
-            });
-        }
-        let dim = source.dim();
-        // Virtual cell count may overflow usize in high dimensions; use u64
-        // arithmetic for the flattened id.
-        let mut table = vec![0.0f64; table_slots];
-        let mut slot_owner: Vec<u64> = vec![u64::MAX; table_slots];
-        let mut collisions = 0usize;
-        let dmin: Vec<f64> = domain.min().to_vec();
-        let extents: Vec<f64> = (0..dim).map(|j| domain.extent(j)).collect();
-        // Validation rides the single fit pass: the first non-finite
-        // coordinate is remembered and reported after the scan.
-        let mut non_finite: Option<usize> = None;
-        source.scan(&mut |i, p| {
-            if non_finite.is_some() {
-                return;
-            }
-            if !p.iter().all(|v| v.is_finite()) {
-                non_finite = Some(i);
-                return;
-            }
-            let mut cell: u64 = 0;
-            for j in 0..dim {
-                let rel = if extents[j] > 0.0 {
-                    (p[j] - dmin[j]) / extents[j]
-                } else {
-                    0.0
-                };
-                let c = ((rel * res as f64) as i64).clamp(0, res as i64 - 1) as u64;
-                cell = cell.wrapping_mul(res as u64).wrapping_add(c);
-            }
-            let slot = slot_of(cell, table_slots);
-            if slot_owner[slot] == u64::MAX {
-                slot_owner[slot] = cell;
-            } else if slot_owner[slot] != cell {
-                collisions += 1;
-            }
-            table[slot] += 1.0;
-        })?;
-        if let Some(i) = non_finite {
-            return Err(Error::InvalidParameter(format!(
-                "non-finite coordinate at point {i}"
-            )));
-        }
-        let cell_volume = (0..dim)
-            .map(|j| {
-                let w = extents[j] / res as f64;
-                if w > 0.0 {
-                    w
-                } else {
-                    1.0
-                }
-            })
-            .product();
-        Ok(HashGridEstimator {
-            domain,
-            res,
-            table,
-            n: source.len() as f64,
-            cell_volume,
-            collisions,
-        })
-    }
-
-    /// Number of populated-cell collisions observed while building.
-    pub fn collisions(&self) -> usize {
-        self.collisions
-    }
-
-    /// Virtual grid resolution per dimension.
-    pub fn resolution(&self) -> usize {
-        self.res
-    }
-
-    /// Volume of one (virtual) grid cell. `density(x) * cell_volume()`
-    /// recovers the hashed count of the cell containing `x`.
-    pub fn cell_volume(&self) -> f64 {
-        self.cell_volume
-    }
-
-    fn cell_of(&self, x: &[f64]) -> u64 {
-        let dim = self.domain.dim();
-        let mut cell: u64 = 0;
-        for j in 0..dim {
-            let extent = self.domain.extent(j);
-            let rel = if extent > 0.0 {
-                (x[j] - self.domain.min()[j]) / extent
-            } else {
-                0.0
-            };
-            let c = ((rel * self.res as f64) as i64).clamp(0, self.res as i64 - 1) as u64;
-            cell = cell.wrapping_mul(self.res as u64).wrapping_add(c);
-        }
-        cell
-    }
-}
-
-impl DensityEstimator for HashGridEstimator {
-    fn dim(&self) -> usize {
-        self.domain.dim()
-    }
-
-    fn dataset_size(&self) -> f64 {
-        self.n
-    }
-
-    fn density(&self, x: &[f64]) -> f64 {
-        // The estimator models a density supported on its domain box;
-        // outside it there is no mass (points outside were clamped in at
-        // build time, but the *query* density beyond the box is zero).
-        if !self.domain.contains(x) {
-            return 0.0;
-        }
-        let slot = slot_of(self.cell_of(x), self.table.len());
-        self.table[slot] / self.cell_volume
-    }
-
-    fn average_density(&self) -> f64 {
-        self.n / self.domain.volume().max(f64::MIN_POSITIVE)
-    }
-
-    /// Exact (for data inside the domain), collisions included: every
-    /// point hashed into a slot sees the slot's merged count, so the §2.2
-    /// sum follows from the table alone.
-    fn summary_normalizer(&self, a: f64, floor: f64) -> Option<f64> {
-        Some(
-            self.table
-                .iter()
-                .filter(|&&c| c > 0.0)
-                .map(|&c| c * (c / self.cell_volume).max(floor).powf(a))
-                .sum(),
-        )
+impl ShiftedGrids<Hashed> {
+    /// An empty `hashgrid` preset: one unshifted grid of `res` *virtual*
+    /// cells per dimension over `domain`, hashed (salt 0) into
+    /// `table_slots` counters. `res` can be large — only the slots are
+    /// allocated; `table_slots` models the memory budget of the
+    /// Palmer–Faloutsos hash table (the paper allows it 5 MB; at 8 bytes
+    /// per counter that is 655 360 slots). Fill it with
+    /// [`ShiftedGrids::fit`].
+    pub fn hashgrid(domain: BoundingBox, res: usize, table_slots: usize) -> Result<Self> {
+        let store = Hashed {
+            salts: vec![0],
+            slots: table_slots,
+        };
+        Self::with_layout(domain, 1, res, false, 0, store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::uniform_dataset;
+    use crate::DensityEstimator;
     use dbs_core::rng::seeded;
     use dbs_core::Dataset;
     use rand::Rng;
 
-    fn uniform_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(dim, n);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            ds.push(&p).unwrap();
-        }
-        ds
+    fn fit(ds: &Dataset, res: usize, slots: usize) -> ShiftedGrids<Hashed> {
+        ShiftedGrids::hashgrid(BoundingBox::unit(ds.dim()), res, slots)
+            .unwrap()
+            .fit(ds)
+            .unwrap()
+    }
+
+    /// Hashed and plain densities at the same resolution over 200 uniform
+    /// probes.
+    fn hashed_vs_plain(ds: &Dataset, res: usize, slots: usize) -> Vec<(f64, f64)> {
+        let hashed = fit(ds, res, slots);
+        let plain = ShiftedGrids::grid(BoundingBox::unit(ds.dim()), res)
+            .unwrap()
+            .fit(ds)
+            .unwrap();
+        let mut rng = seeded(4);
+        (0..200)
+            .map(|_| {
+                let x: Vec<f64> = (0..ds.dim()).map(|_| rng.gen::<f64>()).collect();
+                (hashed.density(&x), plain.density(&x))
+            })
+            .collect()
     }
 
     #[test]
     fn no_collisions_matches_plain_grid_density() {
-        let ds = uniform_dataset(500, 2, 1);
-        // Huge table: collisions are unlikely to merge distinct populated
-        // cells, but not impossible; allow retrying on collision-free seeds.
-        let hashed = HashGridEstimator::fit(&ds, BoundingBox::unit(2), 8, 1 << 16).unwrap();
-        let plain = crate::grid::GridEstimator::fit(&ds, BoundingBox::unit(2), 8).unwrap();
-        if hashed.collisions() == 0 {
-            let mut rng = seeded(2);
-            for _ in 0..50 {
-                let x = [rng.gen::<f64>(), rng.gen::<f64>()];
-                assert!((hashed.density(&x) - plain.density(&x)).abs() < 1e-9);
-            }
+        // 64 cells in 65 536 slots: this data and hash are collision-free,
+        // so every probe reads its own cell's count.
+        for (h, p) in hashed_vs_plain(&uniform_dataset(500, 2, 1), 8, 1 << 16) {
+            assert_eq!(h.to_bits(), p.to_bits());
         }
     }
 
     #[test]
     fn tiny_table_produces_collisions_and_overestimates() {
-        let ds = uniform_dataset(5000, 3, 3);
-        let hashed = HashGridEstimator::fit(&ds, BoundingBox::unit(3), 16, 32).unwrap();
-        assert!(
-            hashed.collisions() > 0,
-            "expected collisions with a 32-slot table"
-        );
-        // Total mass read back from slots over-counts per cell because
-        // multiple cells share counters; average density of queried points
-        // must be >= the collision-free value.
-        let plain = crate::grid::GridEstimator::fit(&ds, BoundingBox::unit(3), 16).unwrap();
-        let mut rng = seeded(4);
-        let mut hash_sum = 0.0;
-        let mut plain_sum = 0.0;
-        for _ in 0..200 {
-            let x = [rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()];
-            hash_sum += hashed.density(&x);
-            plain_sum += plain.density(&x);
-        }
-        assert!(hash_sum >= plain_sum);
+        // Collisions only ever add mass: a slot holds its own cell's count
+        // plus every colliding cell's. With 4096 cells in 32 slots some
+        // probe must read a strictly larger count.
+        let pairs = hashed_vs_plain(&uniform_dataset(5000, 3, 3), 16, 32);
+        assert!(pairs.iter().all(|(h, p)| h >= p), "{pairs:?}");
+        assert!(pairs.iter().any(|(h, p)| h > p), "no collision seen");
     }
 
     #[test]
     fn density_nonnegative_everywhere() {
-        let ds = uniform_dataset(200, 2, 5);
-        let est = HashGridEstimator::fit(&ds, BoundingBox::unit(2), 32, 64).unwrap();
+        let est = fit(&uniform_dataset(200, 2, 5), 32, 64);
         let mut rng = seeded(6);
         for _ in 0..100 {
             let x = [rng.gen::<f64>() * 2.0 - 0.5, rng.gen::<f64>() * 2.0 - 0.5];
@@ -265,21 +95,23 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let ds = uniform_dataset(10, 2, 7);
-        assert!(HashGridEstimator::fit(&ds, BoundingBox::unit(2), 0, 16).is_err());
-        assert!(HashGridEstimator::fit(&ds, BoundingBox::unit(2), 4, 0).is_err());
-        assert!(HashGridEstimator::fit(&Dataset::new(2), BoundingBox::unit(2), 4, 16).is_err());
-        let mut bad = uniform_dataset(5, 2, 9);
+        assert!(ShiftedGrids::hashgrid(BoundingBox::unit(2), 0, 16).is_err());
+        assert!(ShiftedGrids::hashgrid(BoundingBox::unit(2), 4, 0).is_err());
+        let empty = ShiftedGrids::hashgrid(BoundingBox::unit(2), 4, 16).unwrap();
+        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
+        assert!(empty.clone().fit(&uniform_dataset(10, 3, 8)).is_err());
+        let mut bad = ds;
         bad.push(&[f64::NAN, 0.5]).unwrap();
-        let err = HashGridEstimator::fit(&bad, BoundingBox::unit(2), 4, 16).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
+        let err = empty.fit(&bad).unwrap_err();
+        assert_eq!(err.to_string(), "non-finite coordinate at point 10");
     }
 
     #[test]
     fn high_virtual_resolution_is_memory_safe() {
         // res^dim would be 10^15 virtual cells; only 1024 slots allocated.
-        let ds = uniform_dataset(1000, 5, 8);
-        let est = HashGridEstimator::fit(&ds, BoundingBox::unit(5), 1000, 1024).unwrap();
+        let est = fit(&uniform_dataset(1000, 5, 8), 1000, 1024);
         assert_eq!(est.resolution(), 1000);
+        assert_eq!(est.memory_bytes(), 1024 * 8);
         assert!(est.density(&[0.5; 5]) >= 0.0);
     }
 }

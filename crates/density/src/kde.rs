@@ -271,24 +271,6 @@ impl KernelDensityEstimator {
         self.center_grid.is_some()
     }
 
-    /// The kernel mass of center `c` inside `bbox`: the product over
-    /// dimensions of the CDF difference across the box, or 0 when some
-    /// dimension contributes nothing.
-    #[inline]
-    fn box_mass(&self, bbox: &BoundingBox, c: &[f64]) -> f64 {
-        let mut prod = 1.0;
-        for j in 0..c.len() {
-            let lo = (bbox.min()[j] - c[j]) * self.inv_bandwidths[j];
-            let hi = (bbox.max()[j] - c[j]) * self.inv_bandwidths[j];
-            let mass = self.kernel.cdf(hi) - self.kernel.cdf(lo);
-            if mass <= 0.0 {
-                return 0.0;
-            }
-            prod *= mass;
-        }
-        prod
-    }
-
     #[inline]
     fn center_contribution(&self, x: &[f64], c: &[f64]) -> f64 {
         let mut prod = 1.0;
@@ -337,44 +319,6 @@ impl DensityEstimator for KernelDensityEstimator {
         self.scale * acc
     }
 
-    /// Exact box integral: product kernels integrate separably via the
-    /// kernel CDF, so no quadrature is needed.
-    ///
-    /// Centers whose support box (`center ± h_j · support_radius` per
-    /// dimension) cannot intersect `bbox` contribute exactly zero mass, so
-    /// when a center grid exists only the cells around the (inflated) query
-    /// box are scanned. The grid yields candidates in ascending center
-    /// index and skipped centers contribute exact zeros, so the pruned sum
-    /// is bit-identical to the full scan.
-    fn integrate_box(&self, bbox: &BoundingBox) -> f64 {
-        assert_eq!(bbox.dim(), self.dim());
-        let ks = self.centers.len() as f64;
-        let mut acc = 0.0;
-        match &self.center_grid {
-            Some(grid) => {
-                // One L∞ ball covering every center with intersecting
-                // support: box midpoint, radius = largest half-extent plus
-                // the pruning radius (`max_j h_j * support_radius`).
-                let d = self.dim();
-                let mut mid = vec![0.0f64; d];
-                let mut half = 0.0f64;
-                for j in 0..d {
-                    mid[j] = 0.5 * (bbox.min()[j] + bbox.max()[j]);
-                    half = half.max(0.5 * (bbox.max()[j] - bbox.min()[j]));
-                }
-                grid.for_each_candidate_within(&mid, half + self.prune_radius, |ci| {
-                    acc += self.box_mass(bbox, self.centers.point(ci as usize));
-                });
-            }
-            None => {
-                for c in self.centers.iter() {
-                    acc += self.box_mass(bbox, c);
-                }
-            }
-        }
-        self.n / ks * acc
-    }
-
     fn average_density(&self) -> f64 {
         self.n / self.domain.volume()
     }
@@ -403,37 +347,8 @@ impl DensityEstimator for KernelDensityEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{midpoint_integral, two_blobs, uniform_dataset};
     use dbs_core::rng::seeded;
-    use rand::Rng;
-
-    fn uniform_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(dim, n);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            ds.push(&p).unwrap();
-        }
-        ds
-    }
-
-    /// Two blobs: 90% of points near (0.25, 0.25), 10% near (0.75, 0.75).
-    fn two_blobs(n: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(2, n);
-        for i in 0..n {
-            let (cx, cy) = if i < n * 9 / 10 {
-                (0.25, 0.25)
-            } else {
-                (0.75, 0.75)
-            };
-            let p = [
-                cx + (rng.gen::<f64>() - 0.5) * 0.1,
-                cy + (rng.gen::<f64>() - 0.5) * 0.1,
-            ];
-            ds.push(&p).unwrap();
-        }
-        ds
-    }
 
     #[test]
     fn fit_is_one_pass() {
@@ -449,7 +364,7 @@ mod tests {
         let est = KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(200)).unwrap();
         // Integrate over a box comfortably containing all kernel mass.
         let big = BoundingBox::new(vec![-1.0, -1.0], vec![2.0, 2.0]);
-        let integral = est.integrate_box(&big);
+        let integral = midpoint_integral(&est, &big, 256);
         assert!((integral - 2000.0).abs() < 1.0, "integral {integral}");
     }
 
@@ -469,7 +384,7 @@ mod tests {
         let ds = two_blobs(5000, 4);
         let est = KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(500)).unwrap();
         let blob_box = BoundingBox::new(vec![0.1, 0.1], vec![0.4, 0.4]);
-        let got = est.integrate_box(&blob_box);
+        let got = midpoint_integral(&est, &blob_box, 256);
         let truth = ds.iter().filter(|p| blob_box.contains(p)).count() as f64;
         let rel_err = (got - truth).abs() / truth;
         assert!(rel_err < 0.1, "got {got}, truth {truth}");
@@ -499,28 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn integrate_box_pruning_is_bit_identical_to_full_scan() {
-        let ds = uniform_dataset(3000, 2, 12);
-        let est = KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(400)).unwrap();
-        assert!(est.center_grid.is_some());
-        let no_grid = KernelDensityEstimator {
-            center_grid: None,
-            ..est.clone()
-        };
-        let mut rng = seeded(13);
-        for _ in 0..50 {
-            // Tiny through domain-sized query boxes.
-            let cx = rng.gen::<f64>();
-            let cy = rng.gen::<f64>();
-            let w = 0.01 + rng.gen::<f64>() * 0.6;
-            let bbox = BoundingBox::new(vec![cx - w, cy - w], vec![cx + w, cy + w]);
-            let pruned = est.integrate_box(&bbox);
-            let full = no_grid.integrate_box(&bbox);
-            assert_eq!(pruned.to_bits(), full.to_bits(), "box at ({cx},{cy}) w={w}");
-        }
-    }
-
-    #[test]
     fn gaussian_kernel_has_no_grid_but_works() {
         let ds = uniform_dataset(1000, 2, 7);
         let cfg = KdeConfig {
@@ -532,7 +425,7 @@ mod tests {
         let d = est.density(&[0.5, 0.5]);
         assert!(d > 0.0);
         let big = BoundingBox::new(vec![-3.0, -3.0], vec![4.0, 4.0]);
-        assert!((est.integrate_box(&big) - 1000.0).abs() < 2.0);
+        assert!((midpoint_integral(&est, &big, 256) - 1000.0).abs() < 2.0);
     }
 
     #[test]

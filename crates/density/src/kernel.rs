@@ -112,41 +112,6 @@ impl Kernel {
         }
     }
 
-    /// Cumulative distribution `∫_{-inf}^{u} K`, used for exact box
-    /// integrals of product-kernel estimators.
-    pub fn cdf(&self, u: f64) -> f64 {
-        match self {
-            Kernel::Epanechnikov => {
-                if u <= -1.0 {
-                    0.0
-                } else if u >= 1.0 {
-                    1.0
-                } else {
-                    0.5 + 0.75 * (u - u * u * u / 3.0)
-                }
-            }
-            Kernel::Gaussian => 0.5 * (1.0 + erf(u / std::f64::consts::SQRT_2)),
-            Kernel::Biweight => {
-                if u <= -1.0 {
-                    0.0
-                } else if u >= 1.0 {
-                    1.0
-                } else {
-                    0.5 + 0.9375 * (u - 2.0 * u.powi(3) / 3.0 + u.powi(5) / 5.0)
-                }
-            }
-            Kernel::Uniform => {
-                if u <= -1.0 {
-                    0.0
-                } else if u >= 1.0 {
-                    1.0
-                } else {
-                    0.5 * (u + 1.0)
-                }
-            }
-        }
-    }
-
     /// The radius beyond which the kernel is (treated as) zero, in
     /// bandwidth units. Finite-support kernels return 1; the Gaussian
     /// returns its truncation radius.
@@ -221,36 +186,6 @@ mod tests {
                 (integral - 1.0).abs() < 1e-4,
                 "{k:?} integrates to {integral}"
             );
-        }
-    }
-
-    #[test]
-    fn cdf_matches_numeric_integral() {
-        for k in KERNELS {
-            let lo = -k.support_radius();
-            let mut acc = 0.0;
-            let n = 200_000;
-            let h = (2.0 * k.support_radius()) / n as f64;
-            for i in 0..n {
-                let u = lo + (i as f64 + 0.5) * h;
-                acc += k.eval(u) * h;
-                if i % 20_000 == 0 {
-                    let want = k.cdf(u + 0.5 * h);
-                    assert!(
-                        (acc - want).abs() < 1e-3,
-                        "{k:?} cdf mismatch at {u}: {acc} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cdf_limits() {
-        for k in KERNELS {
-            assert!(k.cdf(-10.0).abs() < 1e-6);
-            assert!((k.cdf(10.0) - 1.0).abs() < 1e-6);
-            assert!((k.cdf(0.0) - 0.5).abs() < 1e-9, "{k:?} median not 0");
         }
     }
 

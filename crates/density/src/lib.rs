@@ -6,27 +6,29 @@
 //! The paper (§2.1) requires a density estimator `f : [0,1]^d -> R` such
 //! that for any region `R`, `∫_R f ≈ |D ∩ R|` — a *frequency* estimator
 //! whose integral over the whole domain is the dataset size `n`. Three
-//! interchangeable backends implement the [`DensityEstimator`] trait:
+//! estimators implement the [`DensityEstimator`] trait:
 //!
 //! * [`KernelDensityEstimator`] — the paper's choice: product Epanechnikov
 //!   kernels centered on a reservoir sample of `ks` points (default 1000),
 //!   built in one dataset pass (§2.1, §4.2). Gaussian and biweight kernels
 //!   and several bandwidth rules are provided for the ablation experiments.
-//! * [`GridEstimator`] — an exact uniform-grid histogram, the classical
-//!   alternative the paper cites.
-//! * [`HashGridEstimator`] — a memory-capped hashed grid whose collisions
-//!   merge cell counts; this models the storage scheme of the
-//!   Palmer–Faloutsos comparison method \[22\] and reproduces its degradation
-//!   in high dimensions.
 //! * [`WaveletEstimator`] — a Haar-wavelet-compressed histogram, the
 //!   transform-based alternative the paper cites (\[30\]\[19\]).
-//! * [`AveragedGridEstimator`] — the Wells–Ting averaged-grid ensemble:
-//!   `m` randomly shifted uniform grids averaged at query time. O(1)
-//!   queries independent of both `n` and the kernel-center count, making
-//!   it the sub-linear backend for high-dimensional runs.
-//! * [`DensitySketch`] — a streaming Count-Min shifted-grid sketch:
-//!   one-pass incremental `update`, element-wise `merge`, bounded memory
-//!   regardless of stream length. The ingest path for unbounded sources.
+//! * [`ShiftedGrids`] — the one histogram engine: `m` uniform grids,
+//!   shifted by seeded offsets or not, over exact ([`Dense`]) or hashed
+//!   ([`Hashed`]) `u64` counters, averaged at query time: one pass,
+//!   exact merges, O(m) queries. Its four presets are the histogram
+//!   backends:
+//!   - `grid` ([`ShiftedGrids::grid`]) — one exact unshifted grid;
+//!   - `hashgrid` ([`ShiftedGrids::hashgrid`]) — one unshifted grid hashed
+//!     into a fixed table whose collisions merge cell counts: the storage
+//!     scheme of the Palmer–Faloutsos comparison method \[22\];
+//!   - `agrid` ([`ShiftedGrids::agrid`]) — the Wells–Ting averaged-grid
+//!     ensemble of `m` shifted exact grids, the sub-linear backend for
+//!     high-dimensional runs;
+//!   - `sketch` ([`DensitySketch::new`]) — `m` shifted grids hashed into
+//!     salted Count-Min rows: bounded memory regardless of stream length,
+//!     the ingest path for unbounded sources.
 //!
 //! Callers pick a backend through [`EstimatorSpec`] — a parse-from-string
 //! configuration (`kde:1000`, `grid:32`, `hashgrid`, `wavelet:5`,
@@ -48,17 +50,18 @@ pub mod grid;
 pub mod hashgrid;
 pub mod kde;
 pub mod kernel;
+pub mod shifted;
 pub mod sketch;
 pub mod spec;
+#[cfg(test)]
+mod test_util;
 pub mod traits;
 pub mod wavelet;
 
-pub use agrid::{AgridConfig, AveragedGridEstimator};
 pub use bandwidth::Bandwidth;
-pub use grid::GridEstimator;
-pub use hashgrid::HashGridEstimator;
 pub use kde::{KdeConfig, KernelDensityEstimator};
 pub use kernel::Kernel;
+pub use shifted::{CounterStore, Dense, Hashed, ShiftedGrids};
 pub use sketch::{DensitySketch, SketchConfig};
 pub use spec::{EstimatorKind, EstimatorSpec};
 pub use traits::{batch_densities, batch_densities_obs, DensityEstimator};

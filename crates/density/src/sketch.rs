@@ -1,58 +1,29 @@
-//! Streaming Count-Min density sketch.
+//! The `sketch` preset: a streaming Count-Min shifted-grid density sketch.
 //!
-//! The ingest path for unbounded sources: a bounded-memory, mergeable
-//! density summary combining the two grid ideas already in this crate.
-//! Like [`crate::AveragedGridEstimator`] it lays `m` uniform grids over the
-//! domain, each shifted by a counter-hashed fractional offset per dimension
-//! ([`dbs_core::rng::keyed_unit`]), so the summary is a pure function of
-//! (data, config) regardless of scan schedule. Like
-//! [`crate::HashGridEstimator`] each grid stores no cells at all — its
-//! flattened (virtual) cell id is hashed into a fixed row of `slots`
-//! counters, so memory is `m * slots * 8` bytes however large the stream or
-//! the virtual resolution. The rows are exactly the counter table of a
-//! Count-Min sketch (SNIPPETS.md Snippet 1) with the hash replaced by a
-//! salted multiplicative Fibonacci hash per row. The classic Count-Min
-//! point query — the **minimum** row count, the tightest of `m` upper
-//! bounds since collisions only ever add mass — is exposed as
-//! [`DensitySketch::estimate_count`]. The *density* query instead averages
-//! the rows, the Wells–Ting combine: because every row is shifted, the
-//! rows estimate `m` differently-smoothed versions of the same density,
-//! and the minimum of those would be an order statistic biased low (it
-//! breaks the `∫ f ≈ n` frequency contract), while their mean keeps it and
-//! cancels cell-boundary placement effects.
+//! The ingest path for unbounded sources: `m` grids shifted as in
+//! [`crate::agrid`], each hashing its (virtual) cells into a fixed row of
+//! `slots` counters as in [`crate::hashgrid`] — with a per-row salt, so the
+//! rows are exactly the counter table of a Count-Min sketch (SNIPPETS.md
+//! Snippet 1). Memory is `m * slots * 8` bytes however long the stream or
+//! fine the virtual resolution. The density query averages the rows rather
+//! than taking the Count-Min minimum: every row is shifted, so the rows
+//! estimate `m` differently-smoothed versions of the same density, and
+//! their minimum would be an order statistic biased low that breaks the
+//! `∫ f ≈ n` frequency contract.
 //!
-//! Three properties make it a streaming service summary rather than a
-//! build-once estimator:
-//!
-//! * **One-pass, incremental.** [`DensitySketch::new`] starts empty;
-//!   [`DensitySketch::update`] folds in one point in O(m). A fitted sketch
-//!   and an incrementally updated one are byte-identical.
-//! * **Mergeable.** [`DensitySketch::merge`] is an element-wise counter
-//!   add. Counter addition is commutative and associative, so per-shard or
-//!   per-chunk sketches merged in *any* grouping are byte-identical to the
-//!   single-pass sketch — the same guarantee `dbs_core::par` gets from
-//!   chunk-ordered merging, here for free from integer arithmetic
-//!   (`tests/sketch_parity.rs` holds both routes to it).
-//! * **Bounded memory.** Neither the stream length nor the virtual
-//!   resolution changes the footprint; only `grids` and `slots` do.
-//!
-//! The estimate is frequency-scaled like every backend in this crate:
-//! `f(x) = mean_g count_g(slot_g(x)) / cell_volume`, so `∫ f ≈ n` (up to
-//! hash-collision inflation, negligible while occupied cells ≪ `slots`)
-//! and the one-pass biased sampler and the outlier prefilter run straight
-//! off a sketch ([`DensityEstimator::summary_normalizer`] comes from row
-//! 0, whose slots partition the ingested points).
+//! The engine makes it a streaming service summary: [`DensitySketch::new`]
+//! starts empty, [`ShiftedGrids::update`] folds in one point in O(m),
+//! [`ShiftedGrids::merge`] adds counters element-wise (any grouping of
+//! per-shard sketches equals the single-pass sketch byte for byte,
+//! `tests/sketch_parity.rs`), and the one-pass biased sampler and the
+//! outlier prefilter run straight off it.
 
-use std::num::NonZeroUsize;
-use std::sync::Mutex;
+use dbs_core::rng::sub_seed;
+use dbs_core::{BoundingBox, Error, Result};
 
-use dbs_core::obs::{Counter, Recorder};
-use dbs_core::rng::{keyed_unit, sub_seed};
-use dbs_core::{par, BoundingBox, Error, PointSource, Result};
+use crate::shifted::{auto_resolution, Hashed, ShiftedGrids};
 
-use crate::traits::DensityEstimator;
-
-/// Configuration for [`DensitySketch`].
+/// Configuration for [`DensitySketch::new`].
 #[derive(Debug, Clone)]
 pub struct SketchConfig {
     /// Number of hashed shifted grids `m` (Count-Min depth).
@@ -61,8 +32,8 @@ pub struct SketchConfig {
     /// `grids * slots * 8` bytes total.
     pub slots: usize,
     /// Virtual cells per dimension. `None` picks a dimension-dependent
-    /// default ([`DensitySketch::auto_resolution`]); any value is
-    /// memory-safe because cells are hashed, never allocated.
+    /// default; any value is memory-safe because cells are hashed, never
+    /// allocated.
     pub resolution: Option<usize>,
     /// Domain of the data. Defaults to the unit cube when `None`; the
     /// caller is expected to have normalized the data (§2.1).
@@ -98,77 +69,16 @@ impl SketchConfig {
 
 /// A streaming Count-Min shifted-grid density sketch (see the module
 /// docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DensitySketch {
-    domain: BoundingBox,
-    /// Virtual cells per dimension before the shift extension; shifted
-    /// cell coordinates live in `0..=res` as in the averaged grid.
-    res: usize,
-    /// Count-Min depth `m`.
-    grids: usize,
-    /// Count-Min width (counters per row).
-    slots: usize,
-    /// Fractional shift of grid `g` along dimension `j`, in cell units:
-    /// `offsets[g * dim + j] ∈ [0, 1)`.
-    offsets: Vec<f64>,
-    /// Per-row hash salt, derived from the seed.
-    salts: Vec<u64>,
-    /// Concatenated row counters; row `g` is
-    /// `counts[g * slots .. (g + 1) * slots]`. Exact integers, so merging
-    /// is associative and commutative — the determinism claim rests here.
-    counts: Vec<u64>,
-    /// Points ingested.
-    n: u64,
-    dim: usize,
-    dmin: Vec<f64>,
-    /// `res / extent_j` per dimension (0 for degenerate extents).
-    inv_widths: Vec<f64>,
-    /// Volume of one virtual cell (degenerate dimensions count as width 1).
-    cell_volume: f64,
-    seed: u64,
-}
+pub type DensitySketch = ShiftedGrids<Hashed>;
 
-/// Salted multiplicative Fibonacci hash of a flattened cell id into a row
-/// of `slots` counters (the per-row hash family of the Count-Min table).
-#[inline]
-fn slot_of(cell: u64, salt: u64, slots: usize) -> usize {
-    ((cell ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % slots
-}
-
-impl DensitySketch {
-    /// The default virtual resolution for `dim`-dimensional data: the
-    /// granularity the averaged grid defaults to, without its memory
-    /// shrink — hashed rows make resolution free.
-    pub fn auto_resolution(dim: usize) -> usize {
-        match dim {
-            0 | 1 => 256,
-            2 => 64,
-            3 => 24,
-            4 => 16,
-            _ => 12,
-        }
-    }
-
-    /// An empty sketch ready for [`Self::update`] / [`Self::merge`].
-    ///
-    /// Errors on `grids == 0`, `slots == 0`, an explicit resolution of 0,
-    /// or a domain/`dim` mismatch.
+impl ShiftedGrids<Hashed> {
+    /// An empty `sketch` preset for `dim`-dimensional points, ready for
+    /// [`ShiftedGrids::update`], [`ShiftedGrids::merge`] or
+    /// [`ShiftedGrids::fit`]. Shift offsets share the averaged grid's key
+    /// layout; row salts use the keys just past it so the two streams never
+    /// overlap. Errors on `grids == 0`, `slots == 0`, an explicit resolution
+    /// of 0, or a domain/`dim` mismatch.
     pub fn new(dim: usize, config: &SketchConfig) -> Result<Self> {
-        if config.grids == 0 {
-            return Err(Error::InvalidParameter(
-                "sketch needs at least one grid row".into(),
-            ));
-        }
-        if config.slots == 0 {
-            return Err(Error::InvalidParameter(
-                "sketch needs at least one counter slot per row".into(),
-            ));
-        }
-        if config.resolution == Some(0) {
-            return Err(Error::InvalidParameter(
-                "sketch resolution must be >= 1".into(),
-            ));
-        }
         let domain = config
             .domain
             .clone()
@@ -180,362 +90,39 @@ impl DensitySketch {
             });
         }
         let grids = config.grids;
-        let res = config
-            .resolution
-            .unwrap_or_else(|| Self::auto_resolution(dim));
-        // Shift offsets share the averaged grid's key layout; row salts use
-        // the keys just past it so the two streams never overlap.
-        let offsets: Vec<f64> = (0..grids * dim)
-            .map(|s| keyed_unit(config.seed, s as u64))
-            .collect();
-        let salts: Vec<u64> = (0..grids)
+        let res = config.resolution.unwrap_or_else(|| auto_resolution(dim));
+        let salts = (0..grids)
             .map(|g| sub_seed(config.seed, (grids * dim + g) as u64))
             .collect();
-        let dmin: Vec<f64> = domain.min().to_vec();
-        let inv_widths: Vec<f64> = (0..dim)
-            .map(|j| {
-                let extent = domain.extent(j);
-                if extent > 0.0 {
-                    res as f64 / extent
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let cell_volume: f64 = (0..dim)
-            .map(|j| {
-                let w = domain.extent(j) / res as f64;
-                if w > 0.0 {
-                    w
-                } else {
-                    1.0
-                }
-            })
-            .product();
-        Ok(DensitySketch {
-            domain,
-            res,
-            grids,
-            slots: config.slots,
-            offsets,
+        let store = Hashed {
             salts,
-            counts: vec![0u64; grids * config.slots],
-            n: 0,
-            dim,
-            dmin,
-            inv_widths,
-            cell_volume,
-            seed: config.seed,
-        })
-    }
-
-    /// Flattened virtual cell id of `p` in row `g` (u64 arithmetic: the
-    /// virtual grid may far exceed `usize` cells, as in the hashed grid).
-    #[inline]
-    fn cell_of(&self, p: &[f64], g: usize) -> u64 {
-        let offs = &self.offsets[g * self.dim..(g + 1) * self.dim];
-        let mut cell: u64 = 0;
-        for j in 0..self.dim {
-            let t = (p[j] - self.dmin[j]) * self.inv_widths[j] + offs[j];
-            let c = (t as i64).clamp(0, self.res as i64) as u64;
-            cell = cell.wrapping_mul(self.res as u64 + 1).wrapping_add(c);
-        }
-        cell
-    }
-
-    /// Unchecked single-point ingest (callers have validated dim and
-    /// finiteness).
-    #[inline]
-    fn ingest(&mut self, p: &[f64]) {
-        for g in 0..self.grids {
-            let slot = slot_of(self.cell_of(p, g), self.salts[g], self.slots);
-            self.counts[g * self.slots + slot] += 1;
-        }
-        self.n += 1;
-    }
-
-    /// Folds one point into the sketch: O(m) counter increments. The
-    /// summary after any sequence of updates is a pure function of the
-    /// ingested multiset — order never matters.
-    pub fn update(&mut self, p: &[f64]) -> Result<()> {
-        if p.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                got: p.len(),
-            });
-        }
-        if !p.iter().all(|v| v.is_finite()) {
-            return Err(Error::InvalidParameter(
-                "non-finite coordinate in sketch update".into(),
-            ));
-        }
-        self.ingest(p);
-        Ok(())
-    }
-
-    /// Element-wise add of `other`'s counters (no validation; callers have
-    /// checked compatibility or built both sketches from one config).
-    fn merge_counts(&mut self, other: &Self) {
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.n += other.n;
-    }
-
-    /// Merges another sketch of the same configuration into this one by
-    /// element-wise counter addition. Commutative and associative, so
-    /// per-shard sketches merged in any grouping equal the single-pass
-    /// sketch byte for byte. Errors when the configurations (domain,
-    /// resolution, rows, slots, seed) differ — such counters are not
-    /// addressable in the same hash space.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        if self.dim != other.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                got: other.dim,
-            });
-        }
-        if self.res != other.res
-            || self.grids != other.grids
-            || self.slots != other.slots
-            || self.seed != other.seed
-            || self.domain != other.domain
-        {
-            return Err(Error::InvalidParameter(
-                "cannot merge sketches with different configurations".into(),
-            ));
-        }
-        self.merge_counts(other);
-        Ok(())
-    }
-
-    /// [`Self::merge`] with the merge operation recorded into `recorder`
-    /// ([`Counter::SketchMerges`]). Same bytes either way.
-    pub fn merge_obs(&mut self, other: &Self, recorder: &Recorder) -> Result<()> {
-        self.merge(other)?;
-        recorder.add(Counter::SketchMerges, 1);
-        Ok(())
-    }
-
-    /// Builds the sketch in one sequential pass over `source`.
-    ///
-    /// Errors on an empty source, non-finite coordinates (the first bad
-    /// index is remembered during the scan and reported after it), a
-    /// domain/source dimension mismatch, or the [`Self::new`] parameter
-    /// errors.
-    pub fn fit<S: PointSource + ?Sized>(source: &S, config: &SketchConfig) -> Result<Self> {
-        if source.is_empty() {
-            return Err(Error::InvalidParameter(
-                "cannot fit sketch on empty source".into(),
-            ));
-        }
-        let mut sketch = Self::new(source.dim(), config)?;
-        let mut non_finite: Option<usize> = None;
-        source.scan(&mut |i, p| {
-            if non_finite.is_some() {
-                return;
-            }
-            if !p.iter().all(|v| v.is_finite()) {
-                non_finite = Some(i);
-                return;
-            }
-            sketch.ingest(p);
-        })?;
-        if let Some(i) = non_finite {
-            return Err(Error::InvalidParameter(format!(
-                "non-finite coordinate at point {i}"
-            )));
-        }
-        Ok(sketch)
-    }
-
-    /// [`Self::fit`] through the chunked executor with metrics: each fixed
-    /// 4096-point chunk ingests into its own sub-sketch, which is folded
-    /// into the shared result as the chunk completes. Counter addition
-    /// commutes, so the fold needs no chunk ordering to be deterministic —
-    /// the result is byte-identical to the sequential [`Self::fit`] at
-    /// every thread count (`tests/sketch_parity.rs`). Records
-    /// [`Counter::SketchUpdates`] per ingested point and
-    /// [`Counter::SketchMerges`] per chunk fold; does not record
-    /// `DatasetPasses` (the caller knows whether `source` is primary).
-    pub fn fit_obs<S: PointSource + ?Sized>(
-        source: &S,
-        config: &SketchConfig,
-        threads: NonZeroUsize,
-        recorder: &Recorder,
-    ) -> Result<Self> {
-        if source.is_empty() {
-            return Err(Error::InvalidParameter(
-                "cannot fit sketch on empty source".into(),
-            ));
-        }
-        let empty = Self::new(source.dim(), config)?;
-        let shared = Mutex::new(empty.clone());
-        let bad_chunks =
-            par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
-                let mut local = empty.clone();
-                let mut bad: Option<usize> = None;
-                for i in range {
-                    let p = block.point(i);
-                    if !p.iter().all(|v| v.is_finite()) {
-                        bad = Some(i);
-                        break;
-                    }
-                    local.ingest(p);
-                }
-                tally.add(Counter::SketchUpdates, local.n);
-                shared
-                    .lock()
-                    .expect("sketch merge never panics")
-                    .merge_counts(&local);
-                tally.add(Counter::SketchMerges, 1);
-                bad
-            })?;
-        if let Some(i) = bad_chunks.into_iter().flatten().min() {
-            return Err(Error::InvalidParameter(format!(
-                "non-finite coordinate at point {i}"
-            )));
-        }
-        Ok(shared.into_inner().expect("no panics held the lock"))
-    }
-
-    /// Count-Min depth `m` (number of hashed shifted grids).
-    pub fn grids(&self) -> usize {
-        self.grids
-    }
-
-    /// Counters per row.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Virtual cells per dimension.
-    pub fn resolution(&self) -> usize {
-        self.res
-    }
-
-    /// Volume of one virtual grid cell.
-    pub fn cell_volume(&self) -> f64 {
-        self.cell_volume
-    }
-
-    /// Points ingested so far.
-    pub fn points_ingested(&self) -> u64 {
-        self.n
-    }
-
-    /// The raw counter table (row-major), for parity tests and diagnostics.
-    pub fn counters(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bytes held by the counter table — the whole data-dependent
-    /// footprint.
-    pub fn memory_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u64>()
-    }
-
-    /// The Count-Min point estimate: the minimum row count for `x`'s slot
-    /// across the `m` hashed shifted grids. An upper bound on every row's
-    /// true shifted-cell count net of collisions.
-    pub fn estimate_count(&self, x: &[f64]) -> u64 {
-        let mut best = u64::MAX;
-        for g in 0..self.grids {
-            let slot = slot_of(self.cell_of(x, g), self.salts[g], self.slots);
-            best = best.min(self.counts[g * self.slots + slot]);
-        }
-        best
-    }
-}
-
-impl DensityEstimator for DensitySketch {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn dataset_size(&self) -> f64 {
-        self.n as f64
-    }
-
-    fn density(&self, x: &[f64]) -> f64 {
-        // Like the other grid backends, the sketch models a density
-        // supported on the domain box. Rows are averaged, not min-combined
-        // (see the module docs): the min across shifted rows is biased low
-        // and would break `∫ f ≈ n`.
-        if self.n == 0 || !self.domain.contains(x) {
-            return 0.0;
-        }
-        let mut total: u64 = 0;
-        for g in 0..self.grids {
-            let slot = slot_of(self.cell_of(x, g), self.salts[g], self.slots);
-            total += self.counts[g * self.slots + slot];
-        }
-        total as f64 / self.grids as f64 / self.cell_volume
-    }
-
-    fn average_density(&self) -> f64 {
-        self.n as f64 / self.domain.volume().max(f64::MIN_POSITIVE)
-    }
-
-    /// Approximate, from row 0 alone: row 0's slots partition the ingested
-    /// points (every point increments exactly one of them), so
-    /// `Σ_{slots c>0} c · max(c / cell_volume, floor)^a` is the hashed-grid
-    /// normalizer of the §2.2 sum, treating every point in a row-0 cell as
-    /// sitting at that cell's density. The query-time row average smooths
-    /// across shifts, so the two disagree by cell-boundary effects only —
-    /// the same tolerance band as the averaged grid's (`crate::agrid`)
-    /// probe-based normalizer.
-    fn summary_normalizer(&self, a: f64, floor: f64) -> Option<f64> {
-        Some(
-            self.counts[..self.slots]
-                .iter()
-                .filter(|&&c| c > 0)
-                .map(|&c| c as f64 * (c as f64 / self.cell_volume).max(floor).powf(a))
-                .sum(),
-        )
+            slots: config.slots,
+        };
+        Self::with_layout(domain, grids, res, true, config.seed, store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs_core::rng::seeded;
-    use dbs_core::Dataset;
-    use rand::Rng;
+    use crate::test_util::{midpoint_integral, two_blobs, uniform_dataset};
+    use crate::DensityEstimator;
+    use dbs_core::obs::{Counter, Recorder};
+    use dbs_core::{Dataset, PointSource};
+    use std::num::NonZeroUsize;
 
-    fn uniform_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(dim, n);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            ds.push(&p).unwrap();
-        }
-        ds
-    }
-
-    fn two_blobs(n: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(2, n);
-        for i in 0..n {
-            let (cx, cy) = if i < n * 9 / 10 {
-                (0.25, 0.25)
-            } else {
-                (0.75, 0.75)
-            };
-            ds.push(&[
-                cx + (rng.gen::<f64>() - 0.5) * 0.1,
-                cy + (rng.gen::<f64>() - 0.5) * 0.1,
-            ])
-            .unwrap();
-        }
-        ds
+    fn fit<S: PointSource + ?Sized>(source: &S, cfg: &SketchConfig) -> DensitySketch {
+        DensitySketch::new(source.dim(), cfg)
+            .unwrap()
+            .fit(source)
+            .unwrap()
     }
 
     #[test]
     fn fit_is_one_pass() {
         let ds = uniform_dataset(2000, 2, 1);
         let counted = dbs_core::scan::PassCounter::new(&ds);
-        let _ = DensitySketch::fit(&counted, &SketchConfig::default()).unwrap();
+        let _ = fit(&counted, &SketchConfig::default());
         assert_eq!(counted.passes(), 1);
     }
 
@@ -543,12 +130,11 @@ mod tests {
     fn incremental_updates_equal_fit() {
         let ds = uniform_dataset(3000, 2, 2);
         let cfg = SketchConfig::default();
-        let fitted = DensitySketch::fit(&ds, &cfg).unwrap();
         let mut streamed = DensitySketch::new(2, &cfg).unwrap();
         for p in ds.iter() {
             streamed.update(p).unwrap();
         }
-        assert_eq!(fitted, streamed);
+        assert_eq!(fit(&ds, &cfg), streamed);
         assert_eq!(streamed.points_ingested(), 3000);
     }
 
@@ -556,13 +142,10 @@ mod tests {
     fn merge_of_splits_equals_single_pass_in_any_order() {
         let ds = uniform_dataset(5000, 3, 3);
         let cfg = SketchConfig::new(4, 1 << 10);
-        let whole = DensitySketch::fit(&ds, &cfg).unwrap();
-        let front = ds.select(&(0..1700).collect::<Vec<_>>());
-        let mid = ds.select(&(1700..3400).collect::<Vec<_>>());
-        let back = ds.select(&(3400..5000).collect::<Vec<_>>());
-        let parts: Vec<DensitySketch> = [&front, &mid, &back]
-            .iter()
-            .map(|d| DensitySketch::fit(*d, &cfg).unwrap())
+        let whole = fit(&ds, &cfg);
+        let parts: Vec<DensitySketch> = [0..1700, 1700..3400, 3400..5000]
+            .into_iter()
+            .map(|r| fit(&ds.select(&r.collect::<Vec<_>>()), &cfg))
             .collect();
         // Forward order and a permuted order both reproduce the whole.
         for order in [[0usize, 1, 2], [2, 0, 1]] {
@@ -578,11 +161,13 @@ mod tests {
     fn fit_obs_matches_sequential_fit_at_every_thread_count() {
         let ds = uniform_dataset(10_000, 2, 4);
         let cfg = SketchConfig::new(3, 1 << 9);
-        let seq = DensitySketch::fit(&ds, &cfg).unwrap();
+        let seq = fit(&ds, &cfg);
         for t in [1usize, 2, 7] {
             let rec = Recorder::enabled();
-            let par =
-                DensitySketch::fit_obs(&ds, &cfg, NonZeroUsize::new(t).unwrap(), &rec).unwrap();
+            let par = DensitySketch::new(2, &cfg)
+                .unwrap()
+                .fit_obs(&ds, NonZeroUsize::new(t).unwrap(), &rec)
+                .unwrap();
             assert_eq!(par, seq, "threads {t}");
             assert_eq!(rec.counter(Counter::SketchUpdates), 10_000);
             // One chunk fold per 4096-point chunk.
@@ -592,8 +177,7 @@ mod tests {
 
     #[test]
     fn density_contrasts_blob_and_void() {
-        let ds = two_blobs(10_000, 5);
-        let est = DensitySketch::fit(&ds, &SketchConfig::default()).unwrap();
+        let est = fit(&two_blobs(10_000, 5), &SketchConfig::default());
         let dense = est.density(&[0.25, 0.25]);
         let sparse = est.density(&[0.75, 0.75]);
         let empty = est.density(&[0.5, 0.95]);
@@ -613,39 +197,33 @@ mod tests {
     #[test]
     fn summary_normalizer_tracks_exact_sum() {
         let ds = two_blobs(20_000, 6);
-        let est = DensitySketch::fit(&ds, &SketchConfig::default()).unwrap();
+        let est = fit(&ds, &SketchConfig::default());
         let floor = 0.01 * est.average_density();
         let approx = est.summary_normalizer(1.0, floor).unwrap();
-        let mut exact = 0.0;
-        for p in ds.iter() {
-            exact += est.density(p).max(floor);
-        }
+        let exact: f64 = ds.iter().map(|p| est.density(p).max(floor)).sum();
         let rel = (approx - exact).abs() / exact;
-        // Row 0's counts bound the Count-Min minimum from above; with
-        // ample slots the gap is the shifted-cell disagreement only.
+        // With ample slots the gap is the shifted-cell disagreement only.
         assert!(rel < 0.25, "approx {approx} vs exact {exact} (rel {rel})");
     }
 
     #[test]
     fn whole_domain_quadrature_close_to_n() {
-        let ds = uniform_dataset(20_000, 2, 7);
-        let est = DensitySketch::fit(&ds, &SketchConfig::default()).unwrap();
-        let total = est.integrate_box(&BoundingBox::unit(2));
-        // The Count-Min minimum under-reports near shifted-cell
-        // boundaries; allow a generous band around n.
+        let est = fit(&uniform_dataset(20_000, 2, 7), &SketchConfig::default());
+        let total = midpoint_integral(&est, &BoundingBox::unit(2), 256);
+        // Boundary cells overhang the domain and collisions add mass;
+        // allow a generous band around n.
         assert!((total - 20_000.0).abs() < 0.2 * 20_000.0, "total {total}");
     }
 
     #[test]
     fn bounded_memory_independent_of_resolution() {
-        let ds = uniform_dataset(1000, 5, 8);
         let cfg = SketchConfig {
             resolution: Some(1000),
             slots: 1 << 10,
             ..Default::default()
         };
         // 1000^5 virtual cells; only grids * 1024 counters allocated.
-        let est = DensitySketch::fit(&ds, &cfg).unwrap();
+        let est = fit(&uniform_dataset(1000, 5, 8), &cfg);
         assert_eq!(est.memory_bytes(), est.grids() * (1 << 10) * 8);
         assert!(est.density(&[0.5; 5]) >= 0.0);
     }
@@ -653,55 +231,42 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_seed_sensitive() {
         let ds = uniform_dataset(2000, 2, 9);
-        let a = DensitySketch::fit(&ds, &SketchConfig::default()).unwrap();
-        let b = DensitySketch::fit(&ds, &SketchConfig::default()).unwrap();
-        assert_eq!(a, b);
-        let c = DensitySketch::fit(
-            &ds,
-            &SketchConfig {
-                seed: 99,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_ne!(a.counters(), c.counters());
+        let a = fit(&ds, &SketchConfig::default());
+        assert_eq!(a, fit(&ds, &SketchConfig::default()));
+        let cfg = SketchConfig {
+            seed: 99,
+            ..Default::default()
+        };
+        assert_ne!(a.counters(), fit(&ds, &cfg).counters());
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        let ds = uniform_dataset(100, 2, 10);
-        assert!(DensitySketch::fit(&ds, &SketchConfig::new(0, 16)).is_err());
-        assert!(DensitySketch::fit(&ds, &SketchConfig::new(4, 0)).is_err());
-        assert!(DensitySketch::fit(
-            &ds,
-            &SketchConfig {
-                resolution: Some(0),
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(DensitySketch::fit(&Dataset::new(2), &SketchConfig::default()).is_err());
-        assert!(DensitySketch::new(
-            2,
-            &SketchConfig {
-                domain: Some(BoundingBox::unit(3)),
-                ..Default::default()
-            }
-        )
-        .is_err());
+        assert!(DensitySketch::new(2, &SketchConfig::new(0, 16)).is_err());
+        assert!(DensitySketch::new(2, &SketchConfig::new(4, 0)).is_err());
+        let zero_res = SketchConfig {
+            resolution: Some(0),
+            ..Default::default()
+        };
+        assert!(DensitySketch::new(2, &zero_res).is_err());
+        let cfg = SketchConfig::default();
+        let empty = DensitySketch::new(2, &cfg).unwrap();
+        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
+        let wrong_domain = SketchConfig {
+            domain: Some(BoundingBox::unit(3)),
+            ..Default::default()
+        };
+        assert!(DensitySketch::new(2, &wrong_domain).is_err());
         let mut bad = uniform_dataset(10, 2, 11);
         bad.push(&[f64::NAN, 0.5]).unwrap();
-        let err = DensitySketch::fit(&bad, &SketchConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
-        let err = DensitySketch::fit_obs(
-            &bad,
-            &SketchConfig::default(),
-            NonZeroUsize::MIN,
-            &Recorder::disabled(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
-        let mut sk = DensitySketch::new(2, &SketchConfig::default()).unwrap();
+        let err = empty.clone().fit(&bad).unwrap_err();
+        assert_eq!(err.to_string(), "non-finite coordinate at point 10");
+        let err = empty
+            .clone()
+            .fit_obs(&bad, NonZeroUsize::MIN, &Recorder::disabled())
+            .unwrap_err();
+        assert_eq!(err.to_string(), "non-finite coordinate at point 10");
+        let mut sk = empty;
         assert!(sk.update(&[0.5]).is_err());
         assert!(sk.update(&[f64::INFINITY, 0.0]).is_err());
     }

@@ -11,12 +11,10 @@
 
 use dbs_core::{BoundingBox, Error, PointSource, Result};
 
-use crate::agrid::{AgridConfig, AveragedGridEstimator};
 use crate::bandwidth::Bandwidth;
-use crate::grid::GridEstimator;
-use crate::hashgrid::HashGridEstimator;
 use crate::kde::{KdeConfig, KernelDensityEstimator};
 use crate::kernel::Kernel;
+use crate::shifted::ShiftedGrids;
 use crate::sketch::{DensitySketch, SketchConfig};
 use crate::traits::DensityEstimator;
 use crate::wavelet::WaveletEstimator;
@@ -252,9 +250,10 @@ impl EstimatorSpec {
     ///
     /// The domain defaults to the unit cube of the source's dimension —
     /// the normalization contract every caller of this crate already
-    /// follows (§2.1). All backends validate their inputs (empty source,
-    /// non-finite coordinates, degenerate parameters) with
-    /// [`Error::InvalidParameter`].
+    /// follows (§2.1). All backends validate their inputs: an empty source
+    /// or degenerate parameters give [`Error::InvalidParameter`], and the
+    /// histogram backends report a non-finite coordinate as
+    /// [`Error::NonFinite`].
     pub fn fit<S: PointSource + ?Sized>(
         &self,
         source: &S,
@@ -279,17 +278,12 @@ impl EstimatorSpec {
                 Box::new(KernelDensityEstimator::fit(source, &cfg)?)
             }
             EstimatorKind::Grid { resolution } => {
-                Box::new(GridEstimator::fit(source, domain, *resolution)?)
+                Box::new(ShiftedGrids::grid(domain, *resolution)?.fit(source)?)
             }
             EstimatorKind::HashGrid {
                 resolution,
                 table_slots,
-            } => Box::new(HashGridEstimator::fit(
-                source,
-                domain,
-                *resolution,
-                *table_slots,
-            )?),
+            } => Box::new(ShiftedGrids::hashgrid(domain, *resolution, *table_slots)?.fit(source)?),
             EstimatorKind::Wavelet {
                 levels,
                 coefficients,
@@ -300,13 +294,7 @@ impl EstimatorSpec {
                 *coefficients,
             )?),
             EstimatorKind::Agrid { grids, resolution } => {
-                let cfg = AgridConfig {
-                    grids: *grids,
-                    resolution: *resolution,
-                    domain: Some(domain),
-                    seed: self.seed,
-                };
-                Box::new(AveragedGridEstimator::fit(source, &cfg)?)
+                Box::new(ShiftedGrids::agrid(domain, *grids, *resolution, self.seed)?.fit(source)?)
             }
             EstimatorKind::Sketch { grids, slots } => {
                 let cfg = SketchConfig {
@@ -316,7 +304,7 @@ impl EstimatorSpec {
                     domain: Some(domain),
                     seed: self.seed,
                 };
-                Box::new(DensitySketch::fit(source, &cfg)?)
+                Box::new(DensitySketch::new(source.dim(), &cfg)?.fit(source)?)
             }
         })
     }
@@ -325,19 +313,7 @@ impl EstimatorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs_core::rng::seeded;
-    use dbs_core::Dataset;
-    use rand::Rng;
-
-    fn uniform_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
-        let mut rng = seeded(seed);
-        let mut ds = Dataset::with_capacity(dim, n);
-        for _ in 0..n {
-            let p: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            ds.push(&p).unwrap();
-        }
-        ds
-    }
+    use crate::test_util::uniform_dataset;
 
     #[test]
     fn parses_defaults_and_parameters() {

@@ -3,7 +3,7 @@
 use std::num::NonZeroUsize;
 
 use dbs_core::obs::{Recorder, Tally};
-use dbs_core::{BoundingBox, Dataset, PointBlock, PointSource, Result};
+use dbs_core::{Dataset, PointBlock, PointSource, Result};
 
 /// A frequency-scaled density estimator over `[0,1]^d` (or any fixed box
 /// domain).
@@ -23,14 +23,6 @@ pub trait DensityEstimator {
     /// volume).
     fn density(&self, x: &[f64]) -> f64;
 
-    /// Approximate number of dataset points inside `bbox`.
-    ///
-    /// The default implementation uses midpoint quadrature on a per-dimension
-    /// grid; backends with closed-form box integrals override it.
-    fn integrate_box(&self, bbox: &BoundingBox) -> f64 {
-        quadrature_box(self, bbox, default_quadrature_resolution(self.dim()))
-    }
-
     /// The average density of the domain: `n / volume(domain)`. Densities
     /// above this are "denser than average" in the sense of §2.2.
     fn average_density(&self) -> f64;
@@ -43,8 +35,8 @@ pub trait DensityEstimator {
     /// backend may override this with a faster blocked evaluation only if
     /// it preserves that equivalence (see `KernelDensityEstimator`, whose
     /// override is the cache-blocked engine in `dbs_density::batch`). The
-    /// default is the per-point fallback, so grid/hash/wavelet backends are
-    /// batch-routed without any change.
+    /// default is the per-point fallback, which is all the wavelet backend
+    /// and the shifted-grid presets need.
     ///
     /// Taking a [`PointBlock`] (not a whole `Dataset`) is what lets the
     /// executor evaluate chunks of an out-of-core source directly from each
@@ -152,89 +144,18 @@ where
     Ok(nested.into_iter().flatten().collect())
 }
 
-/// Quadrature resolution per dimension used by the default
-/// [`DensityEstimator::integrate_box`].
-pub fn default_quadrature_resolution(dim: usize) -> usize {
-    match dim {
-        1 => 256,
-        2 => 48,
-        3 => 16,
-        4 => 8,
-        _ => 5,
-    }
-}
-
-/// Midpoint-rule integral of `est` over `bbox` with `res` cells per
-/// dimension.
-pub fn quadrature_box<E: DensityEstimator + ?Sized>(
-    est: &E,
-    bbox: &BoundingBox,
-    res: usize,
-) -> f64 {
-    let d = bbox.dim();
-    assert_eq!(d, est.dim());
-    assert!(res >= 1);
-    let steps: Vec<f64> = (0..d).map(|j| bbox.extent(j) / res as f64).collect();
-    let cell_volume: f64 = steps.iter().product();
-    if cell_volume == 0.0 {
-        return 0.0;
-    }
-    let mut coords = vec![0usize; d];
-    let mut x = vec![0.0f64; d];
-    let mut acc = 0.0;
-    loop {
-        for j in 0..d {
-            x[j] = bbox.min()[j] + (coords[j] as f64 + 0.5) * steps[j];
-        }
-        acc += est.density(&x);
-        // Odometer advance.
-        let mut j = d;
-        loop {
-            if j == 0 {
-                return acc * cell_volume;
-            }
-            j -= 1;
-            coords[j] += 1;
-            if coords[j] < res {
-                break;
-            }
-            coords[j] = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A constant-density estimator over the unit cube for testing the
-    /// default quadrature.
-    struct Flat {
-        dim: usize,
-        n: f64,
-    }
-
-    impl DensityEstimator for Flat {
-        fn dim(&self) -> usize {
-            self.dim
-        }
-        fn dataset_size(&self) -> f64 {
-            self.n
-        }
-        fn density(&self, _x: &[f64]) -> f64 {
-            self.n
-        }
-        fn average_density(&self) -> f64 {
-            self.n
-        }
-    }
+    use crate::test_util::{midpoint_integral, Flat};
+    use dbs_core::BoundingBox;
 
     #[test]
     fn quadrature_integrates_constant_exactly() {
         let est = Flat { dim: 2, n: 100.0 };
-        let whole = est.integrate_box(&BoundingBox::unit(2));
+        let whole = midpoint_integral(&est, &BoundingBox::unit(2), 48);
         assert!((whole - 100.0).abs() < 1e-9);
-        let half = est.integrate_box(&BoundingBox::new(vec![0.0, 0.0], vec![0.5, 1.0]));
+        let half = midpoint_integral(&est, &BoundingBox::new(vec![0.0, 0.0], vec![0.5, 1.0]), 48);
         assert!((half - 50.0).abs() < 1e-9);
     }
 
@@ -242,7 +163,7 @@ mod tests {
     fn quadrature_handles_degenerate_box() {
         let est = Flat { dim: 2, n: 10.0 };
         let line = BoundingBox::new(vec![0.2, 0.0], vec![0.2, 1.0]);
-        assert_eq!(est.integrate_box(&line), 0.0);
+        assert_eq!(midpoint_integral(&est, &line, 48), 0.0);
     }
 
     #[test]
@@ -263,7 +184,7 @@ mod tests {
                 1.0
             }
         }
-        let got = Linear.integrate_box(&BoundingBox::unit(1));
+        let got = midpoint_integral(&Linear, &BoundingBox::unit(1), 256);
         assert!((got - 1.0).abs() < 1e-6, "got {got}");
     }
 }

@@ -88,10 +88,8 @@ impl WaveletEstimator {
             }
             cells[cell] += 1.0;
         })?;
-        if let Some(i) = non_finite {
-            return Err(Error::InvalidParameter(format!(
-                "non-finite coordinate at point {i}"
-            )));
+        if let Some(index) = non_finite {
+            return Err(Error::NonFinite { index });
         }
 
         // Forward Haar along each axis (standard decomposition).
@@ -310,7 +308,10 @@ mod tests {
         let ds = two_blobs(5000, 2);
         let levels = 4; // 16x16 grid, 256 coefficients
         let wavelet = WaveletEstimator::fit(&ds, BoundingBox::unit(2), levels, usize::MAX).unwrap();
-        let grid = crate::grid::GridEstimator::fit(&ds, BoundingBox::unit(2), 16).unwrap();
+        let grid = crate::ShiftedGrids::grid(BoundingBox::unit(2), 16)
+            .unwrap()
+            .fit(&ds)
+            .unwrap();
         let mut rng = seeded(3);
         for _ in 0..100 {
             let x = [rng.gen::<f64>(), rng.gen::<f64>()];
@@ -343,7 +344,7 @@ mod tests {
         // moderate budgets.
         for m in [usize::MAX, 64] {
             let est = WaveletEstimator::fit(&ds, BoundingBox::unit(2), 4, m).unwrap();
-            let total = crate::traits::quadrature_box(&est, &BoundingBox::unit(2), 64);
+            let total = crate::test_util::midpoint_integral(&est, &BoundingBox::unit(2), 64);
             assert!(
                 (total - 10_000.0).abs() < 1500.0,
                 "m={m}: total mass {total}"
@@ -392,7 +393,10 @@ mod tests {
             ds.push(&[rng.gen(), rng.gen(), rng.gen()]).unwrap();
         }
         let lossless = WaveletEstimator::fit(&ds, BoundingBox::unit(3), 3, usize::MAX).unwrap();
-        let grid = crate::grid::GridEstimator::fit(&ds, BoundingBox::unit(3), 8).unwrap();
+        let grid = crate::ShiftedGrids::grid(BoundingBox::unit(3), 8)
+            .unwrap()
+            .fit(&ds)
+            .unwrap();
         for _ in 0..50 {
             let x = [rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()];
             assert!((lossless.density(&x) - grid.density(&x)).abs() < 1e-6);

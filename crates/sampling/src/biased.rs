@@ -240,7 +240,7 @@ mod tests {
     use super::*;
     use dbs_core::rng::{self, seeded};
     use dbs_core::BoundingBox;
-    use dbs_density::{GridEstimator, KdeConfig, KernelDensityEstimator};
+    use dbs_density::{KdeConfig, KernelDensityEstimator, ShiftedGrids};
     use rand::Rng;
 
     /// 90% of points in a dense blob around (0.25,0.25), 10% in a sparse
@@ -400,7 +400,10 @@ mod tests {
     #[test]
     fn works_with_grid_estimator_backend() {
         let ds = two_blobs(5000, 17);
-        let est = GridEstimator::fit(&ds, BoundingBox::unit(2), 16).unwrap();
+        let est = ShiftedGrids::grid(BoundingBox::unit(2), 16)
+            .unwrap()
+            .fit(&ds)
+            .unwrap();
         let cfg = BiasedConfig::new(300, 1.0).with_seed(18);
         let (s, _) = density_biased_sample(&ds, &est, &cfg).unwrap();
         assert!(!s.is_empty());

@@ -23,7 +23,7 @@
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::rng::keyed_unit;
 use dbs_core::{BoundingBox, Dataset, Error, PointSource, Result, WeightedSample};
-use dbs_density::{DensityEstimator, HashGridEstimator};
+use dbs_density::{DensityEstimator, ShiftedGrids};
 
 use crate::biased::BiasedSampleStats;
 
@@ -120,7 +120,8 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
 
     // Pass 1: hashed cell counts.
     recorder.add(Counter::DatasetPasses, 1);
-    let est = HashGridEstimator::fit(source, domain, config.cells_per_dim, config.table_slots)?;
+    let est =
+        ShiftedGrids::hashgrid(domain, config.cells_per_dim, config.table_slots)?.fit(source)?;
 
     // Normalizer K = Σ_x c(x)^e, where c(x) is the hashed count of the cell
     // containing x. K must be known before any inclusion probability can be

@@ -279,9 +279,9 @@ mod tests {
         for (spec, tol) in [
             ("grid:16", 1e-9),
             ("hashgrid:16", 1e-9),
+            // The shifted ensembles: grid-0 normalizer vs grid-averaged
+            // query, cell-boundary disagreement only.
             ("agrid:8", 0.25),
-            // Row-0 normalizer vs row-averaged query: cell-boundary
-            // disagreement only, same band as agrid's probe estimate.
             ("sketch:4:65536", 0.25),
         ] {
             let est = EstimatorSpec::parse(spec)

@@ -5,6 +5,8 @@ check:
     cargo fmt --check
     cargo clippy --workspace -- -D warnings
     cargo test -q
+    cargo build --release --offline --locked --manifest-path pipebench/Cargo.toml
+    cargo test --release --offline --locked --manifest-path pipebench/Cargo.toml
 
 # Apply formatting in place.
 fmt:

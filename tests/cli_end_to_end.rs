@@ -4,6 +4,8 @@
 use dbs_cli::args::parse;
 use dbs_cli::commands::run;
 use dbs_core::io::{write_binary, write_text};
+use dbs_core::par::CHUNK_POINTS;
+use dbs_core::shard::write_shards_with;
 use dbs_integration_tests::clustered_noisy;
 use std::path::PathBuf;
 
@@ -157,6 +159,44 @@ fn sample_output_is_thread_count_invariant_for_every_estimator() {
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn non_finite_input_fails_the_same_way_for_every_estimator_and_format() {
+    // 3,000 rows with `nan` at row 18 and `inf` at row 401. The min-max
+    // scaler's pass, which every command makes first, names the first bad
+    // point whatever backend and input format follow.
+    let mut data = clustered_noisy(3_000, 2, 0.1, 21).data;
+    data.point_mut(17)[0] = f64::NAN;
+    data.point_mut(400)[1] = f64::INFINITY;
+    let text = tmp("nonfinite.txt");
+    let bin = tmp("nonfinite.dbs1");
+    let shards = tmp("nonfinite_shards");
+    write_text(&text, &data).unwrap();
+    write_binary(&bin, &data).unwrap();
+    std::fs::remove_dir_all(&shards).ok();
+    write_shards_with(&shards, &data, 0, CHUNK_POINTS).unwrap();
+    for input in [&text, &bin, &shards] {
+        let input = input.to_str().unwrap();
+        for spec in [
+            "kde:200",
+            "grid:16",
+            "hashgrid:16",
+            "wavelet:4:64",
+            "agrid:4",
+            "sketch:3:4096",
+        ] {
+            let argv = ["sample", input, "--estimator", spec, "--size", "100"];
+            let err = run_cli(&argv).unwrap_err();
+            assert_eq!(
+                err, "non-finite coordinate at point 17",
+                "{spec} on {input}"
+            );
+        }
+    }
+    std::fs::remove_file(&text).ok();
+    std::fs::remove_file(&bin).ok();
+    std::fs::remove_dir_all(&shards).ok();
 }
 
 #[test]

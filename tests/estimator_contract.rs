@@ -1,7 +1,7 @@
 //! Contract tests every [`DensityEstimator`] backend must satisfy — the
 //! §2.1 requirement that `∫_R f ≈ |D ∩ R|`, plus non-negativity, frequency
 //! scaling, batch/scalar bit-parity, and thread-count determinism. Run
-//! against all five backends on the same data, fitted through the
+//! against all six backends on the same data, fitted through the
 //! [`EstimatorSpec`] factory (the same path the CLI's `--estimator` uses).
 
 use std::num::NonZeroUsize;
@@ -10,16 +10,39 @@ use dbs_core::{BoundingBox, Dataset};
 use dbs_density::{batch_densities, DensityEstimator, EstimatorSpec};
 use dbs_integration_tests::{clustered, uniform_cube};
 
-/// Specs for all five backends, parameterized as the CLI would parse them.
-/// Generous hash table: few collisions, so the contract holds; half the
-/// wavelet coefficients kept: lossy but structure-preserving.
-const SPECS: [&str; 5] = [
+/// Specs for all six backends, parameterized as the CLI would parse them.
+/// Generous hash tables: few collisions, so the contract holds. The
+/// wavelet keeps 192 of its 256 coefficients: lossy but
+/// structure-preserving. At 128 coefficients its clamped negative
+/// reconstructions add mass the contract cannot absorb — the true
+/// integral over the wide box is 10,700 against n = 10,000, and over a
+/// half-domain 10,168 against a count of 8,423.
+const SPECS: [&str; 6] = [
     "kde:500",
     "grid:16",
     "hashgrid:16",
-    "wavelet:4:128",
+    "wavelet:4:192",
     "agrid:8",
+    "sketch:4:65536",
 ];
+
+/// Midpoint-rule integral of `est` over `bbox` with 256 cells per
+/// dimension — fine enough to resolve every backend's structure (the
+/// finest is `agrid:8`'s 64 cells per dimension), so the bounds below
+/// measure the estimator, not the quadrature.
+fn integral(est: &dyn DensityEstimator, bbox: &BoundingBox) -> f64 {
+    const CELLS: usize = 256;
+    let (w, h) = (bbox.extent(0) / CELLS as f64, bbox.extent(1) / CELLS as f64);
+    let mut acc = 0.0;
+    for i in 0..CELLS {
+        for j in 0..CELLS {
+            let x = bbox.min()[0] + (i as f64 + 0.5) * w;
+            let y = bbox.min()[1] + (j as f64 + 0.5) * h;
+            acc += est.density(&[x, y]);
+        }
+    }
+    acc * w * h
+}
 
 fn backends(data: &Dataset, dim: usize) -> Vec<(String, Box<dyn DensityEstimator + Sync>)> {
     SPECS
@@ -78,7 +101,7 @@ fn box_integral_approximates_point_count() {
     for (name, est) in backends(&synth.data, 2) {
         for probe in &halves {
             let truth = synth.data.iter().filter(|p| probe.contains(p)).count() as f64;
-            let got = est.integrate_box(probe);
+            let got = integral(est.as_ref(), probe);
             let rel = (got - truth).abs() / truth.max(1.0);
             assert!(
                 rel < 0.2,
@@ -95,7 +118,7 @@ fn whole_domain_integral_is_n() {
     // backends supported on the domain read the same as the unit box.
     let wide = BoundingBox::new(vec![-0.5, -0.5], vec![1.5, 1.5]);
     for (name, est) in backends(&data, 2) {
-        let got = est.integrate_box(&wide);
+        let got = integral(est.as_ref(), &wide);
         let rel = (got - 10_000.0).abs() / 10_000.0;
         assert!(rel < 0.05, "{name}: total mass {got}");
     }
@@ -150,9 +173,9 @@ fn box_integral_is_nonnegative_and_bounded_by_n() {
     ];
     for (name, est) in backends(&synth.data, 2) {
         for probe in &probes {
-            let got = est.integrate_box(probe);
+            let got = integral(est.as_ref(), probe);
             assert!(got >= 0.0, "{name}: negative integral {got} over {probe:?}");
-            // Allow a small quadrature/smoothing margin above n.
+            // Allow a small smoothing margin above n.
             assert!(
                 got <= 10_000.0 * 1.05,
                 "{name}: integral {got} exceeds dataset size over {probe:?}"

@@ -2,7 +2,7 @@
 //! exact baselines, across estimator backends and dimensions.
 
 use dbs_core::BoundingBox;
-use dbs_density::{GridEstimator, KdeConfig, KernelDensityEstimator};
+use dbs_density::{KdeConfig, KernelDensityEstimator, ShiftedGrids};
 use dbs_outlier::{
     approx_outliers, cell_based_outliers, estimate_outlier_count, kdtree_outliers,
     nested_loop_outliers, ApproxConfig, DbOutlierParams,
@@ -75,7 +75,10 @@ fn approx_detector_recovers_exact_set_with_kde() {
 fn approx_detector_works_with_grid_backend() {
     let (data, planted, radius) = workload(2, 4);
     let params = DbOutlierParams::new(radius, 2).unwrap();
-    let grid = GridEstimator::fit(&data, BoundingBox::unit(2), 48).unwrap();
+    let grid = ShiftedGrids::grid(BoundingBox::unit(2), 48)
+        .unwrap()
+        .fit(&data)
+        .unwrap();
     let report = approx_outliers(
         &data,
         &grid,

@@ -122,9 +122,6 @@ fn batch_routed_pipelines_match_scalar_reference() {
         fn density(&self, x: &[f64]) -> f64 {
             self.0.density(x)
         }
-        fn integrate_box(&self, bbox: &dbs_core::BoundingBox) -> f64 {
-            self.0.integrate_box(bbox)
-        }
         fn average_density(&self) -> f64 {
             self.0.average_density()
         }

@@ -1,7 +1,7 @@
 //! End-to-end checks of the estimator → sampler chain across crates.
 
 use dbs_core::{BoundingBox, PointSource};
-use dbs_density::{DensityEstimator, GridEstimator, KdeConfig, KernelDensityEstimator};
+use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator, ShiftedGrids};
 use dbs_integration_tests::{clustered, clustered_noisy, noise_share};
 use dbs_sampling::{
     bernoulli_sample, density_biased_sample, grid_biased_sample, one_pass_biased_sample,
@@ -106,7 +106,10 @@ fn grid_estimator_backend_matches_kde_direction() {
     // Any DensityEstimator backend must produce the same *direction* of
     // bias through the same sampler.
     let synth = clustered_noisy(20_000, 2, 0.5, 13);
-    let grid = GridEstimator::fit(&synth.data, BoundingBox::unit(2), 24).unwrap();
+    let grid = ShiftedGrids::grid(BoundingBox::unit(2), 24)
+        .unwrap()
+        .fit(&synth.data)
+        .unwrap();
     assert_eq!(grid.dataset_size(), synth.len() as f64);
     let (biased, _) = density_biased_sample(
         &synth.data,

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::par::CHUNK_POINTS;
 use dbs_core::shard::{write_shards_with, ShardedSource};
-use dbs_core::Dataset;
+use dbs_core::{Dataset, PointSource};
 use dbs_density::{DensityEstimator, DensitySketch, SketchConfig};
 use dbs_integration_tests::clustered;
 use proptest::prelude::*;
@@ -37,6 +37,14 @@ fn threads(t: usize) -> NonZeroUsize {
     NonZeroUsize::new(t).unwrap()
 }
 
+/// One sequential pass of `source` into an empty sketch.
+fn fit<S: PointSource + ?Sized>(source: &S, cfg: &SketchConfig) -> DensitySketch {
+    DensitySketch::new(source.dim(), cfg)
+        .unwrap()
+        .fit(source)
+        .unwrap()
+}
+
 /// Splits `ds` at `bounds` and fits one sketch per piece.
 fn piece_sketches(ds: &Dataset, bounds: &[usize], cfg: &SketchConfig) -> Vec<DensitySketch> {
     bounds
@@ -44,7 +52,7 @@ fn piece_sketches(ds: &Dataset, bounds: &[usize], cfg: &SketchConfig) -> Vec<Den
         .filter(|w| w[0] < w[1])
         .map(|w| {
             let idx: Vec<usize> = (w[0]..w[1]).collect();
-            DensitySketch::fit(&ds.select(&idx), cfg).unwrap()
+            fit(&ds.select(&idx), cfg)
         })
         .collect()
 }
@@ -56,16 +64,19 @@ fn parallel_fit_over_shards_matches_sequential_at_thread_counts() {
     // adds its own file boundaries. The sketch must not care.
     let ds = clustered(10_000, 3, 42).data;
     let cfg = SketchConfig::new(4, 1 << 12);
-    let whole = DensitySketch::fit(&ds, &cfg).unwrap();
+    let whole = fit(&ds, &cfg);
 
     let dir = tmp_dir("shards");
     write_shards_with(&dir, &ds, 7, CHUNK_POINTS).unwrap();
     let sharded = ShardedSource::open(&dir).unwrap();
-    assert_eq!(DensitySketch::fit(&sharded, &cfg).unwrap(), whole);
+    assert_eq!(fit(&sharded, &cfg), whole);
 
     for t in [1usize, 2, 7] {
         let rec = Recorder::enabled();
-        let par = DensitySketch::fit_obs(&sharded, &cfg, threads(t), &rec).unwrap();
+        let par = DensitySketch::new(3, &cfg)
+            .unwrap()
+            .fit_obs(&sharded, threads(t), &rec)
+            .unwrap();
         assert_eq!(par, whole, "threads {t} diverged from sequential fit");
         assert_eq!(rec.counter(Counter::SketchUpdates), 10_000);
         assert_eq!(
@@ -84,7 +95,7 @@ fn shard_order_does_not_matter_for_merging() {
     // order".
     let ds = clustered(9_000, 2, 5).data;
     let cfg = SketchConfig::new(3, 1 << 10);
-    let whole = DensitySketch::fit(&ds, &cfg).unwrap();
+    let whole = fit(&ds, &cfg);
     let bounds = [0usize, 2048, 4096, 6144, 8192, 9000];
     let pieces = piece_sketches(&ds, &bounds, &cfg);
     let n = pieces.len();
@@ -108,7 +119,7 @@ fn merged_sketch_is_the_same_estimator() {
     // serves; spot-check that the query path agrees bit for bit anyway.
     let ds = clustered(6_000, 2, 11).data;
     let cfg = SketchConfig::default();
-    let whole = DensitySketch::fit(&ds, &cfg).unwrap();
+    let whole = fit(&ds, &cfg);
     let pieces = piece_sketches(&ds, &[0, 1000, 6000], &cfg);
     let mut merged = DensitySketch::new(2, &cfg).unwrap();
     for p in &pieces {
@@ -148,7 +159,7 @@ proptest! {
             domain: None,
             seed,
         };
-        let whole = DensitySketch::fit(&ds, &cfg).unwrap();
+        let whole = fit(&ds, &cfg);
 
         let mut bounds: Vec<usize> = raw_cuts.iter().map(|c| c % rows.len()).collect();
         bounds.push(0);
@@ -169,7 +180,10 @@ proptest! {
             prop_assert_eq!(&merged, &whole);
         }
 
-        let par = DensitySketch::fit_obs(&ds, &cfg, threads(t), &Recorder::disabled()).unwrap();
+        let par = DensitySketch::new(2, &cfg)
+            .unwrap()
+            .fit_obs(&ds, threads(t), &Recorder::disabled())
+            .unwrap();
         prop_assert_eq!(&par, &whole);
     }
 }
