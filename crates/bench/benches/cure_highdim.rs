@@ -25,6 +25,7 @@
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
+use dbs_bench::emit;
 use dbs_cluster::{
     hierarchical_cluster_obs, hierarchical_cluster_reference, Clustering, HierarchicalConfig,
 };
@@ -36,21 +37,9 @@ const SEED: u64 = 42;
 const SIGMA: f64 = 0.03;
 const COMPONENTS: usize = 10;
 
-fn emit(line: &str) {
-    println!("{line}");
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if !path.is_empty() {
-            let f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path);
-            if let Ok(mut f) = f {
-                use std::io::Write;
-                let _ = writeln!(f, "{line}");
-            }
-        }
-    }
-}
+/// Bit-comparable flattening of a clustering: assignments, then each
+/// cluster's members, mean bits and representative bits.
+type Fingerprint = (Vec<usize>, Vec<(Vec<usize>, Vec<u64>, Vec<Vec<u64>>)>);
 
 fn workload(dim: usize, n: usize) -> Dataset {
     diagonal_mixture(dim, COMPONENTS, n / COMPONENTS, SIGMA, SEED)
@@ -63,9 +52,9 @@ fn config(threads: usize) -> HierarchicalConfig {
         .with_parallelism(NonZeroUsize::new(threads).expect("positive"))
 }
 
-/// Bit-comparable flattening of a clustering (same fields the parity
-/// proptest fingerprints).
-fn fingerprint(c: &Clustering) -> (Vec<usize>, Vec<(Vec<usize>, Vec<u64>, Vec<Vec<u64>>)>) {
+/// The [`Fingerprint`] of `c` (same fields the parity proptest
+/// fingerprints).
+fn fingerprint(c: &Clustering) -> Fingerprint {
     let clusters = c
         .clusters
         .iter()

@@ -21,12 +21,10 @@
 //! 3. **Merge cost** — folding one 4×65536 sketch into another: the price
 //!    of combining per-shard or per-site summaries.
 
-use std::io::Write;
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use dbs_bench::bench_workload_dim;
+use dbs_bench::{bench_workload_dim, emit, median_ns, rss, tmp_dir};
 use dbs_core::shard::{ShardBackend, ShardedSource};
 use dbs_core::{BoundingBox, WeightedSample};
 use dbs_density::{DensitySketch, ShiftedGrids, SketchConfig};
@@ -37,70 +35,6 @@ const SEED: u64 = 42;
 const DIM: usize = 4;
 const CLUSTERS: usize = 10;
 const SIGMA: f64 = 0.03;
-
-/// Peak resident set size of this process, via raw `getrusage(2)` FFI
-/// (same approach as `shard_scan.rs`; the allowed dependency set has no
-/// libc crate).
-mod rss {
-    #[repr(C)]
-    #[derive(Default)]
-    struct Rusage {
-        ru_utime: [i64; 2],
-        ru_stime: [i64; 2],
-        /// Peak RSS in kilobytes (Linux).
-        ru_maxrss: i64,
-        rest: [i64; 13],
-    }
-
-    extern "C" {
-        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-    }
-
-    /// Peak RSS of the calling process in bytes, 0 if the call fails.
-    pub fn peak_bytes() -> u64 {
-        let mut r = Rusage::default();
-        // RUSAGE_SELF = 0.
-        if unsafe { getrusage(0, &mut r) } != 0 {
-            return 0;
-        }
-        (r.ru_maxrss.max(0) as u64) * 1024
-    }
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("dbs_stream_sketch_{}_{}", std::process::id(), name));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
-
-fn emit(line: &str) {
-    println!("{line}");
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if !path.is_empty() {
-            let f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path);
-            if let Ok(mut f) = f {
-                let _ = writeln!(f, "{line}");
-            }
-        }
-    }
-}
-
-/// Median wall time of `samples` runs of `f`, in nanoseconds.
-fn median_ns(samples: usize, mut f: impl FnMut()) -> u128 {
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[samples / 2]
-}
 
 fn emit_throughput(id: &str, ns: u128, samples: usize, elements: usize) {
     let per_second = elements as f64 / (ns as f64 / 1e9);
@@ -125,7 +59,7 @@ fn proof_clusters() -> Vec<GaussCluster> {
 
 /// Per-cluster share of the sample, by nearest diagonal center.
 fn allocation(sample: &WeightedSample) -> Vec<f64> {
-    let mut counts = vec![0usize; CLUSTERS];
+    let mut counts = [0usize; CLUSTERS];
     for p in sample.points() {
         let mean = p.iter().sum::<f64>() / p.len() as f64;
         let c = ((mean * CLUSTERS as f64) as usize).min(CLUSTERS - 1);
@@ -142,7 +76,7 @@ fn streaming_proof() {
     let clusters = proof_clusters();
     let n: usize = clusters.iter().map(|c| c.size).sum();
     assert!(n >= 1_000_000, "proof source must be >= 1M points, got {n}");
-    let dir = tmp_dir("proof");
+    let dir = tmp_dir("dbs_stream_sketch", "proof");
     let t0 = Instant::now();
     let written = generate_to_shards(&clusters, SEED, &dir).expect("generate");
     let gen_ns = t0.elapsed().as_nanos();

@@ -9,22 +9,29 @@
 //! in-memory data, so every command's output is byte-identical across the
 //! three storage backings at every thread count
 //! (`tests/shard_parity.rs` holds the pipeline to that).
+//!
+//! [`run`] scales the input once for the five data commands, which run as
+//! methods of one `Stages` runner that owns the stages they share.
 
 use std::io::Write;
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use dbs_cluster::{
-    partitioned_cluster_obs, sample_fed_cluster_obs, sample_target_size, HierarchicalConfig, NOISE,
+    partitioned_cluster_obs, sample_fed_cluster_obs, sample_target_size, Clustering,
+    HierarchicalConfig, NOISE,
 };
 use dbs_core::io::{read_text, write_text, FileSource};
 use dbs_core::normalize::ScaledSource;
 use dbs_core::obs::{Counter, Recorder};
-use dbs_core::rng::{seeded, sub_seed};
-use dbs_core::{par, shard, BoundingBox, Dataset, MinMaxScaler, PointSource, ShardedSource};
+use dbs_core::rng::sub_seed;
+use dbs_core::{par, shard, BoundingBox, Dataset, MinMaxScaler, PointSource, Reservoir};
+use dbs_core::{ShardedSource, WeightedSample};
 use dbs_density::{DensityEstimator, DensitySketch, EstimatorKind, EstimatorSpec, SketchConfig};
 use dbs_outlier::{approx_outliers_obs, ApproxConfig, DbOutlierParams};
-use dbs_sampling::{density_biased_sample_obs, one_pass_biased_sample_obs, BiasedConfig};
-use rand::Rng;
+use dbs_sampling::{
+    density_biased_sample_obs, one_pass_biased_sample_obs, BiasedConfig, BiasedSampleStats,
+};
 
 use crate::args::{Command, ParsedArgs};
 
@@ -52,7 +59,7 @@ impl Input {
     fn select(&self, indices: &[usize], rec: &Recorder) -> Result<Dataset, String> {
         match self {
             Input::Mem(d) => Ok(d.select(indices)),
-            Input::Sharded(s) => s.select(indices, rec).map_err(|e| e.to_string()),
+            Input::Sharded(s) => s.select(indices, rec).map_err(err),
             Input::File(f) => select_by_scan(f, indices),
         }
     }
@@ -77,7 +84,7 @@ fn select_by_scan<S: PointSource + ?Sized>(
                 next += 1;
             }
         })
-        .map_err(|e| e.to_string())?;
+        .map_err(err)?;
     if next < order.len() {
         return Err(format!(
             "index {} out of range for {} points",
@@ -86,7 +93,7 @@ fn select_by_scan<S: PointSource + ?Sized>(
         ));
     }
     for row in &rows {
-        out.push(row).map_err(|e| e.to_string())?;
+        out.push(row).map_err(err)?;
     }
     Ok(out)
 }
@@ -126,14 +133,31 @@ pub fn run(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         load(&args.input)?
     };
     match args.command {
-        Command::Info => info(args, &input, out),
-        Command::Convert => convert(args, &input, &rec, out),
-        Command::Sample => sample(args, &input, &rec, out),
-        Command::Cluster => cluster(args, &input, &rec, out),
-        Command::Outliers => outliers(args, &input, &rec, out),
-        Command::Density => density(args, &input, &rec, out),
-        Command::Stream => stream(args, &input, &rec, out),
-    }?;
+        Command::Info => info(args, &input, out)?,
+        Command::Convert => convert(args, &input, &rec, out)?,
+        command => {
+            // One chunked pass fits the unit-cube scaler, bit-identical to
+            // fitting on the materialized data.
+            let threads = args.get_threads()?;
+            let scaler = MinMaxScaler::fit_source(input.source(), threads).map_err(err)?;
+            let stages = Stages {
+                args,
+                input: &input,
+                scaler: &scaler,
+                scaled: scale_input(&input, &scaler)?,
+                rec: &rec,
+                threads,
+            };
+            match command {
+                Command::Sample => stages.sample(out),
+                Command::Cluster => stages.cluster(out),
+                Command::Outliers => stages.outliers(out),
+                Command::Density => stages.density(out),
+                Command::Stream => stages.stream(out),
+                Command::Info | Command::Convert => unreachable!("handled above"),
+            }?
+        }
+    }
     if let Some(path) = metrics_path {
         let report = rec.snapshot().expect("recorder enabled when path given");
         std::fs::write(path, report.to_json())
@@ -160,52 +184,28 @@ fn load(path: &str) -> Result<Input, String> {
     result.map_err(|e| format!("cannot load {path}: {e}"))
 }
 
-fn io_err(e: std::io::Error) -> String {
-    format!("write failed: {e}")
+fn err(e: impl std::fmt::Display) -> String {
+    e.to_string()
 }
 
-/// Fits the unit-cube scaler in one chunked pass over the input —
-/// bit-identical to fitting on the materialized data.
-fn fit_scaler(input: &Input, args: &ParsedArgs) -> Result<MinMaxScaler, String> {
-    MinMaxScaler::fit_source(input.source(), args.get_threads()?).map_err(|e| e.to_string())
+fn io_err(e: std::io::Error) -> String {
+    format!("write failed: {e}")
 }
 
 /// Builds the scaled view of the input. For in-memory data this is the
 /// familiar fit-and-transform; for on-disk data nothing is materialized.
 fn scale_input<'a>(input: &'a Input, scaler: &'a MinMaxScaler) -> Result<Scaled<'a>, String> {
     Ok(match input {
-        Input::Mem(d) => Scaled::Mem(scaler.transform(d).map_err(|e| e.to_string())?),
-        _ => Scaled::View(scaler.scaled(input.source()).map_err(|e| e.to_string())?),
+        Input::Mem(d) => Scaled::Mem(scaler.transform(d).map_err(err)?),
+        _ => Scaled::View(scaler.scaled(input.source()).map_err(err)?),
     })
-}
-
-/// Builds the density backend selected by `--estimator` (default `kde`).
-///
-/// A bare `kde` keeps honoring `--kernels`; parameterized specs
-/// (`kde:500`, `grid:64`, `hashgrid`, `wavelet:5`, `agrid:8`, …) carry
-/// their own knobs. Every subcommand shares this factory, so backends are
-/// interchangeable across sample/cluster/outliers/density.
-fn fit_estimator(
-    scaled: &(dyn PointSource + Sync),
-    args: &ParsedArgs,
-) -> Result<Box<dyn DensityEstimator + Sync>, String> {
-    let raw = args.get_str("estimator").unwrap_or("kde");
-    let spec = if raw == "kde" {
-        EstimatorSpec::kde(args.get_usize("kernels", 1000)?)
-    } else {
-        EstimatorSpec::parse(raw).map_err(|e| e.to_string())?
-    };
-    spec.with_seed(args.get_u64("seed", 0)?)
-        .with_domain(BoundingBox::unit(scaled.dim()))
-        .fit(scaled)
-        .map_err(|e| e.to_string())
 }
 
 fn info(args: &ParsedArgs, input: &Input, out: &mut dyn Write) -> Result<(), String> {
     let source = input.source();
     writeln!(out, "points:     {}", source.len()).map_err(io_err)?;
     writeln!(out, "dimensions: {}", source.dim()).map_err(io_err)?;
-    let bb = par::par_bounding_box(source, args.get_threads()?).map_err(|e| e.to_string())?;
+    let bb = par::par_bounding_box(source, args.get_threads()?).map_err(err)?;
     if let Some(bb) = bb {
         writeln!(out, "min:        {:?}", bb.min()).map_err(io_err)?;
         writeln!(out, "max:        {:?}", bb.max()).map_err(io_err)?;
@@ -238,8 +238,7 @@ fn convert(
     std::fs::create_dir_all(dir_path).map_err(|e| format!("cannot create {dir}: {e}"))?;
     let total = {
         let _span = rec.span("convert");
-        shard::write_shards_with(dir_path, input.source(), seed, shard_points)
-            .map_err(|e| e.to_string())?
+        shard::write_shards_with(dir_path, input.source(), seed, shard_points).map_err(err)?
     };
     writeln!(
         out,
@@ -251,436 +250,351 @@ fn convert(
     Ok(())
 }
 
-fn sample(
-    args: &ParsedArgs,
-    input: &Input,
-    rec: &Recorder,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let scaler = fit_scaler(input, args)?;
-    let scaled = scale_input(input, &scaler)?;
-    let src = scaled.source();
-    let est = {
-        let _span = rec.span("fit_density");
-        fit_estimator(src, args)?
-    };
-    let b = args.get_usize("size", 1000)?;
-    let a = args.get_f64("exponent", 1.0)?;
-    let cfg = BiasedConfig::new(b, a)
-        .with_seed(args.get_u64("seed", 0)?)
-        .with_parallelism(args.get_threads()?);
-    let (s, stats) = {
-        let _span = rec.span("sample");
-        density_biased_sample_obs(src, &*est, &cfg, rec).map_err(|e| e.to_string())?
-    };
-    writeln!(
-        out,
-        "sampled {} of {} points (target {b}, a = {a}, normalizer k = {:.4e}, {} clipped)",
-        s.len(),
-        input.source().len(),
-        stats.normalizer_k,
-        stats.clipped
-    )
-    .map_err(io_err)?;
-
-    // Write points in ORIGINAL coordinates, fetched back from the raw
-    // input by index (sharded inputs serve this from cached chunk reads).
-    let original = input.select(s.source_indices(), rec)?;
-    if let Some(path) = args.get_str("output") {
-        write_text(Path::new(path), &original).map_err(|e| e.to_string())?;
-        writeln!(out, "wrote sample to {path}").map_err(io_err)?;
-    }
-    if let Some(path) = args.get_str("weights") {
-        let mut w = String::new();
-        for weight in s.weights() {
-            w.push_str(&format!("{weight}\n"));
-        }
-        std::fs::write(path, w).map_err(|e| e.to_string())?;
-        writeln!(out, "wrote weights to {path}").map_err(io_err)?;
-    }
-    if args.get_str("output").is_none() {
-        // No file requested: print the first few sampled points.
-        for p in original.iter().take(5) {
-            writeln!(out, "  {p:?}").map_err(io_err)?;
-        }
-        if original.len() > 5 {
-            writeln!(
-                out,
-                "  ... ({} more; use --output FILE)",
-                original.len() - 5
-            )
-            .map_err(io_err)?;
-        }
-    }
-    Ok(())
+/// The stage runner of the five data commands: the parsed flags, the
+/// opened input, its unit-cube scaler and scaled view, the recorder and
+/// the thread count. Flags are read where each command first needs them,
+/// so a bad value is reported in the same order whichever stage reads it.
+struct Stages<'a> {
+    args: &'a ParsedArgs,
+    input: &'a Input,
+    scaler: &'a MinMaxScaler,
+    scaled: Scaled<'a>,
+    rec: &'a Recorder,
+    threads: NonZeroUsize,
 }
 
-fn cluster(
-    args: &ParsedArgs,
-    input: &Input,
-    rec: &Recorder,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let scaler = fit_scaler(input, args)?;
-    let scaled = scale_input(input, &scaler)?;
-    let src = scaled.source();
-    let a = args.get_f64("exponent", 1.0)?;
-    let k = args.get_usize("clusters", 10)?;
-    let threads = args.get_threads()?;
-    let mut hc = HierarchicalConfig::paper_defaults(k)
-        .with_parallelism(threads)
-        .with_partitions(args.get_usize("partitions", 1)?)
-        .with_pre_cluster_factor(args.get_usize("pre-factor", 3)?);
-    if args.get_flag("no-trim") {
-        hc.trim_min_size = 0;
+impl Stages<'_> {
+    fn src(&self) -> &(dyn PointSource + Sync) {
+        self.scaled.source()
     }
 
-    // --sample-frac selects the scalable path: cluster an F·n-point
-    // density-biased sample, then map every dataset point back to its
-    // nearest representative. F = 1.0 clusters the full dataset directly
-    // (no estimator, no sampling, no map-back) — the one path that needs
-    // the scaled data materialized, guarded by the collection cap.
-    if args.get_str("sample-frac").is_some() {
-        let frac = args.get_f64("sample-frac", 1.0)?;
-        let target = sample_target_size(src.len(), frac).map_err(|e| e.to_string())?;
-        let clustering = if target == src.len() {
-            let full = match &scaled {
-                Scaled::Mem(d) => std::borrow::Cow::Borrowed(d),
-                Scaled::View(v) => std::borrow::Cow::Owned(
-                    dbs_core::scan::materialize(v).map_err(|e| e.to_string())?,
-                ),
-            };
-            let _span = rec.span("cluster");
-            partitioned_cluster_obs(&full, &hc, rec).map_err(|e| e.to_string())?
+    fn seed(&self) -> Result<u64, String> {
+        self.args.get_u64("seed", 0)
+    }
+
+    /// The `--estimator` spec (`default` when absent) and its raw text. A
+    /// bare `kde` keeps honoring `--kernels`; parameterized specs (`kde:500`,
+    /// `grid:64`, `hashgrid`, `wavelet:5`, `agrid:8`, …) carry their own
+    /// knobs.
+    fn spec(&self, default: &'static str) -> Result<(&str, EstimatorSpec), String> {
+        let raw = self.args.get_str("estimator").unwrap_or(default);
+        let spec = if raw == "kde" {
+            EstimatorSpec::kde(self.args.get_usize("kernels", 1000)?)
         } else {
-            let est = {
-                let _span = rec.span("fit_density");
-                fit_estimator(src, args)?
-            };
-            let cfg = BiasedConfig::new(target, a)
-                .with_seed(args.get_u64("seed", 0)?)
-                .with_parallelism(threads);
-            let (s, _) = {
-                let _span = rec.span("sample");
-                density_biased_sample_obs(src, &*est, &cfg, rec).map_err(|e| e.to_string())?
-            };
-            // Map-back streams the full (scaled) source chunk by chunk, so
-            // a sharded input stays out-of-core end to end.
-            let _span = rec.span("cluster");
-            sample_fed_cluster_obs(src, s.points(), &hc, rec).map_err(|e| e.to_string())?
+            EstimatorSpec::parse(raw).map_err(err)?
         };
-        let noise = clustering
-            .assignments
-            .iter()
-            .filter(|&&x| x == NOISE)
-            .count();
-        writeln!(
-            out,
-            "clustered {} points from a {target}-point sample into {} clusters ({} points marked noise)",
-            src.len(),
-            clustering.clusters.len(),
-            noise
-        )
-        .map_err(io_err)?;
+        Ok((raw, spec))
+    }
+
+    /// Fits the density backend selected by `--estimator` (default `kde`)
+    /// under the `fit_density` span. Every command shares this factory, so
+    /// backends are interchangeable across sample/cluster/outliers/density.
+    fn fit_density(&self) -> Result<Box<dyn DensityEstimator + Sync>, String> {
+        let _span = self.rec.span("fit_density");
+        let (_, spec) = self.spec("kde")?;
+        spec.with_seed(self.seed()?)
+            .with_domain(BoundingBox::unit(self.src().dim()))
+            .fit(self.src())
+            .map_err(err)
+    }
+
+    /// Draws a density-biased sample of target size `b` with exponent `a`
+    /// under the `sample` span, running `sampler` on the config.
+    fn draw(
+        &self,
+        b: usize,
+        a: f64,
+        sampler: impl FnOnce(&BiasedConfig) -> dbs_core::Result<(WeightedSample, BiasedSampleStats)>,
+    ) -> Result<(WeightedSample, BiasedSampleStats), String> {
+        let cfg = BiasedConfig::new(b, a)
+            .with_seed(self.seed()?)
+            .with_parallelism(self.threads);
+        let _span = self.rec.span("sample");
+        sampler(&cfg).map_err(err)
+    }
+
+    /// Writes a drawn sample: `--output` in original coordinates (fetched
+    /// back from the raw input by index; sharded inputs serve this from
+    /// cached chunk reads), `--weights`, `--reservoir-out` when the command
+    /// kept a `reservoir`, and without `--output` a five-point preview.
+    fn write_sample(
+        &self,
+        s: &WeightedSample,
+        reservoir: Option<&[usize]>,
+        out: &mut dyn Write,
+    ) -> Result<(), String> {
+        let original = self.input.select(s.source_indices(), self.rec)?;
+        if let Some(path) = self.args.get_str("output") {
+            write_text(Path::new(path), &original).map_err(err)?;
+            writeln!(out, "wrote sample to {path}").map_err(io_err)?;
+        }
+        if let Some(path) = self.args.get_str("weights") {
+            let w: String = s.weights().iter().map(|w| format!("{w}\n")).collect();
+            std::fs::write(path, w).map_err(err)?;
+            writeln!(out, "wrote weights to {path}").map_err(io_err)?;
+        }
+        if let (Some(path), Some(indices)) = (self.args.get_str("reservoir-out"), reservoir) {
+            let mut sorted = indices.to_vec();
+            sorted.sort_unstable();
+            let kept = self.input.select(&sorted, self.rec)?;
+            write_text(Path::new(path), &kept).map_err(err)?;
+            writeln!(out, "wrote reservoir to {path}").map_err(io_err)?;
+        }
+        if self.args.get_str("output").is_none() {
+            for p in original.iter().take(5) {
+                writeln!(out, "  {p:?}").map_err(io_err)?;
+            }
+            if original.len() > 5 {
+                let more = original.len() - 5;
+                writeln!(out, "  ... ({more} more; use --output FILE)").map_err(io_err)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Prints `header` (given the cluster and noise counts), then each
+    /// cluster's size and its mean in original coordinates, rounded to
+    /// three decimals. With the sample's `weights`, each size comes with a
+    /// Horvitz–Thompson estimate of the cluster's true size.
+    fn report_clusters(
+        &self,
+        clustering: &Clustering,
+        weights: Option<&[f64]>,
+        header: impl FnOnce(usize, usize) -> String,
+        out: &mut dyn Write,
+    ) -> Result<(), String> {
+        let noise = clustering.assignments.iter().filter(|&&x| x == NOISE);
+        let line = header(clustering.clusters.len(), noise.count());
+        writeln!(out, "{line}").map_err(io_err)?;
         for (i, c) in clustering.clusters.iter().enumerate() {
             let mut mean = c.mean.clone();
-            scaler.inverse_point(&mut mean);
-            writeln!(
-                out,
-                "  cluster {i}: {} points, mean {:?}",
-                c.members.len(),
-                mean.iter()
-                    .map(|x| (x * 1000.0).round() / 1000.0)
-                    .collect::<Vec<_>>()
-            )
-            .map_err(io_err)?;
+            self.scaler.inverse_point(&mut mean);
+            let mean: Vec<f64> = mean.iter().map(|x| (x * 1000.0).round() / 1000.0).collect();
+            let size = match weights {
+                Some(w) => {
+                    let est_size: f64 = c.members.iter().map(|&m| w[m]).sum();
+                    let m = c.members.len();
+                    format!("{m} sample points (≈{est_size:.0} dataset points)")
+                }
+                None => format!("{} points", c.members.len()),
+            };
+            writeln!(out, "  cluster {i}: {size}, mean {mean:?}").map_err(io_err)?;
         }
-        return Ok(());
+        Ok(())
     }
 
-    let est = {
-        let _span = rec.span("fit_density");
-        fit_estimator(src, args)?
-    };
-    let b = args.get_usize("size", 1000)?;
-    let cfg = BiasedConfig::new(b, a)
-        .with_seed(args.get_u64("seed", 0)?)
-        .with_parallelism(threads);
-    let (s, _) = {
-        let _span = rec.span("sample");
-        density_biased_sample_obs(src, &*est, &cfg, rec).map_err(|e| e.to_string())?
-    };
-    let clustering = {
-        let _span = rec.span("cluster");
-        partitioned_cluster_obs(s.points(), &hc, rec).map_err(|e| e.to_string())?
-    };
-    let noise = clustering
-        .assignments
-        .iter()
-        .filter(|&&x| x == NOISE)
-        .count();
-    writeln!(
-        out,
-        "clustered a {}-point sample into {} clusters ({} sample points trimmed as noise)",
-        s.len(),
-        clustering.clusters.len(),
-        noise
-    )
-    .map_err(io_err)?;
-    for (i, c) in clustering.clusters.iter().enumerate() {
-        // Report the mean in original coordinates, and a Horvitz–Thompson
-        // estimate of the cluster's true size.
-        let mut mean = c.mean.clone();
-        scaler.inverse_point(&mut mean);
-        let est_size: f64 = c.members.iter().map(|&m| s.weights()[m]).sum();
+    fn sample(&self, out: &mut dyn Write) -> Result<(), String> {
+        let est = self.fit_density()?;
+        let b = self.args.get_usize("size", 1000)?;
+        let a = self.args.get_f64("exponent", 1.0)?;
+        let two_pass = |cfg: &_| density_biased_sample_obs(self.src(), &*est, cfg, self.rec);
+        let (s, stats) = self.draw(b, a, two_pass)?;
         writeln!(
             out,
-            "  cluster {i}: {} sample points (≈{:.0} dataset points), mean {:?}",
-            c.members.len(),
-            est_size,
-            mean.iter()
-                .map(|x| (x * 1000.0).round() / 1000.0)
-                .collect::<Vec<_>>()
+            "sampled {} of {} points (target {b}, a = {a}, normalizer k = {:.4e}, {} clipped)",
+            s.len(),
+            self.src().len(),
+            stats.normalizer_k,
+            stats.clipped
         )
         .map_err(io_err)?;
+        self.write_sample(&s, None, out)
     }
-    Ok(())
-}
 
-fn outliers(
-    args: &ParsedArgs,
-    input: &Input,
-    rec: &Recorder,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let scaler = fit_scaler(input, args)?;
-    let scaled = scale_input(input, &scaler)?;
-    let src = scaled.source();
-    let est = {
-        let _span = rec.span("fit_density");
-        fit_estimator(src, args)?
-    };
-    let radius = args.get_f64("radius", 0.05)?;
-    let p = args.get_usize("neighbors", 3)?;
-    let params = DbOutlierParams::new(radius, p).map_err(|e| e.to_string())?;
-    let mut cfg = ApproxConfig::new(params);
-    cfg.slack = args.get_f64("slack", 3.0)?;
-    cfg.seed = args.get_u64("seed", 0)?;
-    cfg.parallelism = args.get_threads()?;
-    let report = {
-        let _span = rec.span("outliers");
-        approx_outliers_obs(src, &*est, &cfg, rec).map_err(|e| e.to_string())?
-    };
-    writeln!(
-        out,
-        "DB(p={p}, k={radius}) outliers: {} found ({} candidates verified, {} dataset passes + estimator pass)",
-        report.outliers.len(),
-        report.candidates,
-        report.passes
-    )
-    .map_err(io_err)?;
-    // Report outliers in original coordinates via the scaled round trip —
-    // the same values the detector saw, mapped back.
-    let found = input.select(&report.outliers, rec)?;
-    let mut scratch = vec![0.0f64; found.dim().max(1)];
-    for (row, &i) in report.outliers.iter().enumerate() {
-        scratch.copy_from_slice(found.point(row));
-        scaler.transform_point(&mut scratch);
-        scaler.inverse_point(&mut scratch);
-        writeln!(out, "  #{i}: {scratch:?}").map_err(io_err)?;
-    }
-    Ok(())
-}
-
-/// The streaming-service path: treat the input as an unbounded stream.
-///
-/// One fused bounded-memory pass builds the Count-Min density sketch
-/// (`update` per point) *and* an Algorithm R uniform reservoir — nothing
-/// is ever materialized, so memory is `grids * slots` counters plus the
-/// reservoir however long the stream. A second pass draws the paper's
-/// one-pass density-biased sample straight off the sketch
-/// (`summary_normalizer` replaces the normalizer pass). Together with the
-/// min-max scaler pass that every command shares, that is three bounded
-/// scans of the source and the paper's "at most two passes" once the
-/// summary exists.
-fn stream(
-    args: &ParsedArgs,
-    input: &Input,
-    rec: &Recorder,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let scaler = fit_scaler(input, args)?;
-    let scaled = scale_input(input, &scaler)?;
-    let src = scaled.source();
-    let dim = src.dim();
-
-    let raw = args.get_str("estimator").unwrap_or("sketch");
-    let spec = EstimatorSpec::parse(raw).map_err(|e| e.to_string())?;
-    let (grids, slots) = match spec.kind {
-        EstimatorKind::Sketch { grids, slots } => (grids, slots),
-        _ => {
-            let msg = "stream ingests into a sketch; \
-                       --estimator must be sketch[:grids[:slots]]";
-            return Err(format!("{msg}, got {raw}"));
+    fn cluster(&self, out: &mut dyn Write) -> Result<(), String> {
+        let src = self.src();
+        let a = self.args.get_f64("exponent", 1.0)?;
+        let k = self.args.get_usize("clusters", 10)?;
+        let mut hc = HierarchicalConfig::paper_defaults(k)
+            .with_parallelism(self.threads)
+            .with_partitions(self.args.get_usize("partitions", 1)?)
+            .with_pre_cluster_factor(self.args.get_usize("pre-factor", 3)?);
+        if self.args.get_flag("no-trim") {
+            hc.trim_min_size = 0;
         }
-    };
-    let seed = args.get_u64("seed", 0)?;
-    let sketch_cfg = SketchConfig {
-        grids,
-        slots,
-        resolution: None,
-        domain: Some(BoundingBox::unit(dim)),
-        seed,
-    };
-    let mut sketch = DensitySketch::new(dim, &sketch_cfg).map_err(|e| e.to_string())?;
 
-    let r_size = args.get_usize("reservoir", 1000)?;
-    if r_size == 0 {
-        return Err("--reservoir must be >= 1".to_string());
-    }
-
-    // Fused ingest pass: sketch update + Algorithm R in a single scan.
-    // The reservoir RNG is a sub-stream of the seed so it never collides
-    // with the sampler's keyed inclusion draws.
-    let mut rng = seeded(sub_seed(seed, 1));
-    let mut res_points = Dataset::with_capacity(dim, r_size.min(src.len()));
-    let mut res_indices: Vec<usize> = Vec::with_capacity(r_size.min(src.len()));
-    let mut bad: Option<(usize, String)> = None;
-    rec.add(Counter::DatasetPasses, 1);
-    {
-        let _span = rec.span("ingest");
-        src.scan(&mut |i, p| {
-            if bad.is_some() {
-                return;
-            }
-            if let Err(e) = sketch.update(p) {
-                bad = Some((i, e.to_string()));
-                return;
-            }
-            if i < r_size {
-                res_points.push(p).expect("declared dimension");
-                res_indices.push(i);
+        // --sample-frac selects the scalable path: cluster an F·n-point
+        // density-biased sample, then map every dataset point back to its
+        // nearest representative. F = 1.0 clusters the full dataset directly
+        // (no estimator, no sampling, no map-back) — the one path that needs
+        // the scaled data materialized, guarded by the collection cap.
+        if self.args.get_str("sample-frac").is_some() {
+            let frac = self.args.get_f64("sample-frac", 1.0)?;
+            let target = sample_target_size(src.len(), frac).map_err(err)?;
+            let clustering = if target == src.len() {
+                let full = match &self.scaled {
+                    Scaled::Mem(d) => std::borrow::Cow::Borrowed(d),
+                    Scaled::View(v) => {
+                        std::borrow::Cow::Owned(dbs_core::scan::materialize(v).map_err(err)?)
+                    }
+                };
+                let _span = self.rec.span("cluster");
+                partitioned_cluster_obs(&full, &hc, self.rec).map_err(err)?
             } else {
-                let slot = rng.gen_range(0..=i);
-                if slot < r_size {
-                    res_points.point_mut(slot).copy_from_slice(p);
-                    res_indices[slot] = i;
-                    rec.add(Counter::ReservoirReplacements, 1);
+                let est = self.fit_density()?;
+                let two_pass = |cfg: &_| density_biased_sample_obs(src, &*est, cfg, self.rec);
+                let (s, _) = self.draw(target, a, two_pass)?;
+                // Map-back streams the full (scaled) source chunk by chunk,
+                // so a sharded input stays out-of-core end to end.
+                let _span = self.rec.span("cluster");
+                sample_fed_cluster_obs(src, s.points(), &hc, self.rec).map_err(err)?
+            };
+            let n = src.len();
+            return self.report_clusters(&clustering, None, |k, noise| {
+                format!("clustered {n} points from a {target}-point sample into {k} clusters ({noise} points marked noise)")
+            }, out);
+        }
+
+        let est = self.fit_density()?;
+        let b = self.args.get_usize("size", 1000)?;
+        let two_pass = |cfg: &_| density_biased_sample_obs(src, &*est, cfg, self.rec);
+        let (s, _) = self.draw(b, a, two_pass)?;
+        let clustering = {
+            let _span = self.rec.span("cluster");
+            partitioned_cluster_obs(s.points(), &hc, self.rec).map_err(err)?
+        };
+        let m = s.len();
+        self.report_clusters(&clustering, Some(s.weights()), |k, noise| {
+            format!("clustered a {m}-point sample into {k} clusters ({noise} sample points trimmed as noise)")
+        }, out)
+    }
+
+    fn outliers(&self, out: &mut dyn Write) -> Result<(), String> {
+        let est = self.fit_density()?;
+        let radius = self.args.get_f64("radius", 0.05)?;
+        let p = self.args.get_usize("neighbors", 3)?;
+        let params = DbOutlierParams::new(radius, p).map_err(err)?;
+        let mut cfg = ApproxConfig::new(params);
+        cfg.slack = self.args.get_f64("slack", 3.0)?;
+        cfg.seed = self.seed()?;
+        cfg.parallelism = self.threads;
+        let report = {
+            let _span = self.rec.span("outliers");
+            approx_outliers_obs(self.src(), &*est, &cfg, self.rec).map_err(err)?
+        };
+        writeln!(
+            out,
+            "DB(p={p}, k={radius}) outliers: {} found ({} candidates verified, {} dataset passes + estimator pass)",
+            report.outliers.len(),
+            report.candidates,
+            report.passes
+        )
+        .map_err(io_err)?;
+        // Report outliers in original coordinates via the scaled round trip —
+        // the same values the detector saw, mapped back.
+        let found = self.input.select(&report.outliers, self.rec)?;
+        let mut scratch = vec![0.0f64; found.dim().max(1)];
+        for (row, &i) in report.outliers.iter().enumerate() {
+            scratch.copy_from_slice(found.point(row));
+            self.scaler.transform_point(&mut scratch);
+            self.scaler.inverse_point(&mut scratch);
+            writeln!(out, "  #{i}: {scratch:?}").map_err(io_err)?;
+        }
+        Ok(())
+    }
+
+    /// The streaming-service path: one fused bounded-memory pass builds the
+    /// Count-Min density sketch *and* an Algorithm R uniform reservoir, so
+    /// memory is `grids * slots` counters plus the reservoir however long
+    /// the stream. A second pass draws the one-pass biased sample off the
+    /// sketch (`summary_normalizer` replaces the normalizer pass); with the
+    /// shared scaler pass, three bounded scans of the source.
+    fn stream(&self, out: &mut dyn Write) -> Result<(), String> {
+        let src = self.src();
+        let dim = src.dim();
+        let (raw, spec) = self.spec("sketch")?;
+        let EstimatorKind::Sketch { grids, slots } = spec.kind else {
+            let msg = "stream ingests into a sketch; --estimator must be sketch[:grids[:slots]]";
+            return Err(format!("{msg}, got {raw}"));
+        };
+        let seed = self.seed()?;
+        let sketch_cfg = SketchConfig {
+            grids,
+            slots,
+            resolution: None,
+            domain: Some(BoundingBox::unit(dim)),
+            seed,
+        };
+        let mut sketch = DensitySketch::new(dim, &sketch_cfg).map_err(err)?;
+        let r_size = self.args.get_usize("reservoir", 1000)?;
+        if r_size == 0 {
+            return Err("--reservoir must be >= 1".to_string());
+        }
+
+        // Fused ingest pass: sketch update + Algorithm R in a single scan.
+        // The reservoir RNG is a sub-stream of the seed so it never collides
+        // with the sampler's keyed inclusion draws.
+        let mut reservoir = Reservoir::new(dim, r_size.min(src.len()), sub_seed(seed, 1));
+        let mut bad: Option<(usize, String)> = None;
+        self.rec.add(Counter::DatasetPasses, 1);
+        {
+            let _span = self.rec.span("ingest");
+            src.scan(&mut |i, p| {
+                if bad.is_some() {
+                    return;
                 }
-            }
-        })
-        .map_err(|e| e.to_string())?;
-    }
-    if let Some((i, e)) = bad {
-        return Err(format!("stream ingest failed at point {i}: {e}"));
-    }
-    rec.add(Counter::SketchUpdates, sketch.points_ingested());
-    writeln!(
-        out,
-        "streamed {} points ({dim}d) into a {} sketch ({} KiB) + {}-point reservoir",
-        sketch.points_ingested(),
-        spec.label(),
-        sketch.memory_bytes() / 1024,
-        res_indices.len()
-    )
-    .map_err(io_err)?;
-
-    // Biased sample off the summary: one further pass, bounded memory.
-    let b = args.get_usize("size", 1000)?;
-    let a = args.get_f64("exponent", 1.0)?;
-    let cfg = BiasedConfig::new(b, a)
-        .with_seed(seed)
-        .with_parallelism(args.get_threads()?);
-    let (s, stats) = {
-        let _span = rec.span("sample");
-        one_pass_biased_sample_obs(src, &sketch, &cfg, rec).map_err(|e| e.to_string())?
-    };
-    writeln!(
-        out,
-        "sampled {} of {} points off the sketch (target {b}, a = {a}, normalizer k = {:.4e}, {} clipped)",
-        s.len(),
-        src.len(),
-        stats.normalizer_k,
-        stats.clipped
-    )
-    .map_err(io_err)?;
-
-    // Outputs in original coordinates, fetched back by index as in
-    // `sample`.
-    let original = input.select(s.source_indices(), rec)?;
-    if let Some(path) = args.get_str("output") {
-        write_text(Path::new(path), &original).map_err(|e| e.to_string())?;
-        writeln!(out, "wrote sample to {path}").map_err(io_err)?;
-    }
-    if let Some(path) = args.get_str("weights") {
-        let mut w = String::new();
-        for weight in s.weights() {
-            w.push_str(&format!("{weight}\n"));
+                match sketch.update(p) {
+                    Ok(_) => reservoir.offer(i, p),
+                    Err(e) => bad = Some((i, e.to_string())),
+                }
+            })
+            .map_err(err)?;
         }
-        std::fs::write(path, w).map_err(|e| e.to_string())?;
-        writeln!(out, "wrote weights to {path}").map_err(io_err)?;
-    }
-    if let Some(path) = args.get_str("reservoir-out") {
-        let mut sorted = res_indices.clone();
-        sorted.sort_unstable();
-        let reservoir = input.select(&sorted, rec)?;
-        write_text(Path::new(path), &reservoir).map_err(|e| e.to_string())?;
-        writeln!(out, "wrote reservoir to {path}").map_err(io_err)?;
-    }
-    if args.get_str("output").is_none() {
-        for p in original.iter().take(5) {
-            writeln!(out, "  {p:?}").map_err(io_err)?;
+        if let Some((i, e)) = bad {
+            return Err(format!("stream ingest failed at point {i}: {e}"));
         }
-        if original.len() > 5 {
-            writeln!(
-                out,
-                "  ... ({} more; use --output FILE)",
-                original.len() - 5
-            )
-            .map_err(io_err)?;
-        }
-    }
-    Ok(())
-}
+        let rec = self.rec;
+        rec.add(Counter::SketchUpdates, sketch.points_ingested());
+        rec.add(Counter::ReservoirReplacements, reservoir.replacements());
+        writeln!(
+            out,
+            "streamed {} points ({dim}d) into a {} sketch ({} KiB) + {}-point reservoir",
+            sketch.points_ingested(),
+            spec.label(),
+            sketch.memory_bytes() / 1024,
+            reservoir.indices().len()
+        )
+        .map_err(io_err)?;
 
-fn density(
-    args: &ParsedArgs,
-    input: &Input,
-    rec: &Recorder,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let scaler = fit_scaler(input, args)?;
-    let scaled = scale_input(input, &scaler)?;
-    let est = {
-        let _span = rec.span("fit_density");
-        fit_estimator(scaled.source(), args)?
-    };
-    let at = args
-        .get_point("at")?
-        .ok_or_else(|| "density requires --at X,Y,...".to_string())?;
-    if at.len() != input.source().dim() {
-        return Err(format!(
-            "--at has {} coordinates, data has {}",
-            at.len(),
-            input.source().dim()
-        ));
+        // Biased sample off the summary: one further pass, bounded memory.
+        let b = self.args.get_usize("size", 1000)?;
+        let a = self.args.get_f64("exponent", 1.0)?;
+        let (s, stats) = self.draw(b, a, |cfg| {
+            one_pass_biased_sample_obs(src, &sketch, cfg, self.rec)
+        })?;
+        writeln!(
+            out,
+            "sampled {} of {} points off the sketch (target {b}, a = {a}, normalizer k = {:.4e}, {} clipped)",
+            s.len(),
+            src.len(),
+            stats.normalizer_k,
+            stats.clipped
+        )
+        .map_err(io_err)?;
+        self.write_sample(&s, Some(reservoir.indices()), out)
     }
-    let mut q = at.clone();
-    scaler.transform_point(&mut q);
-    let d = est.density(&q);
-    writeln!(
-        out,
-        "density at {at:?}: {d:.4} (average over domain: {:.4})",
-        est.average_density()
-    )
-    .map_err(io_err)?;
-    writeln!(
-        out,
-        "relative to average: {:.2}x",
-        d / est.average_density().max(f64::MIN_POSITIVE)
-    )
-    .map_err(io_err)?;
-    Ok(())
+
+    fn density(&self, out: &mut dyn Write) -> Result<(), String> {
+        let est = self.fit_density()?;
+        let dim = self.src().dim();
+        let at = self
+            .args
+            .get_point("at")?
+            .ok_or_else(|| "density requires --at X,Y,...".to_string())?;
+        if at.len() != dim {
+            return Err(format!("--at has {} coordinates, data has {dim}", at.len()));
+        }
+        let mut q = at.clone();
+        self.scaler.transform_point(&mut q);
+        let (d, avg) = (est.density(&q), est.average_density());
+        let rel = d / avg.max(f64::MIN_POSITIVE);
+        writeln!(
+            out,
+            "density at {at:?}: {d:.4} (average over domain: {avg:.4})"
+        )
+        .map_err(io_err)?;
+        writeln!(out, "relative to average: {rel:.2}x").map_err(io_err)
+    }
 }
 
 #[cfg(test)]
@@ -714,12 +628,15 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
-    fn run_cli(argv: &[&str]) -> String {
+    fn try_run(argv: &[&str]) -> Result<String, String> {
         let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let parsed = parse(&args).unwrap();
         let mut out = Vec::new();
-        run(&parsed, &mut out).unwrap();
-        String::from_utf8(out).unwrap()
+        run(&parse(&args).unwrap(), &mut out)?;
+        Ok(String::from_utf8(out).unwrap())
+    }
+
+    fn run_cli(argv: &[&str]) -> String {
+        try_run(argv).unwrap()
     }
 
     #[test]
@@ -874,10 +791,7 @@ mod tests {
                 "0",
             ],
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            let parsed = parse(&args).unwrap();
-            let mut out = Vec::new();
-            let err = run(&parsed, &mut out).unwrap_err();
+            let err = try_run(&bad).unwrap_err();
             assert!(err.contains("invalid parameter"), "{bad:?}: {err}");
         }
         std::fs::remove_file(&file).ok();
@@ -991,20 +905,14 @@ mod tests {
     #[test]
     fn unknown_estimator_is_a_clean_error() {
         let file = write_sample_file("badest");
-        let argv = ["sample", &file, "--estimator", "ballpark"];
-        let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let parsed = parse(&args).unwrap();
-        let mut out = Vec::new();
-        let err = run(&parsed, &mut out).unwrap_err();
+        let err = try_run(&["sample", &file, "--estimator", "ballpark"]).unwrap_err();
         assert!(err.contains("estimator spec"), "{err}");
         std::fs::remove_file(&file).ok();
     }
 
     #[test]
     fn missing_file_is_a_clean_error() {
-        let parsed = parse(&["info".to_string(), "/nonexistent/x.txt".to_string()]).unwrap();
-        let mut out = Vec::new();
-        let err = run(&parsed, &mut out).unwrap_err();
+        let err = try_run(&["info", "/nonexistent/x.txt"]).unwrap_err();
         assert!(err.contains("cannot load"));
     }
 
@@ -1029,11 +937,7 @@ mod tests {
         assert!(info.contains("dimensions: 2"), "{info}");
         assert!(info.contains("shards:     1"), "{info}");
         // Refuses to overwrite an existing shard directory.
-        let args: Vec<String> = ["convert", &file, "--output", &dir]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = run(&parse(&args).unwrap(), &mut Vec::new()).unwrap_err();
+        let err = try_run(&["convert", &file, "--output", &dir]).unwrap_err();
         assert!(err.contains("already contains"), "{err}");
         std::fs::remove_file(&file).ok();
         std::fs::remove_dir_all(&dir).ok();
@@ -1185,11 +1089,7 @@ mod tests {
     #[test]
     fn stream_rejects_non_sketch_estimator() {
         let file = write_sample_file("stream_badest");
-        let argv = ["stream", &file, "--estimator", "agrid:8"];
-        let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let parsed = parse(&args).unwrap();
-        let mut out = Vec::new();
-        let err = run(&parsed, &mut out).unwrap_err();
+        let err = try_run(&["stream", &file, "--estimator", "agrid:8"]).unwrap_err();
         assert!(err.contains("sketch[:grids[:slots]]"), "{err}");
         std::fs::remove_file(&file).ok();
     }
@@ -1197,8 +1097,7 @@ mod tests {
     #[test]
     fn convert_requires_output() {
         let file = write_sample_file("convert_noout");
-        let args: Vec<String> = ["convert", &file].iter().map(|s| s.to_string()).collect();
-        let err = run(&parse(&args).unwrap(), &mut Vec::new()).unwrap_err();
+        let err = try_run(&["convert", &file]).unwrap_err();
         assert!(err.contains("--output"), "{err}");
         std::fs::remove_file(&file).ok();
     }
@@ -1206,9 +1105,7 @@ mod tests {
     #[test]
     fn density_requires_at() {
         let file = write_sample_file("noat");
-        let parsed = parse(&["density".to_string(), file.clone()]).unwrap();
-        let mut out = Vec::new();
-        let err = run(&parsed, &mut out).unwrap_err();
+        let err = try_run(&["density", &file]).unwrap_err();
         assert!(err.contains("--at"));
         std::fs::remove_file(&file).ok();
     }

@@ -18,6 +18,8 @@
 //!   the paper) can debias their objective.
 //! * [`rng`] — deterministic seeding helpers plus a small Box–Muller normal
 //!   sampler (the `rand_distr` crate is outside the allowed dependency set).
+//! * [`Reservoir`] — Algorithm R, the one uniform reservoir every fixed-size
+//!   uniform sample in the workspace is kept in.
 //! * [`scan::PointSource`] — a multi-pass streaming abstraction: the paper's
 //!   algorithms are expressed as "one pass to build the estimator, one or two
 //!   passes to sample"; implementing against this trait keeps that structure
@@ -44,6 +46,7 @@ pub mod metric;
 pub mod normalize;
 pub mod obs;
 pub mod par;
+pub mod reservoir;
 pub mod rng;
 pub mod scan;
 pub mod shard;
@@ -55,6 +58,7 @@ pub use dataset::Dataset;
 pub use error::{Error, Result};
 pub use metric::Metric;
 pub use normalize::MinMaxScaler;
+pub use reservoir::Reservoir;
 pub use scan::{ChunkAccess, PointBlock, PointSource};
 pub use shard::ShardedSource;
 pub use weighted::WeightedSample;

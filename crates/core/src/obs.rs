@@ -32,133 +32,97 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The counter catalog. Every named monotonic counter the workspace
-/// records; the discriminant indexes [`Tally`] and the recorder's atomics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Sequential scans of the pipeline's primary point source.
-    DatasetPasses,
-    /// Center-contribution evaluations in the KDE batch engine (one per
-    /// (query point, candidate center) pair).
-    KdeKernelEvals,
-    /// Tiles evaluated by the batch engine (one shared candidate lookup
-    /// each).
-    BatchTiles,
-    /// Candidate centers yielded by center-grid queries (panel sizes).
-    GridCandidateVisits,
-    /// Monte-Carlo evaluation points spent on ball integrals (§3.2).
-    BallSamples,
-    /// Sampler inclusion probabilities clipped at 1.
-    SamplerClipEvents,
-    /// Reservoir slots overwritten after the reservoir filled.
-    ReservoirReplacements,
-    /// CURE merge-loop heap pops (including stale ones).
-    HeapPops,
-    /// Heap pops discarded because the entry's generation was stale.
-    HeapStalePops,
-    /// Nearest-owner queries against the representative-point grid index.
-    RepIndexQueries,
-    /// Consumed closest pointers served from a cluster's cached candidate
-    /// list (no index rescan needed).
-    CandidateHits,
-    /// Full k-nearest candidate-list rebuilds against the rep index — the
-    /// broadcast rescans that remain after candidate fallback.
-    CandidateRebuilds,
-    /// Cluster merges performed by the agglomeration loop.
-    ClusterMerges,
-    /// Ball integrals skipped by the outlier detector's density prefilter.
-    PrefilterSkips,
-    /// Likely outliers that survived density pruning (verification load).
-    OutlierCandidates,
-    /// Exact distance computations in the outlier verification pass.
-    VerifyDistanceEvals,
-    /// Distinct grid cells read by the averaged-grid batch engine (one run
-    /// of equal cell ids in a sorted chunk counts once).
-    AgridCellTouches,
-    /// Shifted grids averaged by averaged-grid batch evaluations (one per
-    /// (chunk, grid) pair).
-    AgridGridsAveraged,
-    /// Merges performed inside partition pre-clustering (phase A of the
-    /// partitioned CURE run); a subset of [`Counter::ClusterMerges`].
-    PartitionPreMerges,
-    /// Rep-point distance evaluations spent assigning full-dataset points
-    /// to their nearest representative during label map-back.
-    MapBackDistEvals,
-    /// Chunk-read operations served by sharded storage (one per chunk a
-    /// worker pulled through [`crate::scan::ChunkAccess`]).
-    ShardChunkReads,
-    /// Bytes delivered out of mapped (or positionally read) shard storage.
-    ShardBytesMapped,
-    /// Points ingested into a streaming density sketch (one per
-    /// `update`, whatever the schedule).
-    SketchUpdates,
-    /// Sketch merge operations: element-wise counter adds folding one
-    /// sketch (a chunk's or a shard's) into another.
-    SketchMerges,
+/// Generates the counter catalog from one list of `Variant => "json_name"`
+/// entries: the [`Counter`] enum, [`COUNTER_COUNT`], [`Counter::ALL`] and
+/// [`Counter::name`] all follow the list's order.
+macro_rules! counter_catalog {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// The counter catalog. Every named monotonic counter the workspace
+        /// records; the discriminant indexes [`Tally`] and the recorder's
+        /// atomics.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Number of counters in the catalog.
+        pub const COUNTER_COUNT: usize = [$($name),*].len();
+
+        impl Counter {
+            /// Every counter, in catalog (discriminant) order.
+            pub const ALL: [Counter; COUNTER_COUNT] = [$(Counter::$variant),*];
+
+            /// The counter's stable snake_case name (the JSON key).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-/// Number of counters in the catalog.
-pub const COUNTER_COUNT: usize = 24;
-
-impl Counter {
-    /// Every counter, in catalog (discriminant) order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [
-        Counter::DatasetPasses,
-        Counter::KdeKernelEvals,
-        Counter::BatchTiles,
-        Counter::GridCandidateVisits,
-        Counter::BallSamples,
-        Counter::SamplerClipEvents,
-        Counter::ReservoirReplacements,
-        Counter::HeapPops,
-        Counter::HeapStalePops,
-        Counter::RepIndexQueries,
-        Counter::CandidateHits,
-        Counter::CandidateRebuilds,
-        Counter::ClusterMerges,
-        Counter::PrefilterSkips,
-        Counter::OutlierCandidates,
-        Counter::VerifyDistanceEvals,
-        Counter::AgridCellTouches,
-        Counter::AgridGridsAveraged,
-        Counter::PartitionPreMerges,
-        Counter::MapBackDistEvals,
-        Counter::ShardChunkReads,
-        Counter::ShardBytesMapped,
-        Counter::SketchUpdates,
-        Counter::SketchMerges,
-    ];
-
-    /// The counter's stable snake_case name (the JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::DatasetPasses => "dataset_passes",
-            Counter::KdeKernelEvals => "kde_kernel_evals",
-            Counter::BatchTiles => "batch_tiles",
-            Counter::GridCandidateVisits => "grid_candidate_visits",
-            Counter::BallSamples => "mc_ball_samples",
-            Counter::SamplerClipEvents => "sampler_clip_events",
-            Counter::ReservoirReplacements => "reservoir_replacements",
-            Counter::HeapPops => "heap_pops",
-            Counter::HeapStalePops => "heap_stale_pops",
-            Counter::RepIndexQueries => "rep_index_queries",
-            Counter::CandidateHits => "candidate_hits",
-            Counter::CandidateRebuilds => "candidate_rebuilds",
-            Counter::ClusterMerges => "cluster_merges",
-            Counter::PrefilterSkips => "prefilter_skips",
-            Counter::OutlierCandidates => "outlier_candidates",
-            Counter::VerifyDistanceEvals => "verify_distance_evals",
-            Counter::AgridCellTouches => "agrid_cell_touches",
-            Counter::AgridGridsAveraged => "agrid_grids_averaged",
-            Counter::PartitionPreMerges => "partition_pre_merges",
-            Counter::MapBackDistEvals => "map_back_dist_evals",
-            Counter::ShardChunkReads => "shard_chunk_reads",
-            Counter::ShardBytesMapped => "shard_bytes_mapped",
-            Counter::SketchUpdates => "sketch_updates",
-            Counter::SketchMerges => "sketch_merges",
-        }
-    }
+counter_catalog! {
+    /// Sequential scans of the pipeline's primary point source.
+    DatasetPasses => "dataset_passes",
+    /// Center-contribution evaluations in the KDE batch engine (one per
+    /// (query point, candidate center) pair).
+    KdeKernelEvals => "kde_kernel_evals",
+    /// Tiles evaluated by the batch engine (one shared candidate lookup
+    /// each).
+    BatchTiles => "batch_tiles",
+    /// Candidate centers yielded by center-grid queries (panel sizes).
+    GridCandidateVisits => "grid_candidate_visits",
+    /// Monte-Carlo evaluation points spent on ball integrals (§3.2).
+    BallSamples => "mc_ball_samples",
+    /// Sampler inclusion probabilities clipped at 1.
+    SamplerClipEvents => "sampler_clip_events",
+    /// Reservoir slots overwritten after the reservoir filled.
+    ReservoirReplacements => "reservoir_replacements",
+    /// CURE merge-loop heap pops (including stale ones).
+    HeapPops => "heap_pops",
+    /// Heap pops discarded because the entry's generation was stale.
+    HeapStalePops => "heap_stale_pops",
+    /// Nearest-owner queries against the representative-point grid index.
+    RepIndexQueries => "rep_index_queries",
+    /// Consumed closest pointers served from a cluster's cached candidate
+    /// list (no index rescan needed).
+    CandidateHits => "candidate_hits",
+    /// Full k-nearest candidate-list rebuilds against the rep index — the
+    /// broadcast rescans that remain after candidate fallback.
+    CandidateRebuilds => "candidate_rebuilds",
+    /// Cluster merges performed by the agglomeration loop.
+    ClusterMerges => "cluster_merges",
+    /// Ball integrals skipped by the outlier detector's density prefilter.
+    PrefilterSkips => "prefilter_skips",
+    /// Likely outliers that survived density pruning (verification load).
+    OutlierCandidates => "outlier_candidates",
+    /// Exact distance computations in the outlier verification pass.
+    VerifyDistanceEvals => "verify_distance_evals",
+    /// Distinct grid cells read by the averaged-grid batch engine (one run
+    /// of equal cell ids in a sorted chunk counts once).
+    AgridCellTouches => "agrid_cell_touches",
+    /// Shifted grids averaged by averaged-grid batch evaluations (one per
+    /// (chunk, grid) pair).
+    AgridGridsAveraged => "agrid_grids_averaged",
+    /// Merges performed inside partition pre-clustering (phase A of the
+    /// partitioned CURE run); a subset of [`Counter::ClusterMerges`].
+    PartitionPreMerges => "partition_pre_merges",
+    /// Rep-point distance evaluations spent assigning full-dataset points
+    /// to their nearest representative during label map-back.
+    MapBackDistEvals => "map_back_dist_evals",
+    /// Chunk-read operations served by sharded storage (one per chunk a
+    /// worker pulled through [`crate::scan::ChunkAccess`]).
+    ShardChunkReads => "shard_chunk_reads",
+    /// Bytes delivered out of mapped (or positionally read) shard storage.
+    ShardBytesMapped => "shard_bytes_mapped",
+    /// Points ingested into a streaming density sketch (one per
+    /// `update`, whatever the schedule).
+    SketchUpdates => "sketch_updates",
+    /// Sketch merge operations: element-wise counter adds folding one
+    /// sketch (a chunk's or a shard's) into another.
+    SketchMerges => "sketch_merges",
 }
 
 /// A stack-allocated block of counter values — what instrumented inner

@@ -15,10 +15,8 @@
 //!
 //! so `∫ f = n` and `∫_R f ≈ |D ∩ R|` as §2.1 requires.
 
-use dbs_core::rng::{seeded, DbsRng};
-use dbs_core::{BoundingBox, Dataset, Error, PointSource, Result};
+use dbs_core::{BoundingBox, Dataset, Error, PointSource, Reservoir, Result};
 use dbs_spatial::GridIndex;
-use rand::Rng;
 
 use crate::bandwidth::Bandwidth;
 use crate::kernel::Kernel;
@@ -103,10 +101,9 @@ impl KernelDensityEstimator {
         }
         let dim = source.dim();
         let ks = config.num_centers.min(n);
-        let mut rng: DbsRng = seeded(config.seed);
 
         // One pass: reservoir sample + per-dimension Welford.
-        let mut reservoir = Dataset::with_capacity(dim, ks);
+        let mut reservoir = Reservoir::new(dim, ks, config.seed);
         let mut means = vec![0.0f64; dim];
         let mut m2s = vec![0.0f64; dim];
         source.scan(&mut |i, p| {
@@ -117,15 +114,7 @@ impl KernelDensityEstimator {
                 means[j] += delta / count;
                 m2s[j] += delta * (p[j] - means[j]);
             }
-            // Algorithm R reservoir.
-            if i < ks {
-                reservoir.push(p).expect("scan yields declared dimension");
-            } else {
-                let slot = rng.gen_range(0..=i);
-                if slot < ks {
-                    reservoir.point_mut(slot).copy_from_slice(p);
-                }
-            }
+            reservoir.offer(i, p);
         })?;
 
         let denom = (n.saturating_sub(1)).max(1) as f64;
@@ -141,7 +130,7 @@ impl KernelDensityEstimator {
             .clone()
             .unwrap_or_else(|| BoundingBox::unit(dim));
         Ok(Self::from_centers(
-            reservoir,
+            reservoir.into_parts().0,
             bandwidths,
             n as f64,
             config.kernel,
@@ -349,6 +338,7 @@ mod tests {
     use super::*;
     use crate::test_util::{midpoint_integral, two_blobs, uniform_dataset};
     use dbs_core::rng::seeded;
+    use rand::Rng;
 
     #[test]
     fn fit_is_one_pass() {

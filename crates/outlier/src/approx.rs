@@ -71,6 +71,35 @@ pub struct OutlierReport {
     pub passes: usize,
 }
 
+/// The checks both density-pruned detectors (this one and
+/// [`crate::approx_outliers_metric`]) make before any pass. `!(>= 1.0)`
+/// also rejects a NaN `slack`, and the finiteness check catches `+inf`,
+/// which would disable pruning entirely. Zero ball samples would reach the
+/// Monte-Carlo integral's assert and panic, inside a worker thread for the
+/// parallel detector.
+pub(crate) fn check_detector(
+    source_dim: usize,
+    estimator_dim: usize,
+    slack: f64,
+    ball_samples: usize,
+) -> Result<()> {
+    if source_dim != estimator_dim {
+        return Err(Error::DimensionMismatch {
+            expected: estimator_dim,
+            got: source_dim,
+        });
+    }
+    if !(slack >= 1.0) || !slack.is_finite() {
+        return Err(Error::InvalidParameter(
+            "slack must be finite and >= 1".into(),
+        ));
+    }
+    if ball_samples == 0 {
+        return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
+    }
+    Ok(())
+}
+
 /// Runs the §3.2 detector: density pruning pass + verification pass.
 ///
 /// # Examples
@@ -121,24 +150,12 @@ where
     S: PointSource + ?Sized,
     E: DensityEstimator + Sync + ?Sized,
 {
-    if source.dim() != estimator.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: estimator.dim(),
-            got: source.dim(),
-        });
-    }
-    // `!(>= 1.0)` also rejects NaN; the explicit finiteness check catches
-    // slack = +inf, which would otherwise disable pruning entirely.
-    if !(config.slack >= 1.0) || !config.slack.is_finite() {
-        return Err(Error::InvalidParameter(
-            "slack must be finite and >= 1".into(),
-        ));
-    }
-    if config.ball_samples == 0 {
-        // Caught here so the misconfiguration surfaces as an error instead
-        // of `integrate_ball`'s assert panicking inside a worker thread.
-        return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
-    }
+    check_detector(
+        source.dim(),
+        estimator.dim(),
+        config.slack,
+        config.ball_samples,
+    )?;
     let threads = config.parallelism;
     let k = config.params.radius;
     let p = config.params.max_neighbors;

@@ -9,11 +9,11 @@
 
 use dbs_core::metric::Metric;
 use dbs_core::rng::{exponential, seeded};
-use dbs_core::{Dataset, Error, PointSource, Result};
+use dbs_core::{Dataset, PointSource, Result};
 use dbs_density::DensityEstimator;
 use rand::Rng;
 
-use crate::approx::OutlierReport;
+use crate::approx::{check_detector, OutlierReport};
 use crate::dbout::DbOutlierParams;
 
 /// Exact nested-loop DB(p,k) outliers under an arbitrary metric.
@@ -142,15 +142,7 @@ where
     S: PointSource + ?Sized,
     E: DensityEstimator + ?Sized,
 {
-    if source.dim() != estimator.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: estimator.dim(),
-            got: source.dim(),
-        });
-    }
-    if !(slack >= 1.0) {
-        return Err(Error::InvalidParameter("slack must be >= 1".into()));
-    }
+    check_detector(source.dim(), estimator.dim(), slack, ball_samples)?;
     let k = params.radius;
     let p = params.max_neighbors;
     let threshold = slack * (p as f64 + 1.0);
@@ -205,7 +197,7 @@ where
 mod tests {
     use super::*;
     use dbs_core::rng::seeded;
-    use dbs_core::BoundingBox;
+    use dbs_core::{BoundingBox, Error};
     use dbs_density::{KdeConfig, KernelDensityEstimator};
 
     fn planted(seed: u64) -> (Dataset, Vec<usize>) {
@@ -332,5 +324,26 @@ mod tests {
         )
         .unwrap();
         assert!(approx_outliers_metric(&ds, &est, &params, Metric::Manhattan, 0.5, 32, 9).is_err());
+    }
+
+    fn rejection(slack: f64, ball_samples: usize) -> String {
+        let (ds, _) = planted(8);
+        let params = DbOutlierParams::new(0.1, 2).unwrap();
+        let est = KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(50)).unwrap();
+        let metric = Metric::Chebyshev;
+        match approx_outliers_metric(&ds, &est, &params, metric, slack, ball_samples, 1) {
+            Err(Error::InvalidParameter(msg)) => msg,
+            other => panic!("slack {slack}, {ball_samples} ball samples: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_ball_samples_is_an_error_not_a_panic() {
+        assert!(rejection(3.0, 0).contains("ball_samples"));
+    }
+
+    #[test]
+    fn infinite_slack_is_rejected() {
+        assert!(rejection(f64::INFINITY, 32).contains("slack"));
     }
 }

@@ -27,10 +27,11 @@
 //! [`BiasedConfig::parallelism`] level.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
-use dbs_core::obs::{Counter, Recorder};
+use dbs_core::obs::{Counter, Recorder, Tally};
 use dbs_core::rng::keyed_unit;
-use dbs_core::{par, Dataset, Error, PointSource, Result, WeightedSample};
+use dbs_core::{par, Dataset, Error, PointBlock, PointSource, Result, WeightedSample};
 use dbs_density::DensityEstimator;
 
 /// Configuration of the density-biased sampler.
@@ -156,8 +157,47 @@ where
     S: PointSource + ?Sized,
     E: DensityEstimator + Sync + ?Sized,
 {
-    let n = source.len();
-    if n == 0 {
+    check_inputs(source, estimator, config)?;
+    let a = config.exponent;
+    let floor = config.density_floor * estimator.average_density();
+
+    // Pass 1: k = sum of f'(x) over the dataset. Densities come from the
+    // estimator's batch engine (`batch_densities` routes every chunk
+    // through the `densities_into` hook), which is bit-identical to
+    // per-point evaluation; the serial left fold over the point-ordered
+    // vector is bit-identical to accumulating during a sequential scan.
+    recorder.add(Counter::DatasetPasses, 1);
+    let fpv: Vec<f64> =
+        dbs_density::batch_densities_obs(estimator, source, config.parallelism, recorder)?
+            .into_iter()
+            .map(|f| f.max(floor).powf(a))
+            .collect();
+    let k: f64 = fpv.iter().sum();
+    if !(k.is_finite() && k > 0.0) {
+        return Err(Error::InvalidParameter(format!(
+            "normalizer k = {k} is not positive/finite; check exponent and floor"
+        )));
+    }
+
+    // Pass 2 reads the cached f' values, so no density is evaluated twice.
+    let (sample, clipped) = inclusion_pass(source, config, k, recorder, |range, _, _, fp| {
+        fp.copy_from_slice(&fpv[range]);
+    })?;
+    let stats = BiasedSampleStats {
+        normalizer_k: k,
+        clipped,
+        passes: 2,
+    };
+    Ok((sample, stats))
+}
+
+/// The input checks both Figure 1 samplers make before touching the data.
+pub(crate) fn check_inputs<S, E>(source: &S, estimator: &E, config: &BiasedConfig) -> Result<()>
+where
+    S: PointSource + ?Sized,
+    E: DensityEstimator + ?Sized,
+{
+    if source.is_empty() {
         return Err(Error::InvalidParameter(
             "cannot sample an empty source".into(),
         ));
@@ -176,56 +216,70 @@ where
             "density_floor must be positive".into(),
         ));
     }
+    Ok(())
+}
 
-    let a = config.exponent;
-    let threads = config.parallelism;
-    let floor = config.density_floor * estimator.average_density();
-
-    // Pass 1: k = sum of f'(x) over the dataset. Densities come from the
-    // estimator's batch engine (`batch_densities` routes every chunk
-    // through the `densities_into` hook), which is bit-identical to
-    // per-point evaluation; the serial left fold over the point-ordered
-    // vector is bit-identical to accumulating during a sequential scan.
-    recorder.add(Counter::DatasetPasses, 1);
-    let fpv: Vec<f64> = dbs_density::batch_densities_obs(estimator, source, threads, recorder)?
-        .into_iter()
-        .map(|f| f.max(floor).powf(a))
-        .collect();
-    let k: f64 = fpv.iter().sum();
-    if !(k.is_finite() && k > 0.0) {
-        return Err(Error::InvalidParameter(format!(
-            "normalizer k = {k} is not positive/finite; check exponent and floor"
-        )));
-    }
-
-    // Pass 2: include x with probability min(1, b * f'(x) / k), reusing the
-    // cached f' values. The inclusion draw for point i is keyed on
-    // (seed, i), so the decision set does not depend on scan or thread
-    // order.
+/// The Figure 1 inclusion pass both samplers end with: one chunked scan
+/// that includes point `i` with probability `p = min(1, b·f'(x_i)/k)` and
+/// weight `1/p`, where only the source of `k` differs between the two.
+///
+/// `fprime` fills a chunk's `f'` values, one per point of the chunk's
+/// range, recording any work it does into the chunk's tally. The draw for
+/// point `i` is keyed on `(seed, i)`, picks are assembled in point order
+/// and clip counts sum over chunks, so the result is the same at every
+/// [`BiasedConfig::parallelism`] level. Returns the sample and the number
+/// of probabilities clipped at 1.
+pub(crate) fn inclusion_pass<S, F>(
+    source: &S,
+    config: &BiasedConfig,
+    k: f64,
+    recorder: &Recorder,
+    fprime: F,
+) -> Result<(WeightedSample, usize)>
+where
+    S: PointSource + ?Sized,
+    F: Fn(Range<usize>, &PointBlock, &mut Tally, &mut [f64]) + Sync,
+{
     let b = config.target_size as f64;
-    let clipped = fpv.iter().filter(|&&f| b * f / k >= 1.0).count();
-    recorder.add(Counter::SamplerClipEvents, clipped as u64);
     recorder.add(Counter::DatasetPasses, 1);
-    let picks = par::par_filter_map(source, threads, |i, x| {
-        let p = (b * fpv[i] / k).min(1.0);
-        (keyed_unit(config.seed, i as u64) < p).then(|| (i, x.to_vec(), 1.0 / p))
+    let threads = config.parallelism;
+    let per_chunk = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
+        let mut fp = vec![0.0f64; range.len()];
+        fprime(range.clone(), block, tally, &mut fp);
+        let mut picks: Vec<(usize, Vec<f64>, f64)> = Vec::new();
+        let mut clipped = 0usize;
+        for (i, f) in range.zip(fp) {
+            let raw = b * f / k;
+            let p = if raw >= 1.0 {
+                clipped += 1;
+                1.0
+            } else {
+                raw
+            };
+            if keyed_unit(config.seed, i as u64) < p {
+                picks.push((i, block.point(i).to_vec(), 1.0 / p));
+            }
+        }
+        tally.add(Counter::SamplerClipEvents, clipped as u64);
+        (picks, clipped)
     })?;
 
-    let mut points = Dataset::with_capacity(source.dim(), picks.len());
-    let mut weights = Vec::with_capacity(picks.len());
-    let mut indices = Vec::with_capacity(picks.len());
-    for (i, x, w) in picks {
-        points.push(&x).expect("declared dimension");
-        weights.push(w);
-        indices.push(i);
+    // Sized from the picks, never from `target_size`, which the caller
+    // may set far above the source size.
+    let size = per_chunk.iter().map(|(picks, _)| picks.len()).sum();
+    let mut points = Dataset::with_capacity(source.dim(), size);
+    let mut weights = Vec::with_capacity(size);
+    let mut indices = Vec::with_capacity(size);
+    let mut clipped = 0usize;
+    for (picks, chunk_clipped) in per_chunk {
+        clipped += chunk_clipped;
+        for (i, x, w) in picks {
+            points.push(&x).expect("declared dimension");
+            weights.push(w);
+            indices.push(i);
+        }
     }
-
-    let stats = BiasedSampleStats {
-        normalizer_k: k,
-        clipped,
-        passes: 2,
-    };
-    Ok((WeightedSample::new(points, weights, indices)?, stats))
+    Ok((WeightedSample::new(points, weights, indices)?, clipped))
 }
 
 /// The raw (unclipped) inclusion probability the Figure 1 sampler assigns

@@ -17,12 +17,11 @@
 
 use std::num::NonZeroUsize;
 
-use dbs_core::obs::{Counter, Recorder};
-use dbs_core::rng::keyed_unit;
-use dbs_core::{par, Dataset, Error, PointSource, Result, WeightedSample};
+use dbs_core::obs::Recorder;
+use dbs_core::{Error, PointSource, Result, WeightedSample};
 use dbs_density::DensityEstimator;
 
-use crate::biased::{BiasedConfig, BiasedSampleStats};
+use crate::biased::{check_inputs, inclusion_pass, BiasedConfig, BiasedSampleStats};
 
 /// Estimates the Figure 1 normalizer `k` from the fitted summary only
 /// (no dataset pass). `floor_rel` is the density floor relative to the
@@ -103,86 +102,31 @@ where
     S: PointSource + ?Sized,
     E: DensityEstimator + Sync + ?Sized,
 {
-    let n = source.len();
-    if n == 0 {
-        return Err(Error::InvalidParameter(
-            "cannot sample an empty source".into(),
-        ));
-    }
-    if config.target_size == 0 {
-        return Err(Error::InvalidParameter("target_size must be >= 1".into()));
-    }
-    if source.dim() != estimator.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: estimator.dim(),
-            got: source.dim(),
-        });
-    }
-    if !(config.density_floor > 0.0) {
-        return Err(Error::InvalidParameter(
-            "density_floor must be positive".into(),
-        ));
-    }
-
+    check_inputs(source, estimator, config)?;
     let a = config.exponent;
-    let threads = config.parallelism;
     let floor_rel = config.density_floor;
     let floor = floor_rel * estimator.average_density();
-    let k = estimate_normalizer_obs(estimator, a, floor_rel, threads, recorder)?;
+    let k = estimate_normalizer_obs(estimator, a, floor_rel, config.parallelism, recorder)?;
     if !(k.is_finite() && k > 0.0) {
         return Err(Error::InvalidParameter(format!(
             "approximated normalizer k = {k} is not positive/finite"
         )));
     }
 
-    // The single data pass, chunked across threads. Each chunk evaluates
-    // its densities through the estimator's batch engine (bit-identical to
-    // per-point evaluation), then yields its picks (in point order) and its
-    // clip count; picks concatenate in chunk order and the counts sum, so
-    // the merged result is the same for every parallelism level. Inclusion
-    // draws are keyed on (seed, index) as in the two-pass sampler.
-    let b = config.target_size as f64;
-    recorder.add(Counter::DatasetPasses, 1);
-    let per_chunk = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
-        let mut dens = vec![0.0f64; range.len()];
-        estimator.densities_into_tallied(block, &mut dens, tally);
-        let mut picks: Vec<(usize, Vec<f64>, f64)> = Vec::new();
-        let mut clipped = 0usize;
-        for (off, i) in range.enumerate() {
-            let raw = b * dens[off].max(floor).powf(a) / k;
-            let p = if raw >= 1.0 {
-                clipped += 1;
-                1.0
-            } else {
-                raw
-            };
-            if keyed_unit(config.seed, i as u64) < p {
-                picks.push((i, block.point(i).to_vec(), 1.0 / p));
-            }
+    // The single data pass: each chunk evaluates its densities through the
+    // estimator's batch engine (bit-identical to per-point evaluation).
+    let (sample, clipped) = inclusion_pass(source, config, k, recorder, |_, block, tally, fp| {
+        estimator.densities_into_tallied(block, fp, tally);
+        for f in fp.iter_mut() {
+            *f = f.max(floor).powf(a);
         }
-        tally.add(Counter::SamplerClipEvents, clipped as u64);
-        (picks, clipped)
     })?;
-
-    let mut points = Dataset::with_capacity(source.dim(), config.target_size + 16);
-    let mut weights = Vec::with_capacity(config.target_size + 16);
-    let mut indices = Vec::with_capacity(config.target_size + 16);
-    let mut clipped = 0usize;
-    for (picks, chunk_clipped) in per_chunk {
-        clipped += chunk_clipped;
-        for (i, x, w) in picks {
-            points.push(&x).expect("declared dimension");
-            weights.push(w);
-            indices.push(i);
-        }
-    }
-
     let stats = BiasedSampleStats {
         normalizer_k: k,
         clipped,
         passes: 1,
     };
-    Ok((WeightedSample::new(points, weights, indices)?, stats))
+    Ok((sample, stats))
 }
 
 #[cfg(test)]
@@ -190,7 +134,7 @@ mod tests {
     use super::*;
     use crate::biased::density_biased_sample;
     use dbs_core::rng::seeded;
-    use dbs_core::BoundingBox;
+    use dbs_core::{par, BoundingBox, Dataset};
     use dbs_density::{EstimatorSpec, KdeConfig, KernelDensityEstimator};
     use rand::Rng;
 

@@ -8,8 +8,20 @@
 
 use dbs_core::obs::{Counter, Recorder, Tally};
 use dbs_core::rng::seeded;
-use dbs_core::{Dataset, Error, PointSource, Result, WeightedSample};
+use dbs_core::{Dataset, Error, PointSource, Reservoir, Result, WeightedSample};
 use rand::Rng;
+
+fn check_inputs<S: PointSource + ?Sized>(source: &S, b: usize) -> Result<()> {
+    if b == 0 {
+        return Err(Error::InvalidParameter("sample size must be >= 1".into()));
+    }
+    if source.is_empty() {
+        return Err(Error::InvalidParameter(
+            "cannot sample an empty source".into(),
+        ));
+    }
+    Ok(())
+}
 
 /// Algorithm R: keep the first `b` points, then replace a random slot with
 /// probability `b / (i+1)` for the `i`-th point.
@@ -31,36 +43,13 @@ pub fn reservoir_sample_obs<S: PointSource + ?Sized>(
     seed: u64,
     recorder: &Recorder,
 ) -> Result<WeightedSample> {
-    if b == 0 {
-        return Err(Error::InvalidParameter("sample size must be >= 1".into()));
-    }
-    if source.is_empty() {
-        return Err(Error::InvalidParameter(
-            "cannot sample an empty source".into(),
-        ));
-    }
-    let mut rng = seeded(seed);
-    let dim = source.dim();
-    let mut points = Dataset::with_capacity(dim, b);
-    let mut indices: Vec<usize> = Vec::with_capacity(b);
-    let mut tally = Tally::default();
+    check_inputs(source, b)?;
+    let mut reservoir = Reservoir::new(source.dim(), b, seed);
     recorder.add(Counter::DatasetPasses, 1);
-    source.scan(&mut |i, x| {
-        if i < b {
-            points.push(x).expect("declared dimension");
-            indices.push(i);
-        } else {
-            let slot = rng.gen_range(0..=i);
-            if slot < b {
-                points.point_mut(slot).copy_from_slice(x);
-                indices[slot] = i;
-                tally.add(Counter::ReservoirReplacements, 1);
-            }
-        }
-    })?;
-    recorder.merge(&tally);
-    let n = source.len();
-    WeightedSample::uniform(points, indices, n)
+    source.scan(&mut |i, x| reservoir.offer(i, x))?;
+    recorder.add(Counter::ReservoirReplacements, reservoir.replacements());
+    let (points, indices) = reservoir.into_parts();
+    WeightedSample::uniform(points, indices, source.len())
 }
 
 /// Algorithm L (Li 1994): like Algorithm R but skips ahead geometrically,
@@ -80,14 +69,7 @@ pub fn reservoir_sample_skip_obs<S: PointSource + ?Sized>(
     seed: u64,
     recorder: &Recorder,
 ) -> Result<WeightedSample> {
-    if b == 0 {
-        return Err(Error::InvalidParameter("sample size must be >= 1".into()));
-    }
-    if source.is_empty() {
-        return Err(Error::InvalidParameter(
-            "cannot sample an empty source".into(),
-        ));
-    }
+    check_inputs(source, b)?;
     let mut rng = seeded(seed);
     let dim = source.dim();
     let mut points = Dataset::with_capacity(dim, b);

@@ -3,7 +3,7 @@
 # Format check + lints + tests, exactly as CI would run them.
 check:
     cargo fmt --check
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
     cargo test -q
     cargo build --release --offline --locked --manifest-path pipebench/Cargo.toml
     cargo test --release --offline --locked --manifest-path pipebench/Cargo.toml

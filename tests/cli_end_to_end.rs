@@ -230,6 +230,119 @@ fn density_backends_route_through_the_estimator_factory() {
     }
 }
 
+/// FNV-1a, to pin an output file's bytes in one transcript line.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+#[test]
+fn unbenchmarked_commands_match_their_golden_transcript() {
+    // Every command or mode the pipeline benchmark does not run, at 1 and 7
+    // threads: stdout with the scratch directory shown as `<tmp>`, then each
+    // output file as its byte length and FNV-1a hash.
+    let dir = tmp("golden");
+    let root = dir.display().to_string();
+    std::fs::create_dir_all(&dir).unwrap();
+    write_text(
+        &dir.join("in.txt"),
+        &clustered_noisy(2_000, 2, 0.005, 31).data,
+    )
+    .unwrap();
+    let cases = [
+        "sample <tmp>/in.txt --size 40 --kernels 100 --weights <tmp>/w.txt",
+        "cluster <tmp>/in.txt --clusters 3 --size 300 --kernels 200",
+        "cluster <tmp>/in.txt --clusters 3 --size 300 --partitions 2",
+        "cluster <tmp>/in.txt --clusters 3 --sample-frac 1.0 --partitions 3",
+        "outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --kernels 200",
+        "stream <tmp>/in.txt --size 40 --reservoir 25 --estimator sketch:3:4096 --seed 5 \
+         --weights <tmp>/w.txt --reservoir-out <tmp>/r.txt",
+        "density <tmp>/in.txt --at 0.35,0.31 --kernels 200",
+        "info <tmp>/in.txt",
+        "convert <tmp>/in.txt --output <tmp>/shards --shard-points 4096",
+    ];
+    for threads in ["1", "7"] {
+        let mut transcript = String::new();
+        for case in cases {
+            let argv = format!("{} --threads {threads}", case.replace("<tmp>", &root));
+            let out = run_cli(&argv.split_whitespace().collect::<Vec<_>>()).unwrap();
+            transcript += &format!("$ {case}\n{}", out.replace(&root, "<tmp>"));
+            for name in ["w.txt", "r.txt", "shards/shard-00000.dbss"] {
+                if let Ok(bytes) = std::fs::read(dir.join(name)) {
+                    let (len, hash) = (bytes.len(), fnv1a(&bytes));
+                    transcript += &format!("  <tmp>/{name}: {len} bytes, fnv {hash:016x}\n");
+                }
+            }
+            std::fs::remove_file(dir.join("w.txt")).ok();
+            std::fs::remove_file(dir.join("r.txt")).ok();
+            std::fs::remove_dir_all(dir.join("shards")).ok();
+        }
+        if transcript != GOLDEN {
+            eprintln!("{transcript}");
+        }
+        assert_eq!(transcript, GOLDEN, "threads {threads}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+const GOLDEN: &str = r"$ sample <tmp>/in.txt --size 40 --kernels 100 --weights <tmp>/w.txt
+sampled 44 of 2010 points (target 40, a = 1, normalizer k = 1.1984e7, 0 clipped)
+wrote weights to <tmp>/w.txt
+  [0.8077761397299625, 0.8077390095943964]
+  [0.3772759375627369, 0.7327007946391868]
+  [0.35757709413691696, 0.8053019906323639]
+  [0.3069949297491101, 0.7960253565160093]
+  [0.376384414762746, 0.8219318304871098]
+  ... (39 more; use --output FILE)
+  <tmp>/w.txt: 797 bytes, fnv ecceae74e9ca1c34
+$ cluster <tmp>/in.txt --clusters 3 --size 300 --kernels 200
+clustered a 289-point sample into 3 clusters (98 sample points trimmed as noise)
+  cluster 0: 162 sample points (≈942 dataset points), mean [0.595, 0.753]
+  cluster 1: 16 sample points (≈86 dataset points), mean [0.351, 0.318]
+  cluster 2: 13 sample points (≈144 dataset points), mean [0.931, 0.362]
+$ cluster <tmp>/in.txt --clusters 3 --size 300 --partitions 2
+clustered a 297-point sample into 3 clusters (103 sample points trimmed as noise)
+  cluster 0: 159 sample points (≈978 dataset points), mean [0.618, 0.744]
+  cluster 1: 11 sample points (≈70 dataset points), mean [0.354, 0.309]
+  cluster 2: 24 sample points (≈167 dataset points), mean [0.95, 0.364]
+$ cluster <tmp>/in.txt --clusters 3 --sample-frac 1.0 --partitions 3
+clustered 2010 points from a 2010-point sample into 3 clusters (602 points marked noise)
+  cluster 0: 1090 points, mean [0.593, 0.742]
+  cluster 1: 158 points, mean [0.348, 0.308]
+  cluster 2: 160 points, mean [0.951, 0.35]
+$ outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --kernels 200
+DB(p=1, k=0.03) outliers: 4 found (17 candidates verified, 2 dataset passes + estimator pass)
+  #2001: [0.7491234211488095, 0.09933737071181004]
+  #2006: [0.09943600654431084, 0.7514769865815079]
+  #2007: [0.7979945399137676, 0.056306688206483324]
+  #2008: [0.9810212283403783, 0.8308143013305379]
+$ stream <tmp>/in.txt --size 40 --reservoir 25 --estimator sketch:3:4096 --seed 5 --weights <tmp>/w.txt --reservoir-out <tmp>/r.txt
+streamed 2010 points (2d) into a sketch:3:4096 sketch (96 KiB) + 25-point reservoir
+sampled 36 of 2010 points off the sketch (target 40, a = 1, normalizer k = 3.5430e7, 0 clipped)
+wrote weights to <tmp>/w.txt
+wrote reservoir to <tmp>/r.txt
+  [0.790216696802505, 0.8161053940529776]
+  [0.8104395800806141, 0.8182495957824545]
+  [0.8049325606696902, 0.8204157501622387]
+  [0.8616321473774758, 0.7965079333070094]
+  [0.8445794178407818, 0.7540469896422293]
+  ... (31 more; use --output FILE)
+  <tmp>/w.txt: 547 bytes, fnv e4b47d30f0adce77
+  <tmp>/r.txt: 959 bytes, fnv 4c17c5552394ac4d
+$ density <tmp>/in.txt --at 0.35,0.31 --kernels 200
+density at [0.35, 0.31]: 10740.8006 (average over domain: 2010.0000)
+relative to average: 5.34x
+$ info <tmp>/in.txt
+points:     2010
+dimensions: 2
+min:        [0.09943600654431084, 0.056306688206483324]
+max:        [0.9983837508105228, 0.9430793708240438]
+$ convert <tmp>/in.txt --output <tmp>/shards --shard-points 4096
+wrote 2010 points (2d) to 1 shards in <tmp>/shards
+  <tmp>/shards/shard-00000.dbss: 36256 bytes, fnv 624c885359844897
+";
+
 #[test]
 fn sample_exponent_changes_the_sample() {
     let synth = clustered_noisy(8_000, 2, 0.5, 7);
