@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbs_bench::bench_kde;
-use dbs_core::BoundingBox;
+use dbs_core::{BoundingBox, Metric};
 use dbs_outlier::{
     approx_outliers, cell_based_outliers, estimate_outlier_count, nested_loop_outliers,
     ApproxConfig, DbOutlierParams,
@@ -27,7 +27,7 @@ fn outliers(c: &mut Criterion) {
         bench.iter(|| approx_outliers(&data, &est, &ApproxConfig::new(params)).unwrap());
     });
     group.bench_function("exact_nested_loop", |bench| {
-        bench.iter(|| nested_loop_outliers(&data, &params));
+        bench.iter(|| nested_loop_outliers(&data, &params, Metric::Euclidean));
     });
     group.bench_function("exact_cell_based", |bench| {
         bench.iter(|| cell_based_outliers(&data, &params, &BoundingBox::unit(2)));

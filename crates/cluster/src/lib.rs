@@ -12,7 +12,7 @@
 //! * [`birch`] — the BIRCH comparison method \[31\]: a CF-tree summarizing
 //!   the *entire* dataset under a memory budget equal to the sample size,
 //!   followed by hierarchical global clustering of the leaf entries.
-//! * [`kmeans`] / [`kmedoids`] — weight-aware partitional algorithms; §3.1
+//! * [`mod@kmeans`] / [`mod@kmedoids`] — weight-aware partitional algorithms; §3.1
 //!   explains that biased samples must be debiased with `1/p_i` weights for
 //!   these objectives.
 //! * [`partitioned`] — the scalable path around the quadratic merge loop:

@@ -22,7 +22,7 @@
 //! # Determinism contract
 //!
 //! The partitioned path is bit-reproducible at every thread count, and its
-//! `p = 1` degenerate case is **bit-identical** to [`hierarchical_cluster`]
+//! `p = 1` degenerate case is **bit-identical** to [`hierarchical_cluster`](crate::hierarchical_cluster)
 //! (`tests/hierarchical_parity.rs` property-tests this):
 //!
 //! * partition membership is a pure function of `(n, p)` on the fixed

@@ -62,6 +62,20 @@ impl Metric {
             _ => distance,
         }
     }
+
+    /// Volume of the `d`-dimensional ball of radius `r` under this metric:
+    /// `V_d(r) = pi^{d/2} / Gamma(d/2 + 1) * r^d` for L2, the cross-polytope
+    /// `(2r)^d / d!` for L1, the cube `(2r)^d` for L∞. Used by the
+    /// approximate outlier detector to convert densities into expected
+    /// neighbor counts.
+    pub fn ball_volume(&self, dim: usize, r: f64) -> f64 {
+        assert!(dim >= 1);
+        match self {
+            Metric::Euclidean => unit_ball_volume(dim) * r.powi(dim as i32),
+            Metric::Manhattan => (1..=dim).fold(1.0, |v, j| v * (2.0 * r / j as f64)),
+            Metric::Chebyshev => (2.0 * r).powi(dim as i32),
+        }
+    }
 }
 
 /// Squared Euclidean distance.
@@ -80,15 +94,6 @@ pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     euclidean_sq(a, b).sqrt()
-}
-
-/// Volume of a `d`-dimensional Euclidean ball of radius `r`.
-///
-/// `V_d(r) = pi^{d/2} / Gamma(d/2 + 1) * r^d`. Used by the approximate
-/// outlier detector to convert densities into expected neighbor counts.
-pub fn ball_volume(dim: usize, r: f64) -> f64 {
-    assert!(dim >= 1);
-    unit_ball_volume(dim) * r.powi(dim as i32)
 }
 
 /// Volume of the unit ball in `d` dimensions, via the recurrence
@@ -134,12 +139,28 @@ mod tests {
 
     #[test]
     fn ball_volumes_match_closed_forms() {
-        // V_1(r) = 2r, V_2(r) = pi r^2, V_3(r) = 4/3 pi r^3.
-        assert!((ball_volume(1, 2.0) - 4.0).abs() < 1e-12);
-        assert!((ball_volume(2, 1.0) - std::f64::consts::PI).abs() < 1e-12);
-        assert!((ball_volume(3, 1.0) - 4.0 / 3.0 * std::f64::consts::PI).abs() < 1e-12);
+        use std::f64::consts::PI;
+        let cases = [
+            // L2: V_1(r) = 2r, V_2(r) = pi r^2, V_3(r) = 4/3 pi r^3.
+            (Metric::Euclidean, 1, 2.0, 4.0),
+            (Metric::Euclidean, 2, 1.0, PI),
+            (Metric::Euclidean, 3, 1.0, 4.0 / 3.0 * PI),
+            // L1: the 2-d ball is a square rotated 45°, area 2r².
+            (Metric::Manhattan, 2, 1.0, 2.0),
+            (Metric::Manhattan, 3, 1.0, 4.0 / 3.0),
+            // L∞: the cube (2r)^d.
+            (Metric::Chebyshev, 2, 0.5, 1.0),
+            (Metric::Chebyshev, 3, 1.0, 8.0),
+        ];
+        for (metric, dim, r, want) in cases {
+            let got = metric.ball_volume(dim, r);
+            assert!(
+                (got - want).abs() < 1e-12,
+                "{metric:?} d={dim} r={r}: {got}"
+            );
+        }
         // Higher even dimension: V_4 = pi^2/2.
-        assert!((unit_ball_volume(4) - std::f64::consts::PI.powi(2) / 2.0).abs() < 1e-12);
+        assert!((unit_ball_volume(4) - PI.powi(2) / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -153,14 +153,11 @@ mod tests {
         queries.push(&[-0.1, 0.2]).unwrap();
         let est = fit(&ds, 8);
         let block = PointBlock::from_dataset(&queries, 0..queries.len());
-        let mut plain = vec![0.0; queries.len()];
-        let mut tallied = vec![0.0; queries.len()];
-        est.densities_into(&block, &mut plain);
-        est.densities_into_tallied(&block, &mut tallied, &mut Tally::default());
+        let mut out = vec![0.0; queries.len()];
+        est.densities_into(&block, &mut out, &mut Tally::default());
         for i in 0..queries.len() {
             let want = est.density(queries.point(i)).to_bits();
-            assert_eq!(plain[i].to_bits(), want, "point {i}");
-            assert_eq!(tallied[i].to_bits(), want, "point {i}");
+            assert_eq!(out[i].to_bits(), want, "point {i}");
         }
     }
 
@@ -172,7 +169,7 @@ mod tests {
         let est = fit(&ds, 8);
         let mut out = vec![0.0; 1001];
         let mut tally = Tally::default();
-        est.densities_into_tallied(
+        est.densities_into(
             &PointBlock::from_dataset(&queries, 0..1001),
             &mut out,
             &mut tally,

@@ -13,7 +13,7 @@
 //! 2. **Panel gather** — the tile's candidate centers are gathered from a
 //!    transposed (structure-of-arrays) copy of the centers into contiguous
 //!    per-dimension panels.
-//! 3. **Register-blocked micro-kernel** — micro-blocks of [`BLOCK`] query
+//! 3. **Register-blocked micro-kernel** — micro-blocks of `BLOCK` (4) query
 //!    points are evaluated against the panel with the kernel profile
 //!    monomorphized ([`KernelProfile`]) and the 2-d/3-d loops specialized,
 //!    so the compiler can keep accumulators in registers and
@@ -398,6 +398,7 @@ mod tests {
             est.densities_into(
                 &dbs_core::PointBlock::from_dataset(ds, range.clone()),
                 &mut out,
+                &mut dbs_core::obs::Tally::default(),
             );
             for (k, i) in range.enumerate() {
                 let want = est.density(ds.point(i));

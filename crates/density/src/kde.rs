@@ -314,16 +314,9 @@ impl DensityEstimator for KernelDensityEstimator {
 
     /// The cache-blocked batch engine (see [`crate::batch`]): tile-shared
     /// candidate pruning + SoA panels + register-blocked micro-kernels,
-    /// bit-identical to per-point [`DensityEstimator::density`] calls.
-    fn densities_into(&self, points: &dbs_core::PointBlock, out: &mut [f64]) {
-        let mut scratch = dbs_core::obs::Tally::default();
-        crate::batch::kde_densities_into(self, points, out, &mut scratch);
-    }
-
-    /// [`DensityEstimator::densities_into`] with the batch engine's work
-    /// counts (tiles, grid candidate visits, kernel evaluations) recorded
-    /// into `tally`. Same computation, same bits.
-    fn densities_into_tallied(
+    /// bit-identical to per-point [`DensityEstimator::density`] calls. It
+    /// counts tiles, grid candidate visits and kernel evaluations.
+    fn densities_into(
         &self,
         points: &dbs_core::PointBlock,
         out: &mut [f64],

@@ -36,8 +36,9 @@
 //! [`DensityEstimator`], so the CLI and experiment harness never hardwire
 //! a concrete estimator type.
 //!
-//! [`ball::integrate_ball`] estimates `∫_{Ball(O,r)} f`, the quantity the
-//! approximate outlier detector of §3.2 uses to prune non-outliers.
+//! [`ball::expected_neighbors`] estimates `∫_{Ball(O,r)} f` over an L2, L1
+//! or L∞ ball, the quantity the approximate outlier detector of §3.2 uses
+//! to prune non-outliers.
 
 // Numeric-kernel loops in this crate index several parallel slices at once,
 // and NaN-rejecting guards are written as negated comparisons on purpose.

@@ -468,7 +468,7 @@ impl<S: CounterStore> DensityEstimator for ShiftedGrids<S> {
     /// ([`Counter::AgridGridsAveraged`], `m` per chunk) and the counter
     /// reads ([`Counter::AgridCellTouches`], `m` per in-domain query).
     /// Bit-identical to [`DensityEstimator::density`] per point.
-    fn densities_into_tallied(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
+    fn densities_into(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
         let mut inside = 0u64;
         for (o, i) in out.iter_mut().zip(block.range()) {
             let x = block.point(i);

@@ -28,37 +28,29 @@ pub trait DensityEstimator {
     fn average_density(&self) -> f64;
 
     /// Batch hook: writes the densities of the points in `block` into
-    /// `out` (`out[k]` = density of point `block.range().start + k`).
+    /// `out` (`out[k]` = density of point `block.range().start + k`), and
+    /// counts the work done (kernel evaluations, tiles, grid candidate
+    /// visits, counter reads) into `tally`.
     ///
     /// The contract is **bit-identical** to calling
-    /// [`DensityEstimator::density`] once per point in index order — a
-    /// backend may override this with a faster blocked evaluation only if
-    /// it preserves that equivalence (see `KernelDensityEstimator`, whose
-    /// override is the cache-blocked engine in `dbs_density::batch`). The
-    /// default is the per-point fallback, which is all the wavelet backend
-    /// and the shifted-grid presets need.
+    /// [`DensityEstimator::density`] once per point in index order,
+    /// whatever the tally — a backend may override this with a faster
+    /// blocked evaluation only if it preserves that equivalence (see
+    /// `KernelDensityEstimator`, whose override is the cache-blocked engine
+    /// in `dbs_density::batch`). The default is the per-point fallback and
+    /// records nothing; the wavelet backend uses it.
     ///
     /// Taking a [`PointBlock`] (not a whole `Dataset`) is what lets the
     /// executor evaluate chunks of an out-of-core source directly from each
     /// worker's chunk buffer. This is the per-chunk primitive under
     /// [`batch_densities`]; callers wanting a whole-dataset vector should
     /// use that (or [`DensityEstimator::densities`]) instead.
-    fn densities_into(&self, block: &PointBlock, out: &mut [f64]) {
+    fn densities_into(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
+        let _ = tally;
         debug_assert_eq!(out.len(), block.len());
         for (o, i) in out.iter_mut().zip(block.range()) {
             *o = self.density(block.point(i));
         }
-    }
-
-    /// [`DensityEstimator::densities_into`] with an operation [`Tally`]:
-    /// backends that count work (kernel evaluations, tiles, grid candidate
-    /// visits) accumulate into `tally`; the default ignores it and
-    /// delegates to the plain hook. Recording is strictly observational —
-    /// the written densities are bit-identical to
-    /// [`DensityEstimator::densities_into`] regardless of the tally.
-    fn densities_into_tallied(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
-        let _ = tally;
-        self.densities_into(block, out);
     }
 
     /// A stored point set that is a *uniform sample* of the fitted dataset,
@@ -120,7 +112,7 @@ where
 
 /// [`batch_densities`] with metrics: per-chunk work counts (kernel
 /// evaluations, tiles, candidate visits — whatever the backend's
-/// [`DensityEstimator::densities_into_tallied`] records) are merged into
+/// [`DensityEstimator::densities_into`] records) are merged into
 /// `recorder` in chunk order. The returned densities are bit-identical to
 /// [`batch_densities`] whether the recorder is enabled or not.
 ///
@@ -138,7 +130,7 @@ where
 {
     let nested = dbs_core::par::par_scan_tallied(source, threads, recorder, |_, block, tally| {
         let mut out = vec![0.0f64; block.len()];
-        est.densities_into_tallied(block, &mut out, tally);
+        est.densities_into(block, &mut out, tally);
         out
     })?;
     Ok(nested.into_iter().flatten().collect())

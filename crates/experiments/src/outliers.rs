@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use dbs_core::obs::{Counter, Recorder};
-use dbs_core::{BoundingBox, Result};
+use dbs_core::{BoundingBox, Metric, Result};
 use dbs_density::EstimatorSpec;
 use dbs_outlier::{approx_outliers_obs, nested_loop_outliers, ApproxConfig, DbOutlierParams};
 use dbs_synth::outliers::planted_outliers;
@@ -92,7 +92,7 @@ pub fn run(scale: Scale, seed: u64) -> Result<Vec<OutlierRow>> {
         let approx_secs = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let exact = nested_loop_outliers(data, &params);
+        let exact = nested_loop_outliers(data, &params, Metric::Euclidean);
         let exact_secs = t1.elapsed().as_secs_f64();
 
         let true_positives = report.outliers.iter().filter(|o| exact.contains(o)).count();

@@ -13,12 +13,18 @@
 //! estimator — the §4.5 result this module reproduces. A slack factor on
 //! the pruning threshold trades candidate-set size against the risk of the
 //! density estimate smoothing an outlier away.
+//!
+//! The distance is the config's [`Metric`]: L2 by default, or L1/L∞ —
+//! "different distance metrics (for example the L1 or Manhattan metric)
+//! can be used equally well" (§3.2). Only the ball integral and the final
+//! distance test depend on it.
 
 use std::num::NonZeroUsize;
 
+use dbs_core::metric::Metric;
 use dbs_core::obs::{Counter, Recorder};
-use dbs_core::{par, BoundingBox, Dataset, Error, PointSource, Result};
-use dbs_density::ball::expected_neighbors_tallied;
+use dbs_core::{par, Dataset, Error, PointSource, Result};
+use dbs_density::ball::expected_neighbors;
 use dbs_density::DensityEstimator;
 use dbs_spatial::GridIndex;
 
@@ -43,10 +49,12 @@ pub struct ApproxConfig {
     /// addition, so the report is identical for every value; `1` executes
     /// serially.
     pub parallelism: NonZeroUsize,
+    /// The distance under which neighbors are counted. Default L2.
+    pub metric: Metric,
 }
 
 impl ApproxConfig {
-    /// Defaults: slack 3, 64 quadrature samples, all available cores.
+    /// Defaults: slack 3, 64 quadrature samples, all available cores, L2.
     pub fn new(params: DbOutlierParams) -> Self {
         ApproxConfig {
             params,
@@ -54,6 +62,7 @@ impl ApproxConfig {
             ball_samples: 64,
             seed: 0,
             parallelism: par::available_parallelism(),
+            metric: Metric::Euclidean,
         }
     }
 }
@@ -71,16 +80,13 @@ pub struct OutlierReport {
     pub passes: usize,
 }
 
-/// The checks both density-pruned detectors (this one and
-/// [`crate::approx_outliers_metric`]) make before any pass. `!(>= 1.0)`
-/// also rejects a NaN `slack`, and the finiteness check catches `+inf`,
-/// which would disable pruning entirely. Zero ball samples would reach the
-/// Monte-Carlo integral's assert and panic, inside a worker thread for the
-/// parallel detector.
-pub(crate) fn check_detector(
+/// The checks both density-pruned entry points make before any pass. A
+/// negative or NaN radius and zero ball samples would reach the
+/// Monte-Carlo integral's asserts and panic inside a worker thread.
+fn check_detector(
     source_dim: usize,
     estimator_dim: usize,
-    slack: f64,
+    params: &DbOutlierParams,
     ball_samples: usize,
 ) -> Result<()> {
     if source_dim != estimator_dim {
@@ -89,11 +95,7 @@ pub(crate) fn check_detector(
             got: source_dim,
         });
     }
-    if !(slack >= 1.0) || !slack.is_finite() {
-        return Err(Error::InvalidParameter(
-            "slack must be finite and >= 1".into(),
-        ));
-    }
+    params.check()?;
     if ball_samples == 0 {
         return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
     }
@@ -153,10 +155,17 @@ where
     check_detector(
         source.dim(),
         estimator.dim(),
-        config.slack,
+        &config.params,
         config.ball_samples,
     )?;
+    // `!(>= 1.0)` also rejects a NaN slack; `+inf` would disable pruning.
+    if !(config.slack >= 1.0) || !config.slack.is_finite() {
+        return Err(Error::InvalidParameter(
+            "slack must be finite and >= 1".into(),
+        ));
+    }
     let threads = config.parallelism;
+    let metric = config.metric;
     let k = config.params.radius;
     let p = config.params.max_neighbors;
     let threshold = config.slack * (p as f64 + 1.0);
@@ -175,12 +184,12 @@ where
     // density screen runs through the estimator's batch engine
     // (`densities_into`, bit-identical to per-point evaluation) on each
     // chunk.
-    let ball_vol = dbs_core::metric::ball_volume(source.dim(), k);
+    let ball_vol = metric.ball_volume(source.dim(), k);
     let skip_above = 1000.0 * threshold;
     recorder.add(Counter::DatasetPasses, 1);
     let kept_chunks = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
         let mut dens = vec![0.0f64; range.len()];
-        estimator.densities_into_tallied(block, &mut dens, tally);
+        estimator.densities_into(block, &mut dens, tally);
         let mut kept: Vec<(usize, Vec<f64>)> = Vec::new();
         for (off, i) in range.enumerate() {
             if dens[off] * ball_vol > skip_above {
@@ -188,8 +197,9 @@ where
                 continue;
             }
             let x = block.point(i);
-            let expected = expected_neighbors_tallied(
+            let expected = expected_neighbors(
                 estimator,
+                metric,
                 x,
                 k,
                 config.ball_samples,
@@ -214,8 +224,10 @@ where
 
     // Pass 2: count true neighbors of every candidate simultaneously in one
     // scan. A grid over the candidates finds which of them each data point
-    // is near. Each chunk counts into its own table and the tables sum —
-    // integer addition, so the merged counts equal the serial scan's.
+    // is near: its box query `[x - k, x + k]` holds the L1, L2 and L∞ balls
+    // of radius `k` alike. Each chunk counts into its own table and the
+    // tables sum — integer addition, so the merged counts equal the serial
+    // scan's.
     let mut neighbor_counts = vec![0usize; candidates];
     if candidates > 0 {
         let grid_domain = candidate_points
@@ -224,7 +236,7 @@ where
             .inflate(k);
         let res = GridIndex::auto_resolution(candidates.max(16), source.dim(), 4);
         let grid = GridIndex::build(&candidate_points, grid_domain, res);
-        let r2 = k * k;
+        let rank_k = metric.rank_distance_of(k);
         let candidate_points = &candidate_points;
         let candidate_indices = &candidate_indices;
         recorder.add(Counter::DatasetPasses, 1);
@@ -237,7 +249,7 @@ where
                     let ci = ci as usize;
                     if candidate_indices[ci] != i {
                         dist_evals += 1;
-                        if dbs_core::metric::euclidean_sq(x, candidate_points.point(ci)) <= r2 {
+                        if metric.rank_distance(x, candidate_points.point(ci)) <= rank_k {
                             local[ci] += 1;
                         }
                     }
@@ -275,7 +287,7 @@ where
 /// One-pass estimate of the *number* of DB(p,k) outliers in the dataset —
 /// the §3.2 feature that "gives the opportunity for experimental
 /// exploration of k and p" without running the full detector: it counts
-/// the points whose expected neighborhood population is at most `p + 1`.
+/// the points whose expected L2 neighborhood population is at most `p + 1`.
 pub fn estimate_outlier_count<S, E>(
     source: &S,
     estimator: &E,
@@ -315,17 +327,7 @@ where
     S: PointSource + ?Sized,
     E: DensityEstimator + Sync + ?Sized,
 {
-    if source.dim() != estimator.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: estimator.dim(),
-            got: source.dim(),
-        });
-    }
-    if ball_samples == 0 {
-        // Same panic path as in `approx_outliers`: surface the
-        // misconfiguration as an error, not a worker-thread abort.
-        return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
-    }
+    check_detector(source.dim(), estimator.dim(), params, ball_samples)?;
     let threshold = params.max_neighbors as f64 + 1.0;
     recorder.add(Counter::DatasetPasses, 1);
     // Per-chunk serial fold + chunk-ordered integer sum — the same
@@ -333,8 +335,9 @@ where
     let per_chunk = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
         let mut count = 0usize;
         for i in range {
-            let expected = expected_neighbors_tallied(
+            let expected = expected_neighbors(
                 estimator,
+                Metric::Euclidean,
                 block.point(i),
                 params.radius,
                 ball_samples,
@@ -348,32 +351,23 @@ where
     Ok(per_chunk.into_iter().sum())
 }
 
-/// Convenience: fit a KDE on the data and run the full pipeline, returning
-/// the report. `domain` defaults to the unit cube.
-pub fn approx_outliers_with_kde(
-    data: &Dataset,
-    config: &ApproxConfig,
-    num_centers: usize,
-    domain: Option<BoundingBox>,
-    kde_seed: u64,
-) -> Result<OutlierReport> {
-    let kde_cfg = dbs_density::KdeConfig {
-        num_centers,
-        domain,
-        seed: kde_seed,
-        ..Default::default()
-    };
-    let est = dbs_density::KernelDensityEstimator::fit_dataset(data, &kde_cfg)?;
-    approx_outliers(data, &est, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nested::nested_loop_outliers;
     use dbs_core::rng::seeded;
+    use dbs_core::BoundingBox;
     use dbs_density::{KdeConfig, KernelDensityEstimator};
     use rand::Rng;
+
+    const METRICS: [Metric; 3] = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
+
+    fn with_metric(params: DbOutlierParams, metric: Metric) -> ApproxConfig {
+        ApproxConfig {
+            metric,
+            ..ApproxConfig::new(params)
+        }
+    }
 
     /// Two dense blobs plus isolated planted outliers (appended last).
     fn planted(seed: u64) -> (Dataset, Vec<usize>) {
@@ -421,15 +415,17 @@ mod tests {
         let (ds, _) = planted(1);
         let params = DbOutlierParams::new(0.08, 2).unwrap();
         let est = kde(&ds);
-        let report = approx_outliers(&ds, &est, &ApproxConfig::new(params)).unwrap();
-        let exact = nested_loop_outliers(&ds, &params);
-        assert_eq!(report.outliers, exact);
-        // Pruning must have done real work: far fewer candidates than n.
-        assert!(
-            report.candidates < ds.len() / 4,
-            "candidates {}",
-            report.candidates
-        );
+        for metric in METRICS {
+            let report = approx_outliers(&ds, &est, &with_metric(params, metric)).unwrap();
+            let exact = nested_loop_outliers(&ds, &params, metric);
+            assert_eq!(report.outliers, exact, "{metric:?}");
+            // Pruning must have done real work: far fewer candidates than n.
+            assert!(
+                report.candidates < ds.len() / 4,
+                "{metric:?}: candidates {}",
+                report.candidates
+            );
+        }
     }
 
     #[test]
@@ -437,9 +433,14 @@ mod tests {
         let (ds, truth) = planted(2);
         let params = DbOutlierParams::new(0.1, 3).unwrap();
         let est = kde(&ds);
-        let report = approx_outliers(&ds, &est, &ApproxConfig::new(params)).unwrap();
-        for t in &truth {
-            assert!(report.outliers.contains(t), "missed planted outlier {t}");
+        for metric in METRICS {
+            let report = approx_outliers(&ds, &est, &with_metric(params, metric)).unwrap();
+            for t in &truth {
+                assert!(
+                    report.outliers.contains(t),
+                    "{metric:?} missed planted outlier {t}"
+                );
+            }
         }
     }
 
@@ -450,12 +451,14 @@ mod tests {
         let (ds, _) = planted(3);
         let params = DbOutlierParams::new(0.08, 2).unwrap();
         let est = kde(&ds);
-        let mut cfg = ApproxConfig::new(params);
-        cfg.slack = 10.0;
-        let report = approx_outliers(&ds, &est, &cfg).unwrap();
-        let exact = nested_loop_outliers(&ds, &params);
-        assert_eq!(report.outliers, exact);
-        assert!(report.candidates >= exact.len());
+        for metric in METRICS {
+            let mut cfg = with_metric(params, metric);
+            cfg.slack = 10.0;
+            let report = approx_outliers(&ds, &est, &cfg).unwrap();
+            let exact = nested_loop_outliers(&ds, &params, metric);
+            assert_eq!(report.outliers, exact, "{metric:?}");
+            assert!(report.candidates >= exact.len(), "{metric:?}");
+        }
     }
 
     #[test]
@@ -484,23 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_helper_runs_end_to_end() {
-        let (ds, truth) = planted(7);
-        let params = DbOutlierParams::new(0.1, 3).unwrap();
-        let report = approx_outliers_with_kde(
-            &ds,
-            &ApproxConfig::new(params),
-            500,
-            Some(BoundingBox::unit(2)),
-            8,
-        )
-        .unwrap();
-        for t in &truth {
-            assert!(report.outliers.contains(t));
-        }
-    }
-
-    #[test]
     fn no_candidates_short_circuits() {
         // Uniform dense data with a huge radius: nothing looks sparse.
         let mut rng = seeded(9);
@@ -520,24 +506,56 @@ mod tests {
         let (ds, _) = planted(10);
         let est = kde(&ds);
         let params = DbOutlierParams::new(0.1, 3).unwrap();
-        let mut cfg = ApproxConfig::new(params);
-        cfg.slack = 0.5;
-        assert!(approx_outliers(&ds, &est, &cfg).is_err());
+        for metric in METRICS {
+            let mut cfg = with_metric(params, metric);
+            cfg.slack = 0.5;
+            assert!(approx_outliers(&ds, &est, &cfg).is_err(), "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn bad_radius_is_rejected() {
+        // The fields are public, so a radius can bypass
+        // `DbOutlierParams::new`. It must surface as an error, not as a
+        // worker panic in the ball integral or an all-points report.
+        let (ds, _) = planted(14);
+        let est = kde(&ds);
+        for radius in [-0.1, 0.0, f64::NAN, f64::INFINITY] {
+            let params = DbOutlierParams {
+                radius,
+                max_neighbors: 3,
+            };
+            for metric in METRICS {
+                match approx_outliers(&ds, &est, &with_metric(params, metric)) {
+                    Err(Error::InvalidParameter(msg)) => assert!(msg.contains("radius"), "{msg}"),
+                    other => panic!("{metric:?}, radius {radius}: {other:?}"),
+                }
+            }
+            assert!(
+                matches!(
+                    estimate_outlier_count(&ds, &est, &params, 16, 6, par::serial()),
+                    Err(Error::InvalidParameter(_))
+                ),
+                "count estimate, radius {radius}"
+            );
+        }
     }
 
     #[test]
     fn zero_ball_samples_is_an_error_not_a_panic() {
-        // Regression: ball_samples = 0 used to reach `integrate_ball`'s
+        // Regression: ball_samples = 0 used to reach the ball integral's
         // assert and abort a par worker; it must surface as
         // InvalidParameter from both entry points.
         let (ds, _) = planted(11);
         let est = kde(&ds);
         let params = DbOutlierParams::new(0.1, 3).unwrap();
-        let mut cfg = ApproxConfig::new(params);
-        cfg.ball_samples = 0;
-        match approx_outliers(&ds, &est, &cfg) {
-            Err(Error::InvalidParameter(msg)) => assert!(msg.contains("ball_samples"), "{msg}"),
-            other => panic!("expected InvalidParameter, got {other:?}"),
+        for metric in METRICS {
+            let mut cfg = with_metric(params, metric);
+            cfg.ball_samples = 0;
+            match approx_outliers(&ds, &est, &cfg) {
+                Err(Error::InvalidParameter(msg)) => assert!(msg.contains("ball_samples"), "{msg}"),
+                other => panic!("{metric:?}: expected InvalidParameter, got {other:?}"),
+            }
         }
         match estimate_outlier_count(&ds, &est, &params, 0, 6, par::serial()) {
             Err(Error::InvalidParameter(msg)) => assert!(msg.contains("ball_samples"), "{msg}"),
@@ -550,16 +568,15 @@ mod tests {
         let (ds, _) = planted(12);
         let est = kde(&ds);
         let params = DbOutlierParams::new(0.1, 3).unwrap();
-        for bad in [f64::INFINITY, f64::NAN] {
-            let mut cfg = ApproxConfig::new(params);
-            cfg.slack = bad;
-            assert!(
-                matches!(
-                    approx_outliers(&ds, &est, &cfg),
-                    Err(Error::InvalidParameter(_))
-                ),
-                "slack = {bad}"
-            );
+        for metric in METRICS {
+            for bad in [f64::INFINITY, f64::NAN] {
+                let mut cfg = with_metric(params, metric);
+                cfg.slack = bad;
+                match approx_outliers(&ds, &est, &cfg) {
+                    Err(Error::InvalidParameter(msg)) => assert!(msg.contains("slack"), "{msg}"),
+                    other => panic!("{metric:?}, slack = {bad}: {other:?}"),
+                }
+            }
         }
     }
 
@@ -569,22 +586,24 @@ mod tests {
         let (ds, _) = planted(13);
         let params = DbOutlierParams::new(0.08, 2).unwrap();
         let est = kde(&ds);
-        let cfg = ApproxConfig::new(params);
-        let plain = approx_outliers(&ds, &est, &cfg).unwrap();
-        let rec = Recorder::enabled();
-        let obs = approx_outliers_obs(&ds, &est, &cfg, &rec).unwrap();
-        assert_eq!(obs.outliers, plain.outliers);
-        assert_eq!(obs.candidates, plain.candidates);
-        let snap = rec.snapshot().unwrap();
-        assert_eq!(snap.counter(Counter::DatasetPasses), 2);
-        assert_eq!(
-            snap.counter(Counter::OutlierCandidates),
-            plain.candidates as u64
-        );
-        // Prefilter skips + ball integrals partition the first pass.
-        let skipped = snap.counter(Counter::PrefilterSkips);
-        let integrated = snap.counter(Counter::BallSamples) / cfg.ball_samples as u64;
-        assert_eq!(skipped + integrated, ds.len() as u64);
-        assert!(snap.counter(Counter::VerifyDistanceEvals) > 0);
+        for metric in METRICS {
+            let cfg = with_metric(params, metric);
+            let plain = approx_outliers(&ds, &est, &cfg).unwrap();
+            let rec = Recorder::enabled();
+            let obs = approx_outliers_obs(&ds, &est, &cfg, &rec).unwrap();
+            assert_eq!(obs.outliers, plain.outliers, "{metric:?}");
+            assert_eq!(obs.candidates, plain.candidates, "{metric:?}");
+            let snap = rec.snapshot().unwrap();
+            assert_eq!(snap.counter(Counter::DatasetPasses), 2);
+            assert_eq!(
+                snap.counter(Counter::OutlierCandidates),
+                plain.candidates as u64
+            );
+            // Prefilter skips + ball integrals partition the first pass.
+            let skipped = snap.counter(Counter::PrefilterSkips);
+            let integrated = snap.counter(Counter::BallSamples) / cfg.ball_samples as u64;
+            assert_eq!(skipped + integrated, ds.len() as u64, "{metric:?}");
+            assert!(snap.counter(Counter::VerifyDistanceEvals) > 0, "{metric:?}");
+        }
     }
 }

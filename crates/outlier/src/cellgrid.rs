@@ -15,7 +15,7 @@
 //! original algorithm is practical — the same caveat as the original
 //! paper).
 
-use dbs_core::metric::euclidean_sq;
+use dbs_core::metric::{euclidean_sq, Metric};
 use dbs_core::{BoundingBox, Dataset};
 
 use crate::dbout::DbOutlierParams;
@@ -49,7 +49,7 @@ fn capped_resolution(res: usize, d: usize) -> Option<usize> {
 /// decide the outcome fall back to per-point verification.
 ///
 /// In high dimensions the grid stops being viable: the total cell count is
-/// capped at [`MAX_CELLS`], and when even two cells per dimension would
+/// capped at `MAX_CELLS` (2^22), and when even two cells per dimension would
 /// blow the cap the function falls back to the exact
 /// [`nested_loop_outliers`](crate::nested::nested_loop_outliers) detector —
 /// the result is exact either way.
@@ -89,7 +89,7 @@ pub fn cell_based_outliers(
     // sorted index list.
     let res = match capped_resolution(res, d) {
         Some(r) => r,
-        None => return crate::nested::nested_loop_outliers(data, params),
+        None => return crate::nested::nested_loop_outliers(data, params, Metric::Euclidean),
     };
     let l1 = 1usize; // immediate ring
 
@@ -288,7 +288,7 @@ mod tests {
         let domain = BoundingBox::unit(2);
         for (radius, p) in [(0.05, 3), (0.1, 10), (0.03, 1)] {
             let params = DbOutlierParams::new(radius, p).unwrap();
-            let want = nested_loop_outliers(&ds, &params);
+            let want = nested_loop_outliers(&ds, &params, Metric::Euclidean);
             let got = cell_based_outliers(&ds, &params, &domain);
             assert_eq!(got, want, "radius={radius} p={p}");
         }
@@ -304,7 +304,7 @@ mod tests {
         }
         let domain = BoundingBox::unit(3);
         let params = DbOutlierParams::new(0.1, 2).unwrap();
-        let want = nested_loop_outliers(&ds, &params);
+        let want = nested_loop_outliers(&ds, &params, Metric::Euclidean);
         let got = cell_based_outliers(&ds, &params, &domain);
         assert_eq!(got, want);
     }
@@ -328,7 +328,7 @@ mod tests {
         // cells; results must still match the nested loop.
         let ds = clustered_with_noise(3);
         let params = DbOutlierParams::new(0.5, 30).unwrap();
-        let want = nested_loop_outliers(&ds, &params);
+        let want = nested_loop_outliers(&ds, &params, Metric::Euclidean);
         let got = cell_based_outliers(&ds, &params, &BoundingBox::unit(2));
         assert_eq!(got, want);
     }
@@ -361,7 +361,7 @@ mod tests {
         let d = 8;
         let ds = high_dim_data(d, 400, 4);
         let params = DbOutlierParams::new(0.4, 3).unwrap();
-        let want = nested_loop_outliers(&ds, &params);
+        let want = nested_loop_outliers(&ds, &params, Metric::Euclidean);
         let got = cell_based_outliers(&ds, &params, &BoundingBox::unit(d));
         assert_eq!(got, want);
         assert!(got.contains(&400) && got.contains(&401), "corners found");
@@ -375,7 +375,7 @@ mod tests {
         let d = 16;
         let ds = high_dim_data(d, 200, 5);
         let params = DbOutlierParams::new(0.8, 3).unwrap();
-        let want = nested_loop_outliers(&ds, &params);
+        let want = nested_loop_outliers(&ds, &params, Metric::Euclidean);
         let got = cell_based_outliers(&ds, &params, &BoundingBox::unit(d));
         assert_eq!(got, want);
     }
@@ -387,7 +387,7 @@ mod tests {
         let d = 32;
         let ds = high_dim_data(d, 60, 6);
         let params = DbOutlierParams::new(1.0, 2).unwrap();
-        let want = nested_loop_outliers(&ds, &params);
+        let want = nested_loop_outliers(&ds, &params, Metric::Euclidean);
         let got = cell_based_outliers(&ds, &params, &BoundingBox::unit(d));
         assert_eq!(got, want);
     }

@@ -14,17 +14,27 @@ pub struct DbOutlierParams {
 }
 
 impl DbOutlierParams {
-    /// Creates the parameters, validating `radius > 0`.
+    /// Creates the parameters, validating them with [`Self::check`].
     pub fn new(radius: f64, max_neighbors: usize) -> Result<Self> {
+        let params = DbOutlierParams {
+            radius,
+            max_neighbors,
+        };
+        params.check()?;
+        Ok(params)
+    }
+
+    /// Rejects a radius that is not finite and positive. The fields are
+    /// public, so the density-pruned detectors repeat this check rather
+    /// than trust that the value came through [`Self::new`].
+    pub fn check(&self) -> Result<()> {
+        let radius = self.radius;
         if !(radius > 0.0) || !radius.is_finite() {
             return Err(Error::InvalidParameter(format!(
                 "radius must be positive, got {radius}"
             )));
         }
-        Ok(DbOutlierParams {
-            radius,
-            max_neighbors,
-        })
+        Ok(())
     }
 
     /// The fraction form of Definition 1: `p = fr * |D|` ("the number of

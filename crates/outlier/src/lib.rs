@@ -8,17 +8,18 @@
 //! detectors).
 //!
 //! * [`nested`] — exact baselines: the classic nested-loop detector with
-//!   early termination, and a kd-tree-accelerated variant.
+//!   early termination under any metric, and a kd-tree-accelerated L2
+//!   variant.
 //! * [`cellgrid`] — the exact cell-based detector of Knorr & Ng: cells of
 //!   side `k/(2√d)` let whole cells be ruled in or out by ring counts.
-//! * [`metric_general`] — both detectors under L1/L∞ metrics ("different
-//!   distance metrics ... can be used equally well", §3.2).
 //! * [`approx`] — the paper's contribution: prune with the *density
 //!   estimate* (`N'(O,k) = ∫_Ball(O,k) f ≤ threshold` keeps `O` as a likely
 //!   outlier), then verify all survivors in one more dataset pass. The
 //!   paper reports this finds all outliers "with at most two dataset passes
 //!   plus the dataset pass that is required to compute the density
-//!   estimator" (§4.5) — the pass structure this module reproduces.
+//!   estimator" (§4.5) — the pass structure this module reproduces. The
+//!   distance is [`ApproxConfig::metric`]: L2, or L1/L∞, since "different
+//!   distance metrics ... can be used equally well" (§3.2).
 
 // Numeric-kernel loops in this crate index several parallel slices at once,
 // and NaN-rejecting guards are written as negated comparisons on purpose.
@@ -26,7 +27,6 @@
 pub mod approx;
 pub mod cellgrid;
 pub mod dbout;
-pub mod metric_general;
 pub mod nested;
 
 pub use approx::{
@@ -35,5 +35,4 @@ pub use approx::{
 };
 pub use cellgrid::cell_based_outliers;
 pub use dbout::DbOutlierParams;
-pub use metric_general::{approx_outliers_metric, nested_loop_outliers_metric};
 pub use nested::{kdtree_outliers, nested_loop_outliers};

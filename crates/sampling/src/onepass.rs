@@ -116,7 +116,7 @@ where
     // The single data pass: each chunk evaluates its densities through the
     // estimator's batch engine (bit-identical to per-point evaluation).
     let (sample, clipped) = inclusion_pass(source, config, k, recorder, |_, block, tally, fp| {
-        estimator.densities_into_tallied(block, fp, tally);
+        estimator.densities_into(block, fp, tally);
         for f in fp.iter_mut() {
             *f = f.max(floor).powf(a);
         }

@@ -120,7 +120,8 @@ impl GridIndex {
 
     /// Visits every point index whose cell intersects the axis-aligned box
     /// `[center - radius, center + radius]` — a superset of the points within
-    /// Euclidean distance `radius` of `center`.
+    /// L2, L1 or L∞ distance `radius` of `center` (the box is the L∞ ball and
+    /// contains the other two).
     ///
     /// Candidates are yielded in **ascending point-index order**. This is
     /// the canonical accumulation order of the density paths: both the

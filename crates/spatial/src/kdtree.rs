@@ -2,7 +2,7 @@
 
 use std::num::NonZeroUsize;
 
-use dbs_core::{par, BoundingBox, Dataset};
+use dbs_core::{par, Dataset};
 
 /// A node of the kd-tree, stored in a flat arena.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,26 +327,14 @@ impl KdTree {
         (best.0 as usize, best.1.sqrt())
     }
 
-    /// Nearest neighbor of `query` excluding the point at `exclude`
-    /// (useful when the query is itself an indexed point).
-    pub fn nearest_excluding(
-        &self,
-        data: &Dataset,
-        query: &[f64],
-        exclude: usize,
-    ) -> Option<(usize, f64)> {
-        self.nearest_excluding_sq(data, query, exclude)
-            .map(|(i, d)| (i, d.sqrt()))
-    }
-
-    /// [`KdTree::nearest_excluding`] returning the **squared** distance.
+    /// Nearest neighbor of `query` excluding the point at `exclude` (useful
+    /// when the query is itself an indexed point), returning the
+    /// **squared** distance.
     ///
     /// The squared value is exactly what the search computed
     /// (`euclidean_sq`, no rounding through a square root), so callers that
     /// work in squared distances throughout — the hierarchical merge loop —
-    /// stay bit-equal to direct `euclidean_sq` comparisons. Squaring the
-    /// rounded return of [`KdTree::nearest_excluding`] instead can differ
-    /// in the last ulp.
+    /// stay bit-equal to direct `euclidean_sq` comparisons.
     pub fn nearest_excluding_sq(
         &self,
         data: &Dataset,
@@ -467,10 +455,7 @@ impl KdTree {
 
     /// Counts points within Euclidean distance `r` of `query` (inclusive).
     pub fn count_within(&self, data: &Dataset, query: &[f64], r: f64) -> usize {
-        let mut count = 0usize;
-        let r2 = r * r;
-        self.within_rec(data, query, self.root, r2, &mut |_| count += 1);
-        count
+        self.count_within_capped(data, query, r, usize::MAX)
     }
 
     /// Counts points within distance `r`, stopping early once the count
@@ -522,84 +507,6 @@ impl KdTree {
                 self.within_capped_rec(data, query, near, r2, cap, count);
                 if diff * diff <= r2 {
                     self.within_capped_rec(data, query, far, r2, cap, count);
-                }
-            }
-        }
-    }
-
-    /// Reports the indices of all points within Euclidean distance `r` of
-    /// `query` (inclusive).
-    pub fn within(&self, data: &Dataset, query: &[f64], r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        let r2 = r * r;
-        self.within_rec(data, query, self.root, r2, &mut |i| out.push(i as usize));
-        out
-    }
-
-    fn within_rec(
-        &self,
-        data: &Dataset,
-        query: &[f64],
-        node: u32,
-        r2: f64,
-        emit: &mut impl FnMut(u32),
-    ) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, end } => {
-                for &i in &self.indices[*start as usize..*end as usize] {
-                    if dbs_core::metric::euclidean_sq(query, data.point(i as usize)) <= r2 {
-                        emit(i);
-                    }
-                }
-            }
-            Node::Split {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                let diff = query[*dim] - value;
-                let (near, far) = if diff < 0.0 {
-                    (*left, *right)
-                } else {
-                    (*right, *left)
-                };
-                self.within_rec(data, query, near, r2, emit);
-                if diff * diff <= r2 {
-                    self.within_rec(data, query, far, r2, emit);
-                }
-            }
-        }
-    }
-
-    /// Reports the indices of all points inside `bbox` (boundaries
-    /// inclusive).
-    pub fn range_box(&self, data: &Dataset, bbox: &BoundingBox) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.range_box_rec(data, bbox, self.root, &mut out);
-        out
-    }
-
-    fn range_box_rec(&self, data: &Dataset, bbox: &BoundingBox, node: u32, out: &mut Vec<usize>) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, end } => {
-                for &i in &self.indices[*start as usize..*end as usize] {
-                    if bbox.contains(data.point(i as usize)) {
-                        out.push(i as usize);
-                    }
-                }
-            }
-            Node::Split {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                if bbox.min()[*dim] <= *value {
-                    self.range_box_rec(data, bbox, *left, out);
-                }
-                if bbox.max()[*dim] >= *value {
-                    self.range_box_rec(data, bbox, *right, out);
                 }
             }
         }
@@ -711,8 +618,6 @@ mod tests {
         let q = [0.5, 0.5];
         for r in [0.05, 0.2, 0.7] {
             let count = tree.count_within(&data, &q, r);
-            let reported = tree.within(&data, &q, r);
-            assert_eq!(count, reported.len());
             let brute = data
                 .iter()
                 .filter(|p| dbs_core::metric::euclidean(&q, p) <= r)
@@ -735,28 +640,12 @@ mod tests {
     }
 
     #[test]
-    fn range_box_matches_brute_force() {
-        let data = random_dataset(300, 3, 61);
-        let tree = KdTree::build(&data);
-        let bbox = BoundingBox::new(vec![0.2, 0.3, 0.1], vec![0.6, 0.9, 0.5]);
-        let mut got = tree.range_box(&data, &bbox);
-        got.sort_unstable();
-        let want: Vec<usize> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| bbox.contains(p))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn nearest_excluding_skips_self() {
         let data = Dataset::from_rows(&[vec![0.0, 0.0], vec![1.0, 0.0], vec![5.0, 5.0]]).unwrap();
         let tree = KdTree::build(&data);
-        let (i, d) = tree.nearest_excluding(&data, data.point(0), 0).unwrap();
+        let (i, d2) = tree.nearest_excluding_sq(&data, data.point(0), 0).unwrap();
         assert_eq!(i, 1);
-        assert!((d - 1.0).abs() < 1e-12);
+        assert_eq!(d2, 1.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use dbs_core::BoundingBox;
+use dbs_core::{BoundingBox, Metric};
 use dbs_density::{KdeConfig, KernelDensityEstimator};
 use dbs_outlier::{approx_outliers, nested_loop_outliers, ApproxConfig, DbOutlierParams};
 use dbs_synth::outliers::planted_outliers;
@@ -71,7 +71,7 @@ fn main() -> dbs_core::Result<()> {
 
     // Exact baseline.
     let t2 = Instant::now();
-    let exact = nested_loop_outliers(data, &params);
+    let exact = nested_loop_outliers(data, &params, Metric::Euclidean);
     let exact_time = t2.elapsed();
     println!(
         "nested loop:     {} outliers, {:?}",

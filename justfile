@@ -1,9 +1,10 @@
 # Development shortcuts. `just check` is the pre-commit gate.
 
-# Format check + lints + tests, exactly as CI would run them.
+# Format check + lints + doc links + tests, exactly as CI would run them.
 check:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     cargo test -q
     cargo build --release --offline --locked --manifest-path pipebench/Cargo.toml
     cargo test --release --offline --locked --manifest-path pipebench/Cargo.toml

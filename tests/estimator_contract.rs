@@ -150,7 +150,7 @@ fn batch_is_bit_identical_to_per_point() {
     for (name, est) in backends(&synth.data, 2) {
         let mut out = vec![0.0f64; queries.len()];
         let block = dbs_core::PointBlock::from_dataset(&queries, 0..queries.len());
-        est.densities_into(&block, &mut out);
+        est.densities_into(&block, &mut out, &mut dbs_core::obs::Tally::default());
         for (i, &got) in out.iter().enumerate() {
             let want = est.density(queries.point(i));
             assert_eq!(

@@ -14,7 +14,7 @@ use std::num::NonZeroUsize;
 use dbs_cluster::{hierarchical_cluster_obs, HierarchicalConfig};
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::scan::PassCounter;
-use dbs_core::{BoundingBox, Dataset, WeightedSample};
+use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
 use dbs_density::{batch_densities_obs, KdeConfig, KernelDensityEstimator};
 use dbs_outlier::{approx_outliers_obs, estimate_outlier_count_obs, ApproxConfig, DbOutlierParams};
 use dbs_sampling::{
@@ -155,37 +155,46 @@ fn reservoir_samplers_metrics_parity() {
 fn outlier_detector_metrics_parity() {
     let (data, est) = workload();
     let params = DbOutlierParams::new(0.02, 3).unwrap();
-    let base = ApproxConfig {
-        slack: 5.0,
-        seed: 3,
-        ..ApproxConfig::new(params)
-    };
-    let mut counter_sets = Vec::new();
-    for t in THREADS {
-        let cfg = ApproxConfig {
-            parallelism: nz(t),
-            ..base.clone()
+    for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+        let base = ApproxConfig {
+            slack: 5.0,
+            seed: 3,
+            metric,
+            ..ApproxConfig::new(params)
         };
-        let off = approx_outliers_obs(&data, &est, &cfg, &Recorder::disabled()).unwrap();
-        let rec = Recorder::enabled();
-        let on = approx_outliers_obs(&data, &est, &cfg, &rec).unwrap();
-        assert_eq!(off.outliers, on.outliers, "threads={t}");
-        assert_eq!(off.candidates, on.candidates, "threads={t}");
-        assert_eq!(rec.counter(Counter::DatasetPasses), 2);
+        let mut counter_sets = Vec::new();
+        for t in THREADS {
+            let cfg = ApproxConfig {
+                parallelism: nz(t),
+                ..base.clone()
+            };
+            let off = approx_outliers_obs(&data, &est, &cfg, &Recorder::disabled()).unwrap();
+            let rec = Recorder::enabled();
+            let on = approx_outliers_obs(&data, &est, &cfg, &rec).unwrap();
+            assert_eq!(off.outliers, on.outliers, "{metric:?}, threads={t}");
+            assert_eq!(off.candidates, on.candidates, "{metric:?}, threads={t}");
+            assert_eq!(rec.counter(Counter::DatasetPasses), 2);
+            assert_eq!(
+                rec.counter(Counter::OutlierCandidates),
+                on.candidates as u64
+            );
+            // Pass 1 partitions into skips and ball integrals.
+            let integrated = rec.counter(Counter::BallSamples) / cfg.ball_samples as u64;
+            assert_eq!(
+                rec.counter(Counter::PrefilterSkips) + integrated,
+                data.len() as u64
+            );
+            counter_sets.push(counters(&rec));
+        }
         assert_eq!(
-            rec.counter(Counter::OutlierCandidates),
-            on.candidates as u64
+            counter_sets[0], counter_sets[1],
+            "{metric:?}: threads 1 vs 2"
         );
-        // Pass 1 partitions into skips and ball integrals.
-        let integrated = rec.counter(Counter::BallSamples) / cfg.ball_samples as u64;
         assert_eq!(
-            rec.counter(Counter::PrefilterSkips) + integrated,
-            data.len() as u64
+            counter_sets[0], counter_sets[2],
+            "{metric:?}: threads 1 vs 7"
         );
-        counter_sets.push(counters(&rec));
     }
-    assert_eq!(counter_sets[0], counter_sets[1], "threads 1 vs 2");
-    assert_eq!(counter_sets[0], counter_sets[2], "threads 1 vs 7");
 }
 
 #[test]

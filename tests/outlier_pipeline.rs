@@ -1,7 +1,7 @@
 //! End-to-end checks of the density-pruned outlier detector against the
 //! exact baselines, across estimator backends and dimensions.
 
-use dbs_core::BoundingBox;
+use dbs_core::{BoundingBox, Metric};
 use dbs_density::{KdeConfig, KernelDensityEstimator, ShiftedGrids};
 use dbs_outlier::{
     approx_outliers, cell_based_outliers, estimate_outlier_count, kdtree_outliers,
@@ -31,7 +31,7 @@ fn all_exact_detectors_agree() {
     for dim in [2usize, 3] {
         let (data, _, radius) = workload(dim, 1);
         let params = DbOutlierParams::new(radius, 2).unwrap();
-        let nested = nested_loop_outliers(&data, &params);
+        let nested = nested_loop_outliers(&data, &params, Metric::Euclidean);
         let kd = kdtree_outliers(&data, &params);
         let cells = cell_based_outliers(&data, &params, &BoundingBox::unit(dim));
         assert_eq!(nested, kd, "{dim}-d: kd-tree disagrees");
@@ -60,7 +60,7 @@ fn approx_detector_recovers_exact_set_with_kde() {
             },
         )
         .unwrap();
-        let exact = nested_loop_outliers(&data, &params);
+        let exact = nested_loop_outliers(&data, &params, Metric::Euclidean);
         assert_eq!(report.outliers, exact, "{dim}-d mismatch");
         for p in &planted {
             assert!(
@@ -92,7 +92,7 @@ fn approx_detector_works_with_grid_backend() {
         assert!(report.outliers.contains(p), "grid backend missed {p}");
     }
     // Verification guarantees no false positives regardless of backend.
-    let exact = nested_loop_outliers(&data, &params);
+    let exact = nested_loop_outliers(&data, &params, Metric::Euclidean);
     for o in &report.outliers {
         assert!(exact.contains(o), "false positive {o}");
     }

@@ -8,7 +8,7 @@
 
 use std::num::NonZeroUsize;
 
-use dbs_core::{BoundingBox, Dataset, WeightedSample};
+use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
 use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator};
 use dbs_outlier::{approx_outliers, ApproxConfig, DbOutlierParams};
 use dbs_sampling::{density_biased_sample, one_pass_biased_sample, BiasedConfig};
@@ -181,34 +181,40 @@ fn one_pass_sampler_is_thread_count_independent() {
 fn approx_outlier_detector_is_thread_count_independent() {
     let (data, est) = workload();
     let params = DbOutlierParams::new(0.02, 3).unwrap();
-    let base = ApproxConfig {
-        slack: 5.0,
-        seed: 3,
-        ..ApproxConfig::new(params)
-    };
-    let serial = approx_outliers(
-        &data,
-        &est,
-        &ApproxConfig {
-            parallelism: nz(1),
-            ..base.clone()
-        },
-    )
-    .unwrap();
-    for t in THREADS {
-        let cfg = ApproxConfig {
-            parallelism: nz(t),
-            ..base.clone()
+    for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
+        let base = ApproxConfig {
+            slack: 5.0,
+            seed: 3,
+            metric,
+            ..ApproxConfig::new(params)
         };
-        let par = approx_outliers(&data, &est, &cfg).unwrap();
-        assert_eq!(
-            serial.outliers, par.outliers,
-            "threads={t}: outlier sets differ"
-        );
-        assert_eq!(
-            serial.candidates, par.candidates,
-            "threads={t}: candidate counts differ"
-        );
-        assert_eq!(serial.passes, par.passes, "threads={t}: pass counts differ");
+        let serial = approx_outliers(
+            &data,
+            &est,
+            &ApproxConfig {
+                parallelism: nz(1),
+                ..base.clone()
+            },
+        )
+        .unwrap();
+        for t in THREADS {
+            let cfg = ApproxConfig {
+                parallelism: nz(t),
+                ..base.clone()
+            };
+            let par = approx_outliers(&data, &est, &cfg).unwrap();
+            assert_eq!(
+                serial.outliers, par.outliers,
+                "{metric:?}, threads={t}: outlier sets differ"
+            );
+            assert_eq!(
+                serial.candidates, par.candidates,
+                "{metric:?}, threads={t}: candidate counts differ"
+            );
+            assert_eq!(
+                serial.passes, par.passes,
+                "{metric:?}, threads={t}: pass counts differ"
+            );
+        }
     }
 }
