@@ -117,13 +117,33 @@ common options:
                       JSON; never changes any computed output
 ";
 
-/// Parses raw arguments (without the program name).
+/// Whether [`USAGE`] lists `--option` for the command named `command` or
+/// among the common options — so the usage text is the one list of what
+/// each command accepts. Option lines start with the option (or several,
+/// joined by `/`); a command's section starts at its name, indented by two.
+fn accepts(command: &str, option: &str) -> bool {
+    let mut section = "";
+    USAGE.lines().any(|line| {
+        let word = line.split_whitespace().next().unwrap_or("");
+        let indent = line.len() - line.trim_start().len();
+        if !word.starts_with("--") && (indent == 0 || indent == 2) && !word.is_empty() {
+            section = word;
+        }
+        (section == command || section == "common")
+            && word.starts_with("--")
+            && word
+                .split('/')
+                .any(|w| w.strip_prefix("--") == Some(option))
+    })
+}
+
+/// Parses raw arguments (without the program name). An option the command
+/// does not take is an error naming both.
 pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     let mut it = args.iter();
-    let command = it
-        .next()
-        .and_then(|s| Command::from_str(s))
-        .ok_or_else(|| "missing or unknown command".to_string())?;
+    let name = it.next().map_or("", String::as_str);
+    let command =
+        Command::from_str(name).ok_or_else(|| "missing or unknown command".to_string())?;
     let input = it
         .next()
         .cloned()
@@ -139,17 +159,20 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
         if !key.starts_with("--") {
             return Err(format!("expected an option, got {key}"));
         }
-        let name = key.trim_start_matches("--").to_string();
+        let option = key.trim_start_matches("--").to_string();
+        if !accepts(name, &option) {
+            return Err(format!("unknown option {key} for {name}"));
+        }
         // Boolean flags take no value.
-        if name == "no-trim" {
-            options.insert(name, "true".into());
+        if option == "no-trim" {
+            options.insert(option, "true".into());
             i += 1;
             continue;
         }
         let value = rest
             .get(i + 1)
             .ok_or_else(|| format!("option {key} needs a value"))?;
-        options.insert(name, value.to_string());
+        options.insert(option, value.to_string());
         i += 2;
     }
     Ok(ParsedArgs {
@@ -273,6 +296,66 @@ mod tests {
         assert!(parse(&strs(&["sample", "--size"])).is_err());
         assert!(parse(&strs(&["sample", "d.txt", "--size"])).is_err());
         assert!(parse(&strs(&["sample", "d.txt", "oops"])).is_err());
+    }
+
+    #[test]
+    fn every_command_accepts_exactly_its_usage_options() {
+        let common = ["--estimator", "--seed", "--threads", "--metrics-out"];
+        let table: [(&str, &[&str]); 7] = [
+            ("info", &[]),
+            ("convert", &["--output", "--shard-points"]),
+            (
+                "sample",
+                &["--size", "--exponent", "--kernels", "--output", "--weights"],
+            ),
+            (
+                "cluster",
+                &[
+                    "--clusters",
+                    "--size",
+                    "--exponent",
+                    "--kernels",
+                    "--no-trim",
+                    "--partitions",
+                    "--pre-factor",
+                    "--sample-frac",
+                ],
+            ),
+            (
+                "outliers",
+                &["--radius", "--neighbors", "--kernels", "--slack"],
+            ),
+            ("density", &["--at", "--kernels"]),
+            (
+                "stream",
+                &[
+                    "--size",
+                    "--exponent",
+                    "--reservoir",
+                    "--output",
+                    "--weights",
+                    "--reservoir-out",
+                ],
+            ),
+        ];
+        let every = table.iter().flat_map(|(_, own)| own.iter()).chain(&common);
+        let every: Vec<&str> = every.copied().chain(["--sise", "--help-me"]).collect();
+        for (command, own) in table {
+            for &option in &every {
+                let mut argv = vec![command, "d.txt", option];
+                if option != "--no-trim" {
+                    argv.push("1");
+                }
+                let accepted = own.contains(&option) || common.contains(&option);
+                match parse(&strs(&argv)) {
+                    Ok(_) => assert!(accepted, "{command} took {option}"),
+                    Err(e) => {
+                        assert!(!accepted, "{command} refused {option}: {e}");
+                        assert_eq!(e, format!("unknown option {option} for {command}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! min-max normalizes it to the unit cube for estimation — the paper's
 //! canonical domain — and reports results in original coordinates.
 //!
-//! On-disk inputs flow through the same chunked executor passes as
-//! in-memory data, so every command's output is byte-identical across the
-//! three storage backings at every thread count
+//! Every input is read through [`PointSource::read_points_into`]: on-disk
+//! inputs flow through the same chunked executor passes as in-memory data,
+//! one chunk per worker at a time, so every command's output is
+//! byte-identical across the three input formats at every thread count
 //! (`tests/shard_parity.rs` holds the pipeline to that).
 //!
 //! [`run`] scales the input once for the five data commands, which run as
@@ -35,9 +36,9 @@ use dbs_sampling::{
 
 use crate::args::{Command, ParsedArgs};
 
-/// An opened input: in-memory text data, a streamed binary file, or a
+/// An opened input: in-memory text data, a `DBS1` binary file, or a
 /// memory-mapped shard directory. Everything downstream works through
-/// [`PointSource`], so the storage backing never changes a result.
+/// [`PointSource`], so the input format never changes a result.
 enum Input {
     Mem(Dataset),
     File(FileSource),
@@ -45,7 +46,7 @@ enum Input {
 }
 
 impl Input {
-    fn source(&self) -> &(dyn PointSource + Sync) {
+    fn source(&self) -> &dyn PointSource {
         match self {
             Input::Mem(d) => d,
             Input::File(f) => f,
@@ -53,49 +54,10 @@ impl Input {
         }
     }
 
-    /// Fetches `indices` (in order) in original coordinates: direct row
-    /// copies in memory, cached chunk reads over shards, one selective
-    /// scan for a plain binary file.
+    /// Fetches `indices` (in order) in original coordinates.
     fn select(&self, indices: &[usize], rec: &Recorder) -> Result<Dataset, String> {
-        match self {
-            Input::Mem(d) => Ok(d.select(indices)),
-            Input::Sharded(s) => s.select(indices, rec).map_err(err),
-            Input::File(f) => select_by_scan(f, indices),
-        }
+        self.source().select(indices, rec).map_err(err)
     }
-}
-
-/// Order-preserving index fetch over a scan-only source: sorts the wanted
-/// indices, streams the source once, and places each hit at its requested
-/// output position.
-fn select_by_scan<S: PointSource + ?Sized>(
-    source: &S,
-    indices: &[usize],
-) -> Result<Dataset, String> {
-    let mut out = Dataset::with_capacity(source.dim(), indices.len());
-    let mut order: Vec<(usize, usize)> = indices.iter().copied().zip(0..).collect();
-    order.sort_unstable();
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); indices.len()];
-    let mut next = 0usize;
-    source
-        .scan(&mut |i, p| {
-            while next < order.len() && order[next].0 == i {
-                rows[order[next].1] = p.to_vec();
-                next += 1;
-            }
-        })
-        .map_err(err)?;
-    if next < order.len() {
-        return Err(format!(
-            "index {} out of range for {} points",
-            order[next].0,
-            source.len()
-        ));
-    }
-    for row in &rows {
-        out.push(row).map_err(err)?;
-    }
-    Ok(out)
 }
 
 /// The scaled view of an input: materialized once for in-memory data (the
@@ -104,11 +66,11 @@ fn select_by_scan<S: PointSource + ?Sized>(
 /// Both produce bit-identical point values.
 enum Scaled<'a> {
     Mem(Dataset),
-    View(ScaledSource<'a, dyn PointSource + Sync + 'a>),
+    View(ScaledSource<'a, dyn PointSource + 'a>),
 }
 
 impl Scaled<'_> {
-    fn source(&self) -> &(dyn PointSource + Sync) {
+    fn source(&self) -> &dyn PointSource {
         match self {
             Scaled::Mem(d) => d,
             Scaled::View(v) => v,
@@ -264,7 +226,7 @@ struct Stages<'a> {
 }
 
 impl Stages<'_> {
-    fn src(&self) -> &(dyn PointSource + Sync) {
+    fn src(&self) -> &dyn PointSource {
         self.scaled.source()
     }
 
@@ -314,9 +276,9 @@ impl Stages<'_> {
     }
 
     /// Writes a drawn sample: `--output` in original coordinates (fetched
-    /// back from the raw input by index; sharded inputs serve this from
-    /// cached chunk reads), `--weights`, `--reservoir-out` when the command
-    /// kept a `reservoir`, and without `--output` a five-point preview.
+    /// back from the raw input by index, through cached chunk reads),
+    /// `--weights`, `--reservoir-out` when the command kept a `reservoir`,
+    /// and without `--output` a five-point preview.
     fn write_sample(
         &self,
         s: &WeightedSample,

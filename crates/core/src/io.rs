@@ -5,17 +5,23 @@
 //! * a whitespace/comma-separated text format (one point per line, `#`
 //!   comments), convenient for importing external data;
 //! * a little-endian binary format (`DBS1` magic, `u32` dim, `u64` count,
-//!   then `f64` coordinates), used by [`FileSource`] to stream datasets that
-//!   should not be materialized in memory — this is what makes the paper's
-//!   "one/two dataset passes" claims meaningful for large data.
+//!   then `f64` coordinates, row-major). [`FileSource`] serves it by
+//!   positional chunk reads, so a file far larger than memory runs through
+//!   every pass of every algorithm out-of-core — this is what makes the
+//!   paper's "one/two dataset passes" claims meaningful for large data.
+//!
+//! `read_exact_at` is the one positional-read helper behind both this
+//! format and the shard directories of [`crate::shard`].
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::ops::Range;
+use std::path::Path;
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use crate::scan::PointSource;
+use crate::obs::Tally;
+use crate::scan::{out_of_bounds, PointSource};
 
 const MAGIC: &[u8; 4] = b"DBS1";
 
@@ -166,12 +172,14 @@ pub fn read_binary(path: &Path) -> Result<Dataset> {
     Dataset::from_flat(dim, flat)
 }
 
-/// A binary dataset file exposed as a streaming [`PointSource`].
+/// A binary dataset file exposed as a [`PointSource`].
 ///
-/// Each [`PointSource::scan`] re-opens the file and reads it sequentially in
-/// fixed-size chunks, so memory usage is independent of the dataset size.
+/// The file stays open, and rows are contiguous, so a chunk read is one
+/// positional read of `range.len() * dim * 8` bytes: memory use is one
+/// chunk per reader, whatever the file size. A file that shrinks after
+/// open fails the first read past its new end.
 pub struct FileSource {
-    path: PathBuf,
+    file: File,
     dim: usize,
     len: usize,
 }
@@ -180,15 +188,10 @@ impl FileSource {
     /// Opens a binary dataset file, reading only its header (validated
     /// against the file's actual size).
     pub fn open(path: &Path) -> Result<Self> {
-        let file = File::open(path)?;
+        let mut file = File::open(path)?;
         let actual = file.metadata()?.len();
-        let mut r = BufReader::new(file);
-        let (dim, len) = read_header(&mut r, actual)?;
-        Ok(FileSource {
-            path: path.to_path_buf(),
-            dim,
-            len,
-        })
+        let (dim, len) = read_header(&mut file, actual)?;
+        Ok(FileSource { file, dim, len })
     }
 }
 
@@ -201,39 +204,56 @@ impl PointSource for FileSource {
         self.len
     }
 
-    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
-        // Size the reader for wide rows: at least a few whole points per
-        // refill even at high dimension, without shrinking below 64 KiB.
-        let capacity = (1 << 16).max(self.dim * 8 * 64);
-        let file = File::open(&self.path)?;
-        let actual = file.metadata()?.len();
-        let mut r = BufReader::with_capacity(capacity, file);
-        let (dim, len) = read_header(&mut r, actual)?;
-        if dim != self.dim || len != self.len {
-            return Err(Error::Parse {
+    fn read_points_into(
+        &self,
+        range: Range<usize>,
+        buf: &mut Vec<f64>,
+        _tally: &mut Tally,
+    ) -> Result<()> {
+        if range.end > self.len {
+            return Err(out_of_bounds(&range, self.len));
+        }
+        let mut bytes = vec![0u8; range.len() * self.dim * 8];
+        let offset = HEADER_BYTES + (range.start * self.dim * 8) as u64;
+        read_exact_at(&self.file, &mut bytes, offset).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => Error::Parse {
                 line: 0,
-                message: "file changed since open".into(),
-            });
-        }
-        // One point-sized byte buffer and one decoded point, both reused
-        // across the pass: a single `read_exact` per point instead of one
-        // per coordinate.
-        let mut point = vec![0.0f64; dim];
-        let mut raw = vec![0u8; dim * 8];
-        for i in 0..len {
-            r.read_exact(&mut raw)?;
-            for (v, b) in point.iter_mut().zip(raw.chunks_exact(8)) {
-                *v = f64::from_le_bytes(b.try_into().expect("8 bytes"));
-            }
-            visit(i, &point);
-        }
+                message: format!("truncated file: points {range:?} lie past its end"),
+            },
+            _ => e.into(),
+        })?;
+        buf.clear();
+        buf.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes"))),
+        );
         Ok(())
     }
+}
+
+/// Fills `buf` from `file` at `offset` without moving a shared cursor, so
+/// concurrent readers of one `File` never interfere. Both binary formats
+/// (`DBS1` files and shard directories) read through it.
+#[cfg(unix)]
+pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(not(unix))]
+pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    // No positional-read API: clone the handle so the shared cursor of
+    // `file` itself is never moved concurrently.
+    use std::io::{Seek, SeekFrom};
+    let mut f = file.try_clone()?;
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample() -> Dataset {
         Dataset::from_rows(&[vec![1.5, -2.0], vec![0.0, 3.25], vec![1e9, 1e-9]]).unwrap()
@@ -387,12 +407,56 @@ mod tests {
         let ds = sample();
         write_binary(&path, &ds).unwrap();
         let src = FileSource::open(&path).unwrap();
-        // Truncate the body after open: the per-scan re-validation must
-        // reject the pass instead of reading short.
+        // Truncate the body after open: a chunk read past the new end, and
+        // so every pass, must fail instead of reading short.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 8]).unwrap();
         let err = src.collect_dataset().unwrap_err();
         assert!(err.to_string().contains("truncated file"), "{err}");
+        let err = src.scan(&mut |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("truncated file"), "{err}");
+        let (mut buf, mut tally) = (Vec::new(), Tally::default());
+        let err = src.read_points_into(2..3, &mut buf, &mut tally);
+        assert!(err.unwrap_err().to_string().contains("truncated file"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_source_chunk_reads_equal_read_binary_bit_for_bit() {
+        use crate::par::CHUNK_POINTS;
+        use rand::Rng;
+        let path = tmp("chunks.dbs");
+        let mut rng = crate::rng::seeded(11);
+        let n = 3 * CHUNK_POINTS + 777;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..3).map(|_| rng.gen::<f64>() * 1e6 - 5e5).collect())
+            .collect();
+        write_binary(&path, &Dataset::from_rows(&rows).unwrap()).unwrap();
+        let want = read_binary(&path).unwrap();
+        let src = FileSource::open(&path).unwrap();
+        let mut ranges = vec![
+            0..n,
+            CHUNK_POINTS - 3..CHUNK_POINTS + 3,
+            3 * CHUNK_POINTS..n,
+            n - 1..n,
+            5..5,
+        ];
+        for _ in 0..50 {
+            let a = rng.gen_range(0..n);
+            ranges.push(a..rng.gen_range(a..=n));
+        }
+        let (mut buf, mut tally) = (Vec::new(), Tally::default());
+        for range in ranges {
+            src.read_points_into(range.clone(), &mut buf, &mut tally)
+                .unwrap();
+            let expect = &want.as_flat()[range.start * 3..range.end * 3];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&buf), bits(expect), "{range:?}");
+        }
+        assert!(src
+            .read_points_into(n - 1..n + 1, &mut buf, &mut tally)
+            .is_err());
+        assert!(tally.is_empty(), "file reads record no counters");
         std::fs::remove_file(&path).ok();
     }
 

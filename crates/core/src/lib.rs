@@ -20,10 +20,11 @@
 //!   sampler (the `rand_distr` crate is outside the allowed dependency set).
 //! * [`Reservoir`] — Algorithm R, the one uniform reservoir every fixed-size
 //!   uniform sample in the workspace is kept in.
-//! * [`scan::PointSource`] — a multi-pass streaming abstraction: the paper's
-//!   algorithms are expressed as "one pass to build the estimator, one or two
-//!   passes to sample"; implementing against this trait keeps that structure
-//!   honest for both in-memory and on-disk data.
+//! * [`scan::PointSource`] — the one read path for every point source:
+//!   positional chunk reads, with scans, materialization and index fetches
+//!   built on them. The paper's algorithms are expressed as "one pass to
+//!   build the estimator, one or two passes to sample"; implementing against
+//!   this trait keeps that structure honest for in-memory and on-disk data.
 //! * [`par`] — the deterministic parallel executor every multi-threaded code
 //!   path uses: fixed chunk grids and chunk-ordered merging make results
 //!   independent of the thread count.
@@ -59,6 +60,6 @@ pub use error::{Error, Result};
 pub use metric::Metric;
 pub use normalize::MinMaxScaler;
 pub use reservoir::Reservoir;
-pub use scan::{ChunkAccess, PointBlock, PointSource};
+pub use scan::{PointBlock, PointSource};
 pub use shard::ShardedSource;
 pub use weighted::WeightedSample;

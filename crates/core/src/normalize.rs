@@ -11,7 +11,7 @@ use std::ops::Range;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::obs::Tally;
-use crate::scan::{ChunkAccess, PointSource};
+use crate::scan::PointSource;
 
 /// Per-dimension affine map onto `[0,1]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,11 +137,10 @@ impl MinMaxScaler {
     }
 
     /// Wraps `source` as a lazily-scaled view: every point read through it
-    /// comes out transformed into `[0,1]^d`, whether by sequential scan or
-    /// by the executor's chunk reads. Point values are bit-identical to
-    /// materializing `source` and calling [`MinMaxScaler::transform`] —
+    /// comes out transformed into `[0,1]^d`. Point values are bit-identical
+    /// to materializing `source` and calling [`MinMaxScaler::transform`] —
     /// the same per-coordinate operations in the same order.
-    pub fn scaled<'a, S: PointSource + Sync + ?Sized>(
+    pub fn scaled<'a, S: PointSource + ?Sized>(
         &'a self,
         source: &'a S,
     ) -> Result<ScaledSource<'a, S>> {
@@ -159,40 +158,15 @@ impl MinMaxScaler {
 }
 
 /// A [`PointSource`] adapter applying a fitted [`MinMaxScaler`] to every
-/// point on the way out (see [`MinMaxScaler::scaled`]). Forwards the
-/// chunk-read backing of its inner source, transforming each chunk buffer
-/// in place, so sharded sources stay out-of-core through normalization.
-pub struct ScaledSource<'a, S: PointSource + Sync + ?Sized> {
+/// point on the way out (see [`MinMaxScaler::scaled`]). It transforms each
+/// chunk its inner source reads in place, so on-disk sources stay
+/// out-of-core through normalization.
+pub struct ScaledSource<'a, S: PointSource + ?Sized> {
     scaler: &'a MinMaxScaler,
     inner: &'a S,
 }
 
-impl<S: PointSource + Sync + ?Sized> PointSource for ScaledSource<'_, S> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
-        let mut buf = vec![0.0f64; self.inner.dim()];
-        self.inner.scan(&mut |i, p| {
-            buf.copy_from_slice(p);
-            self.scaler.transform_point(&mut buf);
-            visit(i, &buf);
-        })
-    }
-
-    fn as_chunks(&self) -> Option<&dyn ChunkAccess> {
-        // Only a chunk-capable inner source makes the adapter chunk-capable;
-        // otherwise the executor materializes the scaled scan as before.
-        self.inner.as_chunks().is_some().then_some(self)
-    }
-}
-
-impl<S: PointSource + Sync + ?Sized> ChunkAccess for ScaledSource<'_, S> {
+impl<S: PointSource + ?Sized> PointSource for ScaledSource<'_, S> {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
@@ -207,11 +181,7 @@ impl<S: PointSource + Sync + ?Sized> ChunkAccess for ScaledSource<'_, S> {
         buf: &mut Vec<f64>,
         tally: &mut Tally,
     ) -> Result<()> {
-        let chunks = self
-            .inner
-            .as_chunks()
-            .expect("chunk-capable adapter requires a chunk-capable inner source");
-        chunks.read_points_into(range, buf, tally)?;
+        self.inner.read_points_into(range, buf, tally)?;
         for p in buf.chunks_exact_mut(self.scaler.dim()) {
             self.scaler.transform_point(p);
         }

@@ -112,8 +112,8 @@ counter_catalog! {
     /// Rep-point distance evaluations spent assigning full-dataset points
     /// to their nearest representative during label map-back.
     MapBackDistEvals => "map_back_dist_evals",
-    /// Chunk-read operations served by sharded storage (one per chunk a
-    /// worker pulled through [`crate::scan::ChunkAccess`]).
+    /// Chunk-read operations served by sharded storage (one per shard
+    /// chunk a [`crate::scan::PointSource::read_points_into`] call touched).
     ShardChunkReads => "shard_chunk_reads",
     /// Bytes delivered out of mapped (or positionally read) shard storage.
     ShardBytesMapped => "shard_bytes_mapped",

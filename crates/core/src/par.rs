@@ -11,34 +11,30 @@
 //! * Worker threads grab chunks from a shared cursor (so a slow chunk does
 //!   not stall the others), but results are merged **in chunk order**, and
 //!   within a chunk points are processed in index order.
-//! * Floating-point reductions that must match a streaming left-to-right
-//!   fold use [`par_map`] (collect per-point values, fold the vector
-//!   serially); [`par_map_reduce`] reorders the fold at chunk boundaries and
-//!   is reserved for exactly-associative operations (integer sums, min/max).
+//! * A floating-point reduction that must match a streaming left-to-right
+//!   fold returns per-point (or per-chunk, in-order) values from
+//!   [`par_scan`] and folds them serially afterwards. Only exactly
+//!   associative combines (integer sums, min/max) may be merged per chunk.
 //!
 //! Under this contract `parallelism = 1` and `parallelism = 64` produce
 //! bit-identical results, so callers expose a single
 //! [`std::num::NonZeroUsize`] knob and tests can assert equality outright
 //! (see `tests/parallel_parity.rs` at the workspace root).
 //!
-//! Chunks reach workers through one of three backings, in preference
-//! order:
+//! Chunks reach workers through one of two backings:
 //!
 //! 1. **Borrowed** — [`PointSource::as_dataset`]: every chunk is a zero-copy
 //!    [`PointBlock`] view into the shared in-memory buffer.
-//! 2. **Chunk-read** — [`PointSource::as_chunks`]: each worker owns one
-//!    reusable chunk buffer and fills it via
-//!    [`ChunkAccess::read_points_into`], so peak memory is
-//!    `workers x CHUNK_POINTS x dim` regardless of the dataset size. This
-//!    is how memory-mapped shard directories ([`crate::shard`]) flow
-//!    through every parallel algorithm out-of-core.
-//! 3. **Materialized** — neither view exists (plain files, pass-counted
-//!    wrappers): one (pass-counted, cap-checked) sequential scan buffers
-//!    the source, then proceeds as 1.
+//! 2. **Chunk-read** — every other source: each worker owns one reusable
+//!    chunk buffer and fills it via [`PointSource::read_points_into`], so
+//!    peak memory is `workers x CHUNK_POINTS x dim` regardless of the
+//!    dataset size. This is how `DBS1` files ([`crate::io::FileSource`])
+//!    and memory-mapped shard directories ([`crate::shard`]) flow through
+//!    every parallel algorithm out-of-core.
 //!
-//! All three produce the same blocks over the same chunk grid in the same
-//! merge order, so which backing served a scan is unobservable in the
-//! results — `tests/shard_parity.rs` asserts exactly that.
+//! Both produce the same blocks over the same chunk grid in the same merge
+//! order, so which backing served a scan is unobservable in the results —
+//! `tests/shard_parity.rs` asserts exactly that.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -46,10 +42,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::bbox::BoundingBox;
-use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::obs::{Recorder, Tally};
-use crate::scan::{ChunkAccess, PointBlock, PointSource};
+use crate::scan::{PointBlock, PointSource};
 
 /// Points per work chunk. Fixed — *never* derived from the thread count —
 /// so the chunk grid (and therefore any chunk-ordered merge) is identical
@@ -67,37 +62,14 @@ pub fn serial() -> NonZeroUsize {
     NonZeroUsize::MIN
 }
 
-/// How a scan reaches its points: a shared in-memory buffer (borrowed or
-/// materialized) or per-worker chunk reads.
-enum Backing<'a> {
-    Mem(std::borrow::Cow<'a, Dataset>),
-    Chunks(&'a dyn ChunkAccess),
-}
-
-/// Picks the backing for `source` in preference order (module docs).
-fn backing_of<S: PointSource + ?Sized>(source: &S) -> Result<Backing<'_>> {
-    if let Some(ds) = source.as_dataset() {
-        return Ok(Backing::Mem(std::borrow::Cow::Borrowed(ds)));
-    }
-    if let Some(ca) = source.as_chunks() {
-        return Ok(Backing::Chunks(ca));
-    }
-    Ok(Backing::Mem(std::borrow::Cow::Owned(
-        source.collect_dataset()?,
-    )))
-}
-
 /// The chunked parallel scan: applies `per_chunk` to every chunk of
 /// [`CHUNK_POINTS`] consecutive point indices and returns the results in
 /// chunk order. `per_chunk` receives the chunk's index range and a
 /// [`PointBlock`] holding exactly those points (addressed by global
 /// index).
 ///
-/// This is the primitive under [`par_map`] and friends; call it directly
-/// when a single pass must produce several things at once (e.g. sampled
-/// points *and* a clip count), merging the per-chunk values yourself — in
-/// chunk order for order-sensitive data, any-order only for exactly
-/// commutative combines.
+/// Merge the per-chunk values yourself — in chunk order for
+/// order-sensitive data, any-order only for exactly commutative combines.
 pub fn par_scan<S, T, F>(source: &S, threads: NonZeroUsize, per_chunk: F) -> Result<Vec<T>>
 where
     S: PointSource + ?Sized,
@@ -165,11 +137,7 @@ where
     T: Send,
     F: Fn(Range<usize>, &PointBlock, &mut Tally) -> T + Sync,
 {
-    let backing = backing_of(source)?;
-    let (n, dim) = match &backing {
-        Backing::Mem(ds) => (ds.len(), ds.dim()),
-        Backing::Chunks(ca) => (ca.len(), ca.dim()),
-    };
+    let (n, dim, borrowed) = (source.len(), source.dim(), source.as_dataset());
     if n == 0 {
         return Ok(Vec::new());
     }
@@ -178,23 +146,19 @@ where
     let chunk_range = |c: usize| c * chunk_points..((c + 1) * chunk_points).min(n);
 
     // One chunk's worth of work, with `buf` the calling worker's reusable
-    // chunk buffer (untouched by the borrowed/materialized backing).
+    // chunk buffer (untouched by the borrowed backing).
     let run_chunk = |c: usize, buf: &mut Vec<f64>| -> Result<(T, Tally)> {
         let range = chunk_range(c);
         let mut tally = Tally::default();
-        let out = match &backing {
-            Backing::Mem(ds) => {
-                let block = PointBlock::from_dataset(ds, range.clone());
-                per_chunk(range, &block, &mut tally)
-            }
-            Backing::Chunks(ca) => {
-                ca.read_points_into(range.clone(), buf, &mut tally)?;
+        let block = match borrowed {
+            Some(ds) => PointBlock::from_dataset(ds, range.clone()),
+            None => {
+                source.read_points_into(range.clone(), buf, &mut tally)?;
                 debug_assert_eq!(buf.len(), range.len() * dim);
-                let block = PointBlock::from_flat(range.start, dim, buf);
-                per_chunk(range, &block, &mut tally)
+                PointBlock::from_flat(range.start, dim, buf)
             }
         };
-        Ok((out, tally))
+        Ok((per_chunk(range, &block, &mut tally), tally))
     };
 
     let workers = threads.get().min(chunks);
@@ -235,74 +199,6 @@ where
     slots.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Applies `map(index, point)` to every point and returns the results in
-/// point order — the parallel equivalent of a sequential scan that pushes
-/// one value per point.
-///
-/// Identical output for every `threads` value. For a floating-point
-/// reduction that must match a streaming fold bit-for-bit, call this and
-/// fold the returned vector serially.
-pub fn par_map<S, T, F>(source: &S, threads: NonZeroUsize, map: F) -> Result<Vec<T>>
-where
-    S: PointSource + ?Sized,
-    T: Send,
-    F: Fn(usize, &[f64]) -> T + Sync,
-{
-    let nested = scan_chunks(source, threads, CHUNK_POINTS, |range, block, _| {
-        range.map(|i| map(i, block.point(i))).collect::<Vec<T>>()
-    })?;
-    Ok(nested.into_iter().flat_map(|(v, _)| v).collect())
-}
-
-/// Like [`par_map`], keeping only points where `map` returns `Some` —
-/// output preserves point order regardless of thread count.
-pub fn par_filter_map<S, T, F>(source: &S, threads: NonZeroUsize, map: F) -> Result<Vec<T>>
-where
-    S: PointSource + ?Sized,
-    T: Send,
-    F: Fn(usize, &[f64]) -> Option<T> + Sync,
-{
-    let nested = scan_chunks(source, threads, CHUNK_POINTS, |range, block, _| {
-        range
-            .filter_map(|i| map(i, block.point(i)))
-            .collect::<Vec<T>>()
-    })?;
-    Ok(nested.into_iter().flat_map(|(v, _)| v).collect())
-}
-
-/// Maps every point to an accumulator and reduces: in index order within a
-/// chunk, then across chunks in chunk order, both starting from `identity`.
-///
-/// Deterministic for every thread count (the chunk grid is fixed), and
-/// exactly equal to the plain sequential fold whenever `reduce` is truly
-/// associative with `identity` as a unit — integer sums and counts,
-/// min/max, set unions. For floating-point sums the chunk-boundary
-/// regrouping changes rounding relative to a streaming fold; when that
-/// matters use [`par_map`] plus a serial fold instead.
-pub fn par_map_reduce<S, A, M, R>(
-    source: &S,
-    threads: NonZeroUsize,
-    identity: A,
-    map: M,
-    reduce: R,
-) -> Result<A>
-where
-    S: PointSource + ?Sized,
-    A: Send + Sync + Clone,
-    M: Fn(usize, &[f64]) -> A + Sync,
-    R: Fn(A, A) -> A + Sync,
-{
-    let per_chunk = scan_chunks(source, threads, CHUNK_POINTS, |range, block, _| {
-        range.fold(identity.clone(), |acc, i| {
-            reduce(acc, map(i, block.point(i)))
-        })
-    })?;
-    Ok(per_chunk
-        .into_iter()
-        .map(|(a, _)| a)
-        .fold(identity, &reduce))
-}
-
 /// The tight axis-aligned bounding box of `source`, or `None` when it is
 /// empty — one chunked parallel pass. A point with a NaN or infinite
 /// coordinate has no place in a box: the first one (in point order) is
@@ -310,7 +206,7 @@ where
 ///
 /// Per-chunk min/max folds are merged in chunk order; min/max is exactly
 /// associative, so the result is bit-identical to the sequential fold of
-/// [`Dataset::bounding_box`] at every thread count and for every backing.
+/// [`crate::Dataset::bounding_box`] at every thread count and for every backing.
 pub fn par_bounding_box<S>(source: &S, threads: NonZeroUsize) -> Result<Option<BoundingBox>>
 where
     S: PointSource + ?Sized,
@@ -420,6 +316,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
+    use crate::io::{write_binary, FileSource};
     use crate::scan::PassCounter;
 
     fn numbered(n: usize) -> Dataset {
@@ -431,15 +329,23 @@ mod tests {
         NonZeroUsize::new(n).unwrap()
     }
 
-    #[test]
-    fn par_map_matches_serial_scan_for_every_thread_count() {
-        let ds = numbered(100);
-        let mut serial = Vec::new();
-        ds.scan(&mut |i, p| serial.push(i as f64 + p[0])).unwrap();
-        for threads in [1, 2, 7] {
-            let got = par_map(&ds, t(threads), |i, p| i as f64 + p[0]).unwrap();
-            assert_eq!(got, serial, "threads = {threads}");
-        }
+    /// `data` written as a `DBS1` file, opened as a chunk-read source.
+    fn dbs1(name: &str, data: &Dataset) -> (FileSource, std::path::PathBuf) {
+        let mut path = std::env::temp_dir();
+        path.push(format!("dbs_core_par_{}_{name}.dbs1", std::process::id()));
+        write_binary(&path, data).unwrap();
+        (FileSource::open(&path).unwrap(), path)
+    }
+
+    /// Every point of `source` with its index, as one executor pass sees
+    /// them, coordinates as bits.
+    fn points<S: PointSource + ?Sized>(source: &S, threads: usize) -> Vec<(usize, Vec<u64>)> {
+        let per_chunk = par_scan(source, t(threads), |range, block| {
+            range
+                .map(|i| (i, block.point(i).iter().map(|x| x.to_bits()).collect()))
+                .collect::<Vec<_>>()
+        });
+        per_chunk.unwrap().into_iter().flatten().collect()
     }
 
     #[test]
@@ -455,39 +361,18 @@ mod tests {
     }
 
     #[test]
-    fn par_filter_map_preserves_order() {
-        let ds = numbered(300);
-        let evens = par_filter_map(&ds, t(4), |i, _| (i % 2 == 0).then_some(i)).unwrap();
-        assert_eq!(evens, (0..300).step_by(2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_reduce_counts_exactly() {
-        let ds = numbered(10_000);
-        let serial = ds
-            .iter()
-            .filter(|p| (p[0] as usize).is_multiple_of(3))
-            .count();
-        for threads in [1, 2, 7] {
-            let got = par_map_reduce(
-                &ds,
-                t(threads),
-                0usize,
-                |_, p| usize::from((p[0] as usize).is_multiple_of(3)),
-                |a, b| a + b,
-            )
-            .unwrap();
-            assert_eq!(got, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn counted_sources_pay_exactly_one_pass() {
-        let ds = numbered(50);
-        let counted = PassCounter::new(&ds);
-        let vals = par_map(&counted, t(4), |_, p| p[0]).unwrap();
-        assert_eq!(vals.len(), 50);
-        assert_eq!(counted.passes(), 1, "buffering the source is one pass");
+        let ds = numbered(10_000);
+        let (file, path) = dbs1("counted", &ds);
+        for (name, source) in [("memory", &ds as &dyn PointSource), ("file", &file)] {
+            for threads in [1, 2, 7] {
+                let counted = PassCounter::new(source);
+                let sizes = par_scan(&counted, t(threads), |range, _| range.len()).unwrap();
+                assert_eq!(sizes.iter().sum::<usize>(), 10_000);
+                assert_eq!(counted.passes(), 1, "{name}, threads = {threads}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -526,62 +411,26 @@ mod tests {
     #[test]
     fn empty_source_yields_empty() {
         let ds = Dataset::new(3);
-        assert!(par_map(&ds, t(4), |i, _| i).unwrap().is_empty());
-        assert_eq!(
-            par_map_reduce(&ds, t(2), 7usize, |_, _| 1, |a, b| a + b).unwrap(),
-            7
-        );
-    }
-
-    /// An in-memory source that only offers the chunk-read backing —
-    /// exercises the same executor path as a shard directory.
-    struct ChunkedMem(Dataset);
-
-    impl PointSource for ChunkedMem {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
-            self.0.scan(visit)
-        }
-        fn as_chunks(&self) -> Option<&dyn ChunkAccess> {
-            Some(self)
-        }
-    }
-
-    impl ChunkAccess for ChunkedMem {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn read_points_into(
-            &self,
-            range: Range<usize>,
-            buf: &mut Vec<f64>,
-            _tally: &mut Tally,
-        ) -> Result<()> {
-            buf.clear();
-            buf.extend_from_slice(
-                &self.0.as_flat()[range.start * self.0.dim()..range.end * self.0.dim()],
-            );
-            Ok(())
-        }
+        assert!(points(&ds, 4).is_empty());
+        assert!(points(&PassCounter::new(&ds), 2).is_empty());
     }
 
     #[test]
     fn chunk_read_backing_matches_borrowed() {
+        // A pass counter hides `as_dataset`, so over memory it takes the
+        // same chunk-read path as a file.
         let ds = numbered(10_000);
-        let chunked = ChunkedMem(ds.clone());
-        let want = par_map(&ds, t(1), |i, p| (i, p[0])).unwrap();
+        let (file, path) = dbs1("chunk_read", &ds);
+        let want = points(&ds, 1);
+        assert_eq!(want.len(), 10_000);
         for threads in [1, 2, 7] {
-            let got = par_map(&chunked, t(threads), |i, p| (i, p[0])).unwrap();
-            assert_eq!(got, want, "threads = {threads}");
+            let counted_mem = points(&PassCounter::new(&ds), threads);
+            assert_eq!(counted_mem, want, "counted memory, threads = {threads}");
+            assert_eq!(points(&file, threads), want, "file, threads = {threads}");
+            let counted_file = points(&PassCounter::new(&file), threads);
+            assert_eq!(counted_file, want, "counted file, threads = {threads}");
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -592,7 +441,7 @@ mod tests {
             let bb = par_bounding_box(&ds, t(threads)).unwrap().unwrap();
             assert_eq!(bb.min(), want.min(), "threads = {threads}");
             assert_eq!(bb.max(), want.max(), "threads = {threads}");
-            let bb = par_bounding_box(&ChunkedMem(ds.clone()), t(threads))
+            let bb = par_bounding_box(&PassCounter::new(&ds), t(threads))
                 .unwrap()
                 .unwrap();
             assert_eq!(bb.min(), want.min());

@@ -1,18 +1,22 @@
-//! Multi-pass streaming point sources.
+//! Multi-pass point sources.
 //!
 //! The paper is careful about dataset passes: building the kernel estimator
 //! takes one pass, computing the normalizer `k` one more, and the sampling
-//! itself another (§1, §2.2). Algorithms in this workspace that claim
-//! "one pass per step" are written against [`PointSource`], which only
-//! exposes sequential scans — if an implementation compiles against it, its
-//! pass structure is honest. In-memory [`Dataset`]s and on-disk files (see
-//! [`crate::io::FileSource`]) both implement the trait.
+//! itself another (§1, §2.2). Algorithms in this workspace are written
+//! against [`PointSource`], whose one read primitive is a positional chunk
+//! read: sequential scans, the parallel executor's passes and index fetches
+//! are all built on it. Every pass reads the chunk at point 0 once, which
+//! is how [`PassCounter`] holds an algorithm to the passes it claims.
+//! In-memory [`Dataset`]s, `DBS1` files ([`crate::io::FileSource`]) and
+//! shard directories ([`crate::shard::ShardedSource`]) all implement the
+//! trait, and none of them is ever copied whole unless a caller asks.
 
 use std::ops::Range;
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use crate::obs::Tally;
+use crate::obs::{Recorder, Tally};
+use crate::par::CHUNK_POINTS;
 
 /// Environment variable overriding the default in-memory materialization
 /// cap, in bytes (see [`collect_cap_bytes`]).
@@ -42,7 +46,7 @@ pub fn collect_cap_bytes() -> u64 {
 /// chunk range carries), so closure bodies read `block.point(i)` for `i` in
 /// their range exactly as they previously read `dataset.point(i)`. Blocks
 /// borrow either an in-memory [`Dataset`] (zero-copy) or a worker-local
-/// buffer filled from a [`ChunkAccess`] source.
+/// buffer filled by [`PointSource::read_points_into`].
 #[derive(Debug, Clone, Copy)]
 pub struct PointBlock<'a> {
     first: usize,
@@ -114,42 +118,20 @@ impl<'a> PointBlock<'a> {
     }
 }
 
-/// Random access by index range — the contract that lets the parallel
-/// executor hand each worker its chunk's points directly, without
-/// materializing the whole source (see [`crate::par`]).
+/// A source of `d`-dimensional points, read by positional chunk reads.
 ///
-/// `Sync` is a supertrait because the executor shares `&dyn ChunkAccess`
-/// across worker threads; implementations must therefore use positional
-/// reads (or immutable mappings), not a shared seek cursor.
-pub trait ChunkAccess: Sync {
-    /// Dimensionality of the points.
-    fn dim(&self) -> usize;
-
-    /// Number of points.
-    fn len(&self) -> usize;
-
-    /// Whether the source holds no points. (Shard directories reject
-    /// zero-count shards at open, so this is false for every on-disk
-    /// source today.)
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fills `buf` with the points in `range`, row-major, replacing its
-    /// contents (`buf.len()` becomes `range.len() * dim`). I/O work counts
-    /// accumulate into `tally`; like all observability, they never affect
-    /// the values read.
-    fn read_points_into(
-        &self,
-        range: Range<usize>,
-        buf: &mut Vec<f64>,
-        tally: &mut Tally,
-    ) -> Result<()>;
-}
-
-/// A source of `d`-dimensional points that supports repeated sequential
-/// scans but no random access.
-pub trait PointSource {
+/// Every source — an in-memory [`Dataset`], a `DBS1` file
+/// ([`crate::io::FileSource`]), a shard directory
+/// ([`crate::shard::ShardedSource`]) and the adapters over them — delivers
+/// its points through one required method,
+/// [`PointSource::read_points_into`]. Sequential scans, materialization
+/// and index fetches are provided on top of it, and the parallel executor
+/// ([`crate::par`]) hands each worker its chunk through it.
+///
+/// `Sync` is a supertrait because the executor shares `&S` across worker
+/// threads; implementations therefore use positional reads (or immutable
+/// mappings), not a shared seek cursor.
+pub trait PointSource: Sync {
     /// Dimensionality of the points.
     fn dim(&self) -> usize;
 
@@ -162,9 +144,42 @@ pub trait PointSource {
         self.len() == 0
     }
 
+    /// Fills `buf` with the points in `range`, row-major, replacing its
+    /// contents (`buf.len()` becomes `range.len() * dim`). I/O work counts
+    /// accumulate into `tally`; like all observability, they never affect
+    /// the values read. A range past the end is an error.
+    fn read_points_into(
+        &self,
+        range: Range<usize>,
+        buf: &mut Vec<f64>,
+        tally: &mut Tally,
+    ) -> Result<()>;
+
+    /// The in-memory [`Dataset`] backing this source, if there is one: the
+    /// executor then reads it in place instead of copying chunks.
+    /// [`PassCounter`] deliberately hides it, so every pass over a counted
+    /// source goes through (and is counted by) its chunk reads.
+    fn as_dataset(&self) -> Option<&Dataset> {
+        None
+    }
+
     /// Performs one sequential pass, invoking `visit(index, point)` for every
-    /// point in order.
-    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()>;
+    /// point in order, one [`CHUNK_POINTS`]-point chunk read at a time.
+    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
+        if let Some(ds) = self.as_dataset() {
+            ds.iter().enumerate().for_each(|(i, p)| visit(i, p));
+            return Ok(());
+        }
+        let (mut buf, mut tally) = (Vec::new(), Tally::default());
+        for start in (0..self.len()).step_by(CHUNK_POINTS) {
+            let end = (start + CHUNK_POINTS).min(self.len());
+            self.read_points_into(start..end, &mut buf, &mut tally)?;
+            for (k, p) in buf.chunks_exact(self.dim()).enumerate() {
+                visit(start + k, p);
+            }
+        }
+        Ok(())
+    }
 
     /// Materializes the source into an in-memory [`Dataset`] (one pass),
     /// refusing with [`Error::InvalidParameter`] when the raw payload
@@ -175,46 +190,65 @@ pub trait PointSource {
         self.collect_dataset_capped(collect_cap_bytes())
     }
 
-    /// [`PointSource::collect_dataset`] with an explicit cap in bytes.
+    /// [`PointSource::collect_dataset`] with an explicit cap in bytes. An
+    /// allocation the machine refuses below the cap is the same clean
+    /// error.
     fn collect_dataset_capped(&self, cap_bytes: u64) -> Result<Dataset> {
-        let payload = (self.len() as u128) * (self.dim() as u128) * 8;
+        let (len, dim) = (self.len(), self.dim());
+        let payload = (len as u128) * (dim as u128) * 8;
         if payload > cap_bytes as u128 {
             return Err(Error::InvalidParameter(format!(
-                "materializing {} points x {} dims needs {payload} bytes, over the \
-                 {cap_bytes}-byte in-memory cap ({COLLECT_CAP_ENV} overrides it)",
-                self.len(),
-                self.dim(),
+                "materializing {len} points x {dim} dims needs {payload} bytes, over the \
+                 {cap_bytes}-byte in-memory cap ({COLLECT_CAP_ENV} overrides it)"
             )));
         }
-        let mut ds = Dataset::with_capacity(self.dim(), self.len());
-        self.scan(&mut |_, p| {
-            ds.push(p)
-                .expect("scan yields points of declared dimension");
-        })?;
-        Ok(ds)
+        let mut flat = Vec::new();
+        let coords = len.checked_mul(dim);
+        if coords.is_none_or(|c| flat.try_reserve_exact(c).is_err()) {
+            return Err(Error::InvalidParameter(format!(
+                "materializing {len} points x {dim} dims: cannot allocate {payload} bytes"
+            )));
+        }
+        self.scan(&mut |_, p| flat.extend_from_slice(p))?;
+        Dataset::from_flat(dim, flat)
     }
 
-    /// The in-memory [`Dataset`] backing this source, if there is one.
-    ///
-    /// The parallel executor ([`crate::par`]) uses this to read points by
-    /// index without buffering. Sources without random-access backing —
-    /// files, and deliberately [`PassCounter`] (so a buffering executor
-    /// still pays one honest counted pass) — return `None` and are
-    /// materialized via [`PointSource::collect_dataset`].
-    fn as_dataset(&self) -> Option<&Dataset> {
-        None
+    /// Fetches the points at `indices` (in that order) into a small
+    /// in-memory dataset — how the CLI recovers original coordinates for a
+    /// sample without materializing the source. Ascending indices read
+    /// each touched chunk once; the reads' I/O counts go to `recorder`.
+    fn select(&self, indices: &[usize], recorder: &Recorder) -> Result<Dataset> {
+        let (len, dim) = (self.len(), self.dim());
+        let mut out = Dataset::with_capacity(dim, indices.len());
+        let mut tally = Tally::default();
+        let mut buf: Vec<f64> = Vec::new();
+        let mut cached: Option<Range<usize>> = None;
+        for &i in indices {
+            if i >= len {
+                return Err(Error::InvalidParameter(format!(
+                    "index {i} out of range for {len} points"
+                )));
+            }
+            if cached.as_ref().is_none_or(|r| !r.contains(&i)) {
+                let c = i / CHUNK_POINTS;
+                let range = c * CHUNK_POINTS..((c + 1) * CHUNK_POINTS).min(len);
+                self.read_points_into(range.clone(), &mut buf, &mut tally)?;
+                cached = Some(range);
+            }
+            let k = i - cached.as_ref().expect("filled above").start;
+            out.push(&buf[k * dim..(k + 1) * dim])
+                .expect("chunk reads yield points of the declared dimension");
+        }
+        recorder.merge(&tally);
+        Ok(out)
     }
+}
 
-    /// The chunk-random-access view of this source, if it has one.
-    ///
-    /// The parallel executor prefers [`PointSource::as_dataset`] (zero
-    /// copy), then this (each worker reads its own chunk into a reusable
-    /// buffer — bounded memory), and only then materializes the whole
-    /// source. [`PassCounter`] forwards neither view, for the same reason
-    /// it hides `as_dataset`.
-    fn as_chunks(&self) -> Option<&dyn ChunkAccess> {
-        None
-    }
+/// The error for a chunk read past the end of a `len`-point source.
+pub(crate) fn out_of_bounds(range: &Range<usize>, len: usize) -> Error {
+    Error::InvalidParameter(format!(
+        "point range {range:?} out of bounds for {len} points"
+    ))
 }
 
 /// Materializes `source` into an in-memory [`Dataset`] under the ambient
@@ -236,10 +270,18 @@ impl PointSource for Dataset {
         Dataset::len(self)
     }
 
-    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
-        for (i, p) in self.iter().enumerate() {
-            visit(i, p);
+    fn read_points_into(
+        &self,
+        range: Range<usize>,
+        buf: &mut Vec<f64>,
+        _tally: &mut Tally,
+    ) -> Result<()> {
+        if range.end > Dataset::len(self) {
+            return Err(out_of_bounds(&range, Dataset::len(self)));
         }
+        let dim = Dataset::dim(self);
+        buf.clear();
+        buf.extend_from_slice(&self.as_flat()[range.start * dim..range.end * dim]);
         Ok(())
     }
 
@@ -252,6 +294,10 @@ impl PointSource for Dataset {
 /// wrapped source. Used by tests to assert the pass guarantees the paper
 /// claims (e.g. "the biased sample is collected in one or two additional
 /// passes").
+///
+/// Every pass — a [`PointSource::scan`] or one parallel executor pass —
+/// reads the chunk starting at point 0 exactly once, so that read is what
+/// gets counted.
 pub struct PassCounter<'a, S: PointSource + ?Sized> {
     inner: &'a S,
     // Atomic (not `Cell`) so counted sources stay `Sync` and can be shared
@@ -268,7 +314,7 @@ impl<'a, S: PointSource + ?Sized> PassCounter<'a, S> {
         }
     }
 
-    /// Number of completed scans so far.
+    /// Number of passes (scans and executor passes) begun so far.
     pub fn passes(&self) -> usize {
         self.passes.load(std::sync::atomic::Ordering::SeqCst)
     }
@@ -283,16 +329,23 @@ impl<S: PointSource + ?Sized> PointSource for PassCounter<'_, S> {
         self.inner.len()
     }
 
-    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
-        self.inner.scan(visit)?;
-        self.passes
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    fn read_points_into(
+        &self,
+        range: Range<usize>,
+        buf: &mut Vec<f64>,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        self.inner.read_points_into(range.clone(), buf, tally)?;
+        if range.start == 0 {
+            self.passes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
         Ok(())
     }
 
-    // Deliberately not forwarding `as_dataset` or `as_chunks`: a counted
-    // source must make every executor pay an observable `scan`, even when
-    // the inner source could hand out its buffer (or chunk reads) for free.
+    // Deliberately not forwarding `as_dataset`: a counted source must make
+    // every scan and executor pass read through the counting chunk reads,
+    // even when the inner source could hand out its buffer for free.
 }
 
 #[cfg(test)]
@@ -341,6 +394,29 @@ mod tests {
         assert_eq!(ds.collect_dataset_capped(32).unwrap(), ds);
         // The ambient default is far above any test dataset.
         assert_eq!(ds.collect_dataset().unwrap(), ds);
+    }
+
+    /// Claims more points than any allocation can hold; never read.
+    struct Unallocatable;
+
+    impl PointSource for Unallocatable {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn len(&self) -> usize {
+            usize::MAX / 8
+        }
+        fn read_points_into(&self, _: Range<usize>, _: &mut Vec<f64>, _: &mut Tally) -> Result<()> {
+            unreachable!("the reservation fails before any read")
+        }
+    }
+
+    #[test]
+    fn failed_reservation_is_an_error_not_an_abort() {
+        let err = Unallocatable.collect_dataset_capped(u64::MAX).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
+        let bytes = (usize::MAX / 8) as u128 * 8;
+        assert!(err.to_string().contains(&format!("{bytes} bytes")), "{err}");
     }
 
     #[test]

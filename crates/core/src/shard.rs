@@ -6,10 +6,10 @@
 //! side of that bargain: a dataset is split into **shard files**, each a
 //! fixed 4096-byte header followed by `f64` little-endian blocks laid out
 //! on the executor's fixed [`CHUNK_POINTS`] chunk grid. A
-//! [`ShardedSource`] memory-maps the shards (falling back to buffered
-//! positional reads where mapping is unavailable) and implements both
-//! [`PointSource`] and [`ChunkAccess`], so every parallel algorithm in the
-//! workspace runs over it with peak memory bounded by
+//! [`ShardedSource`] memory-maps the shards (falling back to positional
+//! reads where mapping is unavailable) and serves
+//! [`PointSource::read_points_into`] from them, so every parallel algorithm
+//! in the workspace runs over it with peak memory bounded by
 //! `workers x CHUNK_POINTS x dim` — independent of the dataset size.
 //!
 //! # Format
@@ -50,11 +50,11 @@ use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use crate::obs::{Counter, Recorder, Tally};
+use crate::io::read_exact_at;
+use crate::obs::{Counter, Tally};
 use crate::par::CHUNK_POINTS;
-use crate::scan::{ChunkAccess, PointSource};
+use crate::scan::{out_of_bounds, PointSource};
 
 /// Shard file magic (8 bytes).
 const MAGIC: &[u8; 8] = b"DBSSHRD1";
@@ -340,10 +340,9 @@ struct Shard {
     data: ShardData,
 }
 
-/// A shard directory exposed as a dataset: implements [`PointSource`]
-/// (sequential scans for estimator fitting) and [`ChunkAccess`] (the
-/// parallel executor's chunk-read backing), so the whole pipeline runs
-/// over it without ever materializing the data.
+/// A shard directory exposed as a [`PointSource`]: scans, the parallel
+/// executor and index fetches all read it chunk by chunk, so the whole
+/// pipeline runs over it without ever materializing the data.
 #[derive(Debug)]
 pub struct ShardedSource {
     dim: usize,
@@ -481,36 +480,6 @@ impl ShardedSource {
             .count()
     }
 
-    /// Fetches the points at `indices` (in that order) into a small
-    /// in-memory dataset — how the CLI recovers original coordinates for a
-    /// sample without materializing the source. Ascending indices read
-    /// each touched chunk once.
-    pub fn select(&self, indices: &[usize], recorder: &Recorder) -> Result<Dataset> {
-        let mut out = Dataset::with_capacity(self.dim, indices.len());
-        let mut tally = Tally::default();
-        let mut buf: Vec<f64> = Vec::new();
-        let mut cached: Option<Range<usize>> = None;
-        for &i in indices {
-            if i >= self.len {
-                return Err(Error::InvalidParameter(format!(
-                    "index {i} out of range for {} points",
-                    self.len
-                )));
-            }
-            if cached.as_ref().is_none_or(|r| !r.contains(&i)) {
-                let c = i / CHUNK_POINTS;
-                let range = c * CHUNK_POINTS..((c + 1) * CHUNK_POINTS).min(self.len);
-                self.read_points_into(range.clone(), &mut buf, &mut tally)?;
-                cached = Some(range);
-            }
-            let base = cached.as_ref().expect("filled above").start;
-            out.push(&buf[(i - base) * self.dim..(i - base + 1) * self.dim])
-                .expect("shard points have the declared dimension");
-        }
-        recorder.merge(&tally);
-        Ok(out)
-    }
-
     /// Copies the shard-local point range `local` of shard `s` into
     /// `dest`, row-major. `dest.len() == local.len() * dim`.
     fn read_shard_local(
@@ -567,51 +536,7 @@ fn f64_at(bytes: &[u8], off: usize) -> f64 {
     f64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
 }
 
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    // No positional-read API: clone the handle so the shared cursor of
-    // `file` itself is never moved concurrently.
-    use std::io::Read;
-    let mut f = file.try_clone()?;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
-}
-
 impl PointSource for ShardedSource {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(usize, &[f64])) -> Result<()> {
-        let mut buf = Vec::new();
-        let mut tally = Tally::default();
-        let mut start = 0usize;
-        while start < self.len {
-            let end = (start + CHUNK_POINTS).min(self.len);
-            self.read_points_into(start..end, &mut buf, &mut tally)?;
-            for (k, p) in buf.chunks_exact(self.dim).enumerate() {
-                visit(start + k, p);
-            }
-            start = end;
-        }
-        Ok(())
-    }
-
-    fn as_chunks(&self) -> Option<&dyn ChunkAccess> {
-        Some(self)
-    }
-}
-
-impl ChunkAccess for ShardedSource {
     fn dim(&self) -> usize {
         self.dim
     }
@@ -627,10 +552,7 @@ impl ChunkAccess for ShardedSource {
         tally: &mut Tally,
     ) -> Result<()> {
         if range.end > self.len {
-            return Err(Error::InvalidParameter(format!(
-                "point range {range:?} out of bounds for {} points",
-                self.len
-            )));
+            return Err(out_of_bounds(&range, self.len));
         }
         let dim = self.dim;
         buf.clear();
@@ -759,6 +681,8 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
+    use crate::obs::Recorder;
     use crate::par;
     use std::num::NonZeroUsize;
 
@@ -835,10 +759,17 @@ mod tests {
         let dir = tmp("exec");
         write_shards_with(&dir, &ds, 1, CHUNK_POINTS).unwrap();
         let src = ShardedSource::open(&dir).unwrap();
-        let want = par::par_map(&ds, t(1), |i, p| (i, p[0].to_bits())).unwrap();
+        let points = |source: &dyn PointSource, threads| {
+            let per_chunk = par::par_scan(source, t(threads), |range, block| {
+                range
+                    .map(|i| (i, block.point(i)[0].to_bits()))
+                    .collect::<Vec<_>>()
+            });
+            per_chunk.unwrap().concat()
+        };
+        let want = points(&ds, 1);
         for threads in [1, 2, 7] {
-            let got = par::par_map(&src, t(threads), |i, p| (i, p[0].to_bits())).unwrap();
-            assert_eq!(got, want, "threads = {threads}");
+            assert_eq!(points(&src, threads), want, "threads = {threads}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -330,8 +330,8 @@ where
     check_detector(source.dim(), estimator.dim(), params, ball_samples)?;
     let threshold = params.max_neighbors as f64 + 1.0;
     recorder.add(Counter::DatasetPasses, 1);
-    // Per-chunk serial fold + chunk-ordered integer sum — the same
-    // reduction `par_map_reduce` performs, with a tally alongside.
+    // Per-chunk serial count, then a chunk-ordered integer sum (exactly
+    // associative, so equal at every thread count), with a tally alongside.
     let per_chunk = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
         let mut count = 0usize;
         for i in range {

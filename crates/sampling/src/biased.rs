@@ -161,18 +161,21 @@ where
     let a = config.exponent;
     let floor = config.density_floor * estimator.average_density();
 
-    // Pass 1: k = sum of f'(x) over the dataset. Densities come from the
-    // estimator's batch engine (`batch_densities` routes every chunk
-    // through the `densities_into` hook), which is bit-identical to
-    // per-point evaluation; the serial left fold over the point-ordered
-    // vector is bit-identical to accumulating during a sequential scan.
+    // Pass 1: k = sum of f'(x) over the dataset. Each chunk's densities
+    // come from the estimator's `densities_into` hook, which is
+    // bit-identical to per-point evaluation; the serial left fold over the
+    // chunk-ordered values is bit-identical to accumulating during a
+    // sequential scan. The f' cache stays one small vector per chunk:
+    // flattening it would hold it twice, and one large allocation needs
+    // fresh address space that the workers' small ones do not.
     recorder.add(Counter::DatasetPasses, 1);
-    let fpv: Vec<f64> =
-        dbs_density::batch_densities_obs(estimator, source, config.parallelism, recorder)?
-            .into_iter()
-            .map(|f| f.max(floor).powf(a))
-            .collect();
-    let k: f64 = fpv.iter().sum();
+    let fpv = par::par_scan_tallied(source, config.parallelism, recorder, |_, block, tally| {
+        let mut fp = vec![0.0f64; block.len()];
+        estimator.densities_into(block, &mut fp, tally);
+        fp.iter_mut().for_each(|f| *f = f.max(floor).powf(a));
+        fp
+    })?;
+    let k: f64 = fpv.iter().flatten().sum();
     if !(k.is_finite() && k > 0.0) {
         return Err(Error::InvalidParameter(format!(
             "normalizer k = {k} is not positive/finite; check exponent and floor"
@@ -181,7 +184,7 @@ where
 
     // Pass 2 reads the cached f' values, so no density is evaluated twice.
     let (sample, clipped) = inclusion_pass(source, config, k, recorder, |range, _, _, fp| {
-        fp.copy_from_slice(&fpv[range]);
+        fp.copy_from_slice(&fpv[range.start / par::CHUNK_POINTS]);
     })?;
     let stats = BiasedSampleStats {
         normalizer_k: k,
