@@ -74,7 +74,10 @@ counter_catalog! {
     BatchTiles => "batch_tiles",
     /// Candidate centers yielded by center-grid queries (panel sizes).
     GridCandidateVisits => "grid_candidate_visits",
-    /// Monte-Carlo evaluation points spent on ball integrals (§3.2).
+    /// Monte-Carlo evaluation points spent on ball integrals (§3.2). The
+    /// samples go through the estimator's batch engine, but their kernel
+    /// evaluations, tiles and grid visits are not counted: only this
+    /// counter records the ball work.
     BallSamples => "mc_ball_samples",
     /// Sampler inclusion probabilities clipped at 1.
     SamplerClipEvents => "sampler_clip_events",

@@ -36,9 +36,10 @@
 //! [`DensityEstimator`], so the CLI and experiment harness never hardwire
 //! a concrete estimator type.
 //!
-//! [`ball::expected_neighbors`] estimates `∫_{Ball(O,r)} f` over an L2, L1
-//! or L∞ ball, the quantity the approximate outlier detector of §3.2 uses
-//! to prune non-outliers.
+//! [`ball::BallIntegral`] estimates `∫_{Ball(O,r)} f` over an L2, L1 or L∞
+//! ball, the quantity the approximate outlier detector of §3.2 uses to
+//! prune non-outliers. It integrates a block of centers at a time through
+//! the estimator's batch engine.
 
 // Numeric-kernel loops in this crate index several parallel slices at once,
 // and NaN-rejecting guards are written as negated comparisons on purpose.

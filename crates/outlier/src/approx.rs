@@ -22,9 +22,9 @@
 use std::num::NonZeroUsize;
 
 use dbs_core::metric::Metric;
-use dbs_core::obs::{Counter, Recorder};
-use dbs_core::{par, Dataset, Error, PointSource, Result};
-use dbs_density::ball::expected_neighbors;
+use dbs_core::obs::{Counter, Recorder, Tally};
+use dbs_core::{par, Dataset, Error, PointBlock, PointSource, Result};
+use dbs_density::ball::BallIntegral;
 use dbs_density::DensityEstimator;
 use dbs_spatial::GridIndex;
 
@@ -102,6 +102,46 @@ fn check_detector(
     Ok(())
 }
 
+/// Streams the points of `block` that pass `integrate` through the ball
+/// integral, [`BallIntegral::centers_per_block`] at a time through fixed
+/// buffers, and hands each `(index, expected neighbors)` to `emit` in index
+/// order. Point `i`'s quadrature is seeded by `seed` and `i` alone, so the
+/// results do not depend on how the source is chunked.
+fn for_each_ball_integral<E: DensityEstimator + ?Sized>(
+    est: &E,
+    ball: &BallIntegral,
+    seed: u64,
+    block: &PointBlock,
+    mut integrate: impl FnMut(usize) -> bool,
+    tally: &mut Tally,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let group = ball.centers_per_block();
+    let mut ids = Vec::with_capacity(group);
+    let mut centers = Vec::with_capacity(group * block.dim());
+    let mut seeds = Vec::with_capacity(group);
+    let mut expected = vec![0.0f64; group];
+    let mut todo = block.range().filter(|&i| integrate(i));
+    loop {
+        ids.clear();
+        centers.clear();
+        seeds.clear();
+        for i in todo.by_ref().take(group) {
+            ids.push(i);
+            centers.extend_from_slice(block.point(i));
+            seeds.push(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        if ids.is_empty() {
+            return;
+        }
+        let out = &mut expected[..ids.len()];
+        ball.expected_neighbors(est, &centers, &seeds, out, tally);
+        for (&i, &e) in ids.iter().zip(out.iter()) {
+            emit(i, e);
+        }
+    }
+}
+
 /// Runs the §3.2 detector: density pruning pass + verification pass.
 ///
 /// # Examples
@@ -169,58 +209,60 @@ where
     let k = config.params.radius;
     let p = config.params.max_neighbors;
     let threshold = config.slack * (p as f64 + 1.0);
+    let ball = BallIntegral {
+        metric,
+        radius: k,
+        samples: config.ball_samples,
+    };
 
     // Pass 1: likely outliers = points whose expected ball population is
     // small. (The integral counts the point's own smoothed mass too, hence
-    // p + 1 above.) A cheap prefilter skips the Monte-Carlo ball integral
-    // for points whose *center* density alone puts them three orders of
-    // magnitude over the threshold — the kernel estimate is smooth at the
-    // bandwidth scale, so the ball average cannot fall 1000x below the
-    // center value for any plausible radius/bandwidth ratio.
+    // p + 1 above.) A prefilter skips the Monte-Carlo ball integral for
+    // points whose center density alone puts their expected population
+    // 1000 times over the threshold. That population is at most about n,
+    // so the screen can only fire when `n > 1000 · slack · (p + 1)` — never
+    // below 12,000 points at the CLI defaults.
     //
     // Each point's keep/drop decision depends only on its own index (the
     // quadrature is seeded per index), so the pass parallelizes chunk-wise
     // with output in point order for every thread count. The prefilter's
-    // density screen runs through the estimator's batch engine
-    // (`densities_into`, bit-identical to per-point evaluation) on each
-    // chunk.
+    // density screen and the ball samples both run through the estimator's
+    // batch engine (`densities_into`, bit-identical to per-point
+    // evaluation); only the screen's work is counted (see
+    // `BallIntegral::expected_neighbors`).
     let ball_vol = metric.ball_volume(source.dim(), k);
     let skip_above = 1000.0 * threshold;
     recorder.add(Counter::DatasetPasses, 1);
     let kept_chunks = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
         let mut dens = vec![0.0f64; range.len()];
         estimator.densities_into(block, &mut dens, tally);
-        let mut kept: Vec<(usize, Vec<f64>)> = Vec::new();
-        for (off, i) in range.enumerate() {
-            if dens[off] * ball_vol > skip_above {
-                tally.add(Counter::PrefilterSkips, 1);
-                continue;
-            }
-            let x = block.point(i);
-            let expected = expected_neighbors(
-                estimator,
-                metric,
-                x,
-                k,
-                config.ball_samples,
-                config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                tally,
-            );
+        let mut skips = 0u64;
+        let screen = |i: usize| {
+            let skip = dens[i - range.start] * ball_vol > skip_above;
+            skips += u64::from(skip);
+            !skip
+        };
+        // Kept points go into one flat buffer per chunk, not a vector each.
+        let (mut ids, mut coords) = (Vec::new(), Vec::new());
+        let keep = |i: usize, expected: f64| {
             if expected <= threshold {
-                kept.push((i, x.to_vec()));
+                ids.push(i);
+                coords.extend_from_slice(block.point(i));
             }
-        }
-        kept
+        };
+        for_each_ball_integral(estimator, &ball, config.seed, block, screen, tally, keep);
+        tally.add(Counter::PrefilterSkips, skips);
+        (ids, coords)
     })?;
-    let kept: Vec<(usize, Vec<f64>)> = kept_chunks.into_iter().flatten().collect();
-    let candidates = kept.len();
-    recorder.add(Counter::OutlierCandidates, candidates as u64);
-    let mut candidate_points = Dataset::with_capacity(source.dim(), candidates.max(1));
-    let mut candidate_indices: Vec<usize> = Vec::with_capacity(candidates);
-    for (i, x) in kept {
-        candidate_points.push(&x).expect("declared dimension");
-        candidate_indices.push(i);
+    let mut candidate_indices: Vec<usize> = Vec::new();
+    let mut flat: Vec<f64> = Vec::new();
+    for (ids, coords) in kept_chunks {
+        candidate_indices.extend(ids);
+        flat.extend(coords);
     }
+    let candidates = candidate_indices.len();
+    recorder.add(Counter::OutlierCandidates, candidates as u64);
+    let candidate_points = Dataset::from_flat(source.dim(), flat).expect("whole points");
 
     // Pass 2: count true neighbors of every candidate simultaneously in one
     // scan. A grid over the candidates finds which of them each data point
@@ -332,20 +374,15 @@ where
     recorder.add(Counter::DatasetPasses, 1);
     // Per-chunk serial count, then a chunk-ordered integer sum (exactly
     // associative, so equal at every thread count), with a tally alongside.
-    let per_chunk = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
+    let ball = BallIntegral {
+        metric: Metric::Euclidean,
+        radius: params.radius,
+        samples: ball_samples,
+    };
+    let per_chunk = par::par_scan_tallied(source, threads, recorder, |_, block, tally| {
         let mut count = 0usize;
-        for i in range {
-            let expected = expected_neighbors(
-                estimator,
-                Metric::Euclidean,
-                block.point(i),
-                params.radius,
-                ball_samples,
-                seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                tally,
-            );
-            count += usize::from(expected <= threshold);
-        }
+        let tick = |_, expected: f64| count += usize::from(expected <= threshold);
+        for_each_ball_integral(estimator, &ball, seed, block, |_| true, tally, tick);
         count
     })?;
     Ok(per_chunk.into_iter().sum())
@@ -604,6 +641,43 @@ mod tests {
             let integrated = snap.counter(Counter::BallSamples) / cfg.ball_samples as u64;
             assert_eq!(skipped + integrated, ds.len() as u64, "{metric:?}");
             assert!(snap.counter(Counter::VerifyDistanceEvals) > 0, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn prefilter_fires_on_a_ball_holding_far_more_than_the_threshold() {
+        // The screen skips a point only when its ball's expected population
+        // exceeds 1000 · slack · (p + 1): here 1000, against a 5000-point
+        // blob that a single ball covers.
+        let mut rng = seeded(15);
+        let mut ds = Dataset::with_capacity(2, 5003);
+        for _ in 0..5000 {
+            ds.push(&[
+                0.5 + (rng.gen::<f64>() - 0.5) * 0.02,
+                0.5 + (rng.gen::<f64>() - 0.5) * 0.02,
+            ])
+            .unwrap();
+        }
+        for o in [[0.05, 0.05], [0.95, 0.95], [0.05, 0.95]] {
+            ds.push(&o).unwrap();
+        }
+        let est = kde(&ds);
+        let params = DbOutlierParams::new(0.1, 0).unwrap();
+        for metric in METRICS {
+            let cfg = ApproxConfig {
+                slack: 1.0,
+                ..with_metric(params, metric)
+            };
+            let rec = Recorder::enabled();
+            let report = approx_outliers_obs(&ds, &est, &cfg, &rec).unwrap();
+            let snap = rec.snapshot().unwrap();
+            let skipped = snap.counter(Counter::PrefilterSkips);
+            let integrated = snap.counter(Counter::BallSamples) / cfg.ball_samples as u64;
+            assert!(skipped > 0, "{metric:?}: the prefilter never fired");
+            assert_eq!(skipped + integrated, ds.len() as u64, "{metric:?}");
+            let exact = nested_loop_outliers(&ds, &params, metric);
+            assert_eq!(report.outliers, exact, "{metric:?}");
+            assert_eq!(exact, vec![5000, 5001, 5002], "{metric:?}");
         }
     }
 }

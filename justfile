@@ -40,6 +40,13 @@ experiments:
 metrics:
     cargo run --release -p dbs-experiments -- metrics --metrics-out metrics_sample.json
 
+# Compare two pipebench results files (the JSON lines `pipeline --out FILE`
+# appends, e.g. one from the parent commit and one from a change) against
+# the end-to-end bounds in BENCHMARK.json. Exits 1 on a regression or a
+# counter difference.
+bench-diff OLD NEW:
+    cargo run --release --offline --quiet --manifest-path pipebench/Cargo.toml --bin bench-diff -- {{OLD}} {{NEW}} --bench BENCHMARK.json
+
 # Partitioned / sample-fed CURE vs the single-phase quadratic loop at
 # 50k/250k/1M points, recorded as BENCH_cure_partitioned.json (includes
 # the 50k full baseline so the speedup is self-contained).

@@ -10,7 +10,7 @@ use std::num::NonZeroUsize;
 
 use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
 use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator};
-use dbs_outlier::{approx_outliers, ApproxConfig, DbOutlierParams};
+use dbs_outlier::{approx_outliers, estimate_outlier_count, ApproxConfig, DbOutlierParams};
 use dbs_sampling::{density_biased_sample, one_pass_biased_sample, BiasedConfig};
 
 use dbs_integration_tests::clustered_noisy;
@@ -137,6 +137,15 @@ fn batch_routed_pipelines_match_scalar_reference() {
     let scalar = approx_outliers(&data, &ScalarOnly(&est), &ocfg).unwrap();
     assert_eq!(batched.outliers, scalar.outliers);
     assert_eq!(batched.candidates, scalar.candidates);
+
+    // The one-pass count estimate folds the same ball-sample blocks; 7
+    // samples per center do not divide the block.
+    for samples in [7, 64] {
+        let batched = estimate_outlier_count(&data, &est, &params, samples, 11, nz(2)).unwrap();
+        let scalar =
+            estimate_outlier_count(&data, &ScalarOnly(&est), &params, samples, 11, nz(2)).unwrap();
+        assert_eq!(batched, scalar, "count estimate, {samples} samples");
+    }
 }
 
 #[test]
@@ -216,5 +225,17 @@ fn approx_outlier_detector_is_thread_count_independent() {
                 "{metric:?}, threads={t}: pass counts differ"
             );
         }
+    }
+}
+
+#[test]
+fn outlier_count_estimate_is_thread_count_independent() {
+    let (data, est) = workload();
+    let params = DbOutlierParams::new(0.02, 3).unwrap();
+    let serial = estimate_outlier_count(&data, &est, &params, 64, 11, nz(1)).unwrap();
+    assert!(serial > 0, "the workload's noise holds sparse points");
+    for t in THREADS {
+        let par = estimate_outlier_count(&data, &est, &params, 64, 11, nz(t)).unwrap();
+        assert_eq!(serial, par, "threads={t}: outlier count estimates differ");
     }
 }
