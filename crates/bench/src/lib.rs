@@ -1,17 +1,15 @@
 //! Shared workload builders for the Criterion benches.
 //!
-//! Each bench target regenerates the measurable side of one paper figure or
-//! table (see DESIGN.md §4 for the full index). Workloads here are sized
-//! for repeated measurement on one core; the `experiments` binary runs the
-//! full-size versions (`--paper`). The custom-harness benches share the
-//! JSON-line writer and measurement helpers below.
+//! Each bench target but `outliers` records one `BENCH_*.json` file (see
+//! the `just bench-*` recipes); the `experiments` binary reproduces the
+//! paper's figures. The custom-harness benches share the JSON-line writer
+//! and measurement helpers below.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use dbs_core::{BoundingBox, Dataset};
 use dbs_density::{KdeConfig, KernelDensityEstimator};
-use dbs_synth::noise::with_noise_fraction;
 use dbs_synth::rect::{generate, RectConfig, SizeProfile};
 use dbs_synth::SyntheticDataset;
 
@@ -32,20 +30,6 @@ pub fn bench_workload_dim(n: usize, dim: usize, seed: u64) -> SyntheticDataset {
         ..RectConfig::paper_standard(dim, seed)
     };
     generate(&cfg, &SizeProfile::Equal).expect("bench workload generates")
-}
-
-/// Noisy variant.
-pub fn bench_workload_noisy(n: usize, noise: f64, seed: u64) -> SyntheticDataset {
-    with_noise_fraction(bench_workload(n, seed), noise, seed ^ 0xbe)
-}
-
-/// Variable-density variant (10x spread).
-pub fn bench_workload_variable(n: usize, seed: u64) -> SyntheticDataset {
-    let cfg = RectConfig {
-        total_points: n,
-        ..RectConfig::paper_standard(2, seed)
-    };
-    generate(&cfg, &SizeProfile::VariableDensity { ratio: 10.0 }).expect("generates")
 }
 
 /// Prints one JSON result line and, when `CRITERION_JSON` names a file,

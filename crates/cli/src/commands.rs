@@ -143,7 +143,11 @@ fn load(path: &str) -> Result<Input, String> {
     } else {
         read_text(p).map(Input::Mem)
     };
-    result.map_err(|e| format!("cannot load {path}: {e}"))
+    result.map_err(|e| match e {
+        // Worded as the scaler pass words it for binary and shard inputs.
+        dbs_core::Error::NonFinite { .. } => e.to_string(),
+        _ => format!("cannot load {path}: {e}"),
+    })
 }
 
 fn err(e: impl std::fmt::Display) -> String {

@@ -9,7 +9,7 @@
 
 use dbs_core::metric::euclidean_sq;
 use dbs_core::rng::{seeded, weighted_index};
-use dbs_core::{Dataset, Error, Result, WeightedSample};
+use dbs_core::{Dataset, Error, Result};
 
 /// Configuration of a K-means run.
 #[derive(Debug, Clone)]
@@ -177,15 +177,6 @@ pub fn kmeans(data: &Dataset, weights: &[f64], config: &KMeansConfig) -> Result<
         inertia,
         iterations,
     })
-}
-
-/// Runs weighted K-means directly on a [`WeightedSample`] — the §3.1 recipe
-/// for debiasing a density-biased sample.
-pub fn kmeans_weighted_sample(
-    sample: &WeightedSample,
-    config: &KMeansConfig,
-) -> Result<KMeansResult> {
-    kmeans(sample.points(), sample.weights(), config)
 }
 
 fn rng_pick(rng: &mut impl rand::Rng, n: usize) -> usize {

@@ -12,9 +12,8 @@
 //! * [`birch`] — the BIRCH comparison method \[31\]: a CF-tree summarizing
 //!   the *entire* dataset under a memory budget equal to the sample size,
 //!   followed by hierarchical global clustering of the leaf entries.
-//! * [`mod@kmeans`] / [`mod@kmedoids`] — weight-aware partitional algorithms; §3.1
-//!   explains that biased samples must be debiased with `1/p_i` weights for
-//!   these objectives.
+//! * [`mod@kmeans`] — weight-aware K-means; §3.1 explains that biased
+//!   samples must be debiased with `1/p_i` weights for this objective.
 //! * [`partitioned`] — the scalable path around the quadratic merge loop:
 //!   CURE's partitioning scheme, sample-fed clustering, and full-dataset
 //!   label map-back, all bit-reproducible at any thread count.
@@ -29,7 +28,6 @@ pub mod birch;
 pub mod eval;
 pub mod hierarchical;
 pub mod kmeans;
-pub mod kmedoids;
 pub mod partitioned;
 
 pub use birch::{Birch, BirchClustering, BirchConfig};
@@ -39,7 +37,6 @@ pub use hierarchical::{
     FoundCluster, HierarchicalConfig, NOISE,
 };
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use kmedoids::{kmedoids, KMedoidsConfig, KMedoidsResult};
 pub use partitioned::{
     map_back_labels, map_back_labels_obs, partitioned_cluster, partitioned_cluster_obs,
     sample_fed_cluster, sample_fed_cluster_obs, sample_target_size,

@@ -49,7 +49,9 @@ pub fn write_text(path: &Path, data: &Dataset) -> Result<()> {
 
 /// Reads the text format. Lines may separate values with spaces, tabs, or
 /// commas; empty lines and lines starting with `#` are skipped. All rows
-/// must have the same number of values.
+/// must have the same number of values, and every value must be finite
+/// (`nan` or `inf` fails with [`Error::NonFinite`] naming the 0-based
+/// point, comments and blank lines not counted).
 pub fn read_text(path: &Path) -> Result<Dataset> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut ds: Option<Dataset> = None;
@@ -77,6 +79,10 @@ pub fn read_text(path: &Path) -> Result<Dataset> {
                 line: lineno,
                 message: format!("not a number: {tok:?}"),
             })?;
+            if !v.is_finite() {
+                let index = ds.as_ref().map_or(0, Dataset::len);
+                return Err(Error::NonFinite { index });
+            }
             row.push(v);
         }
         match &mut ds {
@@ -293,6 +299,23 @@ mod tests {
             read_text(&path),
             Err(Error::Parse { line: 2, .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn text_rejects_non_finite_values() {
+        let path = tmp("nonfinite.txt");
+        for (body, index) in [
+            ("nan 1\n2 3\n", 0),
+            ("# c\n1 2\n\n3 -inf\n", 1),
+            ("1 2\n3 4\n# c\n5 6\ninf 7\n", 3),
+        ] {
+            std::fs::write(&path, body).unwrap();
+            assert!(
+                matches!(read_text(&path), Err(Error::NonFinite { index: i }) if i == index),
+                "{body:?}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

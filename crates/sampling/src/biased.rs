@@ -160,20 +160,38 @@ where
     check_inputs(source, estimator, config)?;
     let a = config.exponent;
     let floor = config.density_floor * estimator.average_density();
-
-    // Pass 1: k = sum of f'(x) over the dataset. Each chunk's densities
-    // come from the estimator's `densities_into` hook, which is
-    // bit-identical to per-point evaluation; the serial left fold over the
-    // chunk-ordered values is bit-identical to accumulating during a
-    // sequential scan. The f' cache stays one small vector per chunk:
-    // flattening it would hold it twice, and one large allocation needs
-    // fresh address space that the workers' small ones do not.
-    recorder.add(Counter::DatasetPasses, 1);
-    let fpv = par::par_scan_tallied(source, config.parallelism, recorder, |_, block, tally| {
+    figure1_passes(source, config, recorder, |block, tally| {
         let mut fp = vec![0.0f64; block.len()];
         estimator.densities_into(block, &mut fp, tally);
         fp.iter_mut().for_each(|f| *f = f.max(floor).powf(a));
         fp
+    })
+}
+
+/// Both passes of Figure 1 over a per-chunk `f'` hook, shared by this
+/// sampler and the Palmer–Faloutsos grid sampler.
+///
+/// Pass 1 computes `k = Σ f'(x)`: `fprime` maps each chunk to its `f'`
+/// values (recording its work into the chunk's tally), and the serial left
+/// fold over the chunk-ordered values is bit-identical to accumulating
+/// during a sequential scan. The f' cache stays one small vector per
+/// chunk: flattening it would hold it twice, and one large allocation
+/// needs fresh address space that the workers' small ones do not. Pass 2
+/// is the [`inclusion_pass`] over the cached values, so no `f'` is
+/// evaluated twice.
+pub(crate) fn figure1_passes<S, F>(
+    source: &S,
+    config: &BiasedConfig,
+    recorder: &Recorder,
+    fprime: F,
+) -> Result<(WeightedSample, BiasedSampleStats)>
+where
+    S: PointSource + ?Sized,
+    F: Fn(&PointBlock, &mut Tally) -> Vec<f64> + Sync,
+{
+    recorder.add(Counter::DatasetPasses, 1);
+    let fpv = par::par_scan_tallied(source, config.parallelism, recorder, |_, block, tally| {
+        fprime(block, tally)
     })?;
     let k: f64 = fpv.iter().flatten().sum();
     if !(k.is_finite() && k > 0.0) {
@@ -181,8 +199,6 @@ where
             "normalizer k = {k} is not positive/finite; check exponent and floor"
         )));
     }
-
-    // Pass 2 reads the cached f' values, so no density is evaluated twice.
     let (sample, clipped) = inclusion_pass(source, config, k, recorder, |range, _, _, fp| {
         fp.copy_from_slice(&fpv[range.start / par::CHUNK_POINTS]);
     })?;
@@ -222,9 +238,9 @@ where
     Ok(())
 }
 
-/// The Figure 1 inclusion pass both samplers end with: one chunked scan
-/// that includes point `i` with probability `p = min(1, b·f'(x_i)/k)` and
-/// weight `1/p`, where only the source of `k` differs between the two.
+/// The Figure 1 inclusion pass every biased sampler ends with: one chunked
+/// scan that includes point `i` with probability `p = min(1, b·f'(x_i)/k)`
+/// and weight `1/p`, where only the source of `k` and `f'` differs.
 ///
 /// `fprime` fills a chunk's `f'` values, one per point of the chunk's
 /// range, recording any work it does into the chunk's tally. The draw for

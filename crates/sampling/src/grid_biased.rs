@@ -13,19 +13,21 @@
 //! the quality degradation caused by collisions is part of what the
 //! paper's comparison measures.
 //!
-//! Like every other sampler in this crate, the inclusion draw for point
-//! `i` is a counter-based hash of `(seed, i)`
-//! ([`dbs_core::rng::keyed_unit`]), not a stateful generator — the sample
-//! is a pure function of (data, config) whatever order the source is
-//! scanned in, and [`grid_biased_sample_obs`] records passes and clip
-//! events without perturbing it.
+//! After the hashed-grid fit, the sampler runs the same chunked Figure 1
+//! passes as [`crate::biased`], with `f'(x) = max(1, c(x))^e` for the
+//! hashed count `c(x)` of the point's cell: one pass folds the normalizer,
+//! the other makes the inclusion draws. Both run on the machine's
+//! available parallelism, and the draw for point `i` is a counter-based
+//! hash of `(seed, i)` ([`dbs_core::rng::keyed_unit`]), so the sample is a
+//! pure function of (data, config) at every thread count, and
+//! [`grid_biased_sample_obs`] records passes and clip events without
+//! perturbing it.
 
 use dbs_core::obs::{Counter, Recorder};
-use dbs_core::rng::keyed_unit;
-use dbs_core::{BoundingBox, Dataset, Error, PointSource, Result, WeightedSample};
+use dbs_core::{BoundingBox, Error, PointSource, Result, WeightedSample};
 use dbs_density::{DensityEstimator, ShiftedGrids};
 
-use crate::biased::BiasedSampleStats;
+use crate::biased::{figure1_passes, BiasedConfig, BiasedSampleStats};
 
 /// Configuration of the Palmer–Faloutsos-style sampler.
 #[derive(Debug, Clone)]
@@ -69,11 +71,10 @@ impl GridBiasedConfig {
 
 /// Runs the grid/hash-based biased sampler.
 ///
-/// Pass 1 builds the hashed cell counts; pass 2 samples each point with
-/// probability `b · c(x)^e / K`, where `c(x)` is the (hashed) count of the
-/// point's cell and `K = Σ_slots count · count^e` — the slot-level
-/// approximation of `Σ_x c(x)^e` that the hash table affords without
-/// another data pass.
+/// Pass 1 builds the hashed cell counts; pass 2 computes
+/// `K = Σ_x max(1, c(x))^e`, where `c(x)` is the (hashed) count of the
+/// point's cell, and pass 3 samples each point with probability
+/// `min(1, b · max(1, c(x))^e / K)` and weight `1/p`.
 pub fn grid_biased_sample<S: PointSource + ?Sized>(
     source: &S,
     config: &GridBiasedConfig,
@@ -82,7 +83,8 @@ pub fn grid_biased_sample<S: PointSource + ?Sized>(
 }
 
 /// [`grid_biased_sample`] with metrics: records the three dataset passes
-/// (grid fit, normalizer, inclusion) and the clip count into `recorder`.
+/// (grid fit, normalizer, inclusion), the hashed grid's per-chunk query
+/// counts and the clip count into `recorder`.
 /// The sample and stats are byte-identical to the plain entry point
 /// whether the recorder is enabled or not (this *is* the implementation
 /// the plain entry point runs with a disabled recorder).
@@ -91,8 +93,7 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
     config: &GridBiasedConfig,
     recorder: &Recorder,
 ) -> Result<(WeightedSample, BiasedSampleStats)> {
-    let n = source.len();
-    if n == 0 {
+    if source.is_empty() {
         return Err(Error::InvalidParameter(
             "cannot sample an empty source".into(),
         ));
@@ -112,71 +113,37 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
             config.exponent
         )));
     }
-    let dim = source.dim();
     let domain = config
         .domain
         .clone()
-        .unwrap_or_else(|| BoundingBox::unit(dim));
+        .unwrap_or_else(|| BoundingBox::unit(source.dim()));
 
     // Pass 1: hashed cell counts.
     recorder.add(Counter::DatasetPasses, 1);
     let est =
         ShiftedGrids::hashgrid(domain, config.cells_per_dim, config.table_slots)?.fit(source)?;
 
-    // Normalizer K = Σ_x c(x)^e, where c(x) is the hashed count of the cell
-    // containing x. K must be known before any inclusion probability can be
-    // computed, so it takes its own pass (like the exact Figure 1 sampler).
+    // Passes 2 and 3 are Figure 1's with f'(x) = max(1, c(x))^e, where
+    // c(x) = density · cell_volume is the hashed count of x's cell.
     let cell_volume = est.cell_volume();
     let e = config.exponent;
-    let mut k_norm = 0.0f64;
-    recorder.add(Counter::DatasetPasses, 1);
-    source.scan(&mut |_, x| {
-        let count = est.density(x) * cell_volume;
-        k_norm += count.max(1.0).powf(e);
+    let biased = BiasedConfig::new(config.target_size, e).with_seed(config.seed);
+    let (sample, mut stats) = figure1_passes(source, &biased, recorder, |block, tally| {
+        let mut fp = vec![0.0f64; block.len()];
+        est.densities_into(block, &mut fp, tally);
+        fp.iter_mut()
+            .for_each(|c| *c = (*c * cell_volume).max(1.0).powf(e));
+        fp
     })?;
-    if !(k_norm.is_finite() && k_norm > 0.0) {
-        return Err(Error::InvalidParameter(format!(
-            "normalizer K = {k_norm} invalid"
-        )));
-    }
-
-    // Pass 2: sample. The inclusion draw for point i is keyed on
-    // (seed, i), so the decision set does not depend on scan order.
-    let b = config.target_size as f64;
-    let mut points = Dataset::with_capacity(dim, config.target_size + 16);
-    let mut weights = Vec::with_capacity(config.target_size + 16);
-    let mut indices = Vec::with_capacity(config.target_size + 16);
-    let mut clipped = 0usize;
-    recorder.add(Counter::DatasetPasses, 1);
-    source.scan(&mut |i, x| {
-        let count = (est.density(x) * cell_volume).max(1.0);
-        let raw = b * count.powf(e) / k_norm;
-        let p = if raw >= 1.0 {
-            clipped += 1;
-            1.0
-        } else {
-            raw
-        };
-        if keyed_unit(config.seed, i as u64) < p {
-            points.push(x).expect("declared dimension");
-            weights.push(1.0 / p);
-            indices.push(i);
-        }
-    })?;
-    recorder.add(Counter::SamplerClipEvents, clipped as u64);
-
-    let stats = BiasedSampleStats {
-        normalizer_k: k_norm,
-        clipped,
-        passes: 3,
-    };
-    Ok((WeightedSample::new(points, weights, indices)?, stats))
+    stats.passes += 1;
+    Ok((sample, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbs_core::rng::seeded;
+    use dbs_core::Dataset;
     use rand::Rng;
 
     fn two_blobs(n: usize, seed: u64) -> Dataset {

@@ -13,8 +13,8 @@
 //!   sampling happens during the only data pass.
 //! * [`uniform`] — Bernoulli uniform sampling (the paper's §4.2 baseline)
 //!   and exact-size sampling without replacement.
-//! * [`reservoir`] — Vitter's reservoir sampling (reference \[29\]): Algorithm
-//!   R and the skip-ahead Algorithm L.
+//! * [`reservoir`] — Vitter's reservoir sampling (reference \[29\]),
+//!   Algorithm R.
 //! * [`grid_biased`] — the Palmer–Faloutsos grid/hash comparison method
 //!   (reference \[22\], compared in Figure 5(c)).
 //! * [`theory`] — Guha et al.'s uniform-sample-size bound and the paper's
@@ -35,7 +35,5 @@ pub use biased::{
 };
 pub use grid_biased::{grid_biased_sample, grid_biased_sample_obs, GridBiasedConfig};
 pub use onepass::{one_pass_biased_sample, one_pass_biased_sample_obs};
-pub use reservoir::{
-    reservoir_sample, reservoir_sample_obs, reservoir_sample_skip, reservoir_sample_skip_obs,
-};
+pub use reservoir::{reservoir_sample, reservoir_sample_obs};
 pub use uniform::{bernoulli_sample, sample_without_replacement};

@@ -1,15 +1,12 @@
 //! Reservoir sampling (Vitter, reference \[29\] of the paper).
 //!
 //! Produces an exact-size uniform sample in a single pass without knowing
-//! the dataset size in advance. Two variants: the classic Algorithm R
-//! (one random number per point) and the skip-ahead Algorithm L
-//! (O(b log(n/b)) random numbers), which visits the same distribution much
-//! faster on large streams.
+//! the dataset size in advance, with the classic Algorithm R (one random
+//! number per point) of [`dbs_core::Reservoir`], the same reservoir the CLI
+//! and the KDE fit draw their uniform samples with.
 
-use dbs_core::obs::{Counter, Recorder, Tally};
-use dbs_core::rng::seeded;
-use dbs_core::{Dataset, Error, PointSource, Reservoir, Result, WeightedSample};
-use rand::Rng;
+use dbs_core::obs::{Counter, Recorder};
+use dbs_core::{Error, PointSource, Reservoir, Result, WeightedSample};
 
 fn check_inputs<S: PointSource + ?Sized>(source: &S, b: usize) -> Result<()> {
     if b == 0 {
@@ -52,65 +49,11 @@ pub fn reservoir_sample_obs<S: PointSource + ?Sized>(
     WeightedSample::uniform(points, indices, source.len())
 }
 
-/// Algorithm L (Li 1994): like Algorithm R but skips ahead geometrically,
-/// touching only the points that actually enter the reservoir.
-pub fn reservoir_sample_skip<S: PointSource + ?Sized>(
-    source: &S,
-    b: usize,
-    seed: u64,
-) -> Result<WeightedSample> {
-    reservoir_sample_skip_obs(source, b, seed, &Recorder::disabled())
-}
-
-/// [`reservoir_sample_skip`] with metrics, see [`reservoir_sample_obs`].
-pub fn reservoir_sample_skip_obs<S: PointSource + ?Sized>(
-    source: &S,
-    b: usize,
-    seed: u64,
-    recorder: &Recorder,
-) -> Result<WeightedSample> {
-    check_inputs(source, b)?;
-    let mut rng = seeded(seed);
-    let dim = source.dim();
-    let mut points = Dataset::with_capacity(dim, b);
-    let mut indices: Vec<usize> = Vec::with_capacity(b);
-    // w is the running max of b "virtual" uniform keys.
-    let mut w: f64 = (rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / b as f64).exp();
-    let mut next: usize = b; // index of the next point that enters
-    let mut pending_skip = false;
-    let mut tally = Tally::default();
-    recorder.add(Counter::DatasetPasses, 1);
-    source.scan(&mut |i, x| {
-        if i < b {
-            points.push(x).expect("declared dimension");
-            indices.push(i);
-            return;
-        }
-        if !pending_skip {
-            // Compute the index of the next accepted point from i == b.
-            let g = (rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / (1.0 - w).ln()).floor();
-            next = b + g as usize;
-            pending_skip = true;
-        }
-        if i == next {
-            let slot = rng.gen_range(0..b);
-            points.point_mut(slot).copy_from_slice(x);
-            indices[slot] = i;
-            tally.add(Counter::ReservoirReplacements, 1);
-            w *= (rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / b as f64).exp();
-            let g = (rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / (1.0 - w).ln()).floor();
-            next = i + 1 + g as usize;
-        }
-    })?;
-    recorder.merge(&tally);
-    let n = source.len();
-    WeightedSample::uniform(points, indices, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbs_core::rng;
+    use dbs_core::Dataset;
 
     fn dataset(n: usize) -> Dataset {
         let mut ds = Dataset::with_capacity(1, n);
@@ -123,23 +66,18 @@ mod tests {
     #[test]
     fn exact_size_and_distinct_indices() {
         let ds = dataset(5000);
-        for f in [reservoir_sample, reservoir_sample_skip] {
-            let s = f(&ds, 100, 1).unwrap();
-            assert_eq!(s.len(), 100);
-            let mut idx = s.source_indices().to_vec();
-            idx.sort_unstable();
-            idx.dedup();
-            assert_eq!(idx.len(), 100);
-        }
+        let s = reservoir_sample(&ds, 100, 1).unwrap();
+        assert_eq!(s.len(), 100);
+        let mut idx = s.source_indices().to_vec();
+        idx.sort_unstable();
+        idx.dedup();
+        assert_eq!(idx.len(), 100);
     }
 
     #[test]
     fn small_stream_keeps_everything() {
         let ds = dataset(7);
-        for f in [reservoir_sample, reservoir_sample_skip] {
-            let s = f(&ds, 20, 2).unwrap();
-            assert_eq!(s.len(), 7);
-        }
+        assert_eq!(reservoir_sample(&ds, 20, 2).unwrap().len(), 7);
     }
 
     #[test]
@@ -148,18 +86,14 @@ mod tests {
         let counted = dbs_core::scan::PassCounter::new(&ds);
         let _ = reservoir_sample(&counted, 10, 3).unwrap();
         assert_eq!(counted.passes(), 1);
-        let _ = reservoir_sample_skip(&counted, 10, 3).unwrap();
-        assert_eq!(counted.passes(), 2);
     }
 
     #[test]
     fn indices_match_points() {
         let ds = dataset(1000);
-        for f in [reservoir_sample, reservoir_sample_skip] {
-            let s = f(&ds, 50, 4).unwrap();
-            for (k, &i) in s.source_indices().iter().enumerate() {
-                assert_eq!(s.points().point(k), ds.point(i));
-            }
+        let s = reservoir_sample(&ds, 50, 4).unwrap();
+        for (k, &i) in s.source_indices().iter().enumerate() {
+            assert_eq!(s.points().point(k), ds.point(i));
         }
     }
 
@@ -185,30 +119,8 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_l_is_uniform() {
-        let ds = dataset(50);
-        let trials = 3000;
-        let mut counts = vec![0usize; 50];
-        for t in 0..trials {
-            let s = reservoir_sample_skip(&ds, 10, rng::sub_seed(6, t)).unwrap();
-            for &i in s.source_indices() {
-                counts[i] += 1;
-            }
-        }
-        let expect = trials as f64 * 10.0 / 50.0;
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expect).abs() < expect * 0.2,
-                "item {i} picked {c}, expected ~{expect}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_degenerate_inputs() {
         assert!(reservoir_sample(&Dataset::new(1), 5, 0).is_err());
         assert!(reservoir_sample(&dataset(5), 0, 0).is_err());
-        assert!(reservoir_sample_skip(&Dataset::new(1), 5, 0).is_err());
-        assert!(reservoir_sample_skip(&dataset(5), 0, 0).is_err());
     }
 }

@@ -31,6 +31,25 @@ bench:
 bench-cure:
     CRITERION_JSON=BENCH_cure_scaling.json cargo bench -p dbs-bench --bench cure_scaling
 
+# Tracked `.rs` lines outside pipebench/, the net line count every
+# CHANGES.md entry reports.
+loc:
+    git ls-files '*.rs' ':!pipebench' | xargs wc -l | tail -1
+
+# Single-thread batch KDE engine vs per-point evaluation at d in {2,3,5},
+# 100k and 1M points, recorded as BENCH_kde_batch.json (JSON lines).
+bench-kde:
+    rm -f BENCH_kde_batch.json
+    CRITERION_JSON=BENCH_kde_batch.json cargo bench -p dbs-bench --bench kde_batch
+
+# Thread scaling of batch density and the two-pass biased sampler at
+# 1/2/4/8 threads, recorded as BENCH_par_scaling.json. The bench writes
+# JSON lines; the recorded file wraps the same records in one document
+# with a host note, which a re-recording has to restore by hand.
+bench-par:
+    rm -f BENCH_par_scaling.json
+    CRITERION_JSON=BENCH_par_scaling.json cargo bench -p dbs-bench --bench par_scaling
+
 # Regenerate the CI-sized versions of every paper figure/table.
 experiments:
     cargo run --release -p dbs-experiments -- all

@@ -18,8 +18,7 @@ use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
 use dbs_density::{batch_densities_obs, KdeConfig, KernelDensityEstimator};
 use dbs_outlier::{approx_outliers_obs, estimate_outlier_count_obs, ApproxConfig, DbOutlierParams};
 use dbs_sampling::{
-    density_biased_sample_obs, one_pass_biased_sample_obs, reservoir_sample_obs,
-    reservoir_sample_skip_obs, BiasedConfig,
+    density_biased_sample_obs, one_pass_biased_sample_obs, reservoir_sample_obs, BiasedConfig,
 };
 
 use dbs_integration_tests::clustered_noisy;
@@ -132,23 +131,15 @@ fn one_pass_sampler_metrics_parity() {
 #[test]
 fn reservoir_samplers_metrics_parity() {
     let (data, _) = workload();
-    for (name, f) in [
-        (
-            "algorithm-r",
-            reservoir_sample_obs as fn(&Dataset, usize, u64, &Recorder) -> _,
-        ),
-        ("algorithm-l", reservoir_sample_skip_obs),
-    ] {
-        let off = f(&data, 500, 11, &Recorder::disabled()).unwrap();
-        let rec = Recorder::enabled();
-        let on = f(&data, 500, 11, &rec).unwrap();
-        assert_samples_identical(&off, &on, name);
-        assert_eq!(rec.counter(Counter::DatasetPasses), 1, "{name}");
-        assert!(
-            rec.counter(Counter::ReservoirReplacements) > 0,
-            "{name}: a 20k stream must replace some of 500 slots"
-        );
-    }
+    let off = reservoir_sample_obs(&data, 500, 11, &Recorder::disabled()).unwrap();
+    let rec = Recorder::enabled();
+    let on = reservoir_sample_obs(&data, 500, 11, &rec).unwrap();
+    assert_samples_identical(&off, &on, "algorithm-r");
+    assert_eq!(rec.counter(Counter::DatasetPasses), 1);
+    assert!(
+        rec.counter(Counter::ReservoirReplacements) > 0,
+        "a 20k stream must replace some of 500 slots"
+    );
 }
 
 #[test]
@@ -308,11 +299,10 @@ fn obs_passes_agree_with_pass_counter() {
     assert_eq!(counted.passes(), 1);
     assert_eq!(rec.counter(Counter::DatasetPasses), counted.passes() as u64);
 
-    // Reservoir samplers.
+    // Reservoir sampler.
     let counted = PassCounter::new(&data);
     let rec = Recorder::enabled();
     reservoir_sample_obs(&counted, 200, 4, &rec).unwrap();
-    reservoir_sample_skip_obs(&counted, 200, 4, &rec).unwrap();
-    assert_eq!(counted.passes(), 2);
+    assert_eq!(counted.passes(), 1);
     assert_eq!(rec.counter(Counter::DatasetPasses), counted.passes() as u64);
 }

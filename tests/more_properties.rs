@@ -75,21 +75,6 @@ proptest! {
         prop_assert!(idx.iter().all(|&i| i < n));
     }
 
-    /// Skip-ahead reservoir (Algorithm L) satisfies the same contract.
-    #[test]
-    fn reservoir_skip_size_and_validity(n in 1usize..400, b in 1usize..50, seed in 0u64..1000) {
-        let mut ds = Dataset::new(1);
-        for i in 0..n {
-            ds.push(&[i as f64]).unwrap();
-        }
-        let s = dbs_sampling::reservoir_sample_skip(&ds, b, seed).unwrap();
-        prop_assert_eq!(s.len(), b.min(n));
-        let mut idx = s.source_indices().to_vec();
-        idx.sort_unstable();
-        idx.dedup();
-        prop_assert_eq!(idx.len(), b.min(n));
-    }
-
     /// Noise-injection arithmetic: adding `added_points_for_fraction`
     /// points really produces (to rounding) the requested final fraction.
     #[test]
