@@ -60,7 +60,7 @@ pub fn sample_in_ball<R: Rng + ?Sized>(
                 norm_sq += g * g;
             }
             let norm = norm_sq.sqrt().max(f64::MIN_POSITIVE);
-            let radius = r * rng.gen::<f64>().powf(1.0 / d as f64);
+            let radius = r * radial_scale(rng.gen::<f64>(), d);
             for (x, &c) in out.iter_mut().zip(center) {
                 *x = c + *x / norm * radius;
             }
@@ -74,7 +74,7 @@ pub fn sample_in_ball<R: Rng + ?Sized>(
                 *x = e;
                 total += e;
             }
-            let radius = r * rng.gen::<f64>().powf(1.0 / d as f64);
+            let radius = r * radial_scale(rng.gen::<f64>(), d);
             for (x, &c) in out.iter_mut().zip(center) {
                 let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
                 *x = c + sign * (*x / total.max(f64::MIN_POSITIVE)) * radius;
@@ -86,6 +86,19 @@ pub fn sample_in_ball<R: Rng + ?Sized>(
             }
         }
     }
+}
+
+/// `u^{1/d}`: the radius, as a fraction of `r`, of a uniform draw from a
+/// d-dimensional ball given a uniform `u`.
+///
+/// The exponent is hidden from constant folding. Where inlining shows
+/// `d == 2`, LLVM folds `powf(u, 0.5)` into `sqrt(u)`, which differs from
+/// the library `pow` by one ulp for some `u`; the same draw would then give
+/// different bits in different call contexts. With the exponent opaque,
+/// every caller runs the `pow` call a runtime `d` runs.
+#[inline(always)]
+fn radial_scale(u: f64, d: usize) -> f64 {
+    u.powf(std::hint::black_box(1.0 / d as f64))
 }
 
 /// The Monte-Carlo ball integral `∫_{Ball(center, radius)} est.density`

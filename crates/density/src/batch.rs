@@ -14,10 +14,12 @@
 //!    transposed (structure-of-arrays) copy of the centers into contiguous
 //!    per-dimension panels.
 //! 3. **Register-blocked micro-kernel** — micro-blocks of `BLOCK` (4) query
-//!    points are evaluated against the panel with the kernel profile
-//!    monomorphized ([`KernelProfile`]) and the 2-d/3-d loops specialized,
-//!    so the compiler can keep accumulators in registers and
-//!    auto-vectorize.
+//!    points are evaluated against the panel by one micro-kernel,
+//!    monomorphized for the kernel profile ([`KernelProfile`]) and for the
+//!    dimension as a const parameter `D` ≤ 8, so the compiler can keep
+//!    accumulators and per-dimension operands in registers and
+//!    auto-vectorize. Inputs with d > 8 run a runtime-`dim` loop with the
+//!    same operations in the same order.
 //!
 //! # The canonical accumulation order, and why batch ≡ scalar bitwise
 //!
@@ -204,8 +206,8 @@ fn eval_tile(
     }
 }
 
-/// Dimension dispatch: monomorphized fast paths for the common 2-d/3-d
-/// workloads, generic panel loop otherwise.
+/// Dimension dispatch: one micro-kernel monomorphized for each d ≤ 8,
+/// the runtime-`dim` panel loop beyond.
 #[allow(clippy::too_many_arguments)]
 fn eval_tile_k<K: KernelProfile>(
     points: &PointBlock,
@@ -218,14 +220,25 @@ fn eval_tile_k<K: KernelProfile>(
     base: usize,
 ) {
     match ih.len() {
-        2 => tile_d2::<K>(points, tile, panel, m, ih, scale, out, base),
-        3 => tile_d3::<K>(points, tile, panel, m, ih, scale, out, base),
+        1 => tile_c::<K, 1>(points, tile, panel, m, ih, scale, out, base),
+        2 => tile_c::<K, 2>(points, tile, panel, m, ih, scale, out, base),
+        3 => tile_c::<K, 3>(points, tile, panel, m, ih, scale, out, base),
+        4 => tile_c::<K, 4>(points, tile, panel, m, ih, scale, out, base),
+        5 => tile_c::<K, 5>(points, tile, panel, m, ih, scale, out, base),
+        6 => tile_c::<K, 6>(points, tile, panel, m, ih, scale, out, base),
+        7 => tile_c::<K, 7>(points, tile, panel, m, ih, scale, out, base),
+        8 => tile_c::<K, 8>(points, tile, panel, m, ih, scale, out, base),
         _ => tile_generic::<K>(points, tile, panel, m, ih, scale, out, base),
     }
 }
 
+/// The micro-kernel for a dimension `D` known at compile time. Each of the
+/// `BLOCK` lanes sums the panel's centers in ascending order, and each
+/// product starts at the first factor and multiplies left to right (the
+/// scalar path's `1.0 · k_0` is bit-identical to `k_0`); the tail points
+/// run one at a time in the same order.
 #[allow(clippy::too_many_arguments)]
-fn tile_d2<K: KernelProfile>(
+fn tile_c<K: KernelProfile, const D: usize>(
     points: &PointBlock,
     tile: &[u32],
     panel: &[f64],
@@ -235,22 +248,25 @@ fn tile_d2<K: KernelProfile>(
     out: &mut [f64],
     base: usize,
 ) {
-    let (c0, c1) = panel.split_at(m);
-    let (ih0, ih1) = (ih[0], ih[1]);
+    let c: [&[f64]; D] = std::array::from_fn(|j| &panel[j * m..(j + 1) * m]);
+    let ih: [f64; D] = std::array::from_fn(|j| ih[j]);
     let mut b = 0usize;
     while b + BLOCK <= tile.len() {
-        let mut q0 = [0.0f64; BLOCK];
-        let mut q1 = [0.0f64; BLOCK];
+        let mut q = [[0.0f64; BLOCK]; D];
         for (k, &i) in tile[b..b + BLOCK].iter().enumerate() {
             let p = points.point(i as usize);
-            q0[k] = p[0];
-            q1[k] = p[1];
+            for j in 0..D {
+                q[j][k] = p[j];
+            }
         }
         let mut acc = [0.0f64; BLOCK];
         for t in 0..m {
-            let (cx, cy) = (c0[t], c1[t]);
             for k in 0..BLOCK {
-                acc[k] += K::eval((q0[k] - cx) * ih0) * K::eval((q1[k] - cy) * ih1);
+                let mut prod = K::eval((q[0][k] - c[0][t]) * ih[0]);
+                for j in 1..D {
+                    prod *= K::eval((q[j][k] - c[j][t]) * ih[j]);
+                }
+                acc[k] += prod;
             }
         }
         for k in 0..BLOCK {
@@ -262,63 +278,18 @@ fn tile_d2<K: KernelProfile>(
         let p = points.point(i as usize);
         let mut acc = 0.0f64;
         for t in 0..m {
-            acc += K::eval((p[0] - c0[t]) * ih0) * K::eval((p[1] - c1[t]) * ih1);
-        }
-        out[i as usize - base] = scale * acc;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tile_d3<K: KernelProfile>(
-    points: &PointBlock,
-    tile: &[u32],
-    panel: &[f64],
-    m: usize,
-    ih: &[f64],
-    scale: f64,
-    out: &mut [f64],
-    base: usize,
-) {
-    let (c0, rest) = panel.split_at(m);
-    let (c1, c2) = rest.split_at(m);
-    let (ih0, ih1, ih2) = (ih[0], ih[1], ih[2]);
-    let mut b = 0usize;
-    while b + BLOCK <= tile.len() {
-        let mut q0 = [0.0f64; BLOCK];
-        let mut q1 = [0.0f64; BLOCK];
-        let mut q2 = [0.0f64; BLOCK];
-        for (k, &i) in tile[b..b + BLOCK].iter().enumerate() {
-            let p = points.point(i as usize);
-            q0[k] = p[0];
-            q1[k] = p[1];
-            q2[k] = p[2];
-        }
-        let mut acc = [0.0f64; BLOCK];
-        for t in 0..m {
-            let (cx, cy, cz) = (c0[t], c1[t], c2[t]);
-            for k in 0..BLOCK {
-                acc[k] += K::eval((q0[k] - cx) * ih0)
-                    * K::eval((q1[k] - cy) * ih1)
-                    * K::eval((q2[k] - cz) * ih2);
+            let mut prod = K::eval((p[0] - c[0][t]) * ih[0]);
+            for j in 1..D {
+                prod *= K::eval((p[j] - c[j][t]) * ih[j]);
             }
-        }
-        for k in 0..BLOCK {
-            out[tile[b + k] as usize - base] = scale * acc[k];
-        }
-        b += BLOCK;
-    }
-    for &i in &tile[b..] {
-        let p = points.point(i as usize);
-        let mut acc = 0.0f64;
-        for t in 0..m {
-            acc += K::eval((p[0] - c0[t]) * ih0)
-                * K::eval((p[1] - c1[t]) * ih1)
-                * K::eval((p[2] - c2[t]) * ih2);
+            acc += prod;
         }
         out[i as usize - base] = scale * acc;
     }
 }
 
+/// The runtime-`dim` panel loop, for d > 8: the same operations in the
+/// same order as [`tile_c`].
 #[allow(clippy::too_many_arguments)]
 fn tile_generic<K: KernelProfile>(
     points: &PointBlock,
@@ -464,8 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn five_dim_generic_path_matches_scalar() {
-        let ds = random_dataset(800, 5, 6);
+    fn high_dim_fallback_path_matches_scalar() {
+        // d = 9 is past the const-dimension kernels: the runtime-`dim` loop.
+        let ds = random_dataset(800, 9, 6);
         let est = KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(200)).unwrap();
         assert_batch_matches_scalar(&est, &ds);
     }

@@ -8,6 +8,7 @@ check:
     cargo test -q
     cargo build --release --offline --locked --manifest-path pipebench/Cargo.toml
     cargo test --release --offline --locked --manifest-path pipebench/Cargo.toml
+    cargo test --release --offline -q --workspace --lib --tests
 
 # Apply formatting in place.
 fmt:
@@ -29,7 +30,7 @@ bench:
 # CURE_SCALING_FULL_REF=1 also runs the (slow) reference at 50k, as done
 # for the recorded BENCH_cure_scaling.json.
 bench-cure:
-    CRITERION_JSON=BENCH_cure_scaling.json cargo bench -p dbs-bench --bench cure_scaling
+    CRITERION_JSON={{justfile_directory()}}/BENCH_cure_scaling.json cargo bench -p dbs-bench --bench cure_scaling
 
 # Tracked `.rs` lines outside pipebench/, the net line count every
 # CHANGES.md entry reports.
@@ -40,7 +41,7 @@ loc:
 # 100k and 1M points, recorded as BENCH_kde_batch.json (JSON lines).
 bench-kde:
     rm -f BENCH_kde_batch.json
-    CRITERION_JSON=BENCH_kde_batch.json cargo bench -p dbs-bench --bench kde_batch
+    CRITERION_JSON={{justfile_directory()}}/BENCH_kde_batch.json cargo bench -p dbs-bench --bench kde_batch
 
 # Thread scaling of batch density and the two-pass biased sampler at
 # 1/2/4/8 threads, recorded as BENCH_par_scaling.json. The bench writes
@@ -48,7 +49,7 @@ bench-kde:
 # with a host note, which a re-recording has to restore by hand.
 bench-par:
     rm -f BENCH_par_scaling.json
-    CRITERION_JSON=BENCH_par_scaling.json cargo bench -p dbs-bench --bench par_scaling
+    CRITERION_JSON={{justfile_directory()}}/BENCH_par_scaling.json cargo bench -p dbs-bench --bench par_scaling
 
 # Regenerate the CI-sized versions of every paper figure/table.
 experiments:
@@ -70,13 +71,13 @@ bench-diff OLD NEW:
 # 50k/250k/1M points, recorded as BENCH_cure_partitioned.json (includes
 # the 50k full baseline so the speedup is self-contained).
 bench-cure-part:
-    CRITERION_JSON=BENCH_cure_partitioned.json cargo bench -p dbs-bench --bench cure_partitioned
+    CRITERION_JSON={{justfile_directory()}}/BENCH_cure_partitioned.json cargo bench -p dbs-bench --bench cure_partitioned
 
 # Averaged-grid estimator A/B: fit + batch query vs KDE and hashed grid
 # at d in {2,3,5}, 100k and 1M points. The recorded BENCH_agrid.json
 # carries the d=5/100k agrid-vs-KDE query comparison (>=5x target).
 bench-agrid:
-    CRITERION_JSON=BENCH_agrid.json cargo bench -p dbs-bench --bench agrid
+    CRITERION_JSON={{justfile_directory()}}/BENCH_agrid.json cargo bench -p dbs-bench --bench agrid
 
 # High-dimension CURE merge-loop curve: tight 16-d (and 12-d) diagonal
 # blobs, wall clock + merge-loop counters per size, plus the d=16/n=2000
@@ -85,7 +86,7 @@ bench-agrid:
 # (CURE_HIGHDIM_PHASE=before, budget-capped) and the post-fix curve side
 # by side; CURE_HIGHDIM_SMOKE=1 runs only the CI regression gate.
 bench-cure-highdim:
-    CRITERION_JSON=BENCH_cure_highdim.json cargo bench -p dbs-bench --bench cure_highdim
+    CRITERION_JSON={{justfile_directory()}}/BENCH_cure_highdim.json cargo bench -p dbs-bench --bench cure_highdim
 
 # Out-of-core proof: a 10M-point (16-d) sample-fed clustering run over
 # read-backend shards with peak RSS measured against the raw dataset size
@@ -93,7 +94,7 @@ bench-cure-highdim:
 # FileSource::scan A/B. Takes a few minutes on one core; drop
 # SHARD_SCAN_FULL=1 for a 1M-point smoke version.
 bench-shard:
-    SHARD_SCAN_FULL=1 CRITERION_JSON=BENCH_shard_scan.json cargo bench -p dbs-bench --bench shard_scan
+    SHARD_SCAN_FULL=1 CRITERION_JSON={{justfile_directory()}}/BENCH_shard_scan.json cargo bench -p dbs-bench --bench shard_scan
 
 # Streaming sketch service: one-pass fit throughput and merge cost for the
 # Count-Min density sketch, plus the >=1M-point bounded-memory proof that
@@ -101,4 +102,4 @@ bench-shard:
 # (allocation TV <= 0.05, size within 10%, normalizer within 25%),
 # recorded as BENCH_stream_sketch.json.
 bench-stream:
-    CRITERION_JSON=BENCH_stream_sketch.json cargo bench -p dbs-bench --bench stream_sketch
+    CRITERION_JSON={{justfile_directory()}}/BENCH_stream_sketch.json cargo bench -p dbs-bench --bench stream_sketch

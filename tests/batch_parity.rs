@@ -19,7 +19,7 @@ const KERNELS: [Kernel; 4] = [
     Kernel::Biweight,
     Kernel::Uniform,
 ];
-const DIMS: [usize; 4] = [1, 2, 3, 5];
+const DIMS: [usize; 7] = [1, 2, 3, 4, 5, 8, 9];
 const THREADS: [usize; 3] = [1, 2, 7];
 /// Below / above the 64-center grid threshold: exercises both the
 /// full-panel path and the tile-pruned path (for compact kernels).
