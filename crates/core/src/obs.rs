@@ -66,13 +66,16 @@ macro_rules! counter_catalog {
 counter_catalog! {
     /// Sequential scans of the pipeline's primary point source.
     DatasetPasses => "dataset_passes",
-    /// Center-contribution evaluations in the KDE batch engine (one per
-    /// (query point, candidate center) pair).
+    /// Center-contribution evaluations in the KDE batch engine: one per
+    /// (query point, panel center) pair actually evaluated, after the
+    /// exact support test has dropped the centers that cannot reach the
+    /// tile.
     KdeKernelEvals => "kde_kernel_evals",
     /// Tiles evaluated by the batch engine (one shared candidate lookup
     /// each).
     BatchTiles => "batch_tiles",
-    /// Candidate centers yielded by center-grid queries (panel sizes).
+    /// Candidate centers returned by the batch engine's per-tile
+    /// center-grid box queries, before the exact support test.
     GridCandidateVisits => "grid_candidate_visits",
     /// Monte-Carlo evaluation points spent on ball integrals (§3.2). The
     /// samples go through the estimator's batch engine, but their kernel

@@ -28,10 +28,9 @@ use crate::traits::DensityEstimator;
 
 /// Most Monte-Carlo samples evaluated by one
 /// [`DensityEstimator::densities_into`] call: 16 centers of the default 64
-/// samples. A trade of speed for peak memory: on a 2-vCPU host, `dbs
-/// outliers` over 10k 3-d points (`kde:1000`, 2 threads) took a median
-/// 0.28 / 0.24 / 0.20 s at 256 / 1024 / 4096 samples per call, peaking at
-/// 4.14 / 4.32 / 4.43 MB RSS.
+/// samples. A trade of speed for peak memory: a larger call shares each
+/// batch tile's candidate lookup among more samples but holds a larger
+/// sample buffer.
 pub const BALL_BLOCK: usize = 1024;
 
 /// Draws a point uniformly from the `metric` ball of radius `r` around

@@ -10,8 +10,15 @@
 //! 1. **Tile by cell** — query points are grouped by their center-grid
 //!    cell, so one candidate lookup is shared by the whole tile instead of
 //!    re-walking the grid per point.
-//! 2. **Panel gather** — the tile's candidate centers are gathered from a
-//!    transposed (structure-of-arrays) copy of the centers into contiguous
+//! 2. **Box query and exact support test** — the tile's candidates come
+//!    from one grid walk over the tile's per-dimension bounding box
+//!    `[lo_j − r, hi_j + r]` (`r` = the prune radius,
+//!    [`GridIndex::candidates_in_box`]). A candidate is then dropped if,
+//!    in some dimension `j`, `(lo_j − c_j)·ih_j > s` or
+//!    `(c_j − hi_j)·ih_j > s` (`s` = the kernel's support radius): such a
+//!    center cannot reach any point of the tile. The survivors, still in
+//!    ascending index order, are gathered from a transposed
+//!    (structure-of-arrays) copy of the centers into contiguous
 //!    per-dimension panels.
 //! 3. **Register-blocked micro-kernel** — micro-blocks of `BLOCK` (4) query
 //!    points are evaluated against the panel by one micro-kernel,
@@ -24,20 +31,35 @@
 //! # The canonical accumulation order, and why batch ≡ scalar bitwise
 //!
 //! Both the scalar path and this engine accumulate center contributions in
-//! **ascending center index** (`GridIndex::for_each_candidate_within`
-//! yields sorted candidates), and both compute each contribution with the
-//! same operations in the same order (`Π_j K(·)` left to right, shared
-//! [`KernelProfile`] definitions). The candidate sets may differ — a tile
-//! uses one superset panel covering all its points — but every center
-//! outside a point's scalar candidate set lies beyond the kernel support
-//! in some dimension, so its contribution is *exactly* `0.0`, and adding
-//! `+0.0` to a non-negative partial sum never changes its bits. Hence
-//! inserting or dropping such centers anywhere in the ascending sweep
-//! leaves every partial sum bit-identical, and the batch output equals the
-//! scalar output down to the bit pattern — extending the PR 1 determinism
-//! contract ("byte-identical at every thread count") with "byte-identical
-//! scalar vs. batch". `tests/batch_parity.rs` asserts this across kernels,
-//! dimensions, and thread counts.
+//! **ascending center index** (the grid walks yield sorted candidates),
+//! and both compute each contribution with the same operations in the
+//! same order (`Π_j K(·)` left to right, shared [`KernelProfile`]
+//! definitions). Adding `+0.0` to a non-negative partial sum never changes
+//! its bits, so inserting or dropping centers whose contribution is
+//! exactly `+0.0` anywhere in the ascending sweep leaves every partial sum
+//! bit-identical. A tile's panel differs from a point `x`'s own scalar
+//! candidate set (the cells meeting `x ± r`) only by such centers:
+//!
+//! * **Box superset.** Float subtraction and addition round monotonically,
+//!   so `lo_j ≤ x_j ≤ hi_j` gives `fl(lo_j − r) ≤ fl(x_j − r)` and
+//!   `fl(x_j + r) ≤ fl(hi_j + r)`, and cell coordinates are monotone: the
+//!   tile's box query returns every center of `x`'s scalar query. The
+//!   extra centers lie outside `x ± r`, beyond the kernel support of `x`
+//!   in some dimension, exactly as for any superset panel.
+//! * **Exact filter.** The test is the kernel's own expression at the
+//!   tile's nearest edge, and it is monotone in the query coordinate: for
+//!   every tile point, `fl(x_j − c_j) ≥ fl(lo_j − c_j)`, so
+//!   `u_j = (x_j − c_j)·ih_j > s` (the mirror case gives `u_j < −s`, since
+//!   `fl(x_j − c_j) = −fl(c_j − x_j)` exactly). Every profile is exactly
+//!   `0.0` at `|u| > s`, so a dropped center's product is `+0.0` for every
+//!   point of the tile. A center exactly on the edge (`|u_j| = s`) is kept:
+//!   the uniform kernel is `0.5` there.
+//!
+//! Hence the batch output equals the scalar output down to the bit
+//! pattern — extending the determinism contract ("byte-identical at every
+//! thread count") with "byte-identical scalar vs. batch".
+//! `tests/batch_parity.rs` asserts this across kernels, dimensions, and
+//! thread counts.
 
 use dbs_core::obs::{Counter, Tally};
 use dbs_core::PointBlock;
@@ -86,8 +108,9 @@ pub(crate) fn kde_densities_into(
     }
 }
 
-/// The grid-pruned path: group the chunk's points by center-grid cell and
-/// share one candidate gather per tile.
+/// The grid-pruned path: group the chunk's points by center-grid cell,
+/// query the grid once per tile and gather only the centers that can
+/// reach the tile.
 fn tiled_eval(
     est: &KernelDensityEstimator,
     grid: &GridIndex,
@@ -107,11 +130,18 @@ fn tiled_eval(
         .collect();
     order.sort_unstable();
 
-    // Reused per-tile buffers.
+    // Reused per-tile buffers: a tile allocates nothing once they have
+    // grown to the largest tile's size.
     let mut tile: Vec<u32> = Vec::new();
     let mut candidates: Vec<u32> = Vec::new();
     let mut panel: Vec<f64> = Vec::new();
-    let mut mid = vec![0.0f64; dim];
+    let mut lo = vec![0.0f64; dim];
+    let mut hi = vec![0.0f64; dim];
+    let mut query_lo = vec![0.0f64; dim];
+    let mut query_hi = vec![0.0f64; dim];
+    let r = est.prune_radius;
+    let s = est.kernel.support_radius();
+    let ih = &est.inv_bandwidths;
 
     // Work counts stay in locals inside the loop: writing through the
     // `tally` reference per tile measurably perturbs the codegen of the
@@ -130,13 +160,11 @@ fn tiled_eval(
         tile.clear();
         tile.extend(order[start..end].iter().map(|&(_, i)| i));
 
-        // The tile's query bounding box (over the actual points, so points
+        // The tile's query bounding box, over the actual points (so points
         // clamped into a boundary cell from outside the domain are still
-        // covered), inflated by the pruning radius, gives one candidate
-        // superset valid for every point in the tile.
-        let first = points.point(tile[0] as usize);
-        let mut lo = first.to_vec();
-        let mut hi = first.to_vec();
+        // covered).
+        lo.copy_from_slice(points.point(tile[0] as usize));
+        hi.copy_from_slice(&lo);
         for &i in &tile[1..] {
             let p = points.point(i as usize);
             for j in 0..dim {
@@ -144,13 +172,24 @@ fn tiled_eval(
                 hi[j] = hi[j].max(p[j]);
             }
         }
-        let mut half = 0.0f64;
+
+        // One box query covers every point's own scalar query `x ± r`
+        // (module docs, step 2).
         for j in 0..dim {
-            mid[j] = 0.5 * (lo[j] + hi[j]);
-            half = half.max(0.5 * (hi[j] - lo[j]));
+            query_lo[j] = lo[j] - r;
+            query_hi[j] = hi[j] + r;
         }
         candidates.clear();
-        grid.for_each_candidate_within(&mid, half + est.prune_radius, |ci| candidates.push(ci));
+        grid.candidates_in_box(&query_lo, &query_hi, &mut candidates);
+        visits += candidates.len() as u64;
+
+        // Exact support test: drop a center if, in some dimension, every
+        // tile point is beyond the kernel support — the same float
+        // expression the kernel evaluates, at the tile's nearest edge.
+        candidates.retain(|&ci| {
+            let c = est.centers.point(ci as usize);
+            !(0..dim).any(|j| (lo[j] - c[j]) * ih[j] > s || (c[j] - hi[j]) * ih[j] > s)
+        });
 
         // Gather the candidates' coordinates into contiguous per-dimension
         // panels from the transposed centers.
@@ -166,7 +205,6 @@ fn tiled_eval(
         }
 
         tiles += 1;
-        visits += m as u64;
         evals += (tile.len() * m) as u64;
         eval_tile(est, points, &tile, &panel, m, out, points.range().start);
         start = end;
@@ -432,6 +470,58 @@ mod tests {
                 .unwrap();
         }
         assert_batch_matches_scalar(&est, &queries);
+    }
+
+    /// Centers and queries on dyadic lattices with a dyadic bandwidth, so
+    /// `(x_j − c_j)·ih_j` is exact and equals `±1.0` — the support edge —
+    /// for many (query, center) pairs, at tile edges included.
+    fn support_edge_case(kernel: Kernel) -> (KernelDensityEstimator, Dataset) {
+        let mut centers = Dataset::with_capacity(2, 32 * 32);
+        for a in 0..32 {
+            for b in 0..32 {
+                centers.push(&[a as f64 / 32.0, b as f64 / 32.0]).unwrap();
+            }
+        }
+        let h = 1.0 / 32.0;
+        let est = KernelDensityEstimator::from_centers(
+            centers,
+            vec![h, h],
+            1000.0,
+            kernel,
+            BoundingBox::unit(2),
+        );
+        assert!(est.has_center_grid());
+        // Queries every 1/128 over part of the domain, past its edge too:
+        // every tile (one grid cell) has points on the cell's lower edge,
+        // a whole bandwidth from the centers one cell below.
+        let mut queries = Dataset::with_capacity(2, 48 * 48);
+        for a in 0..48 {
+            for b in 0..48 {
+                let x = [a as f64 / 128.0 - 0.0625, b as f64 / 128.0 + 0.5];
+                queries.push(&x).unwrap();
+            }
+        }
+        (est, queries)
+    }
+
+    #[test]
+    fn uniform_keeps_centers_exactly_on_the_support_edge() {
+        // K(±1) = 0.5: a center exactly one bandwidth from a tile's edge
+        // contributes to the edge points and must stay in the panel.
+        let (est, queries) = support_edge_case(Kernel::Uniform);
+        assert_eq!(est.kernel().eval(1.0), 0.5);
+        assert_batch_matches_scalar(&est, &queries);
+    }
+
+    #[test]
+    fn compact_kernels_drop_centers_on_the_support_edge_exactly() {
+        // K(±1) = 0.0 for these: the edge centers contribute an exact zero
+        // whether or not the panel holds them.
+        for kernel in [Kernel::Epanechnikov, Kernel::Biweight] {
+            let (est, queries) = support_edge_case(kernel);
+            assert_eq!(est.kernel().eval(1.0), 0.0);
+            assert_batch_matches_scalar(&est, &queries);
+        }
     }
 
     #[test]

@@ -62,19 +62,22 @@ impl GridIndex {
     /// The flattened cell index containing `p` (clamped into the domain).
     pub fn cell_of(&self, p: &[f64]) -> usize {
         debug_assert_eq!(p.len(), self.domain.dim());
-        let mut cell = 0usize;
-        for j in 0..p.len() {
-            let extent = self.domain.extent(j);
-            let rel = if extent > 0.0 {
-                (p[j] - self.domain.min()[j]) / extent
-            } else {
-                0.0
-            };
-            let c = ((rel * self.cells_per_dim as f64) as isize)
-                .clamp(0, self.cells_per_dim as isize - 1) as usize;
-            cell = cell * self.cells_per_dim + c;
-        }
-        cell
+        (0..p.len()).fold(0, |cell, j| {
+            cell * self.cells_per_dim + self.axis_cell(j, p[j])
+        })
+    }
+
+    /// The cell coordinate of `x` along dimension `j`, clamped into the
+    /// grid. Monotone (non-decreasing) in `x`.
+    fn axis_cell(&self, j: usize, x: f64) -> usize {
+        let extent = self.domain.extent(j);
+        let rel = if extent > 0.0 {
+            (x - self.domain.min()[j]) / extent
+        } else {
+            0.0
+        };
+        ((rel * self.cells_per_dim as f64) as isize).clamp(0, self.cells_per_dim as isize - 1)
+            as usize
     }
 
     /// Per-dimension cell coordinates of the flattened index.
@@ -121,7 +124,9 @@ impl GridIndex {
     /// Visits every point index whose cell intersects the axis-aligned box
     /// `[center - radius, center + radius]` — a superset of the points within
     /// L2, L1 or L∞ distance `radius` of `center` (the box is the L∞ ball and
-    /// contains the other two).
+    /// contains the other two). The box walk of
+    /// [`GridIndex::candidates_in_box`] for `[center − radius, center +
+    /// radius]`, handed to `visit` one index at a time.
     ///
     /// Candidates are yielded in **ascending point-index order**. This is
     /// the canonical accumulation order of the density paths: both the
@@ -134,46 +139,63 @@ impl GridIndex {
         radius: f64,
         mut visit: impl FnMut(u32),
     ) {
-        let d = self.domain.dim();
-        let mut lo = vec![0usize; d];
-        let mut hi = vec![0usize; d];
-        for j in 0..d {
-            let extent = self.domain.extent(j);
-            let to_cell = |x: f64| -> usize {
-                let rel = if extent > 0.0 {
-                    (x - self.domain.min()[j]) / extent
-                } else {
-                    0.0
-                };
-                ((rel * self.cells_per_dim as f64) as isize)
-                    .clamp(0, self.cells_per_dim as isize - 1) as usize
-            };
-            lo[j] = to_cell(center[j] - radius);
-            hi[j] = to_cell(center[j] + radius);
+        let mut candidates = Vec::new();
+        self.walk_box(
+            |j| (center[j] - radius, center[j] + radius),
+            &mut candidates,
+        );
+        for i in candidates {
+            visit(i);
         }
-        // Single-cell fast path: the bucket is already ascending (cells are
-        // filled by one in-order scan of the data in `build`).
-        if lo == hi {
-            let mut cell = 0usize;
-            for j in 0..d {
-                cell = cell * self.cells_per_dim + lo[j];
-            }
-            for &i in &self.buckets[cell] {
-                visit(i);
-            }
+    }
+
+    /// Appends to `out` the index of every point whose cell intersects the
+    /// axis-aligned box `[lo, hi]` (per dimension, `lo[j] <= hi[j]`), in
+    /// **ascending point-index order** and without duplicates. Entries
+    /// already in `out` are kept, so a caller can reuse one buffer by
+    /// clearing it between queries.
+    ///
+    /// Cell coordinates are monotone in the coordinate, so the cells
+    /// returned for a box contain those returned for every box inside it:
+    /// in particular, for every `x` with `lo[j] <= x[j] <= hi[j]`, the
+    /// candidates of `[lo − r, hi + r]` include those of
+    /// `for_each_candidate_within(x, r)`.
+    pub fn candidates_in_box(&self, lo: &[f64], hi: &[f64], out: &mut Vec<u32>) {
+        debug_assert_eq!(lo.len(), self.domain.dim());
+        debug_assert_eq!(hi.len(), self.domain.dim());
+        self.walk_box(|j| (lo[j], hi[j]), out);
+    }
+
+    /// The one grid walk: appends the points of every cell meeting the box
+    /// whose extent along dimension `j` is `bounds(j)` to `out`, ascending.
+    fn walk_box(&self, bounds: impl Fn(usize) -> (f64, f64), out: &mut Vec<u32>) {
+        let d = self.domain.dim();
+        let cell_range = |j: usize| {
+            let (lo, hi) = bounds(j);
+            (self.axis_cell(j, lo), self.axis_cell(j, hi))
+        };
+        // Single-cell fast path, found without allocating: the bucket is
+        // already ascending (cells are filled by one in-order scan of the
+        // data in `build`).
+        let (first, last) = (0..d).fold((0usize, 0usize), |(a, b), j| {
+            let (lo, hi) = cell_range(j);
+            (a * self.cells_per_dim + lo, b * self.cells_per_dim + hi)
+        });
+        if first == last {
+            out.extend_from_slice(&self.buckets[first]);
             return;
         }
         // Iterate the d-dimensional cell range with an odometer, collecting
         // candidates; cells are disjoint, so one sort restores the global
         // ascending-index order.
-        let mut candidates: Vec<u32> = Vec::new();
+        let (lo, hi): (Vec<usize>, Vec<usize>) = (0..d).map(cell_range).unzip();
+        let start = out.len();
         let mut coords = lo.clone();
         'odometer: loop {
-            let mut cell = 0usize;
-            for j in 0..d {
-                cell = cell * self.cells_per_dim + coords[j];
-            }
-            candidates.extend_from_slice(&self.buckets[cell]);
+            let cell = coords
+                .iter()
+                .fold(0usize, |cell, &c| cell * self.cells_per_dim + c);
+            out.extend_from_slice(&self.buckets[cell]);
             // Advance odometer.
             let mut j = d;
             loop {
@@ -184,17 +206,12 @@ impl GridIndex {
                 if coords[j] < hi[j] {
                     coords[j] += 1;
                     // Reset all trailing coordinates to their lows.
-                    for (t, c) in coords.iter_mut().enumerate().skip(j + 1) {
-                        *c = lo[t];
-                    }
+                    coords[j + 1..].copy_from_slice(&lo[j + 1..]);
                     break;
                 }
             }
         }
-        candidates.sort_unstable();
-        for i in candidates {
-            visit(i);
-        }
+        out[start..].sort_unstable();
     }
 
     /// Counts the points within Euclidean distance `radius` of `center`
@@ -309,6 +326,76 @@ mod tests {
                         assert!(prev < i, "candidates out of order: {prev} then {i}");
                     }
                     last = Some(i);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn box_walk_is_ascending_exact_and_covers_the_shrunk_box_queries() {
+        let data = random_dataset(600, 3, 21);
+        let grid = GridIndex::build(&data, BoundingBox::unit(3), 6);
+        let mut rng = seeded(22);
+        let mut out = Vec::new();
+        for trial in 0..60 {
+            let r = 0.02 + rng.gen::<f64>() * 0.2;
+            // Boxes anywhere in [-1, 2]^3: inside, straddling, and wholly
+            // outside the unit domain (all clamp into boundary cells).
+            let mut lo = [0.0f64; 3];
+            let mut hi = [0.0f64; 3];
+            for j in 0..3 {
+                lo[j] = rng.gen::<f64>() * 3.0 - 1.0;
+                hi[j] = lo[j] + 2.0 * r + rng.gen::<f64>() * 0.5;
+            }
+            // A stale prefix must be kept, not sorted into the answer.
+            out.clear();
+            out.push(u32::MAX);
+            grid.candidates_in_box(&lo, &hi, &mut out);
+            assert_eq!(out[0], u32::MAX, "trial {trial}: prefix clobbered");
+            let got = &out[1..];
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "trial {trial}: not strictly ascending"
+            );
+
+            // Exactly the points whose (clamped) cell lies in the box's
+            // per-dimension cell range.
+            let want: Vec<u32> = (0..data.len() as u32)
+                .filter(|&i| {
+                    let coords = grid.unflatten(grid.cell_of(data.point(i as usize)));
+                    (0..3).all(|j| {
+                        grid.axis_cell(j, lo[j]) <= coords[j]
+                            && coords[j] <= grid.axis_cell(j, hi[j])
+                    })
+                })
+                .collect();
+            assert_eq!(got, want.as_slice(), "trial {trial}");
+
+            // Superset of every `x ± r` query with `x` in the box shrunk
+            // by `r`: its corners, its midpoint and random interior points.
+            let mut xs: Vec<[f64; 3]> = (0..8)
+                .map(|corner| {
+                    std::array::from_fn(|j| {
+                        if corner >> j & 1 == 0 {
+                            lo[j] + r
+                        } else {
+                            hi[j] - r
+                        }
+                    })
+                })
+                .collect();
+            xs.push(std::array::from_fn(|j| 0.5 * (lo[j] + hi[j])));
+            for _ in 0..8 {
+                xs.push(std::array::from_fn(|j| {
+                    lo[j] + r + rng.gen::<f64>() * (hi[j] - lo[j] - 2.0 * r)
+                }));
+            }
+            for x in &xs {
+                grid.for_each_candidate_within(x, r, |i| {
+                    assert!(
+                        got.binary_search(&i).is_ok(),
+                        "trial {trial}: candidate {i} of {x:?} ± {r} missing from the box walk"
+                    );
                 });
             }
         }

@@ -67,6 +67,33 @@ metrics:
 bench-diff OLD NEW:
     cargo run --release --offline --quiet --manifest-path pipebench/Cargo.toml --bin bench-diff -- {{OLD}} {{NEW}} --bench BENCHMARK.json
 
+# Alternating parent/change timings of one pipebench workload: PAIRS
+# rounds of one `pipeline` run with PARENT_DBS (a `dbs` built from the
+# parent commit) and one with this checkout's `dbs` (seed 42, `--seconds
+# 4 --trace 0`; the side that runs first alternates), appended to
+# .bench_pairs/old.jsonl and new.jsonl, then compared by `bench-diff`
+# (exit 1 on a regression or a counter change). Builds what
+# `pipebench/run.sh` builds first.
+bench-pairs PARENT_DBS WORKLOAD PAIRS:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    target="${CARGO_TARGET_DIR:-.bench_build}"
+    CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet -p dbs-cli
+    CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet --manifest-path pipebench/Cargo.toml --bin pipeline --bin bench-diff
+    mkdir -p .bench_pairs
+    rm -f .bench_pairs/old.jsonl .bench_pairs/new.jsonl
+    run() { "$target/release/pipeline" --dbs "$1" --workload {{WORKLOAD}} --seed 42 --seconds 4 --trace 0 --out "$2"; }
+    for i in $(seq {{PAIRS}}); do
+        if (( i % 2 )); then
+            run {{PARENT_DBS}} .bench_pairs/old.jsonl
+            run "$target/release/dbs" .bench_pairs/new.jsonl
+        else
+            run "$target/release/dbs" .bench_pairs/new.jsonl
+            run {{PARENT_DBS}} .bench_pairs/old.jsonl
+        fi
+    done
+    "$target/release/bench-diff" .bench_pairs/old.jsonl .bench_pairs/new.jsonl --bench BENCHMARK.json
+
 # Partitioned / sample-fed CURE vs the single-phase quadratic loop at
 # 50k/250k/1M points, recorded as BENCH_cure_partitioned.json (includes
 # the 50k full baseline so the speedup is self-contained).
