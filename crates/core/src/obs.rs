@@ -74,8 +74,10 @@ counter_catalog! {
     /// Tiles evaluated by the batch engine (one shared candidate lookup
     /// each).
     BatchTiles => "batch_tiles",
-    /// Candidate centers returned by the batch engine's per-tile
-    /// center-grid box queries, before the exact support test.
+    /// Candidate centers a batch tile starts from, before the exact
+    /// support test: its center-grid cell's reach list, or the output of
+    /// the grid walk over the tile's box when the tile escapes its cell's
+    /// box.
     GridCandidateVisits => "grid_candidate_visits",
     /// Monte-Carlo evaluation points spent on ball integrals (§3.2). The
     /// samples go through the estimator's batch engine, but their kernel

@@ -28,9 +28,10 @@ use crate::traits::DensityEstimator;
 
 /// Most Monte-Carlo samples evaluated by one
 /// [`DensityEstimator::densities_into`] call: 16 centers of the default 64
-/// samples. A trade of speed for peak memory: a larger call shares each
-/// batch tile's candidate lookup among more samples but holds a larger
-/// sample buffer.
+/// samples. A trade of speed for peak memory: a larger call spreads each
+/// batch tile's fixed cost (the copy of its cell's reach list, the exact
+/// support test and the panel gather) over more samples, but holds a
+/// larger sample buffer.
 pub const BALL_BLOCK: usize = 1024;
 
 /// Draws a point uniformly from the `metric` ball of radius `r` around

@@ -10,16 +10,23 @@
 //! 1. **Tile by cell** — query points are grouped by their center-grid
 //!    cell, so one candidate lookup is shared by the whole tile instead of
 //!    re-walking the grid per point.
-//! 2. **Box query and exact support test** — the tile's candidates come
-//!    from one grid walk over the tile's per-dimension bounding box
-//!    `[lo_j − r, hi_j + r]` (`r` = the prune radius,
-//!    [`GridIndex::candidates_in_box`]). A candidate is then dropped if,
-//!    in some dimension `j`, `(lo_j − c_j)·ih_j > s` or
-//!    `(c_j − hi_j)·ih_j > s` (`s` = the kernel's support radius): such a
-//!    center cannot reach any point of the tile. The survivors, still in
-//!    ascending index order, are gathered from a transposed
-//!    (structure-of-arrays) copy of the centers into contiguous
-//!    per-dimension panels.
+//! 2. **Cell reach list and exact support test** — at fit, every grid cell
+//!    gets its *reach list* (`CellReach`): the centers, in ascending
+//!    index order, that pass the exact support test below against the
+//!    cell's box. Boundary cells are open on the outer side (`−∞` below
+//!    coordinate 0, `+∞` above the last), so points clamped into them from
+//!    outside the domain are inside their box too. A tile whose bounding
+//!    box `[lo, hi]` over its actual points lies inside its cell's box (the
+//!    containment guard) starts from a copy of the cell's list. A tile that
+//!    escapes its box — only float rounding at a cell edge can cause that —
+//!    falls back to one grid walk over `[lo_j − r, hi_j + r]` (`r` = the
+//!    prune radius, [`GridIndex::candidates_in_box`]). Either way a
+//!    candidate is then dropped if, in some dimension `j`,
+//!    `(lo_j − c_j)·ih_j > s` or `(c_j − hi_j)·ih_j > s` (`s` = the
+//!    kernel's support radius): such a center cannot reach any point of the
+//!    tile. The survivors, still in ascending index order, are gathered
+//!    from a transposed (structure-of-arrays) copy of the centers into
+//!    contiguous per-dimension panels.
 //! 3. **Register-blocked micro-kernel** — micro-blocks of `BLOCK` (4) query
 //!    points are evaluated against the panel by one micro-kernel,
 //!    monomorphized for the kernel profile ([`KernelProfile`]) and for the
@@ -28,24 +35,35 @@
 //!    auto-vectorize. Inputs with d > 8 run a runtime-`dim` loop with the
 //!    same operations in the same order.
 //!
+//! On x86-64 the micro-kernels' dimension dispatch is compiled twice from
+//! one source: at the target's baseline (SSE2, two f64 lanes) and inside
+//! a `#[target_feature(enable = "avx2")]` function, where the four `BLOCK`
+//! lanes fit one register. Each `densities_into` call checks once at run
+//! time whether the CPU has AVX2 and picks the copy. Both copies perform
+//! the same IEEE operations in the same order: `fma` is not enabled, and
+//! Rust never contracts `a * b + c` into a fused multiply-add, so the
+//! copies agree bit for bit.
+//!
 //! # The canonical accumulation order, and why batch ≡ scalar bitwise
 //!
 //! Both the scalar path and this engine accumulate center contributions in
-//! **ascending center index** (the grid walks yield sorted candidates),
-//! and both compute each contribution with the same operations in the
-//! same order (`Π_j K(·)` left to right, shared [`KernelProfile`]
-//! definitions). Adding `+0.0` to a non-negative partial sum never changes
-//! its bits, so inserting or dropping centers whose contribution is
-//! exactly `+0.0` anywhere in the ascending sweep leaves every partial sum
-//! bit-identical. A tile's panel differs from a point `x`'s own scalar
-//! candidate set (the cells meeting `x ± r`) only by such centers:
+//! **ascending center index** (the grid walks yield sorted candidates, and
+//! so do the reach lists), and both compute each contribution with the
+//! same operations in the same order (`Π_j K(·)` left to right, shared
+//! [`KernelProfile`] definitions). Adding `+0.0` to a non-negative partial
+//! sum never changes its bits, so inserting or dropping centers whose
+//! contribution is exactly `+0.0` anywhere in the ascending sweep leaves
+//! every partial sum bit-identical. A tile's panel differs from a point
+//! `x`'s own scalar candidate set (the cells meeting `x ± r`) only by such
+//! centers:
 //!
 //! * **Box superset.** Float subtraction and addition round monotonically,
 //!   so `lo_j ≤ x_j ≤ hi_j` gives `fl(lo_j − r) ≤ fl(x_j − r)` and
 //!   `fl(x_j + r) ≤ fl(hi_j + r)`, and cell coordinates are monotone: the
-//!   tile's box query returns every center of `x`'s scalar query. The
-//!   extra centers lie outside `x ± r`, beyond the kernel support of `x`
-//!   in some dimension, exactly as for any superset panel.
+//!   fallback walk over the tile's box returns every center of `x`'s
+//!   scalar query. The extra centers lie outside `x ± r`, beyond the
+//!   kernel support of `x` in some dimension, exactly as for any superset
+//!   panel.
 //! * **Exact filter.** The test is the kernel's own expression at the
 //!   tile's nearest edge, and it is monotone in the query coordinate: for
 //!   every tile point, `fl(x_j − c_j) ≥ fl(lo_j − c_j)`, so
@@ -54,6 +72,14 @@
 //!   `0.0` at `|u| > s`, so a dropped center's product is `+0.0` for every
 //!   point of the tile. A center exactly on the edge (`|u_j| = s`) is kept:
 //!   the uniform kernel is `0.5` there.
+//! * **Cell list.** A reach list holds exactly the centers that pass the
+//!   exact test against the cell's box. When the tile's box lies inside
+//!   the cell's (the containment guard), a center that passes the tile's
+//!   test passes the cell's too, by the same monotonicity. So the tile's
+//!   exact filter over the list keeps every center the fallback walk
+//!   would have kept, plus only centers that contribute `+0.0` to every
+//!   tile point. The list is ascending, so each partial sum keeps its
+//!   bits.
 //!
 //! Hence the batch output equals the scalar output down to the bit
 //! pattern — extending the determinism contract ("byte-identical at every
@@ -62,7 +88,7 @@
 //! thread counts.
 
 use dbs_core::obs::{Counter, Tally};
-use dbs_core::PointBlock;
+use dbs_core::{Dataset, PointBlock};
 use dbs_spatial::GridIndex;
 
 use crate::kde::KernelDensityEstimator;
@@ -71,6 +97,153 @@ use crate::kernel::{profiles, Kernel, KernelProfile};
 /// Query points per micro-block: enough independent accumulators to hide
 /// FP-add latency, few enough to stay in registers.
 const BLOCK: usize = 4;
+
+/// Most reach-list entries [`CellReach::build`] keeps per center. A cell
+/// is at least the prune radius wide, so a center reaches about three
+/// cells per dimension: the lists hold up to ~`3^d` entries per center
+/// (~18 on the benchmark's KDE fits, at d = 3 and 5). Past this budget —
+/// many centers in a fine grid at high d — the lists are dropped and every
+/// tile walks the grid, as it would without them.
+const REACH_BUDGET_PER_CENTER: usize = 64;
+
+/// Every center-grid cell's reach list (module docs, step 2), built once
+/// at fit and stored flat.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CellReach {
+    /// Cell `c`'s list is `items[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+    /// Cell `c`'s box at `[2·d·c .. 2·d·(c + 1)]`: its `d` lower bounds,
+    /// then its `d` upper bounds, open on the outer side of the grid.
+    boxes: Vec<f64>,
+}
+
+impl CellReach {
+    /// The reach lists of every cell of `grid` (built over `centers`), for
+    /// support radius `s` and inverse bandwidths `ih`. Empty (no lists) if
+    /// they would exceed [`REACH_BUDGET_PER_CENTER`].
+    ///
+    /// The exact test is a conjunction over dimensions, and along each
+    /// axis the cell bounds are non-decreasing, so the cells a center
+    /// reaches are a product of one coordinate interval per axis, found by
+    /// binary search. Visiting the centers in ascending order fills every
+    /// list in ascending order.
+    pub(crate) fn build(centers: &Dataset, grid: &GridIndex, s: f64, ih: &[f64]) -> Self {
+        let d = centers.dim();
+        let res = grid.cells_per_dim();
+        let cells = grid.num_cells();
+        let budget = REACH_BUDGET_PER_CENTER
+            .saturating_mul(centers.len())
+            .min(u32::MAX as usize);
+
+        // Axis `j`'s cell bounds at `[j·res .. (j + 1)·res]`: the values
+        // `cell_bbox` gives, open on the grid's outer sides.
+        let mut axis_lo = vec![0.0f64; d * res];
+        let mut axis_hi = vec![0.0f64; d * res];
+        let mut stride = cells;
+        for j in 0..d {
+            stride /= res;
+            for k in 0..res {
+                let bbox = grid.cell_bbox(k * stride);
+                axis_lo[j * res + k] = if k == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    bbox.min()[j]
+                };
+                axis_hi[j * res + k] = if k == res - 1 {
+                    f64::INFINITY
+                } else {
+                    bbox.max()[j]
+                };
+            }
+        }
+
+        // (cell, center) pairs, centers ascending.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut first = vec![0usize; d];
+        let mut end = vec![0usize; d];
+        let mut coords = vec![0usize; d];
+        'centers: for (ci, c) in centers.iter().enumerate() {
+            for j in 0..d {
+                let (lo, hi) = (
+                    &axis_lo[j * res..(j + 1) * res],
+                    &axis_hi[j * res..(j + 1) * res],
+                );
+                first[j] = hi.partition_point(|&h| (c[j] - h) * ih[j] > s);
+                end[j] = lo.partition_point(|&l| (l - c[j]) * ih[j] <= s);
+                if first[j] >= end[j] {
+                    continue 'centers;
+                }
+            }
+            coords.copy_from_slice(&first);
+            'cells: loop {
+                let cell = coords.iter().fold(0, |cell, &k| cell * res + k);
+                pairs.push((cell as u32, ci as u32));
+                let mut j = d;
+                loop {
+                    if j == 0 {
+                        break 'cells;
+                    }
+                    j -= 1;
+                    coords[j] += 1;
+                    if coords[j] < end[j] {
+                        break;
+                    }
+                    coords[j] = first[j];
+                }
+            }
+            if pairs.len() > budget {
+                return CellReach::default();
+            }
+        }
+        pairs.sort_unstable();
+
+        let mut offsets = vec![0u32; cells + 1];
+        for &(cell, _) in &pairs {
+            offsets[cell as usize + 1] += 1;
+        }
+        for cell in 0..cells {
+            offsets[cell + 1] += offsets[cell];
+        }
+        let mut boxes = vec![0.0f64; 2 * d * cells];
+        for (cell, bounds) in boxes.chunks_exact_mut(2 * d).enumerate() {
+            let mut rest = cell;
+            for j in (0..d).rev() {
+                let k = rest % res;
+                rest /= res;
+                bounds[j] = axis_lo[j * res + k];
+                bounds[d + j] = axis_hi[j * res + k];
+            }
+        }
+        CellReach {
+            offsets,
+            items: pairs.into_iter().map(|(_, ci)| ci).collect(),
+            boxes,
+        }
+    }
+
+    /// Cell `cell`'s box (lower and upper bounds, `dim` each) and reach
+    /// list, or `None` if the lists were not built.
+    fn get(&self, cell: usize, dim: usize) -> Option<(&[f64], &[f64], &[u32])> {
+        let end = *self.offsets.get(cell + 1)? as usize;
+        let list = &self.items[self.offsets[cell] as usize..end];
+        let (lo, hi) = self.boxes[2 * dim * cell..2 * dim * (cell + 1)].split_at(dim);
+        Some((lo, hi, list))
+    }
+}
+
+/// Whether the running CPU has AVX2, so the micro-kernels' AVX2 copy may
+/// run. Always `false` off x86-64, where only the baseline copy exists.
+fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Batch form of `KernelDensityEstimator::density` over the points of
 /// `block`, writing into `out` (`out[k]` = density of point
@@ -87,6 +260,7 @@ pub(crate) fn kde_densities_into(
     debug_assert_eq!(block.dim(), est.centers.dim());
     debug_assert_eq!(out.len(), block.len());
     let ks = est.centers.len();
+    let avx2 = avx2_available();
     match &est.center_grid {
         None => {
             // Every point sees every center: the SoA copy of the centers is
@@ -96,6 +270,7 @@ pub(crate) fn kde_densities_into(
             tally.add(Counter::KdeKernelEvals, (tile.len() * ks) as u64);
             eval_tile(
                 est,
+                avx2,
                 block,
                 &tile,
                 &est.centers_soa,
@@ -104,16 +279,17 @@ pub(crate) fn kde_densities_into(
                 block.range().start,
             );
         }
-        Some(grid) => tiled_eval(est, grid, block, out, tally),
+        Some(grid) => tiled_eval(est, grid, avx2, block, out, tally),
     }
 }
 
 /// The grid-pruned path: group the chunk's points by center-grid cell,
-/// query the grid once per tile and gather only the centers that can
-/// reach the tile.
+/// start each tile from its cell's reach list (or one grid walk) and
+/// gather only the centers that can reach the tile.
 fn tiled_eval(
     est: &KernelDensityEstimator,
     grid: &GridIndex,
+    avx2: bool,
     points: &PointBlock,
     out: &mut [f64],
     tally: &mut Tally,
@@ -133,6 +309,7 @@ fn tiled_eval(
     // Reused per-tile buffers: a tile allocates nothing once they have
     // grown to the largest tile's size.
     let mut tile: Vec<u32> = Vec::new();
+    let mut walk: Vec<u32> = Vec::new();
     let mut candidates: Vec<u32> = Vec::new();
     let mut panel: Vec<f64> = Vec::new();
     let mut lo = vec![0.0f64; dim];
@@ -160,9 +337,7 @@ fn tiled_eval(
         tile.clear();
         tile.extend(order[start..end].iter().map(|&(_, i)| i));
 
-        // The tile's query bounding box, over the actual points (so points
-        // clamped into a boundary cell from outside the domain are still
-        // covered).
+        // The tile's bounding box over its actual points.
         lo.copy_from_slice(points.point(tile[0] as usize));
         hi.copy_from_slice(&lo);
         for &i in &tile[1..] {
@@ -173,23 +348,35 @@ fn tiled_eval(
             }
         }
 
-        // One box query covers every point's own scalar query `x ± r`
-        // (module docs, step 2).
-        for j in 0..dim {
-            query_lo[j] = lo[j] - r;
-            query_hi[j] = hi[j] + r;
-        }
-        candidates.clear();
-        grid.candidates_in_box(&query_lo, &query_hi, &mut candidates);
-        visits += candidates.len() as u64;
+        // The tile's starting entries (module docs, step 2): its cell's
+        // reach list when the containment guard holds, else one grid walk
+        // over the tile's box widened by `r`.
+        let from: &[u32] = match est.cell_reach.get(cell as usize, dim) {
+            Some((cell_lo, cell_hi, list))
+                if (0..dim).all(|j| cell_lo[j] <= lo[j] && hi[j] <= cell_hi[j]) =>
+            {
+                list
+            }
+            _ => {
+                for j in 0..dim {
+                    query_lo[j] = lo[j] - r;
+                    query_hi[j] = hi[j] + r;
+                }
+                walk.clear();
+                grid.candidates_in_box(&query_lo, &query_hi, &mut walk);
+                &walk
+            }
+        };
+        visits += from.len() as u64;
 
         // Exact support test: drop a center if, in some dimension, every
         // tile point is beyond the kernel support — the same float
         // expression the kernel evaluates, at the tile's nearest edge.
-        candidates.retain(|&ci| {
+        candidates.clear();
+        candidates.extend(from.iter().copied().filter(|&ci| {
             let c = est.centers.point(ci as usize);
             !(0..dim).any(|j| (lo[j] - c[j]) * ih[j] > s || (c[j] - hi[j]) * ih[j] > s)
-        });
+        }));
 
         // Gather the candidates' coordinates into contiguous per-dimension
         // panels from the transposed centers.
@@ -206,7 +393,16 @@ fn tiled_eval(
 
         tiles += 1;
         evals += (tile.len() * m) as u64;
-        eval_tile(est, points, &tile, &panel, m, out, points.range().start);
+        eval_tile(
+            est,
+            avx2,
+            points,
+            &tile,
+            &panel,
+            m,
+            out,
+            points.range().start,
+        );
         start = end;
     }
 
@@ -216,9 +412,11 @@ fn tiled_eval(
 }
 
 /// Dispatches one tile to the micro-kernel monomorphized for the
-/// estimator's kernel profile.
+/// estimator's kernel profile, in the AVX2 copy when `avx2` is set.
+#[allow(clippy::too_many_arguments)]
 fn eval_tile(
     est: &KernelDensityEstimator,
+    avx2: bool,
     points: &PointBlock,
     tile: &[u32],
     panel: &[f64],
@@ -229,25 +427,77 @@ fn eval_tile(
     let ih = &est.inv_bandwidths;
     let scale = est.scale;
     match est.kernel {
-        Kernel::Epanechnikov => {
-            eval_tile_k::<profiles::Epanechnikov>(points, tile, panel, m, ih, scale, out, base)
-        }
+        Kernel::Epanechnikov => eval_tile_k::<profiles::Epanechnikov>(
+            avx2, points, tile, panel, m, ih, scale, out, base,
+        ),
         Kernel::Gaussian => {
-            eval_tile_k::<profiles::Gaussian>(points, tile, panel, m, ih, scale, out, base)
+            eval_tile_k::<profiles::Gaussian>(avx2, points, tile, panel, m, ih, scale, out, base)
         }
         Kernel::Biweight => {
-            eval_tile_k::<profiles::Biweight>(points, tile, panel, m, ih, scale, out, base)
+            eval_tile_k::<profiles::Biweight>(avx2, points, tile, panel, m, ih, scale, out, base)
         }
         Kernel::Uniform => {
-            eval_tile_k::<profiles::Uniform>(points, tile, panel, m, ih, scale, out, base)
+            eval_tile_k::<profiles::Uniform>(avx2, points, tile, panel, m, ih, scale, out, base)
         }
     }
 }
 
-/// Dimension dispatch: one micro-kernel monomorphized for each d ≤ 8,
-/// the runtime-`dim` panel loop beyond.
+/// Runs the dimension dispatch's AVX2 copy when `avx2` is set (which only
+/// a positive [`avx2_available`] may do), its baseline copy otherwise.
 #[allow(clippy::too_many_arguments)]
 fn eval_tile_k<K: KernelProfile>(
+    avx2: bool,
+    points: &PointBlock,
+    tile: &[u32],
+    panel: &[f64],
+    m: usize,
+    ih: &[f64],
+    scale: f64,
+    out: &mut [f64],
+    base: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2 {
+        debug_assert!(avx2_available());
+        // SAFETY: `avx2` is set only from `avx2_available()`, which has
+        // detected AVX2 on the running CPU, so the AVX2 copy's
+        // instructions exist here.
+        return unsafe { dims_avx2::<K>(points, tile, panel, m, ih, scale, out, base) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = avx2;
+    dims::<K>(points, tile, panel, m, ih, scale, out, base)
+}
+
+/// [`dims`] compiled with AVX2 enabled: the same source, inlined here
+/// together with the micro-kernels, so the four `BLOCK` lanes fit one
+/// register.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn dims_avx2<K: KernelProfile>(
+    points: &PointBlock,
+    tile: &[u32],
+    panel: &[f64],
+    m: usize,
+    ih: &[f64],
+    scale: f64,
+    out: &mut [f64],
+    base: usize,
+) {
+    dims::<K>(points, tile, panel, m, ih, scale, out, base)
+}
+
+/// Dimension dispatch: one micro-kernel monomorphized for each d ≤ 8,
+/// the runtime-`dim` panel loop beyond. Always inlined, so each caller
+/// ([`eval_tile_k`], [`dims_avx2`]) compiles its own copy.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dims<K: KernelProfile>(
     points: &PointBlock,
     tile: &[u32],
     panel: &[f64],
@@ -275,6 +525,7 @@ fn eval_tile_k<K: KernelProfile>(
 /// product starts at the first factor and multiplies left to right (the
 /// scalar path's `1.0 · k_0` is bit-identical to `k_0`); the tail points
 /// run one at a time in the same order.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_c<K: KernelProfile, const D: usize>(
     points: &PointBlock,
@@ -328,6 +579,7 @@ fn tile_c<K: KernelProfile, const D: usize>(
 
 /// The runtime-`dim` panel loop, for d > 8: the same operations in the
 /// same order as [`tile_c`].
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_generic<K: KernelProfile>(
     points: &PointBlock,
@@ -386,8 +638,15 @@ mod tests {
     use crate::kernel::Kernel;
     use crate::traits::DensityEstimator;
     use dbs_core::rng::seeded;
-    use dbs_core::{BoundingBox, Dataset};
+    use dbs_core::{BoundingBox, Dataset, PointBlock};
     use rand::Rng;
+
+    const KERNELS: [Kernel; 4] = [
+        Kernel::Epanechnikov,
+        Kernel::Gaussian,
+        Kernel::Biweight,
+        Kernel::Uniform,
+    ];
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);
@@ -472,25 +731,38 @@ mod tests {
         assert_batch_matches_scalar(&est, &queries);
     }
 
-    /// Centers and queries on dyadic lattices with a dyadic bandwidth, so
-    /// `(x_j − c_j)·ih_j` is exact and equals `±1.0` — the support edge —
-    /// for many (query, center) pairs, at tile edges included.
-    fn support_edge_case(kernel: Kernel) -> (KernelDensityEstimator, Dataset) {
-        let mut centers = Dataset::with_capacity(2, 32 * 32);
-        for a in 0..32 {
-            for b in 0..32 {
-                centers.push(&[a as f64 / 32.0, b as f64 / 32.0]).unwrap();
-            }
+    /// `per_dim^d` centers on the dyadic lattice `a / per_dim` of the unit
+    /// cube with bandwidth `1 / per_dim`, so the grid cells are one
+    /// bandwidth wide and `(x_j − c_j)·ih_j` is exact and equals `±1.0` —
+    /// the support edge — for lattice queries one step from a center.
+    fn lattice_estimator(d: usize, per_dim: usize, kernel: Kernel) -> KernelDensityEstimator {
+        let total = per_dim.pow(d as u32);
+        let mut centers = Dataset::with_capacity(d, total);
+        for mut k in 0..total {
+            let p: Vec<f64> = (0..d)
+                .map(|_| {
+                    let a = k % per_dim;
+                    k /= per_dim;
+                    a as f64 / per_dim as f64
+                })
+                .collect();
+            centers.push(&p).unwrap();
         }
-        let h = 1.0 / 32.0;
+        let h = 1.0 / per_dim as f64;
         let est = KernelDensityEstimator::from_centers(
             centers,
-            vec![h, h],
+            vec![h; d],
             1000.0,
             kernel,
-            BoundingBox::unit(2),
+            BoundingBox::unit(d),
         );
         assert!(est.has_center_grid());
+        est
+    }
+
+    /// The 2-d lattice at 1/32 with queries on a 1/128 lattice.
+    fn support_edge_case(kernel: Kernel) -> (KernelDensityEstimator, Dataset) {
+        let est = lattice_estimator(2, 32, kernel);
         // Queries every 1/128 over part of the domain, past its edge too:
         // every tile (one grid cell) has points on the cell's lower edge,
         // a whole bandwidth from the centers one cell below.
@@ -530,5 +802,207 @@ mod tests {
         let ds = random_dataset(800, 9, 6);
         let est = KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(200)).unwrap();
         assert_batch_matches_scalar(&est, &ds);
+    }
+
+    #[test]
+    fn avx2_and_base_copies_agree_bit_for_bit() {
+        let avx2 = super::avx2_available();
+        if !avx2 {
+            println!("AVX2 not available: ran only the base copy of the micro-kernels");
+        }
+        for d in 1..=9 {
+            // 37 centers: below the grid threshold, so the scalar path sums
+            // every center in index order, as the full panel does.
+            let centers = random_dataset(37, d, 20 + d as u64);
+            let queries = random_dataset(23, d, 40 + d as u64);
+            for kernel in KERNELS {
+                // Wide bandwidths: a mix of zero and non-zero products.
+                let est = KernelDensityEstimator::from_centers(
+                    centers.clone(),
+                    vec![0.6; d],
+                    1000.0,
+                    kernel,
+                    BoundingBox::unit(d),
+                );
+                assert!(!est.has_center_grid());
+                for len in [1, 3, 4, 6, 7, 9, 23] {
+                    let block = PointBlock::from_dataset(&queries, 0..len);
+                    let tile: Vec<u32> = (0..len as u32).collect();
+                    let run = |avx2| {
+                        let mut out = vec![0.0f64; len];
+                        let panel = &est.centers_soa;
+                        super::eval_tile(&est, avx2, &block, &tile, panel, 37, &mut out, 0);
+                        out
+                    };
+                    let base = run(false);
+                    for (k, v) in base.iter().enumerate() {
+                        let want = est.density(queries.point(k));
+                        assert_eq!(v.to_bits(), want.to_bits(), "{kernel:?} d={d} len={len}");
+                    }
+                    if avx2 {
+                        let wide: Vec<u64> = run(true).iter().map(|v| v.to_bits()).collect();
+                        let base: Vec<u64> = base.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(wide, base, "{kernel:?} d={d} len={len}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each cell's box as the reach lists must store it: the grid's cell
+    /// box, open on the outer side of the grid.
+    fn open_cell_box(grid: &dbs_spatial::GridIndex, cell: usize) -> (Vec<f64>, Vec<f64>) {
+        let (first, last) = (grid.cell_bbox(0), grid.cell_bbox(grid.num_cells() - 1));
+        let bbox = grid.cell_bbox(cell);
+        let open = |x: f64, edge: f64, inf: f64| if x == edge { inf } else { x };
+        let lo = (0..bbox.dim())
+            .map(|j| open(bbox.min()[j], first.min()[j], f64::NEG_INFINITY))
+            .collect();
+        let hi = (0..bbox.dim())
+            .map(|j| open(bbox.max()[j], last.max()[j], f64::INFINITY))
+            .collect();
+        (lo, hi)
+    }
+
+    #[test]
+    fn reach_lists_hold_exactly_the_reaching_centers_ascending() {
+        let mut cases: Vec<KernelDensityEstimator> = [(2, 400), (3, 600), (5, 1000)]
+            .into_iter()
+            .map(|(d, ks)| {
+                let ds = random_dataset(4000, d, 30 + d as u64);
+                KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(ks)).unwrap()
+            })
+            .collect();
+        cases.push(lattice_estimator(2, 32, Kernel::Uniform));
+        cases.push(lattice_estimator(3, 8, Kernel::Uniform));
+        for est in &cases {
+            let grid = est.center_grid.as_ref().unwrap();
+            let (d, ih, s) = (est.dim(), &est.inv_bandwidths, est.kernel.support_radius());
+            let mut entries = 0;
+            for cell in 0..grid.num_cells() {
+                let (lo, hi, list) = est.cell_reach.get(cell, d).expect("lists built");
+                let (want_lo, want_hi) = open_cell_box(grid, cell);
+                assert_eq!((lo, hi), (&want_lo[..], &want_hi[..]), "cell {cell} box");
+                let want: Vec<u32> = (0..est.centers.len() as u32)
+                    .filter(|&ci| {
+                        let c = est.centers.point(ci as usize);
+                        (0..d).all(|j| (lo[j] - c[j]) * ih[j] <= s && (c[j] - hi[j]) * ih[j] <= s)
+                    })
+                    .collect();
+                assert_eq!(list, &want[..], "d={d} cell {cell}");
+                assert!(list.windows(2).all(|w| w[0] < w[1]));
+                entries += list.len();
+            }
+            assert!(entries > 0);
+        }
+    }
+
+    /// Queries at every (sampled) cell's lower corner and the floats next
+    /// to it, and outside the domain on every side.
+    fn hard_points(est: &KernelDensityEstimator) -> Dataset {
+        let grid = est.center_grid.as_ref().unwrap();
+        let d = est.dim();
+        let mut rng = seeded(9);
+        let mut queries = Dataset::new(d);
+        let near = |x: f64, v: usize| [x, x.next_down(), x.next_up()][v];
+        for cell in (0..grid.num_cells()).step_by(grid.num_cells().div_ceil(1024)) {
+            let lo = grid.cell_bbox(cell).min().to_vec();
+            for v in 0..3 {
+                let p: Vec<f64> = lo.iter().map(|&x| near(x, v)).collect();
+                queries.push(&p).unwrap();
+            }
+            let p: Vec<f64> = lo.iter().map(|&x| near(x, rng.gen_range(0..3))).collect();
+            queries.push(&p).unwrap();
+        }
+        let (min, max) = (est.domain().min(), est.domain().max());
+        for j in 0..d {
+            for off in [1e-12, 0.05, 0.3, 10.0] {
+                for x in [min[j] - off, max[j] + off] {
+                    let mut p: Vec<f64> = (0..d).map(|_| rng.gen::<f64>()).collect();
+                    p[j] = x;
+                    queries.push(&p).unwrap();
+                }
+            }
+        }
+        for off in [-0.2, 1.2] {
+            queries.push(&vec![off; d]).unwrap();
+        }
+        queries
+    }
+
+    #[test]
+    fn reach_lists_keep_hard_points_bit_identical() {
+        for d in [2, 3, 5] {
+            // A domain whose cell edges are not dyadic, so rounding puts
+            // some edge queries in a cell whose box misses them: those
+            // tiles take the fallback walk.
+            let ds = random_dataset(4000, d, 50 + d as u64);
+            let cfg = KdeConfig {
+                domain: Some(BoundingBox::new(vec![-0.1; d], vec![1.03; d])),
+                ..KdeConfig::with_centers(if d == 5 { 1000 } else { 400 })
+            };
+            let fit = KernelDensityEstimator::fit_dataset(&ds, &cfg).unwrap();
+            let queries = hard_points(&fit);
+            for kernel in KERNELS {
+                let est = KernelDensityEstimator::from_centers(
+                    fit.centers().clone(),
+                    fit.bandwidths().to_vec(),
+                    ds.len() as f64,
+                    kernel,
+                    fit.domain().clone(),
+                );
+                assert_batch_matches_scalar(&est, &queries);
+            }
+        }
+        // Centers exactly one bandwidth below each cell's lower edge: on
+        // the support edge of the edge queries, where the uniform kernel
+        // is 0.5. At d = 5 the lattice's lists (~600 entries per center)
+        // exceed the budget, so every tile walks the grid.
+        for (d, per_dim, built) in [(2, 32, true), (3, 8, true), (5, 8, false)] {
+            let est = lattice_estimator(d, per_dim, Kernel::Uniform);
+            assert_eq!(est.cell_reach.get(0, d).is_some(), built, "d={d}");
+            assert_batch_matches_scalar(&est, &hard_points(&est));
+        }
+    }
+
+    #[test]
+    fn a_tile_escaping_its_cell_box_takes_the_grid_walk() {
+        // Cell edges that are not dyadic: rounding puts some floats just
+        // below a cell's lower edge into that cell, outside its box.
+        let h = 1.0 / 16.0;
+        let domain = BoundingBox::new(vec![-0.1, -0.1], vec![1.03, 1.03]);
+        let fit = |centers: Dataset| {
+            KernelDensityEstimator::from_centers(
+                centers,
+                vec![h, h],
+                1000.0,
+                Kernel::Uniform,
+                domain.clone(),
+            )
+        };
+        let centers = random_dataset(400, 2, 60);
+        let est = fit(centers.clone());
+        let escapes = |est: &KernelDensityEstimator, x: &[f64]| {
+            let cell = est.center_grid.as_ref().unwrap().cell_of(x);
+            let (lo, _, list) = est.cell_reach.get(cell, 2).unwrap();
+            (x[0] < lo[0]).then(|| list.to_vec())
+        };
+        let grid = est.center_grid.as_ref().unwrap();
+        let x = (0..grid.num_cells())
+            .map(|cell| [grid.cell_bbox(cell).min()[0].next_down(), 0.5])
+            .find(|x| (0.5625..1.0).contains(&x[0]) && escapes(&est, x).is_some())
+            .expect("an escaping float");
+        // A center exactly one bandwidth below `x` (both differences are
+        // exact): the uniform kernel is 0.5 at `x`, but the center lies
+        // beyond the support of the cell's box, so the cell's list lacks
+        // it and only the walk finds it.
+        let mut centers = centers;
+        centers.push(&[x[0] - h, x[1]]).unwrap();
+        let est = fit(centers);
+        let list = escapes(&est, &x).expect("same grid");
+        assert!(!list.contains(&400));
+        let mut queries = Dataset::new(2);
+        queries.push(&x).unwrap();
+        assert_batch_matches_scalar(&est, &queries);
     }
 }

@@ -19,6 +19,7 @@ use dbs_core::{BoundingBox, Dataset, Error, PointSource, Reservoir, Result};
 use dbs_spatial::GridIndex;
 
 use crate::bandwidth::Bandwidth;
+use crate::batch::CellReach;
 use crate::kernel::Kernel;
 use crate::traits::DensityEstimator;
 
@@ -81,6 +82,9 @@ pub struct KernelDensityEstimator {
     /// `j`'s coordinates at `[j * ks .. (j + 1) * ks]` — so the batch
     /// engine can gather contiguous candidate panels.
     pub(crate) centers_soa: Vec<f64>,
+    /// Per-cell lists of the centers that can reach each `center_grid`
+    /// cell, for the batch engine (empty without a grid).
+    pub(crate) cell_reach: CellReach,
 }
 
 impl KernelDensityEstimator {
@@ -220,6 +224,12 @@ impl KernelDensityEstimator {
             }
         }
 
+        let cell_reach = center_grid
+            .as_ref()
+            .map_or_else(CellReach::default, |grid| {
+                CellReach::build(&centers, grid, support, &inv_bandwidths)
+            });
+
         KernelDensityEstimator {
             centers,
             bandwidths,
@@ -231,6 +241,7 @@ impl KernelDensityEstimator {
             center_grid,
             prune_radius,
             centers_soa,
+            cell_reach,
         }
     }
 

@@ -69,12 +69,12 @@ bench-diff OLD NEW:
 
 # Alternating parent/change timings of one pipebench workload: PAIRS
 # rounds of one `pipeline` run with PARENT_DBS (a `dbs` built from the
-# parent commit) and one with this checkout's `dbs` (seed 42, `--seconds
-# 4 --trace 0`; the side that runs first alternates), appended to
-# .bench_pairs/old.jsonl and new.jsonl, then compared by `bench-diff`
-# (exit 1 on a regression or a counter change). Builds what
-# `pipebench/run.sh` builds first.
-bench-pairs PARENT_DBS WORKLOAD PAIRS:
+# parent commit) and one with this checkout's `dbs` (workload seed SEED,
+# default 42, `--seconds 4 --trace 0`; the side that runs first
+# alternates), appended to .bench_pairs/old.jsonl and new.jsonl, then
+# compared by `bench-diff` (exit 1 on a regression or a counter change).
+# Builds what `pipebench/run.sh` builds first.
+bench-pairs PARENT_DBS WORKLOAD PAIRS SEED="42":
     #!/usr/bin/env bash
     set -euo pipefail
     target="${CARGO_TARGET_DIR:-.bench_build}"
@@ -82,7 +82,7 @@ bench-pairs PARENT_DBS WORKLOAD PAIRS:
     CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet --manifest-path pipebench/Cargo.toml --bin pipeline --bin bench-diff
     mkdir -p .bench_pairs
     rm -f .bench_pairs/old.jsonl .bench_pairs/new.jsonl
-    run() { "$target/release/pipeline" --dbs "$1" --workload {{WORKLOAD}} --seed 42 --seconds 4 --trace 0 --out "$2"; }
+    run() { "$target/release/pipeline" --dbs "$1" --workload {{WORKLOAD}} --seed {{SEED}} --seconds 4 --trace 0 --out "$2"; }
     for i in $(seq {{PAIRS}}); do
         if (( i % 2 )); then
             run {{PARENT_DBS}} .bench_pairs/old.jsonl
