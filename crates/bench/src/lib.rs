@@ -1,7 +1,7 @@
 //! Shared workload builders for the Criterion benches.
 //!
-//! Each bench target but `outliers` records one `BENCH_*.json` file (see
-//! the `just bench-*` recipes); the `experiments` binary reproduces the
+//! Each bench target records one `BENCH_*.json` file (see the
+//! `just bench-*` recipes); the `experiments` binary reproduces the
 //! paper's figures. The custom-harness benches share the JSON-line writer
 //! and measurement helpers below.
 

@@ -1047,6 +1047,13 @@ mod tests {
         // Ingest + one-pass sample (the scaler pass is untracked).
         assert!(json.contains("\"dataset_passes\": 2"), "{json}");
         assert!(json.contains("\"name\": \"ingest\""), "{json}");
+        // Algorithm R's replacements depend only on the stream length, the
+        // reservoir size and its seed (`sub_seed(seed, 1)`, default seed 0).
+        let mut reservoir = Reservoir::new(1, 40, sub_seed(0, 1));
+        (0..601).for_each(|i| reservoir.offer(i, &[0.0]));
+        assert!(reservoir.replacements() > 0);
+        let replacements = format!("\"reservoir_replacements\": {}", reservoir.replacements());
+        assert!(json.contains(&replacements), "{json}");
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&metrics_file).ok();
         std::fs::remove_file(&reservoir_file).ok();

@@ -12,8 +12,6 @@
 //! * [`birch`] — the BIRCH comparison method \[31\]: a CF-tree summarizing
 //!   the *entire* dataset under a memory budget equal to the sample size,
 //!   followed by hierarchical global clustering of the leaf entries.
-//! * [`mod@kmeans`] — weight-aware K-means; §3.1 explains that biased
-//!   samples must be debiased with `1/p_i` weights for this objective.
 //! * [`partitioned`] — the scalable path around the quadratic merge loop:
 //!   CURE's partitioning scheme, sample-fed clustering, and full-dataset
 //!   label map-back, all bit-reproducible at any thread count.
@@ -27,7 +25,6 @@
 pub mod birch;
 pub mod eval;
 pub mod hierarchical;
-pub mod kmeans;
 pub mod partitioned;
 
 pub use birch::{Birch, BirchClustering, BirchConfig};
@@ -36,7 +33,6 @@ pub use hierarchical::{
     hierarchical_cluster, hierarchical_cluster_obs, hierarchical_cluster_reference, Clustering,
     FoundCluster, HierarchicalConfig, NOISE,
 };
-pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use partitioned::{
     map_back_labels, map_back_labels_obs, partitioned_cluster, partitioned_cluster_obs,
     sample_fed_cluster, sample_fed_cluster_obs, sample_target_size,

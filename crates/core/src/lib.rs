@@ -14,8 +14,8 @@
 //! * [`MinMaxScaler`] — the paper assumes data scaled to the unit cube
 //!   `[0,1]^d`; the scaler performs (and inverts) that mapping.
 //! * [`WeightedSample`] — biased samples carry per-point inverse-probability
-//!   weights so that weight-aware algorithms (K-means / K-medoids, §3.1 of
-//!   the paper) can debias their objective.
+//!   weights so that a weight-aware downstream algorithm (§3.1 of the
+//!   paper) can debias its objective.
 //! * [`rng`] — deterministic seeding helpers plus a small Box–Muller normal
 //!   sampler (the `rand_distr` crate is outside the allowed dependency set).
 //! * [`Reservoir`] — Algorithm R, the one uniform reservoir every fixed-size

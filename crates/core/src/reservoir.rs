@@ -1,10 +1,9 @@
 //! Algorithm R (Vitter, reference \[29\] of the paper): a uniform
 //! fixed-size sample of a stream of unknown length, kept in one pass.
 //!
-//! The KDE's kernel centers, `dbs-sampling`'s reservoir sampler and the
-//! fused ingest of `dbs stream` all keep their reservoir in a
-//! [`Reservoir`], so all three consume their random stream the same way
-//! (`dbs-sampling`'s reservoir tests check size, pairing and uniformity).
+//! The KDE's kernel centers and the fused ingest of `dbs stream` both keep
+//! their reservoir in a [`Reservoir`], so both consume their random stream
+//! the same way.
 
 use rand::Rng;
 
@@ -67,5 +66,105 @@ impl Reservoir {
     /// The kept points and their source indices, in slot order.
     pub fn into_parts(self) -> (Dataset, Vec<usize>) {
         (self.points, self.indices)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{write_binary, FileSource};
+    use crate::rng::sub_seed;
+    use crate::scan::PointSource;
+    use proptest::prelude::*;
+
+    /// Offers the stream `0, 1, …, n − 1` (point `i` is `[i]`).
+    fn fill(n: usize, size: usize, seed: u64) -> Reservoir {
+        let mut reservoir = Reservoir::new(1, size, seed);
+        for i in 0..n {
+            reservoir.offer(i, &[i as f64]);
+        }
+        reservoir
+    }
+
+    #[test]
+    fn exact_size_and_distinct_indices() {
+        let mut idx = fill(5000, 100, 1).indices().to_vec();
+        idx.sort_unstable();
+        idx.dedup();
+        assert_eq!(idx.len(), 100);
+    }
+
+    #[test]
+    fn small_stream_keeps_everything() {
+        let reservoir = fill(7, 20, 2);
+        assert_eq!(reservoir.indices(), &[0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(reservoir.replacements(), 0);
+    }
+
+    #[test]
+    fn indices_match_points() {
+        let (points, indices) = fill(1000, 50, 4).into_parts();
+        assert_eq!(points.len(), 50);
+        for (k, &i) in indices.iter().enumerate() {
+            assert_eq!(points.point(k), &[i as f64]);
+        }
+    }
+
+    #[test]
+    fn algorithm_r_is_uniform() {
+        // Chi-square-style sanity: each of 50 items picked ~ trials*b/n.
+        let trials = 3000;
+        let mut counts = vec![0usize; 50];
+        for t in 0..trials {
+            for &i in fill(50, 10, sub_seed(5, t)).indices() {
+                counts[i] += 1;
+            }
+        }
+        let expect = trials as f64 * 10.0 / 50.0;
+        for (i, &c) in counts.iter().enumerate() {
+            assert!(
+                (c as f64 - expect).abs() < expect * 0.2,
+                "item {i} picked {c}, expected ~{expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn reservoir_from_file_equals_memory() {
+        // A file source streams the same points in the same order, so the
+        // reservoir keeps the same points.
+        let mut data = Dataset::with_capacity(2, 5000);
+        for i in 0..5000 {
+            data.push(&[i as f64, (i % 7) as f64]).unwrap();
+        }
+        let mut path = std::env::temp_dir();
+        path.push(format!("dbs_core_reservoir_{}.dbs1", std::process::id()));
+        write_binary(&path, &data).unwrap();
+        let file = FileSource::open(&path).unwrap();
+        let keep = |source: &dyn PointSource| {
+            let mut reservoir = Reservoir::new(2, 200, 7);
+            source.scan(&mut |i, x| reservoir.offer(i, x)).unwrap();
+            reservoir.into_parts()
+        };
+        let (mem_points, mem_indices) = keep(&data);
+        let (disk_points, disk_indices) = keep(&file);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(mem_indices, disk_indices);
+        assert_eq!(mem_points.as_flat(), disk_points.as_flat());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A reservoir keeps exactly min(b, n) distinct indices that all
+        /// reference real points, for any stream length and seed.
+        #[test]
+        fn reservoir_size_and_validity(n in 1usize..400, b in 1usize..50, seed in 0u64..1000) {
+            let mut idx = fill(n, b, seed).indices().to_vec();
+            idx.sort_unstable();
+            idx.dedup();
+            prop_assert_eq!(idx.len(), b.min(n));
+            prop_assert!(idx.iter().all(|&i| i < n));
+        }
     }
 }

@@ -60,23 +60,6 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Samples an index from unnormalized non-negative weights.
-///
-/// Panics if the weights are empty or all zero.
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    assert!(!weights.is_empty(), "weights must be non-empty");
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "weights must not all be zero");
-    let mut t = rng.gen::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        t -= w;
-        if t <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,25 +128,5 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.03, "mean {mean}");
         assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn weighted_index_matches_weights() {
-        let mut rng = seeded(4);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[weighted_index(&mut rng, &weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn weighted_index_rejects_all_zero() {
-        let mut rng = seeded(5);
-        weighted_index(&mut rng, &[0.0, 0.0]);
     }
 }

@@ -19,11 +19,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Per-dimension means of a dataset.
 pub fn column_means(data: &Dataset) -> Vec<f64> {
     let mut acc = vec![0.0; data.dim()];
@@ -35,23 +30,6 @@ pub fn column_means(data: &Dataset) -> Vec<f64> {
     let n = data.len().max(1) as f64;
     for a in acc.iter_mut() {
         *a /= n;
-    }
-    acc
-}
-
-/// Per-dimension sample standard deviations of a dataset.
-pub fn column_std_devs(data: &Dataset) -> Vec<f64> {
-    let means = column_means(data);
-    let mut acc = vec![0.0; data.dim()];
-    for p in data.iter() {
-        for j in 0..data.dim() {
-            let d = p[j] - means[j];
-            acc[j] += d * d;
-        }
-    }
-    let denom = (data.len().saturating_sub(1)).max(1) as f64;
-    for a in acc.iter_mut() {
-        *a = (*a / denom).sqrt();
     }
     acc
 }
@@ -138,16 +116,12 @@ mod tests {
     fn empty_and_singleton_edge_cases() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[3.0]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
     }
 
     #[test]
     fn column_stats() {
         let ds = Dataset::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0]]).unwrap();
         assert_eq!(column_means(&ds), vec![2.0, 20.0]);
-        let sds = column_std_devs(&ds);
-        assert!((sds[0] - (2.0f64).sqrt()).abs() < 1e-12);
-        assert!((sds[1] - (200.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

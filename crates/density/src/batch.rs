@@ -17,10 +17,12 @@
 //!    coordinate 0, `+∞` above the last), so points clamped into them from
 //!    outside the domain are inside their box too. A tile whose bounding
 //!    box `[lo, hi]` over its actual points lies inside its cell's box (the
-//!    containment guard) starts from a copy of the cell's list. A tile that
-//!    escapes its box — only float rounding at a cell edge can cause that —
-//!    falls back to one grid walk over `[lo_j − r, hi_j + r]` (`r` = the
-//!    prune radius, [`GridIndex::candidates_in_box`]). Either way a
+//!    containment guard) starts from a copy of the cell's list. The grid
+//!    assigns every finite point to a cell whose box contains it, so the
+//!    guard holds wherever the lists exist; it stays as a check. A tile
+//!    without a list (the lists exceeded their budget) or failing the guard
+//!    walks the grid once over `[lo_j − r, hi_j + r]` (`r` = the prune
+//!    radius, [`GridIndex::candidates_in_box`]). Either way a
 //!    candidate is then dropped if, in some dimension `j`,
 //!    `(lo_j − c_j)·ih_j > s` or `(c_j − hi_j)·ih_j > s` (`s` = the
 //!    kernel's support radius): such a center cannot reach any point of the
@@ -933,9 +935,8 @@ mod tests {
     #[test]
     fn reach_lists_keep_hard_points_bit_identical() {
         for d in [2, 3, 5] {
-            // A domain whose cell edges are not dyadic, so rounding puts
-            // some edge queries in a cell whose box misses them: those
-            // tiles take the fallback walk.
+            // A domain whose cell edges are not dyadic, so the edge queries
+            // sit on rounded edges.
             let ds = random_dataset(4000, d, 50 + d as u64);
             let cfg = KdeConfig {
                 domain: Some(BoundingBox::new(vec![-0.1; d], vec![1.03; d])),
@@ -963,46 +964,5 @@ mod tests {
             assert_eq!(est.cell_reach.get(0, d).is_some(), built, "d={d}");
             assert_batch_matches_scalar(&est, &hard_points(&est));
         }
-    }
-
-    #[test]
-    fn a_tile_escaping_its_cell_box_takes_the_grid_walk() {
-        // Cell edges that are not dyadic: rounding puts some floats just
-        // below a cell's lower edge into that cell, outside its box.
-        let h = 1.0 / 16.0;
-        let domain = BoundingBox::new(vec![-0.1, -0.1], vec![1.03, 1.03]);
-        let fit = |centers: Dataset| {
-            KernelDensityEstimator::from_centers(
-                centers,
-                vec![h, h],
-                1000.0,
-                Kernel::Uniform,
-                domain.clone(),
-            )
-        };
-        let centers = random_dataset(400, 2, 60);
-        let est = fit(centers.clone());
-        let escapes = |est: &KernelDensityEstimator, x: &[f64]| {
-            let cell = est.center_grid.as_ref().unwrap().cell_of(x);
-            let (lo, _, list) = est.cell_reach.get(cell, 2).unwrap();
-            (x[0] < lo[0]).then(|| list.to_vec())
-        };
-        let grid = est.center_grid.as_ref().unwrap();
-        let x = (0..grid.num_cells())
-            .map(|cell| [grid.cell_bbox(cell).min()[0].next_down(), 0.5])
-            .find(|x| (0.5625..1.0).contains(&x[0]) && escapes(&est, x).is_some())
-            .expect("an escaping float");
-        // A center exactly one bandwidth below `x` (both differences are
-        // exact): the uniform kernel is 0.5 at `x`, but the center lies
-        // beyond the support of the cell's box, so the cell's list lacks
-        // it and only the walk finds it.
-        let mut centers = centers;
-        centers.push(&[x[0] - h, x[1]]).unwrap();
-        let est = fit(centers);
-        let list = escapes(&est, &x).expect("same grid");
-        assert!(!list.contains(&400));
-        let mut queries = Dataset::new(2);
-        queries.push(&x).unwrap();
-        assert_batch_matches_scalar(&est, &queries);
     }
 }

@@ -73,33 +73,14 @@ pub struct OutlierReport {
     /// Indices of verified DB(p,k) outliers, ascending.
     pub outliers: Vec<usize>,
     /// Number of likely outliers that survived the density pruning (the
-    /// verification workload).
+    /// verification workload). At slack 1 it is the §3.2 estimate of the
+    /// outlier count, which "gives the opportunity for experimental
+    /// exploration of k and p": the points whose expected neighborhood
+    /// population is at most `p + 1`.
     pub candidates: usize,
     /// Dataset passes performed by this call (excluding estimator
     /// construction): always 2.
     pub passes: usize,
-}
-
-/// The checks both density-pruned entry points make before any pass. A
-/// negative or NaN radius and zero ball samples would reach the
-/// Monte-Carlo integral's asserts and panic inside a worker thread.
-fn check_detector(
-    source_dim: usize,
-    estimator_dim: usize,
-    params: &DbOutlierParams,
-    ball_samples: usize,
-) -> Result<()> {
-    if source_dim != estimator_dim {
-        return Err(Error::DimensionMismatch {
-            expected: estimator_dim,
-            got: source_dim,
-        });
-    }
-    params.check()?;
-    if ball_samples == 0 {
-        return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
-    }
-    Ok(())
 }
 
 /// Streams the points of `block` that pass `integrate` through the ball
@@ -192,12 +173,18 @@ where
     S: PointSource + ?Sized,
     E: DensityEstimator + Sync + ?Sized,
 {
-    check_detector(
-        source.dim(),
-        estimator.dim(),
-        &config.params,
-        config.ball_samples,
-    )?;
+    if source.dim() != estimator.dim() {
+        return Err(Error::DimensionMismatch {
+            expected: estimator.dim(),
+            got: source.dim(),
+        });
+    }
+    // A negative or NaN radius and zero ball samples would reach the
+    // Monte-Carlo integral's asserts and panic inside a worker thread.
+    config.params.check()?;
+    if config.ball_samples == 0 {
+        return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
+    }
     // `!(>= 1.0)` also rejects a NaN slack; `+inf` would disable pruning.
     if !(config.slack >= 1.0) || !config.slack.is_finite() {
         return Err(Error::InvalidParameter(
@@ -326,68 +313,6 @@ where
     })
 }
 
-/// One-pass estimate of the *number* of DB(p,k) outliers in the dataset —
-/// the §3.2 feature that "gives the opportunity for experimental
-/// exploration of k and p" without running the full detector: it counts
-/// the points whose expected L2 neighborhood population is at most `p + 1`.
-pub fn estimate_outlier_count<S, E>(
-    source: &S,
-    estimator: &E,
-    params: &DbOutlierParams,
-    ball_samples: usize,
-    seed: u64,
-    threads: NonZeroUsize,
-) -> Result<usize>
-where
-    S: PointSource + ?Sized,
-    E: DensityEstimator + Sync + ?Sized,
-{
-    estimate_outlier_count_obs(
-        source,
-        estimator,
-        params,
-        ball_samples,
-        seed,
-        threads,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`estimate_outlier_count`] with metrics: records the single dataset
-/// pass and the Monte-Carlo ball samples spent into `recorder`.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_outlier_count_obs<S, E>(
-    source: &S,
-    estimator: &E,
-    params: &DbOutlierParams,
-    ball_samples: usize,
-    seed: u64,
-    threads: NonZeroUsize,
-    recorder: &Recorder,
-) -> Result<usize>
-where
-    S: PointSource + ?Sized,
-    E: DensityEstimator + Sync + ?Sized,
-{
-    check_detector(source.dim(), estimator.dim(), params, ball_samples)?;
-    let threshold = params.max_neighbors as f64 + 1.0;
-    recorder.add(Counter::DatasetPasses, 1);
-    // Per-chunk serial count, then a chunk-ordered integer sum (exactly
-    // associative, so equal at every thread count), with a tally alongside.
-    let ball = BallIntegral {
-        metric: Metric::Euclidean,
-        radius: params.radius,
-        samples: ball_samples,
-    };
-    let per_chunk = par::par_scan_tallied(source, threads, recorder, |_, block, tally| {
-        let mut count = 0usize;
-        let tick = |_, expected: f64| count += usize::from(expected <= threshold);
-        for_each_ball_integral(estimator, &ball, seed, block, |_| true, tally, tick);
-        count
-    })?;
-    Ok(per_chunk.into_iter().sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,14 +436,20 @@ mod tests {
 
     #[test]
     fn count_estimate_is_in_the_ballpark() {
+        // §3.2's one-pass estimate of the outlier count is the candidate
+        // count at slack 1: the points whose expected neighborhood
+        // population is at most `p + 1`.
         let (ds, truth) = planted(5);
         let params = DbOutlierParams::new(0.1, 3).unwrap();
         let est = kde(&ds);
-        let estimate =
-            estimate_outlier_count(&ds, &est, &params, 64, 6, par::available_parallelism())
-                .unwrap();
-        // The one-pass estimate should see roughly the planted outliers,
-        // not hundreds of phantom ones.
+        let cfg = ApproxConfig {
+            slack: 1.0,
+            seed: 6,
+            ..ApproxConfig::new(params)
+        };
+        let estimate = approx_outliers(&ds, &est, &cfg).unwrap().candidates;
+        // It should see roughly the planted outliers, not hundreds of
+        // phantom ones.
         assert!(estimate >= truth.len() / 2, "estimate {estimate}");
         assert!(estimate <= 20 * truth.len(), "estimate {estimate}");
     }
@@ -568,13 +499,6 @@ mod tests {
                     other => panic!("{metric:?}, radius {radius}: {other:?}"),
                 }
             }
-            assert!(
-                matches!(
-                    estimate_outlier_count(&ds, &est, &params, 16, 6, par::serial()),
-                    Err(Error::InvalidParameter(_))
-                ),
-                "count estimate, radius {radius}"
-            );
         }
     }
 
@@ -582,7 +506,7 @@ mod tests {
     fn zero_ball_samples_is_an_error_not_a_panic() {
         // Regression: ball_samples = 0 used to reach the ball integral's
         // assert and abort a par worker; it must surface as
-        // InvalidParameter from both entry points.
+        // InvalidParameter.
         let (ds, _) = planted(11);
         let est = kde(&ds);
         let params = DbOutlierParams::new(0.1, 3).unwrap();
@@ -593,10 +517,6 @@ mod tests {
                 Err(Error::InvalidParameter(msg)) => assert!(msg.contains("ball_samples"), "{msg}"),
                 other => panic!("{metric:?}: expected InvalidParameter, got {other:?}"),
             }
-        }
-        match estimate_outlier_count(&ds, &est, &params, 0, 6, par::serial()) {
-            Err(Error::InvalidParameter(msg)) => assert!(msg.contains("ball_samples"), "{msg}"),
-            other => panic!("expected InvalidParameter, got {other:?}"),
         }
     }
 

@@ -36,25 +36,6 @@ impl DbOutlierParams {
         }
         Ok(())
     }
-
-    /// The fraction form of Definition 1: `p = fr * |D|` ("the number of
-    /// objects ... can also be specified as a fraction fr of the dataset
-    /// size"). `fr` is clamped to `[0, 1]`.
-    pub fn from_fraction(radius: f64, fr: f64, dataset_size: usize) -> Result<Self> {
-        if !(0.0..=1.0).contains(&fr) {
-            return Err(Error::InvalidParameter(format!(
-                "fraction must be in [0,1], got {fr}"
-            )));
-        }
-        Self::new(radius, (fr * dataset_size as f64).floor() as usize)
-    }
-
-    /// Whether an observed neighbor count (self excluded) qualifies as an
-    /// outlier.
-    #[inline]
-    pub fn is_outlier_count(&self, neighbors_excluding_self: usize) -> bool {
-        neighbors_excluding_self <= self.max_neighbors
-    }
 }
 
 #[cfg(test)]
@@ -67,20 +48,5 @@ mod tests {
         assert!(DbOutlierParams::new(0.0, 5).is_err());
         assert!(DbOutlierParams::new(-1.0, 5).is_err());
         assert!(DbOutlierParams::new(f64::NAN, 5).is_err());
-    }
-
-    #[test]
-    fn fraction_form() {
-        let p = DbOutlierParams::from_fraction(0.1, 0.01, 10_000).unwrap();
-        assert_eq!(p.max_neighbors, 100);
-        assert!(DbOutlierParams::from_fraction(0.1, 1.5, 100).is_err());
-    }
-
-    #[test]
-    fn count_threshold_is_inclusive() {
-        let p = DbOutlierParams::new(0.1, 3).unwrap();
-        assert!(p.is_outlier_count(0));
-        assert!(p.is_outlier_count(3));
-        assert!(!p.is_outlier_count(4));
     }
 }

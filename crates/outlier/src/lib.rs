@@ -10,8 +10,6 @@
 //! * [`nested`] — exact baselines: the classic nested-loop detector with
 //!   early termination under any metric, and a kd-tree-accelerated L2
 //!   variant.
-//! * [`cellgrid`] — the exact cell-based detector of Knorr & Ng: cells of
-//!   side `k/(2√d)` let whole cells be ruled in or out by ring counts.
 //! * [`approx`] — the paper's contribution: prune with the *density
 //!   estimate* (`N'(O,k) = ∫_Ball(O,k) f ≤ threshold` keeps `O` as a likely
 //!   outlier), then verify all survivors in one more dataset pass. The
@@ -25,15 +23,10 @@
 // and NaN-rejecting guards are written as negated comparisons on purpose.
 #![allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 pub mod approx;
-pub mod cellgrid;
 pub mod dbout;
 pub mod nested;
 
-pub use approx::{
-    approx_outliers, approx_outliers_obs, estimate_outlier_count, estimate_outlier_count_obs,
-    ApproxConfig, OutlierReport,
-};
-pub use cellgrid::cell_based_outliers;
+pub use approx::{approx_outliers, approx_outliers_obs, ApproxConfig, OutlierReport};
 pub use dbout::DbOutlierParams;
 pub use nested::{kdtree_outliers, nested_loop_outliers};
 

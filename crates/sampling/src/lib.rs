@@ -11,10 +11,9 @@
 //! * [`onepass`] — the integrated single-pass variant mentioned at the end
 //!   of §2.2: the normalizer is *approximated* from the kernel centers, so
 //!   sampling happens during the only data pass.
-//! * [`uniform`] — Bernoulli uniform sampling (the paper's §4.2 baseline)
-//!   and exact-size sampling without replacement.
-//! * [`reservoir`] — Vitter's reservoir sampling (reference \[29\]),
-//!   Algorithm R.
+//! * [`uniform`] — Bernoulli uniform sampling (the paper's §4.2 baseline).
+//!   Exact-size uniform samples come from `dbs_core::Reservoir`
+//!   (Algorithm R, reference \[29\]).
 //! * [`grid_biased`] — the Palmer–Faloutsos grid/hash comparison method
 //!   (reference \[22\], compared in Figure 5(c)).
 //! * [`theory`] — Guha et al.'s uniform-sample-size bound and the paper's
@@ -26,7 +25,6 @@
 pub mod biased;
 pub mod grid_biased;
 pub mod onepass;
-pub mod reservoir;
 pub mod theory;
 pub mod uniform;
 
@@ -35,5 +33,4 @@ pub use biased::{
 };
 pub use grid_biased::{grid_biased_sample, grid_biased_sample_obs, GridBiasedConfig};
 pub use onepass::{one_pass_biased_sample, one_pass_biased_sample_obs};
-pub use reservoir::{reservoir_sample, reservoir_sample_obs};
-pub use uniform::{bernoulli_sample, sample_without_replacement};
+pub use uniform::bernoulli_sample;

@@ -37,34 +37,9 @@ pub fn bernoulli_sample<S: PointSource + ?Sized>(
     WeightedSample::new(points, weights, indices)
 }
 
-/// Exact-size uniform sampling without replacement from an in-memory
-/// dataset (partial Fisher–Yates over the index range).
-pub fn sample_without_replacement(data: &Dataset, b: usize, seed: u64) -> Result<WeightedSample> {
-    let n = data.len();
-    if n == 0 {
-        return Err(Error::InvalidParameter(
-            "cannot sample an empty dataset".into(),
-        ));
-    }
-    if b == 0 {
-        return Err(Error::InvalidParameter("sample size must be >= 1".into()));
-    }
-    let b = b.min(n);
-    let mut rng = seeded(seed);
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in 0..b {
-        let j = rng.gen_range(i..n);
-        idx.swap(i, j);
-    }
-    idx.truncate(b);
-    let points = data.select(&idx);
-    WeightedSample::uniform(points, idx, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbs_core::rng;
 
     fn dataset(n: usize) -> Dataset {
         let mut ds = Dataset::with_capacity(1, n);
@@ -107,45 +82,6 @@ mod tests {
     fn bernoulli_rejects_degenerate_inputs() {
         assert!(bernoulli_sample(&Dataset::new(1), 5, 0).is_err());
         assert!(bernoulli_sample(&dataset(10), 0, 0).is_err());
-    }
-
-    #[test]
-    fn without_replacement_exact_size_and_distinct() {
-        let ds = dataset(1000);
-        let s = sample_without_replacement(&ds, 100, 4).unwrap();
-        assert_eq!(s.len(), 100);
-        let mut idx = s.source_indices().to_vec();
-        idx.sort_unstable();
-        idx.dedup();
-        assert_eq!(idx.len(), 100, "indices must be distinct");
-    }
-
-    #[test]
-    fn without_replacement_caps_at_n() {
-        let ds = dataset(10);
-        let s = sample_without_replacement(&ds, 100, 5).unwrap();
-        assert_eq!(s.len(), 10);
-    }
-
-    #[test]
-    fn without_replacement_is_roughly_uniform() {
-        // Each of 20 items should be picked ~ b/n of the time.
-        let ds = dataset(20);
-        let trials = 4000;
-        let mut counts = [0usize; 20];
-        for t in 0..trials {
-            let s = sample_without_replacement(&ds, 5, rng::sub_seed(6, t)).unwrap();
-            for &i in s.source_indices() {
-                counts[i] += 1;
-            }
-        }
-        let expect = trials as f64 * 5.0 / 20.0;
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expect).abs() < expect * 0.15,
-                "item {i} picked {c} times, expected ~{expect}"
-            );
-        }
     }
 
     #[test]

@@ -80,6 +80,31 @@ impl GridIndex {
             as usize
     }
 
+    /// The lower edge of cell coordinate `k` along dimension `j`: the least
+    /// float `x` with `axis_cell(j, x) >= k`, and the domain's bound for
+    /// `k = 0` and `k = cells_per_dim`. The nominal edge `min + k·extent/res`
+    /// rounds differently from `axis_cell`, and near 0 it can lie many
+    /// floats away, so the edge is found by bisection (`axis_cell` is
+    /// monotone).
+    fn edge(&self, j: usize, k: usize) -> f64 {
+        let (mut lo, mut hi) = (self.domain.min()[j], self.domain.max()[j]);
+        if k == 0 || k == self.cells_per_dim {
+            return if k == 0 { lo } else { hi };
+        }
+        // `axis_cell(j, lo) = 0 < k <= axis_cell(j, hi)` holds throughout.
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if !(lo < mid && mid < hi) {
+                return hi;
+            }
+            if self.axis_cell(j, mid) >= k {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+
     /// Per-dimension cell coordinates of the flattened index.
     fn unflatten(&self, mut cell: usize) -> Vec<usize> {
         let d = self.domain.dim();
@@ -227,16 +252,16 @@ impl GridIndex {
         count
     }
 
-    /// The bounding box of the flattened cell `cell`.
+    /// The bounding box of the flattened cell `cell`: it contains every
+    /// point of the domain that [`GridIndex::cell_of`] assigns to the cell.
     pub fn cell_bbox(&self, cell: usize) -> BoundingBox {
         let coords = self.unflatten(cell);
         let d = self.domain.dim();
         let mut min = vec![0.0; d];
         let mut max = vec![0.0; d];
         for j in 0..d {
-            let w = self.cell_extent(j);
-            min[j] = self.domain.min()[j] + coords[j] as f64 * w;
-            max[j] = min[j] + w;
+            min[j] = self.edge(j, coords[j]);
+            max[j] = self.edge(j, coords[j] + 1);
         }
         BoundingBox::new(min, max)
     }
@@ -403,12 +428,57 @@ mod tests {
 
     #[test]
     fn cell_bbox_contains_its_points() {
-        let data = random_dataset(100, 2, 5);
-        let grid = GridIndex::build(&data, BoundingBox::unit(2), 5);
-        for c in 0..grid.num_cells() {
-            let bb = grid.cell_bbox(c).inflate(1e-12);
-            for &i in grid.bucket(c) {
-                assert!(bb.contains(data.point(i as usize)), "cell {c} point {i}");
+        // Non-dyadic domains, whose nominal edges `min + k·w` round, a
+        // domain far from the origin, and one whose middle edge is 0 while
+        // `axis_cell` resolves only ulps of 1e6 there.
+        let domains = [
+            BoundingBox::unit(2),
+            BoundingBox::new(vec![-0.1, -0.1], vec![1.03, 1.03]),
+            BoundingBox::new(vec![0.0, -3.7], vec![0.3, 2.9]),
+            BoundingBox::new(vec![1e6, 1e6], vec![1e6 + 1e-3, 1e6 + 1e-3]),
+            BoundingBox::new(vec![-1e6, -1e6], vec![1e6, 1e6]),
+        ];
+        for domain in domains {
+            for res in [5, 7, 16] {
+                // Random points, plus every float within 3 ulps of a nominal
+                // edge.
+                let inside = |j: usize, u: f64| domain.min()[j] + u * domain.extent(j);
+                let mut data = Dataset::new(2);
+                for p in random_dataset(200, 2, 5).iter() {
+                    data.push(&[inside(0, p[0]), inside(1, p[1])]).unwrap();
+                }
+                let near_edges = |j: usize| {
+                    let side = domain.extent(j) / res as f64;
+                    let mut xs = Vec::new();
+                    for k in 0..=res {
+                        let mut x = domain.min()[j] + k as f64 * side;
+                        (0..3).for_each(|_| x = x.next_down());
+                        for _ in 0..7 {
+                            xs.push(x);
+                            x = x.next_up();
+                        }
+                    }
+                    xs
+                };
+                for x in near_edges(0) {
+                    for y in near_edges(1) {
+                        data.push(&[x, y]).unwrap();
+                    }
+                }
+                let grid = GridIndex::build(&data, domain.clone(), res);
+                for c in 0..grid.num_cells() {
+                    let (bb, coords) = (grid.cell_bbox(c), grid.unflatten(c));
+                    for &i in grid.bucket(c) {
+                        let p = data.point(i as usize);
+                        for j in 0..2 {
+                            // The grid's outer sides are open: points beyond
+                            // them are clamped into the boundary cells.
+                            let below = coords[j] > 0 && p[j] < bb.min()[j];
+                            let above = coords[j] < res - 1 && p[j] > bb.max()[j];
+                            assert!(!below && !above, "{domain:?}, res {res}: cell {c}, {p:?}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -7,8 +7,8 @@
 //!   Used by the hierarchical clustering algorithm (closest-pair merges) and
 //!   by the exact outlier verifiers.
 //! * [`GridIndex`] — a uniform bucket grid, used to prune kernel-center
-//!   evaluations in the KDE and as the basis of the cell-based exact outlier
-//!   detector.
+//!   evaluations in the KDE and to find the candidates near each point in
+//!   the outlier detector's verification pass.
 //! * [`RepIndex`] — a dynamic bucket grid mapping cluster representative
 //!   points to owning cluster ids, with an exact lowest-owner-tie-broken
 //!   nearest-neighbor query; the engine under the hierarchical clustering

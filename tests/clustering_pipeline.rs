@@ -1,8 +1,8 @@
 //! End-to-end checks of the sample → cluster → evaluate chain.
 
 use dbs_cluster::{
-    clusters_found, clusters_found_by_centers, hierarchical_cluster, kmeans, Birch, BirchConfig,
-    EvalConfig, HierarchicalConfig, KMeansConfig,
+    clusters_found, clusters_found_by_centers, hierarchical_cluster, Birch, BirchConfig,
+    EvalConfig, HierarchicalConfig,
 };
 use dbs_core::BoundingBox;
 use dbs_density::{KdeConfig, KernelDensityEstimator};
@@ -68,19 +68,22 @@ fn birch_memory_budget_equals_sample_size_comparison() {
 }
 
 #[test]
-fn weighted_kmeans_debiases_a_biased_sample() {
-    // Two clusters, one 9x the other. A heavily biased sample plus 1/p
-    // weights must put the 2-means centers where unweighted k-means on the
-    // raw sample would misplace them. We check the weighted centers land
-    // near both true cluster centers.
+fn horvitz_thompson_weights_debias_cluster_sizes() {
+    // §3.1: a weight-aware algorithm run on a biased sample is debiased by
+    // the `1/p` weights. Two clusters, one 9x the other; a = -1 equalizes
+    // region representation, so the raw sample is far from 9:1, while the
+    // Horvitz-Thompson size `Σ w_i` of each cluster's sampled points is an
+    // unbiased estimate of the cluster's size. Checked as a mean over seeds.
     use dbs_synth::rect::{generate, RectConfig, SizeProfile};
+    const SIZES: [usize; 2] = [18_000, 2_000];
+    const SEEDS: u64 = 30;
     let cfg = RectConfig {
         total_points: 20_000,
         num_clusters: 2,
         volume_range: (0.01, 0.02),
         ..RectConfig::paper_standard(2, 8)
     };
-    let synth = generate(&cfg, &SizeProfile::Explicit(vec![18_000, 2_000])).unwrap();
+    let synth = generate(&cfg, &SizeProfile::Explicit(SIZES.to_vec())).unwrap();
     let kde_cfg = KdeConfig {
         num_centers: 500,
         domain: Some(BoundingBox::unit(2)),
@@ -88,28 +91,33 @@ fn weighted_kmeans_debiases_a_biased_sample() {
         ..Default::default()
     };
     let est = KernelDensityEstimator::fit_dataset(&synth.data, &kde_cfg).unwrap();
-    // a = -1 equalizes region representation: the sample holds comparable
-    // counts from both clusters even though the data is 9:1.
-    let (sample, _) = density_biased_sample(
-        &synth.data,
-        &est,
-        &BiasedConfig::new(1000, -1.0).with_seed(10),
-    )
-    .unwrap();
-    let result = kmeans(
-        sample.points(),
-        sample.weights(),
-        &KMeansConfig::new(2).with_seed(11),
-    )
-    .unwrap();
-    for region in &synth.regions {
-        let c = region.center();
-        let nearest = result
-            .centers
-            .iter()
-            .map(|x| dbs_core::metric::euclidean(x, &c))
-            .fold(f64::INFINITY, f64::min);
-        assert!(nearest < 0.08, "no center near {c:?} (best {nearest})");
+    let mut ht_total = [0.0f64; 2];
+    for seed in 0..SEEDS {
+        let (sample, _) = density_biased_sample(
+            &synth.data,
+            &est,
+            &BiasedConfig::new(1000, -1.0).with_seed(seed),
+        )
+        .unwrap();
+        let mut counts = [0usize; 2];
+        for (&i, &w) in sample.source_indices().iter().zip(sample.weights()) {
+            let cluster = synth.labels[i];
+            counts[cluster] += 1;
+            ht_total[cluster] += w;
+        }
+        let share = counts[0] as f64 / sample.len() as f64;
+        assert!(
+            share < 0.7,
+            "seed {seed}: unweighted large-cluster share {share}"
+        );
+    }
+    for (cluster, &size) in SIZES.iter().enumerate() {
+        let mean = ht_total[cluster] / SEEDS as f64;
+        let err = (mean - size as f64) / size as f64;
+        assert!(
+            err.abs() < 0.05,
+            "cluster {cluster}: mean HT size {mean} vs {size}"
+        );
     }
 }
 

@@ -11,15 +11,16 @@
 
 use std::num::NonZeroUsize;
 
+use dbs_cli::{commands::run, parse};
 use dbs_cluster::{hierarchical_cluster_obs, HierarchicalConfig};
+use dbs_core::io::write_binary;
 use dbs_core::obs::{Counter, Recorder};
+use dbs_core::rng::sub_seed;
 use dbs_core::scan::PassCounter;
-use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
+use dbs_core::{BoundingBox, Dataset, Metric, Reservoir, WeightedSample};
 use dbs_density::{batch_densities_obs, KdeConfig, KernelDensityEstimator};
-use dbs_outlier::{approx_outliers_obs, estimate_outlier_count_obs, ApproxConfig, DbOutlierParams};
-use dbs_sampling::{
-    density_biased_sample_obs, one_pass_biased_sample_obs, reservoir_sample_obs, BiasedConfig,
-};
+use dbs_outlier::{approx_outliers_obs, ApproxConfig, DbOutlierParams};
+use dbs_sampling::{density_biased_sample_obs, one_pass_biased_sample_obs, BiasedConfig};
 
 use dbs_integration_tests::clustered_noisy;
 
@@ -130,16 +131,64 @@ fn one_pass_sampler_metrics_parity() {
 
 #[test]
 fn reservoir_samplers_metrics_parity() {
+    // Algorithm R runs inside the fused ingest pass of `dbs stream`; its
+    // replacement counter reaches the metrics report from there.
     let (data, _) = workload();
-    let off = reservoir_sample_obs(&data, 500, 11, &Recorder::disabled()).unwrap();
-    let rec = Recorder::enabled();
-    let on = reservoir_sample_obs(&data, 500, 11, &rec).unwrap();
-    assert_samples_identical(&off, &on, "algorithm-r");
-    assert_eq!(rec.counter(Counter::DatasetPasses), 1);
+    let tmp = |name: &str| {
+        let mut p = std::env::temp_dir();
+        p.push(format!("dbs_metrics_parity_{}_{name}", std::process::id()));
+        p.to_str().expect("utf8 temp path").to_string()
+    };
+    let input = tmp("stream.dbs1");
+    write_binary(std::path::Path::new(&input), &data).unwrap();
+    let stream = |tag: &str, metrics: Option<&str>| {
+        let sample = tmp(&format!("{tag}.sample"));
+        let reservoir = tmp(&format!("{tag}.reservoir"));
+        let mut argv = vec![
+            "stream".to_string(),
+            input.clone(),
+            "--size".into(),
+            "300".into(),
+            "--reservoir".into(),
+            "500".into(),
+            "--seed".into(),
+            "11".into(),
+            "--output".into(),
+            sample.clone(),
+            "--reservoir-out".into(),
+            reservoir.clone(),
+        ];
+        if let Some(m) = metrics {
+            argv.extend(["--metrics-out".to_string(), m.to_string()]);
+        }
+        run(&parse(&argv).unwrap(), &mut Vec::new()).unwrap();
+        let read = |p: &str| {
+            let body = std::fs::read_to_string(p).unwrap();
+            std::fs::remove_file(p).ok();
+            body
+        };
+        (read(&sample), read(&reservoir))
+    };
+    let metrics = tmp("metrics.json");
+    let off = stream("off", None);
+    let on = stream("on", Some(&metrics));
+    assert_eq!(off.0, on.0, "biased sample");
+    assert_eq!(off.1, on.1, "algorithm-r reservoir");
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    std::fs::remove_file(&metrics).ok();
+    std::fs::remove_file(&input).ok();
+    // Ingest + one-pass sample (the scaler pass is untracked).
+    assert!(json.contains("\"dataset_passes\": 2"), "{json}");
+    // The stream's reservoir draws from `sub_seed(seed, 1)`; its
+    // replacements depend only on the stream length, size and seed.
+    let mut reservoir = Reservoir::new(1, 500, sub_seed(11, 1));
+    (0..data.len()).for_each(|i| reservoir.offer(i, &[0.0]));
     assert!(
-        rec.counter(Counter::ReservoirReplacements) > 0,
+        reservoir.replacements() > 0,
         "a 20k stream must replace some of 500 slots"
     );
+    let replacements = format!("\"reservoir_replacements\": {}", reservoir.replacements());
+    assert!(json.contains(&replacements), "{json}");
 }
 
 #[test]
@@ -186,30 +235,6 @@ fn outlier_detector_metrics_parity() {
             "{metric:?}: threads 1 vs 7"
         );
     }
-}
-
-#[test]
-fn outlier_count_estimate_metrics_parity() {
-    let (data, est) = workload();
-    let params = DbOutlierParams::new(0.02, 3).unwrap();
-    let mut counter_sets = Vec::new();
-    for t in THREADS {
-        let off =
-            estimate_outlier_count_obs(&data, &est, &params, 32, 5, nz(t), &Recorder::disabled())
-                .unwrap();
-        let rec = Recorder::enabled();
-        let on = estimate_outlier_count_obs(&data, &est, &params, 32, 5, nz(t), &rec).unwrap();
-        assert_eq!(off, on, "threads={t}");
-        assert_eq!(rec.counter(Counter::DatasetPasses), 1);
-        assert_eq!(
-            rec.counter(Counter::BallSamples),
-            32 * data.len() as u64,
-            "every point gets exactly one 32-sample ball integral"
-        );
-        counter_sets.push(counters(&rec));
-    }
-    assert_eq!(counter_sets[0], counter_sets[1], "threads 1 vs 2");
-    assert_eq!(counter_sets[0], counter_sets[2], "threads 1 vs 7");
 }
 
 #[test]
@@ -296,13 +321,6 @@ fn obs_passes_agree_with_pass_counter() {
     let counted = PassCounter::new(&data);
     let rec = Recorder::enabled();
     one_pass_biased_sample_obs(&counted, &est, &scfg, &rec).unwrap();
-    assert_eq!(counted.passes(), 1);
-    assert_eq!(rec.counter(Counter::DatasetPasses), counted.passes() as u64);
-
-    // Reservoir sampler.
-    let counted = PassCounter::new(&data);
-    let rec = Recorder::enabled();
-    reservoir_sample_obs(&counted, 200, 4, &rec).unwrap();
     assert_eq!(counted.passes(), 1);
     assert_eq!(rec.counter(Counter::DatasetPasses), counted.passes() as u64);
 }

@@ -1,5 +1,5 @@
-//! Additional property-based suites: CF additivity, Haar transforms,
-//! reservoir sampling, weighted K-means, and the noise-injection math.
+//! Additional property-based suites: CF additivity, the noise-injection
+//! math and the hierarchical assignment table.
 
 use dbs_cluster::birch::Cf;
 use dbs_core::Dataset;
@@ -58,23 +58,6 @@ proptest! {
         }
     }
 
-    /// Reservoir sampling returns exactly min(b, n) distinct indices that
-    /// all reference real points, for any stream length and seed.
-    #[test]
-    fn reservoir_size_and_validity(n in 1usize..400, b in 1usize..50, seed in 0u64..1000) {
-        let mut ds = Dataset::new(1);
-        for i in 0..n {
-            ds.push(&[i as f64]).unwrap();
-        }
-        let s = dbs_sampling::reservoir_sample(&ds, b, seed).unwrap();
-        prop_assert_eq!(s.len(), b.min(n));
-        let mut idx = s.source_indices().to_vec();
-        idx.sort_unstable();
-        idx.dedup();
-        prop_assert_eq!(idx.len(), b.min(n));
-        prop_assert!(idx.iter().all(|&i| i < n));
-    }
-
     /// Noise-injection arithmetic: adding `added_points_for_fraction`
     /// points really produces (to rounding) the requested final fraction.
     #[test]
@@ -83,28 +66,6 @@ proptest! {
         let actual = add as f64 / (n + add) as f64;
         prop_assert!((actual - fraction).abs() < 1.0 / n as f64 + 1e-9,
             "requested {}, got {}", fraction, actual);
-    }
-
-    /// K-means with k = 1 returns exactly the weighted mean, for any
-    /// weights.
-    #[test]
-    fn kmeans_single_cluster_is_weighted_mean(
-        rows in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 2), 2..30),
-        raw_weights in prop::collection::vec(0.1f64..10.0, 30),
-    ) {
-        let ds = Dataset::from_rows(&rows).unwrap();
-        let weights = &raw_weights[..rows.len()];
-        let res = dbs_cluster::kmeans(&ds, weights, &dbs_cluster::KMeansConfig::new(1)).unwrap();
-        let total: f64 = weights.iter().sum();
-        for j in 0..2 {
-            let want: f64 = rows
-                .iter()
-                .zip(weights)
-                .map(|(r, &w)| r[j] * w)
-                .sum::<f64>()
-                / total;
-            prop_assert!((res.centers[0][j] - want).abs() < 1e-6);
-        }
     }
 
     /// The hierarchical clustering assignment table is always a partition

@@ -4,8 +4,7 @@
 use dbs_core::{BoundingBox, Metric};
 use dbs_density::{KdeConfig, KernelDensityEstimator, ShiftedGrids};
 use dbs_outlier::{
-    approx_outliers, cell_based_outliers, estimate_outlier_count, kdtree_outliers,
-    nested_loop_outliers, ApproxConfig, DbOutlierParams,
+    approx_outliers, kdtree_outliers, nested_loop_outliers, ApproxConfig, DbOutlierParams,
 };
 use dbs_synth::outliers::planted_outliers;
 use dbs_synth::rect::RectConfig;
@@ -33,9 +32,7 @@ fn all_exact_detectors_agree() {
         let params = DbOutlierParams::new(radius, 2).unwrap();
         let nested = nested_loop_outliers(&data, &params, Metric::Euclidean);
         let kd = kdtree_outliers(&data, &params);
-        let cells = cell_based_outliers(&data, &params, &BoundingBox::unit(dim));
         assert_eq!(nested, kd, "{dim}-d: kd-tree disagrees");
-        assert_eq!(nested, cells, "{dim}-d: cell-based disagrees");
     }
 }
 
@@ -108,13 +105,17 @@ fn one_pass_count_estimate_tracks_parameter_changes() {
         ..Default::default()
     };
     let est = KernelDensityEstimator::fit_dataset(&data, &kde_cfg).unwrap();
-    // Larger radius -> fewer expected outliers; the one-pass estimate must
-    // be monotone in that direction.
-    let tight = DbOutlierParams::new(radius, 2).unwrap();
-    let loose = DbOutlierParams::new(radius * 4.0, 2).unwrap();
-    let threads = dbs_core::par::available_parallelism();
-    let n_tight = estimate_outlier_count(&data, &est, &tight, 64, 7, threads).unwrap();
-    let n_loose = estimate_outlier_count(&data, &est, &loose, 64, 7, threads).unwrap();
+    // Larger radius -> fewer expected outliers; the one-pass estimate (the
+    // candidate count at slack 1) must be monotone in that direction.
+    let estimate = |radius: f64| {
+        let cfg = ApproxConfig {
+            slack: 1.0,
+            seed: 7,
+            ..ApproxConfig::new(DbOutlierParams::new(radius, 2).unwrap())
+        };
+        approx_outliers(&data, &est, &cfg).unwrap().candidates
+    };
+    let (n_tight, n_loose) = (estimate(radius), estimate(radius * 4.0));
     assert!(n_tight >= n_loose, "tight {n_tight} < loose {n_loose}");
     assert!(n_tight >= 6, "estimate {n_tight} misses planted outliers");
 }

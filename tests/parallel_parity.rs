@@ -10,7 +10,7 @@ use std::num::NonZeroUsize;
 
 use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
 use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator};
-use dbs_outlier::{approx_outliers, estimate_outlier_count, ApproxConfig, DbOutlierParams};
+use dbs_outlier::{approx_outliers, ApproxConfig, DbOutlierParams};
 use dbs_sampling::{density_biased_sample, one_pass_biased_sample, BiasedConfig};
 
 use dbs_integration_tests::clustered_noisy;
@@ -127,24 +127,23 @@ fn batch_routed_pipelines_match_scalar_reference() {
         }
         // densities_into deliberately left at the per-point default.
     }
+    // The ball integrals fold blocks of samples through the batch engine;
+    // 7 samples per center do not divide the block.
     let params = DbOutlierParams::new(0.02, 3).unwrap();
-    let ocfg = ApproxConfig {
-        slack: 5.0,
-        seed: 3,
-        ..ApproxConfig::new(params)
-    };
-    let batched = approx_outliers(&data, &est, &ocfg).unwrap();
-    let scalar = approx_outliers(&data, &ScalarOnly(&est), &ocfg).unwrap();
-    assert_eq!(batched.outliers, scalar.outliers);
-    assert_eq!(batched.candidates, scalar.candidates);
-
-    // The one-pass count estimate folds the same ball-sample blocks; 7
-    // samples per center do not divide the block.
-    for samples in [7, 64] {
-        let batched = estimate_outlier_count(&data, &est, &params, samples, 11, nz(2)).unwrap();
-        let scalar =
-            estimate_outlier_count(&data, &ScalarOnly(&est), &params, samples, 11, nz(2)).unwrap();
-        assert_eq!(batched, scalar, "count estimate, {samples} samples");
+    for ball_samples in [7, 64] {
+        let ocfg = ApproxConfig {
+            slack: 5.0,
+            seed: 3,
+            ball_samples,
+            ..ApproxConfig::new(params)
+        };
+        let batched = approx_outliers(&data, &est, &ocfg).unwrap();
+        let scalar = approx_outliers(&data, &ScalarOnly(&est), &ocfg).unwrap();
+        assert_eq!(batched.outliers, scalar.outliers, "{ball_samples} samples");
+        assert_eq!(
+            batched.candidates, scalar.candidates,
+            "{ball_samples} samples"
+        );
     }
 }
 
@@ -206,6 +205,10 @@ fn approx_outlier_detector_is_thread_count_independent() {
             },
         )
         .unwrap();
+        assert!(
+            serial.candidates > 0,
+            "the workload's noise holds sparse points"
+        );
         for t in THREADS {
             let cfg = ApproxConfig {
                 parallelism: nz(t),
@@ -230,12 +233,31 @@ fn approx_outlier_detector_is_thread_count_independent() {
 
 #[test]
 fn outlier_count_estimate_is_thread_count_independent() {
+    // The §3.2 count estimate — points whose expected L2 neighborhood
+    // population is at most p + 1 — is the detector's candidate count at
+    // slack 1.
     let (data, est) = workload();
     let params = DbOutlierParams::new(0.02, 3).unwrap();
-    let serial = estimate_outlier_count(&data, &est, &params, 64, 11, nz(1)).unwrap();
+    let base = ApproxConfig {
+        slack: 1.0,
+        ball_samples: 64,
+        seed: 11,
+        ..ApproxConfig::new(params)
+    };
+    let count = |t: usize| {
+        let cfg = ApproxConfig {
+            parallelism: nz(t),
+            ..base.clone()
+        };
+        approx_outliers(&data, &est, &cfg).unwrap().candidates
+    };
+    let serial = count(1);
     assert!(serial > 0, "the workload's noise holds sparse points");
     for t in THREADS {
-        let par = estimate_outlier_count(&data, &est, &params, 64, 11, nz(t)).unwrap();
-        assert_eq!(serial, par, "threads={t}: outlier count estimates differ");
+        assert_eq!(
+            serial,
+            count(t),
+            "threads={t}: outlier count estimates differ"
+        );
     }
 }

@@ -7,7 +7,7 @@ use dbs_core::scan::PassCounter;
 use dbs_core::{BoundingBox, PointSource};
 use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator};
 use dbs_integration_tests::clustered;
-use dbs_sampling::{density_biased_sample, reservoir_sample, BiasedConfig};
+use dbs_sampling::{density_biased_sample, BiasedConfig};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -59,18 +59,6 @@ fn biased_sample_from_file_equals_memory() {
     assert_eq!(mem.source_indices(), disk.source_indices());
     assert_eq!(mem.points(), disk.points());
     assert_eq!(mem_stats.normalizer_k, disk_stats.normalizer_k);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn reservoir_from_file_equals_memory() {
-    let synth = clustered(5_000, 2, 6);
-    let path = tmp("reservoir.dbs1");
-    write_binary(&path, &synth.data).unwrap();
-    let file = FileSource::open(&path).unwrap();
-    let mem = reservoir_sample(&synth.data, 200, 7).unwrap();
-    let disk = reservoir_sample(&file, 200, 7).unwrap();
-    assert_eq!(mem.source_indices(), disk.source_indices());
     std::fs::remove_file(&path).ok();
 }
 
