@@ -29,14 +29,14 @@ fn agrid(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("agrid", 1), &n, |bench, _| {
                 bench.iter(|| {
                     ShiftedGrids::agrid(BoundingBox::unit(dim), 8, None, 0)
-                        .and_then(|e| e.fit(&synth.data))
+                        .and_then(|e| e.fit(&synth.data, one))
                         .expect("agrid fits")
                 });
             });
             group.bench_with_input(BenchmarkId::new("hashgrid", 1), &n, |bench, _| {
                 bench.iter(|| {
                     ShiftedGrids::hashgrid(BoundingBox::unit(dim), 32, 1 << 16)
-                        .and_then(|e| e.fit(&synth.data))
+                        .and_then(|e| e.fit(&synth.data, one))
                         .expect("hash grid fits")
                 });
             });
@@ -48,10 +48,10 @@ fn agrid(c: &mut Criterion) {
             group.finish();
 
             let ag = ShiftedGrids::agrid(BoundingBox::unit(dim), 8, None, 0)
-                .and_then(|e| e.fit(&synth.data))
+                .and_then(|e| e.fit(&synth.data, one))
                 .unwrap();
             let hg = ShiftedGrids::hashgrid(BoundingBox::unit(dim), 32, 1 << 16)
-                .and_then(|e| e.fit(&synth.data))
+                .and_then(|e| e.fit(&synth.data, one))
                 .unwrap();
 
             let mut group = c.benchmark_group(format!("agrid_query_d{}_{}k", dim, n / 1000));

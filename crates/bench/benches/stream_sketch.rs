@@ -92,7 +92,7 @@ fn streaming_proof() {
     };
     let t1 = Instant::now();
     let sketch = DensitySketch::new(DIM, &cfg)
-        .and_then(|s| s.fit(&sharded))
+        .and_then(|s| s.fit(&sharded, one))
         .expect("sketch fit");
     let fit_ns = t1.elapsed().as_nanos();
     emit(&format!(
@@ -130,7 +130,7 @@ fn streaming_proof() {
         Some(sketch.resolution()),
         SEED,
     )
-    .and_then(|e| e.fit(&sharded))
+    .and_then(|e| e.fit(&sharded, one))
     .expect("exact grid fit");
     let (ex_sample, ex_stats) =
         one_pass_biased_sample(&sharded, &exact, &bcfg).expect("exact grid sample");
@@ -139,7 +139,7 @@ fn streaming_proof() {
     // is dominated by the ensemble's deliberate smoothing, not by hashing,
     // so it is recorded but held to a looser bound.
     let dense = ShiftedGrids::grid(BoundingBox::unit(DIM), 16)
-        .and_then(|e| e.fit(&sharded))
+        .and_then(|e| e.fit(&sharded, one))
         .expect("dense grid fit");
     let (dg_sample, _) = one_pass_biased_sample(&sharded, &dense, &bcfg).expect("dense sample");
 
@@ -205,13 +205,13 @@ fn fit_throughput() {
     };
     let ns = median_ns(10, || {
         DensitySketch::new(DIM, &cfg)
-            .and_then(|s| s.fit(&synth.data))
+            .and_then(|s| s.fit(&synth.data, NonZeroUsize::MIN))
             .expect("sketch fits");
     });
     emit_throughput("stream_sketch_fit_d4_100k/sketch/1", ns, 10, n);
     let ns = median_ns(10, || {
         ShiftedGrids::hashgrid(BoundingBox::unit(DIM), 32, 1 << 16)
-            .and_then(|e| e.fit(&synth.data))
+            .and_then(|e| e.fit(&synth.data, NonZeroUsize::MIN))
             .expect("hash grid fits");
     });
     emit_throughput("stream_sketch_fit_d4_100k/hashgrid/1", ns, 10, n);
@@ -227,7 +227,7 @@ fn merge_cost() {
     };
     let half: Vec<usize> = (0..synth.data.len() / 2).collect();
     let piece = DensitySketch::new(DIM, &cfg)
-        .and_then(|s| s.fit(&synth.data.select(&half)))
+        .and_then(|s| s.fit(&synth.data.select(&half), NonZeroUsize::MIN))
         .expect("piece fits");
     let mut acc = DensitySketch::new(DIM, &cfg).expect("empty sketch");
     let counters = piece.counters().len();

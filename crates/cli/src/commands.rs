@@ -459,9 +459,10 @@ impl Stages<'_> {
         Ok(())
     }
 
-    /// The streaming-service path: one fused bounded-memory pass builds the
-    /// Count-Min density sketch *and* an Algorithm R uniform reservoir, so
-    /// memory is `grids * slots` counters plus the reservoir however long
+    /// The streaming-service path: one bounded-memory ingest pass builds the
+    /// Count-Min density sketch on every worker, and an Algorithm R uniform
+    /// reservoir is drawn by index alongside it, so memory is one table of
+    /// `grids * slots` counters per worker plus the reservoir however long
     /// the stream. A second pass draws the one-pass biased sample off the
     /// sketch (`summary_normalizer` replaces the normalizer pass); with the
     /// shared scaler pass, three bounded scans of the source.
@@ -481,44 +482,42 @@ impl Stages<'_> {
             domain: Some(BoundingBox::unit(dim)),
             seed,
         };
-        let mut sketch = DensitySketch::new(dim, &sketch_cfg).map_err(err)?;
+        let sketch = DensitySketch::new(dim, &sketch_cfg).map_err(err)?;
         let r_size = self.args.get_usize("reservoir", 1000)?;
         if r_size == 0 {
             return Err("--reservoir must be >= 1".to_string());
         }
 
-        // Fused ingest pass: sketch update + Algorithm R in a single scan.
-        // The reservoir RNG is a sub-stream of the seed so it never collides
-        // with the sampler's keyed inclusion draws.
-        let mut reservoir = Reservoir::new(dim, r_size.min(src.len()), sub_seed(seed, 1));
-        let mut bad: Option<(usize, String)> = None;
+        // Ingest pass: the sketch folds the source on every worker. The
+        // reservoir keeps only indices (`write_sample` fetches its points),
+        // and Algorithm R's choices depend only on the index, so it is drawn
+        // without the data. Its RNG is a sub-stream of the seed so it never
+        // collides with the sampler's keyed inclusion draws.
         self.rec.add(Counter::DatasetPasses, 1);
-        {
+        let (sketch, (reservoir, replacements)) = {
             let _span = self.rec.span("ingest");
-            src.scan(&mut |i, p| {
-                if bad.is_some() {
-                    return;
+            let sketch = sketch.fit(src, self.threads).map_err(|e| match e {
+                // Worded as `ShiftedGrids::update` rejects the point.
+                dbs_core::Error::NonFinite { index } => {
+                    let bad = "invalid parameter: non-finite coordinate in update";
+                    format!("stream ingest failed at point {index}: {bad}")
                 }
-                match sketch.update(p) {
-                    Ok(_) => reservoir.offer(i, p),
-                    Err(e) => bad = Some((i, e.to_string())),
-                }
-            })
-            .map_err(err)?;
-        }
-        if let Some((i, e)) = bad {
-            return Err(format!("stream ingest failed at point {i}: {e}"));
-        }
+                e => err(e),
+            })?;
+            let n = src.len();
+            let reservoir = Reservoir::draw_indices(n, r_size.min(n), sub_seed(seed, 1));
+            (sketch, reservoir)
+        };
         let rec = self.rec;
         rec.add(Counter::SketchUpdates, sketch.points_ingested());
-        rec.add(Counter::ReservoirReplacements, reservoir.replacements());
+        rec.add(Counter::ReservoirReplacements, replacements);
         writeln!(
             out,
             "streamed {} points ({dim}d) into a {} sketch ({} KiB) + {}-point reservoir",
             sketch.points_ingested(),
             spec.label(),
             sketch.memory_bytes() / 1024,
-            reservoir.indices().len()
+            reservoir.len()
         )
         .map_err(io_err)?;
 
@@ -537,7 +536,7 @@ impl Stages<'_> {
             stats.clipped
         )
         .map_err(io_err)?;
-        self.write_sample(&s, Some(reservoir.indices()), out)
+        self.write_sample(&s, Some(&reservoir), out)
     }
 
     fn density(&self, out: &mut dyn Write) -> Result<(), String> {

@@ -128,8 +128,10 @@ counter_catalog! {
     /// Points ingested into a streaming density sketch (one per
     /// `update`, whatever the schedule).
     SketchUpdates => "sketch_updates",
-    /// Sketch merge operations: element-wise counter adds folding one
-    /// sketch (a chunk's or a shard's) into another.
+    /// Sketch merge operations. No path records it since the sketch fit
+    /// moved to per-worker tables. It stays so every `--metrics-out` key
+    /// set stays the same, and goes when pipebench's mirror, which
+    /// compares those key sets, is retired.
     SketchMerges => "sketch_merges",
 }
 

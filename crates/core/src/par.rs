@@ -15,6 +15,11 @@
 //!   fold returns per-point (or per-chunk, in-order) values from
 //!   [`par_scan`] and folds them serially afterwards. Only exactly
 //!   associative combines (integer sums, min/max) may be merged per chunk.
+//! * [`par_fold`] folds every chunk a worker claims into that worker's one
+//!   accumulator, so which chunks share an accumulator depends on the
+//!   scheduler. It is allowed only for state whose merge is exact and
+//!   order-free — integer sums, max, set union — where the merged
+//!   accumulators equal the serial fold at every thread count.
 //!
 //! Under this contract `parallelism = 1` and `parallelism = 64` produce
 //! bit-identical results, so callers expose a single
@@ -120,6 +125,34 @@ where
     Ok(results)
 }
 
+/// One accumulator per worker, folded over the chunks that worker claims:
+/// each worker takes one accumulator from `init` and folds into it, with
+/// `fold`, every chunk of [`CHUNK_POINTS`] consecutive points it takes from
+/// the shared cursor. The accumulators come back, one per worker, for the
+/// caller to merge.
+///
+/// Which chunks share an accumulator depends on the scheduler, so use this
+/// only for state whose merge is exact and order-free — integer sums, max,
+/// set union; anything order-sensitive goes through [`par_scan`]. With one
+/// worker the fold runs in the calling thread. A chunk read error is
+/// reported from the lowest failing chunk. Like [`par_scan`], it records no
+/// tally.
+pub fn par_fold<S, A, I, F>(source: &S, threads: NonZeroUsize, init: I, fold: F) -> Result<Vec<A>>
+where
+    S: PointSource + ?Sized,
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, Range<usize>, &PointBlock) + Sync,
+{
+    fold_chunks(
+        source,
+        threads,
+        CHUNK_POINTS,
+        init,
+        |acc, _, range, block, _| fold(acc, range, block),
+    )
+}
+
 /// [`par_scan`] with an explicit chunk size (kept non-public: a caller-chosen
 /// chunk size would let two call sites disagree on the chunk grid; tests use
 /// it to exercise multi-chunk merging on small data). Returns per-chunk
@@ -137,66 +170,111 @@ where
     T: Send,
     F: Fn(Range<usize>, &PointBlock, &mut Tally) -> T + Sync,
 {
+    // One collector, sized in the calling thread. Per-worker result vectors
+    // grown inside the workers measured ~0.3 MB more peak RSS on a
+    // 10k-point, two-thread `dbs outliers` run.
+    let chunks = source.len().div_ceil(chunk_points.max(1));
+    let slots = Mutex::new(Vec::with_capacity(chunks));
+    fold_chunks(
+        source,
+        threads,
+        chunk_points,
+        || (),
+        |_, c, range, block, mut tally| {
+            let out = per_chunk(range, block, &mut tally);
+            slots
+                .lock()
+                .expect("no poisoned chunk collector")
+                .push((c, out, tally));
+        },
+    )?;
+    let mut slots = slots.into_inner().expect("workers joined");
+    slots.sort_unstable_by_key(|&(c, _, _)| c);
+    Ok(slots
+        .into_iter()
+        .map(|(_, out, tally)| (out, tally))
+        .collect())
+}
+
+/// The one worker loop behind [`par_fold`] and [`scan_chunks`]: `fold`
+/// receives the worker's accumulator, the chunk index and range, the
+/// chunk's points and the tally its read recorded into.
+fn fold_chunks<S, A, I, F>(
+    source: &S,
+    threads: NonZeroUsize,
+    chunk_points: usize,
+    init: I,
+    fold: F,
+) -> Result<Vec<A>>
+where
+    S: PointSource + ?Sized,
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, usize, Range<usize>, &PointBlock, Tally) + Sync,
+{
     let (n, dim, borrowed) = (source.len(), source.dim(), source.as_dataset());
     if n == 0 {
         return Ok(Vec::new());
     }
     let chunk_points = chunk_points.max(1);
     let chunks = n.div_ceil(chunk_points);
-    let chunk_range = |c: usize| c * chunk_points..((c + 1) * chunk_points).min(n);
+    let cursor = AtomicUsize::new(0);
 
-    // One chunk's worth of work, with `buf` the calling worker's reusable
-    // chunk buffer (untouched by the borrowed backing).
-    let run_chunk = |c: usize, buf: &mut Vec<f64>| -> Result<(T, Tally)> {
-        let range = chunk_range(c);
-        let mut tally = Tally::default();
-        let block = match borrowed {
-            Some(ds) => PointBlock::from_dataset(ds, range.clone()),
-            None => {
-                source.read_points_into(range.clone(), buf, &mut tally)?;
-                debug_assert_eq!(buf.len(), range.len() * dim);
-                PointBlock::from_flat(range.start, dim, buf)
+    // One worker: claims chunks until none is left, reading each into its
+    // reusable buffer (untouched by the borrowed backing). It stops at its
+    // first read error; every chunk below that one was claimed earlier, so
+    // the lowest failure over all workers is the lowest failing chunk.
+    let work = || -> (A, Option<(usize, Error)>) {
+        let mut acc = init();
+        let mut buf = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                return (acc, None);
             }
-        };
-        Ok((per_chunk(range, &block, &mut tally), tally))
+            let range = c * chunk_points..((c + 1) * chunk_points).min(n);
+            let mut tally = Tally::default();
+            let block = match borrowed {
+                Some(ds) => PointBlock::from_dataset(ds, range.clone()),
+                None => {
+                    if let Err(e) = source.read_points_into(range.clone(), &mut buf, &mut tally) {
+                        return (acc, Some((c, e)));
+                    }
+                    debug_assert_eq!(buf.len(), range.len() * dim);
+                    PointBlock::from_flat(range.start, dim, &buf)
+                }
+            };
+            fold(&mut acc, c, range, &block, tally);
+        }
     };
 
     let workers = threads.get().min(chunks);
-    if workers == 1 {
-        // In-thread fast path; identical to the threaded path by
-        // construction (same chunk grid, same in-chunk order, chunk-ordered
-        // merge).
-        let mut buf = Vec::new();
-        return (0..chunks).map(|c| run_chunk(c, &mut buf)).collect();
-    }
-
-    type Slot<T> = (usize, Result<(T, Tally)>);
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Slot<T>>> = Mutex::new(Vec::with_capacity(chunks));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut buf = Vec::new();
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        return;
-                    }
-                    let out = run_chunk(c, &mut buf);
-                    slots
-                        .lock()
-                        .expect("no poisoned chunk collector")
-                        .push((c, out));
-                }
-            });
+    let done = if workers == 1 {
+        // In-thread fast path; the same loop the threaded path runs.
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    let mut accs = Vec::with_capacity(done.len());
+    let mut first_failure: Option<(usize, Error)> = None;
+    for (acc, failed) in done {
+        accs.push(acc);
+        if let Some((c, e)) = failed {
+            if first_failure.as_ref().is_none_or(|&(lowest, _)| c < lowest) {
+                first_failure = Some((c, e));
+            }
         }
-    });
-    let mut slots = slots.into_inner().expect("workers joined");
-    slots.sort_unstable_by_key(|&(c, _)| c);
-    debug_assert_eq!(slots.len(), chunks);
-    // Chunk-ordered error propagation: the error reported is the one from
-    // the lowest failing chunk, independent of scheduling.
-    slots.into_iter().map(|(_, r)| r).collect()
+    }
+    match first_failure {
+        Some((_, e)) => Err(e),
+        None => Ok(accs),
+    }
 }
 
 /// The tight axis-aligned bounding box of `source`, or `None` when it is
@@ -448,6 +526,103 @@ mod tests {
             assert_eq!(bb.max(), want.max());
         }
         assert!(par_bounding_box(&Dataset::new(2), t(2)).unwrap().is_none());
+    }
+
+    /// Points seen, the sum of their first coordinates, the largest index
+    /// and the set of chunk starts: every merge is exact and order-free.
+    type Fold = (u64, u64, usize, Vec<usize>);
+
+    fn fold_chunk(acc: &mut Fold, range: Range<usize>, block: &PointBlock) {
+        acc.3.push(range.start);
+        for i in range {
+            acc.0 += 1;
+            acc.1 += block.point(i)[0] as u64;
+            acc.2 = acc.2.max(i);
+        }
+    }
+
+    fn merged<S: PointSource + ?Sized>(source: &S, threads: usize) -> Result<Fold> {
+        let accs = par_fold(source, t(threads), Fold::default, fold_chunk)?;
+        assert!(!accs.is_empty() && accs.len() <= threads);
+        Ok(accs.into_iter().fold(Fold::default(), |mut a, b| {
+            a.0 += b.0;
+            a.1 += b.1;
+            a.2 = a.2.max(b.2);
+            a.3.extend(b.3);
+            a.3.sort_unstable();
+            a
+        }))
+    }
+
+    #[test]
+    fn par_fold_merges_to_the_serial_fold() {
+        let n = 7 * CHUNK_POINTS + 123;
+        let ds = numbered(n);
+        let (file, path) = dbs1("fold", &ds);
+        let mut serial = Fold::default();
+        fold_chunk(&mut serial, 0..n, &PointBlock::from_dataset(&ds, 0..n));
+        serial.3 = (0..n).step_by(CHUNK_POINTS).collect();
+        for threads in [1, 2, 7] {
+            let sources: [(&str, &dyn PointSource); 3] = [
+                ("borrowed", &ds),
+                ("counted memory", &PassCounter::new(&ds)),
+                ("file", &file),
+            ];
+            for (name, source) in sources {
+                let got = merged(source, threads).unwrap();
+                assert_eq!(got, serial, "{name}, threads = {threads}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        assert!(par_fold(&Dataset::new(2), t(3), Fold::default, fold_chunk)
+            .unwrap()
+            .is_empty());
+    }
+
+    /// A memory source whose reads of the listed chunks fail, naming the
+    /// chunk.
+    struct Failing {
+        data: Dataset,
+        bad_chunks: Vec<usize>,
+    }
+
+    impl PointSource for Failing {
+        fn dim(&self) -> usize {
+            self.data.dim()
+        }
+
+        fn len(&self) -> usize {
+            self.data.len()
+        }
+
+        fn read_points_into(
+            &self,
+            range: Range<usize>,
+            buf: &mut Vec<f64>,
+            tally: &mut Tally,
+        ) -> Result<()> {
+            let c = range.start / CHUNK_POINTS;
+            if self.bad_chunks.contains(&c) {
+                return Err(Error::InvalidParameter(format!("chunk {c} unreadable")));
+            }
+            self.data.read_points_into(range, buf, tally)
+        }
+    }
+
+    #[test]
+    fn par_fold_reports_the_lowest_failing_chunk() {
+        let data = numbered(9 * CHUNK_POINTS);
+        for (bad_chunks, lowest) in [(vec![8], 8), (vec![7, 1], 1), (vec![0, 5], 0)] {
+            let source = Failing {
+                data: data.clone(),
+                bad_chunks,
+            };
+            for threads in [1, 2, 7] {
+                let err = merged(&source, threads).unwrap_err();
+                let want = format!("invalid parameter: chunk {lowest} unreadable");
+                assert_eq!(err.to_string(), want, "threads = {threads}");
+            }
+        }
     }
 
     #[test]

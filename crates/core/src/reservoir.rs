@@ -1,9 +1,13 @@
 //! Algorithm R (Vitter, reference \[29\] of the paper): a uniform
 //! fixed-size sample of a stream of unknown length, kept in one pass.
 //!
-//! The KDE's kernel centers and the fused ingest of `dbs stream` both keep
-//! their reservoir in a [`Reservoir`], so both consume their random stream
-//! the same way.
+//! Whether point `i` takes a slot, and which, depends only on `i`, the
+//! reservoir size and the generator — never on the point. So the KDE's
+//! kernel centers offer their points to a [`Reservoir`], while `dbs stream`,
+//! which keeps only the indices and fetches the points later, draws the
+//! same reservoir without reading any data ([`Reservoir::draw_indices`]).
+//! Both go through one slot decision and consume their random stream the
+//! same way.
 
 use rand::Rng;
 
@@ -40,17 +44,39 @@ impl Reservoir {
     /// `size / (i + 1)`.
     #[inline]
     pub fn offer(&mut self, i: usize, p: &[f64]) {
-        if i < self.size {
-            self.points.push(p).expect("declared dimension");
-            self.indices.push(i);
-        } else {
-            let slot = self.rng.gen_range(0..=i);
-            if slot < self.size {
+        match slot_of(&mut self.rng, self.size, i) {
+            Some(_) if i < self.size => {
+                self.points.push(p).expect("declared dimension");
+                self.indices.push(i);
+            }
+            Some(slot) => {
                 self.points.point_mut(slot).copy_from_slice(p);
                 self.indices[slot] = i;
                 self.replacements += 1;
             }
+            None => {}
         }
+    }
+
+    /// The reservoir of `size` slots over the stream `0..n`, drawn from
+    /// `seeded(seed)` without its points: the kept indices in slot order
+    /// and the replacement count, exactly what offering every point to
+    /// `Reservoir::new(dim, size, seed)` keeps.
+    pub fn draw_indices(n: usize, size: usize, seed: u64) -> (Vec<usize>, u64) {
+        let mut rng = seeded(seed);
+        let mut indices = Vec::with_capacity(size.min(n));
+        let mut replacements = 0;
+        for i in 0..n {
+            match slot_of(&mut rng, size, i) {
+                Some(_) if i < size => indices.push(i),
+                Some(slot) => {
+                    indices[slot] = i;
+                    replacements += 1;
+                }
+                None => {}
+            }
+        }
+        (indices, replacements)
     }
 
     /// Source indices of the kept points, in slot order.
@@ -67,6 +93,18 @@ impl Reservoir {
     pub fn into_parts(self) -> (Dataset, Vec<usize>) {
         (self.points, self.indices)
     }
+}
+
+/// Algorithm R's decision for point `i`: the slot it takes, if any. The
+/// first `size` points take slot `i` and draw nothing; after that one draw
+/// from `rng` picks a slot, kept when it is below `size`.
+#[inline]
+fn slot_of(rng: &mut DbsRng, size: usize, i: usize) -> Option<usize> {
+    if i < size {
+        return Some(i);
+    }
+    let slot = rng.gen_range(0..=i);
+    (slot < size).then_some(slot)
 }
 
 #[cfg(test)]
@@ -92,6 +130,19 @@ mod tests {
         idx.sort_unstable();
         idx.dedup();
         assert_eq!(idx.len(), 100);
+    }
+
+    #[test]
+    fn index_draw_matches_offering_every_point() {
+        for (n, size) in [(0, 40), (25, 40), (40, 40), (20_000, 40), (20_000, 1)] {
+            for seed in [0, sub_seed(3, 1)] {
+                let offered = fill(n, size, seed);
+                let (indices, replacements) = Reservoir::draw_indices(n, size, seed);
+                assert_eq!(indices, offered.indices(), "n = {n}, size = {size}");
+                assert_eq!(replacements, offered.replacements(), "n = {n}");
+            }
+        }
+        assert!(Reservoir::draw_indices(20_000, 40, 0).1 > 0);
     }
 
     #[test]

@@ -47,13 +47,13 @@ mod tests {
     use crate::DensityEstimator;
     use dbs_core::obs::{Counter, Tally};
     use dbs_core::rng::seeded;
-    use dbs_core::{Dataset, PointBlock};
+    use dbs_core::{par, Dataset, PointBlock};
     use rand::Rng;
 
     fn fit(ds: &Dataset, grids: usize) -> ShiftedGrids<Dense> {
         ShiftedGrids::agrid(BoundingBox::unit(ds.dim()), grids, None, 0)
             .unwrap()
-            .fit(ds)
+            .fit(ds, par::serial())
             .unwrap()
     }
 
@@ -63,7 +63,7 @@ mod tests {
         let counted = dbs_core::scan::PassCounter::new(&ds);
         let _ = ShiftedGrids::agrid(BoundingBox::unit(2), 8, None, 0)
             .unwrap()
-            .fit(&counted)
+            .fit(&counted, par::serial())
             .unwrap();
         assert_eq!(counted.passes(), 1);
     }
@@ -187,7 +187,7 @@ mod tests {
         assert_eq!(a, b);
         let c = ShiftedGrids::agrid(BoundingBox::unit(2), 8, None, 99)
             .unwrap()
-            .fit(&ds)
+            .fit(&ds, par::serial())
             .unwrap();
         assert_ne!(a, c);
     }
@@ -199,11 +199,14 @@ mod tests {
         assert!(ShiftedGrids::agrid(unit.clone(), 8, Some(0), 0).is_err());
         assert!(ShiftedGrids::agrid(unit.clone(), 64, Some(1 << 10), 0).is_err());
         let empty = ShiftedGrids::agrid(unit, 8, None, 0).unwrap();
-        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
-        assert!(empty.clone().fit(&uniform_dataset(100, 3, 10)).is_err());
+        assert!(empty.clone().fit(&Dataset::new(2), par::serial()).is_err());
+        assert!(empty
+            .clone()
+            .fit(&uniform_dataset(100, 3, 10), par::serial())
+            .is_err());
         let mut bad = uniform_dataset(10, 2, 11);
         bad.push(&[f64::NAN, 0.5]).unwrap();
-        let err = empty.fit(&bad).unwrap_err();
+        let err = empty.fit(&bad, par::serial()).unwrap_err();
         assert_eq!(err.to_string(), "non-finite coordinate at point 10");
     }
 
@@ -235,7 +238,7 @@ mod tests {
         let domain = BoundingBox::new(vec![0.0, 0.5], vec![1.0, 0.5]);
         let est = ShiftedGrids::agrid(domain, 8, None, 0)
             .unwrap()
-            .fit(&ds)
+            .fit(&ds, par::serial())
             .unwrap();
         assert!(est.density(&[0.5, 0.5]) > 0.0);
         let total: f64 = (0..256)

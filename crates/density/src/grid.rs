@@ -26,12 +26,12 @@ mod tests {
     use super::*;
     use crate::test_util::{midpoint_integral, uniform_dataset};
     use crate::DensityEstimator;
-    use dbs_core::Dataset;
+    use dbs_core::{par, Dataset};
 
     fn fit(ds: &Dataset, res: usize) -> ShiftedGrids<Dense> {
         ShiftedGrids::grid(BoundingBox::unit(ds.dim()), res)
             .unwrap()
-            .fit(ds)
+            .fit(ds, par::serial())
             .unwrap()
     }
 
@@ -88,14 +88,14 @@ mod tests {
         assert!(ShiftedGrids::grid(BoundingBox::unit(2), 0).is_err());
         assert!(ShiftedGrids::grid(BoundingBox::unit(2), 1 << 14).is_err());
         let empty = ShiftedGrids::grid(BoundingBox::unit(2), 4).unwrap();
-        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
+        assert!(empty.clone().fit(&Dataset::new(2), par::serial()).is_err());
         assert!(ShiftedGrids::grid(BoundingBox::unit(3), 4)
             .unwrap()
-            .fit(&ds)
+            .fit(&ds, par::serial())
             .is_err());
         let mut bad = uniform_dataset(5, 2, 6);
         bad.push(&[0.5, f64::INFINITY]).unwrap();
-        let err = empty.fit(&bad).unwrap_err();
+        let err = empty.fit(&bad, par::serial()).unwrap_err();
         assert_eq!(err.to_string(), "non-finite coordinate at point 5");
     }
 

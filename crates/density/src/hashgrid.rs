@@ -36,13 +36,13 @@ mod tests {
     use crate::test_util::uniform_dataset;
     use crate::DensityEstimator;
     use dbs_core::rng::seeded;
-    use dbs_core::Dataset;
+    use dbs_core::{par, Dataset};
     use rand::Rng;
 
     fn fit(ds: &Dataset, res: usize, slots: usize) -> ShiftedGrids<Hashed> {
         ShiftedGrids::hashgrid(BoundingBox::unit(ds.dim()), res, slots)
             .unwrap()
-            .fit(ds)
+            .fit(ds, par::serial())
             .unwrap()
     }
 
@@ -52,7 +52,7 @@ mod tests {
         let hashed = fit(ds, res, slots);
         let plain = ShiftedGrids::grid(BoundingBox::unit(ds.dim()), res)
             .unwrap()
-            .fit(ds)
+            .fit(ds, par::serial())
             .unwrap();
         let mut rng = seeded(4);
         (0..200)
@@ -98,11 +98,14 @@ mod tests {
         assert!(ShiftedGrids::hashgrid(BoundingBox::unit(2), 0, 16).is_err());
         assert!(ShiftedGrids::hashgrid(BoundingBox::unit(2), 4, 0).is_err());
         let empty = ShiftedGrids::hashgrid(BoundingBox::unit(2), 4, 16).unwrap();
-        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
-        assert!(empty.clone().fit(&uniform_dataset(10, 3, 8)).is_err());
+        assert!(empty.clone().fit(&Dataset::new(2), par::serial()).is_err());
+        assert!(empty
+            .clone()
+            .fit(&uniform_dataset(10, 3, 8), par::serial())
+            .is_err());
         let mut bad = ds;
         bad.push(&[f64::NAN, 0.5]).unwrap();
-        let err = empty.fit(&bad).unwrap_err();
+        let err = empty.fit(&bad, par::serial()).unwrap_err();
         assert_eq!(err.to_string(), "non-finite coordinate at point 10");
     }
 

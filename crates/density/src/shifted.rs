@@ -26,11 +26,12 @@
 //! grids). Whatever the preset, the engine is
 //!
 //! * **one-pass and incremental**: [`ShiftedGrids::fit`] folds a source in
-//!   one scan, [`ShiftedGrids::update`] one point in O(m);
+//!   one scan on any number of workers, [`ShiftedGrids::update`] one point
+//!   in O(m);
 //! * **mergeable**: [`ShiftedGrids::merge`] adds exact `u64` counters, so
-//!   per-chunk or per-shard summaries merged in any grouping equal the
-//!   single-pass summary byte for byte ([`ShiftedGrids::fit_obs`] relies on
-//!   it);
+//!   per-worker or per-shard summaries merged in any grouping equal the
+//!   single-pass summary byte for byte ([`ShiftedGrids::fit`] adds up its
+//!   workers' tables this way);
 //! * **normalizer-ready**: grid 0 partitions the ingested points, so
 //!   [`DensityEstimator::summary_normalizer`] sums over its counters without
 //!   a dataset pass.
@@ -39,7 +40,7 @@ use std::fmt::Debug;
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
-use dbs_core::obs::{Counter, Recorder, Tally};
+use dbs_core::obs::{Counter, Tally};
 use dbs_core::rng::keyed_unit;
 use dbs_core::{par, BoundingBox, Error, PointBlock, PointSource, Result};
 
@@ -342,72 +343,64 @@ impl<S: CounterStore> ShiftedGrids<S> {
         Ok(())
     }
 
-    /// Folds every point of `source` in, in one sequential pass.
+    /// Folds every point of `source` in, in one pass on `threads` workers
+    /// ([`par::par_fold`]): each worker ingests the chunks it claims into
+    /// one counter table of its own, and the tables are then added up.
+    /// This engine's own table goes to the first worker, so one worker adds
+    /// no table. Counter addition is exact, so the result is byte-identical
+    /// at every thread count.
     ///
     /// Errors on an empty source, a source/domain dimension mismatch, or a
     /// non-finite coordinate ([`Error::NonFinite`], naming the first bad
     /// point; validation rides the single pass).
-    pub fn fit<P: PointSource + ?Sized>(mut self, source: &P) -> Result<Self> {
+    pub fn fit<P: PointSource + ?Sized>(
+        mut self,
+        source: &P,
+        threads: NonZeroUsize,
+    ) -> Result<Self> {
         self.check_source(source)?;
-        let mut bad: Option<usize> = None;
-        source.scan(&mut |i, p| {
+        let len = self.counts.len();
+        let base = Mutex::new(Some(std::mem::take(&mut self.counts)));
+        let init = || {
+            let table = match base.lock().expect("init never panics").take() {
+                Some(counts) => ShiftedGrids {
+                    counts,
+                    ..self.clone()
+                },
+                None => ShiftedGrids {
+                    counts: vec![0; len],
+                    n: 0,
+                    ..self.clone()
+                },
+            };
+            (table, None)
+        };
+        let tables = par::par_fold(source, threads, init, |(table, bad), range, block| {
             if bad.is_some() {
                 return;
             }
-            if p.iter().all(|v| v.is_finite()) {
-                self.ingest(p);
-            } else {
-                bad = Some(i);
+            for i in range {
+                let p = block.point(i);
+                if !p.iter().all(|v| v.is_finite()) {
+                    *bad = Some(i);
+                    return;
+                }
+                table.ingest(p);
             }
         })?;
-        match bad {
-            Some(index) => Err(Error::NonFinite { index }),
-            None => Ok(self),
+        // A worker claims chunks in ascending order and stops at its first
+        // bad point, so the lowest over the workers is the first bad point.
+        if let Some(index) = tables.iter().filter_map(|&(_, bad)| bad).min() {
+            return Err(Error::NonFinite { index });
         }
-    }
-
-    /// [`Self::fit`] through the chunked executor with metrics: each fixed
-    /// 4096-point chunk ingests into its own empty copy, folded into the
-    /// result as the chunk completes. Counter addition commutes, so the
-    /// result is byte-identical to [`Self::fit`] at every thread count.
-    /// Records [`Counter::SketchUpdates`] per ingested point and
-    /// [`Counter::SketchMerges`] per chunk fold; does not record
-    /// `DatasetPasses` (the caller knows whether `source` is primary).
-    pub fn fit_obs<P: PointSource + ?Sized>(
-        self,
-        source: &P,
-        threads: NonZeroUsize,
-        recorder: &Recorder,
-    ) -> Result<Self> {
-        self.check_source(source)?;
-        let mut empty = self.clone();
-        empty.counts.fill(0);
-        empty.n = 0;
-        let shared = Mutex::new(self);
-        let bad_chunks =
-            par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
-                let mut local = empty.clone();
-                let mut bad: Option<usize> = None;
-                for i in range {
-                    let p = block.point(i);
-                    if !p.iter().all(|v| v.is_finite()) {
-                        bad = Some(i);
-                        break;
-                    }
-                    local.ingest(p);
-                }
-                tally.add(Counter::SketchUpdates, local.n);
-                shared
-                    .lock()
-                    .expect("merging never panics")
-                    .merge_counts(&local);
-                tally.add(Counter::SketchMerges, 1);
-                bad
-            })?;
-        match bad_chunks.into_iter().flatten().min() {
-            Some(index) => Err(Error::NonFinite { index }),
-            None => Ok(shared.into_inner().expect("no panics held the lock")),
-        }
+        let fitted = tables
+            .into_iter()
+            .map(|(table, _)| table)
+            .reduce(|mut a, b| {
+                a.merge_counts(&b);
+                a
+            });
+        Ok(fitted.expect("a non-empty source runs at least one worker"))
     }
 
     /// Ensemble size `m`.

@@ -5,17 +5,19 @@
 //! `slots` counters as in [`crate::hashgrid`] — with a per-row salt, so the
 //! rows are exactly the counter table of a Count-Min sketch (SNIPPETS.md
 //! Snippet 1). Memory is `m * slots * 8` bytes however long the stream or
-//! fine the virtual resolution. The density query averages the rows rather
-//! than taking the Count-Min minimum: every row is shifted, so the rows
+//! fine the virtual resolution, and one such table per worker while a
+//! parallel [`ShiftedGrids::fit`] runs. The density query averages the rows
+//! rather than taking the Count-Min minimum: every row is shifted, so the rows
 //! estimate `m` differently-smoothed versions of the same density, and
 //! their minimum would be an order statistic biased low that breaks the
 //! `∫ f ≈ n` frequency contract.
 //!
 //! The engine makes it a streaming service summary: [`DensitySketch::new`]
 //! starts empty, [`ShiftedGrids::update`] folds in one point in O(m),
+//! [`ShiftedGrids::fit`] folds a whole source on per-worker tables, and
 //! [`ShiftedGrids::merge`] adds counters element-wise (any grouping of
-//! per-shard sketches equals the single-pass sketch byte for byte,
-//! `tests/sketch_parity.rs`), and the one-pass biased sampler and the
+//! per-worker or per-shard sketches equals the single-pass sketch byte for
+//! byte, `tests/sketch_parity.rs`), and the one-pass biased sampler and the
 //! outlier prefilter run straight off it.
 
 use dbs_core::rng::sub_seed;
@@ -29,7 +31,7 @@ pub struct SketchConfig {
     /// Number of hashed shifted grids `m` (Count-Min depth).
     pub grids: usize,
     /// Counters per grid row (Count-Min width) — the memory budget:
-    /// `grids * slots * 8` bytes total.
+    /// `grids * slots * 8` bytes per table, one table per fit worker.
     pub slots: usize,
     /// Virtual cells per dimension. `None` picks a dimension-dependent
     /// default; any value is memory-safe because cells are hashed, never
@@ -107,14 +109,13 @@ mod tests {
     use super::*;
     use crate::test_util::{midpoint_integral, two_blobs, uniform_dataset};
     use crate::DensityEstimator;
-    use dbs_core::obs::{Counter, Recorder};
-    use dbs_core::{Dataset, PointSource};
+    use dbs_core::{par, Dataset, PointSource};
     use std::num::NonZeroUsize;
 
     fn fit<S: PointSource + ?Sized>(source: &S, cfg: &SketchConfig) -> DensitySketch {
         DensitySketch::new(source.dim(), cfg)
             .unwrap()
-            .fit(source)
+            .fit(source, par::serial())
             .unwrap()
     }
 
@@ -158,21 +159,29 @@ mod tests {
     }
 
     #[test]
-    fn fit_obs_matches_sequential_fit_at_every_thread_count() {
+    fn parallel_fit_matches_incremental_updates_at_every_thread_count() {
         let ds = uniform_dataset(10_000, 2, 4);
         let cfg = SketchConfig::new(3, 1 << 9);
-        let seq = fit(&ds, &cfg);
+        let mut streamed = DensitySketch::new(2, &cfg).unwrap();
+        for p in ds.iter() {
+            streamed.update(p).unwrap();
+        }
         for t in [1usize, 2, 7] {
-            let rec = Recorder::enabled();
             let par = DensitySketch::new(2, &cfg)
                 .unwrap()
-                .fit_obs(&ds, NonZeroUsize::new(t).unwrap(), &rec)
+                .fit(&ds, NonZeroUsize::new(t).unwrap())
                 .unwrap();
-            assert_eq!(par, seq, "threads {t}");
-            assert_eq!(rec.counter(Counter::SketchUpdates), 10_000);
-            // One chunk fold per 4096-point chunk.
-            assert_eq!(rec.counter(Counter::SketchMerges), 3);
+            assert_eq!(par, streamed, "threads {t}");
         }
+        // Fitting adds to what the sketch already holds.
+        let half: Vec<usize> = (0..5_000).collect();
+        let rest: Vec<usize> = (5_000..10_000).collect();
+        let mut first = DensitySketch::new(2, &cfg).unwrap();
+        for p in ds.select(&half).iter() {
+            first.update(p).unwrap();
+        }
+        let both = first.fit(&ds.select(&rest), NonZeroUsize::new(2).unwrap());
+        assert_eq!(both.unwrap(), streamed);
     }
 
     #[test]
@@ -251,7 +260,7 @@ mod tests {
         assert!(DensitySketch::new(2, &zero_res).is_err());
         let cfg = SketchConfig::default();
         let empty = DensitySketch::new(2, &cfg).unwrap();
-        assert!(empty.clone().fit(&Dataset::new(2)).is_err());
+        assert!(empty.clone().fit(&Dataset::new(2), par::serial()).is_err());
         let wrong_domain = SketchConfig {
             domain: Some(BoundingBox::unit(3)),
             ..Default::default()
@@ -259,13 +268,18 @@ mod tests {
         assert!(DensitySketch::new(2, &wrong_domain).is_err());
         let mut bad = uniform_dataset(10, 2, 11);
         bad.push(&[f64::NAN, 0.5]).unwrap();
-        let err = empty.clone().fit(&bad).unwrap_err();
+        let err = empty.clone().fit(&bad, par::serial()).unwrap_err();
         assert_eq!(err.to_string(), "non-finite coordinate at point 10");
-        let err = empty
-            .clone()
-            .fit_obs(&bad, NonZeroUsize::MIN, &Recorder::disabled())
-            .unwrap_err();
-        assert_eq!(err.to_string(), "non-finite coordinate at point 10");
+        // Across chunks and workers, the first bad point is the one named.
+        let mut late = uniform_dataset(12_000, 2, 12);
+        late.point_mut(9_000)[1] = f64::INFINITY;
+        late.point_mut(11_000)[0] = f64::NAN;
+        late.point_mut(4_500)[0] = f64::NAN;
+        for t in [1, 2, 7] {
+            let threads = NonZeroUsize::new(t).unwrap();
+            let err = empty.clone().fit(&late, threads).unwrap_err();
+            assert_eq!(err.to_string(), "non-finite coordinate at point 4500");
+        }
         let mut sk = empty;
         assert!(sk.update(&[0.5]).is_err());
         assert!(sk.update(&[f64::INFINITY, 0.0]).is_err());

@@ -9,7 +9,7 @@
 //! above this crate selects a backend by string and never names a concrete
 //! estimator type.
 
-use dbs_core::{BoundingBox, Error, PointSource, Result};
+use dbs_core::{par, BoundingBox, Error, PointSource, Result};
 
 use crate::bandwidth::Bandwidth;
 use crate::kde::{KdeConfig, KernelDensityEstimator};
@@ -278,12 +278,15 @@ impl EstimatorSpec {
                 Box::new(KernelDensityEstimator::fit(source, &cfg)?)
             }
             EstimatorKind::Grid { resolution } => {
-                Box::new(ShiftedGrids::grid(domain, *resolution)?.fit(source)?)
+                Box::new(ShiftedGrids::grid(domain, *resolution)?.fit(source, par::serial())?)
             }
             EstimatorKind::HashGrid {
                 resolution,
                 table_slots,
-            } => Box::new(ShiftedGrids::hashgrid(domain, *resolution, *table_slots)?.fit(source)?),
+            } => Box::new(
+                ShiftedGrids::hashgrid(domain, *resolution, *table_slots)?
+                    .fit(source, par::serial())?,
+            ),
             EstimatorKind::Wavelet {
                 levels,
                 coefficients,
@@ -293,9 +296,10 @@ impl EstimatorSpec {
                 *levels,
                 *coefficients,
             )?),
-            EstimatorKind::Agrid { grids, resolution } => {
-                Box::new(ShiftedGrids::agrid(domain, *grids, *resolution, self.seed)?.fit(source)?)
-            }
+            EstimatorKind::Agrid { grids, resolution } => Box::new(
+                ShiftedGrids::agrid(domain, *grids, *resolution, self.seed)?
+                    .fit(source, par::serial())?,
+            ),
             EstimatorKind::Sketch { grids, slots } => {
                 let cfg = SketchConfig {
                     grids: *grids,
@@ -304,7 +308,7 @@ impl EstimatorSpec {
                     domain: Some(domain),
                     seed: self.seed,
                 };
-                Box::new(DensitySketch::new(source.dim(), &cfg)?.fit(source)?)
+                Box::new(DensitySketch::new(source.dim(), &cfg)?.fit(source, par::serial())?)
             }
         })
     }

@@ -270,7 +270,7 @@ impl DensityEstimator for WaveletEstimator {
 mod tests {
     use super::*;
     use dbs_core::rng::seeded;
-    use dbs_core::Dataset;
+    use dbs_core::{par, Dataset};
     use rand::Rng;
 
     fn two_blobs(n: usize, seed: u64) -> Dataset {
@@ -310,7 +310,7 @@ mod tests {
         let wavelet = WaveletEstimator::fit(&ds, BoundingBox::unit(2), levels, usize::MAX).unwrap();
         let grid = crate::ShiftedGrids::grid(BoundingBox::unit(2), 16)
             .unwrap()
-            .fit(&ds)
+            .fit(&ds, par::serial())
             .unwrap();
         let mut rng = seeded(3);
         for _ in 0..100 {
@@ -395,7 +395,7 @@ mod tests {
         let lossless = WaveletEstimator::fit(&ds, BoundingBox::unit(3), 3, usize::MAX).unwrap();
         let grid = crate::ShiftedGrids::grid(BoundingBox::unit(3), 8)
             .unwrap()
-            .fit(&ds)
+            .fit(&ds, par::serial())
             .unwrap();
         for _ in 0..50 {
             let x = [rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()];

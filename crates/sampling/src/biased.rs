@@ -475,7 +475,7 @@ mod tests {
         let ds = two_blobs(5000, 17);
         let est = ShiftedGrids::grid(BoundingBox::unit(2), 16)
             .unwrap()
-            .fit(&ds)
+            .fit(&ds, par::serial())
             .unwrap();
         let cfg = BiasedConfig::new(300, 1.0).with_seed(18);
         let (s, _) = density_biased_sample(&ds, &est, &cfg).unwrap();

@@ -24,7 +24,7 @@
 //! perturbing it.
 
 use dbs_core::obs::{Counter, Recorder};
-use dbs_core::{BoundingBox, Error, PointSource, Result, WeightedSample};
+use dbs_core::{par, BoundingBox, Error, PointSource, Result, WeightedSample};
 use dbs_density::{DensityEstimator, ShiftedGrids};
 
 use crate::biased::{figure1_passes, BiasedConfig, BiasedSampleStats};
@@ -120,8 +120,8 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
 
     // Pass 1: hashed cell counts.
     recorder.add(Counter::DatasetPasses, 1);
-    let est =
-        ShiftedGrids::hashgrid(domain, config.cells_per_dim, config.table_slots)?.fit(source)?;
+    let est = ShiftedGrids::hashgrid(domain, config.cells_per_dim, config.table_slots)?
+        .fit(source, par::serial())?;
 
     // Passes 2 and 3 are Figure 1's with f'(x) = max(1, c(x))^e, where
     // c(x) = density · cell_volume is the hashed count of x's cell.

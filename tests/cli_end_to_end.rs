@@ -3,7 +3,7 @@
 
 use dbs_cli::args::parse;
 use dbs_cli::commands::run;
-use dbs_core::io::{write_binary, write_text};
+use dbs_core::io::{read_text, write_binary, write_text};
 use dbs_core::par::CHUNK_POINTS;
 use dbs_core::shard::write_shards_with;
 use dbs_integration_tests::clustered_noisy;
@@ -159,6 +159,68 @@ fn sample_output_is_thread_count_invariant_for_every_estimator() {
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn stream_output_is_identical_over_formats_and_threads_across_chunks() {
+    // Seven 4096-point chunks, so at 2 and 7 threads the ingest merges
+    // several workers' sketch tables. Text, DBS1 and shard inputs hold the
+    // same bits: the binary copies are written from the parsed text.
+    let text = tmp("stream_chunks.txt");
+    write_text(&text, &clustered_noisy(21_000, 3, 0.2, 17).data).unwrap();
+    let data = read_text(&text).unwrap();
+    let bin = tmp("stream_chunks.dbs1");
+    let shards = tmp("stream_chunks_shards");
+    write_binary(&bin, &data).unwrap();
+    std::fs::remove_dir_all(&shards).ok();
+    write_shards_with(&shards, &data, 0, 2 * CHUNK_POINTS).unwrap();
+    let files = ["out", "w", "res", "metrics"].map(|f| tmp(&format!("stream_chunks.{f}")));
+    let [out, w, res, metrics] = files.each_ref().map(|p| p.to_str().unwrap());
+    // Stdout and files agree everywhere; the counter map agrees across
+    // thread counts (shard reads are counted only for shard inputs).
+    let mut outputs: Option<Vec<String>> = None;
+    for input in [&text, &bin, &shards] {
+        let mut counters: Option<String> = None;
+        for threads in ["1", "2", "7"] {
+            let stdout = run_cli(&[
+                "stream",
+                input.to_str().unwrap(),
+                "--size",
+                "500",
+                "--reservoir",
+                "300",
+                "--estimator",
+                "sketch:3:4096",
+                "--seed",
+                "5",
+                "--threads",
+                threads,
+                "--output",
+                out,
+                "--weights",
+                w,
+                "--reservoir-out",
+                res,
+                "--metrics-out",
+                metrics,
+            ])
+            .unwrap();
+            assert!(stdout.contains("streamed 26250 points"), "{stdout}");
+            let mut got = vec![stdout];
+            got.extend([out, w, res].map(|p| std::fs::read_to_string(p).unwrap()));
+            // The counter map: the metrics lines before the spans.
+            let json = std::fs::read_to_string(metrics).unwrap();
+            let map = json.split("\"spans\"").next().unwrap().to_string();
+            assert!(map.contains("\"sketch_updates\": 26250"), "{map}");
+            let at = format!("{input:?} at {threads} threads");
+            assert_eq!(outputs.get_or_insert_with(|| got.clone()), &got, "{at}");
+            assert_eq!(counters.get_or_insert_with(|| map.clone()), &map, "{at}");
+        }
+    }
+    for p in files.iter().chain([&text, &bin]) {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_dir_all(&shards).ok();
 }
 
 #[test]

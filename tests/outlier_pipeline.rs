@@ -1,7 +1,7 @@
 //! End-to-end checks of the density-pruned outlier detector against the
 //! exact baselines, across estimator backends and dimensions.
 
-use dbs_core::{BoundingBox, Metric};
+use dbs_core::{par, BoundingBox, Metric};
 use dbs_density::{KdeConfig, KernelDensityEstimator, ShiftedGrids};
 use dbs_outlier::{
     approx_outliers, kdtree_outliers, nested_loop_outliers, ApproxConfig, DbOutlierParams,
@@ -74,7 +74,7 @@ fn approx_detector_works_with_grid_backend() {
     let params = DbOutlierParams::new(radius, 2).unwrap();
     let grid = ShiftedGrids::grid(BoundingBox::unit(2), 48)
         .unwrap()
-        .fit(&data)
+        .fit(&data, par::serial())
         .unwrap();
     let report = approx_outliers(
         &data,

@@ -1,6 +1,6 @@
 //! End-to-end checks of the estimator → sampler chain across crates.
 
-use dbs_core::{BoundingBox, PointSource};
+use dbs_core::{par, BoundingBox, PointSource};
 use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator, ShiftedGrids};
 use dbs_integration_tests::{clustered, clustered_noisy, noise_share};
 use dbs_sampling::{
@@ -108,7 +108,7 @@ fn grid_estimator_backend_matches_kde_direction() {
     let synth = clustered_noisy(20_000, 2, 0.5, 13);
     let grid = ShiftedGrids::grid(BoundingBox::unit(2), 24)
         .unwrap()
-        .fit(&synth.data)
+        .fit(&synth.data, par::serial())
         .unwrap();
     assert_eq!(grid.dataset_size(), synth.len() as f64);
     let (biased, _) = density_biased_sample(

@@ -1,6 +1,6 @@
 //! The streaming sketch determinism contract: a Count-Min density sketch
-//! built in one sequential pass, built incrementally, built by the chunked
-//! parallel executor at any thread count, or assembled by merging
+//! built incrementally in one sequential pass, built by the per-worker
+//! parallel fit at any thread count, or assembled by merging
 //! per-piece sketches in any order over any storage backing, is the SAME
 //! sketch — bit for bit, counters and all. Counter addition is commutative
 //! and associative, so the proof obligation is that every ingest route
@@ -10,7 +10,6 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dbs_core::obs::{Counter, Recorder};
 use dbs_core::par::CHUNK_POINTS;
 use dbs_core::shard::{write_shards_with, ShardedSource};
 use dbs_core::{Dataset, PointSource};
@@ -37,11 +36,18 @@ fn threads(t: usize) -> NonZeroUsize {
     NonZeroUsize::new(t).unwrap()
 }
 
-/// One sequential pass of `source` into an empty sketch.
+/// One sequential pass of `source` into an empty sketch, point by point.
 fn fit<S: PointSource + ?Sized>(source: &S, cfg: &SketchConfig) -> DensitySketch {
+    let mut sketch = DensitySketch::new(source.dim(), cfg).unwrap();
+    source.scan(&mut |_, p| sketch.update(p).unwrap()).unwrap();
+    sketch
+}
+
+/// The per-worker parallel fit of `source` on `t` workers.
+fn par_fit<S: PointSource + ?Sized>(source: &S, cfg: &SketchConfig, t: usize) -> DensitySketch {
     DensitySketch::new(source.dim(), cfg)
         .unwrap()
-        .fit(source)
+        .fit(source, threads(t))
         .unwrap()
 }
 
@@ -59,9 +65,9 @@ fn piece_sketches(ds: &Dataset, bounds: &[usize], cfg: &SketchConfig) -> Vec<Den
 
 #[test]
 fn parallel_fit_over_shards_matches_sequential_at_thread_counts() {
-    // A multi-shard, multi-chunk source: the executor hands out 4096-point
-    // chunks in whatever order threads grab them, and the shard engine
-    // adds its own file boundaries. The sketch must not care.
+    // A multi-shard, multi-chunk source: each worker folds the 4096-point
+    // chunks it grabs into its own table, and the shard engine adds its own
+    // file boundaries. The sketch must not care.
     let ds = clustered(10_000, 3, 42).data;
     let cfg = SketchConfig::new(4, 1 << 12);
     let whole = fit(&ds, &cfg);
@@ -72,17 +78,10 @@ fn parallel_fit_over_shards_matches_sequential_at_thread_counts() {
     assert_eq!(fit(&sharded, &cfg), whole);
 
     for t in [1usize, 2, 7] {
-        let rec = Recorder::enabled();
-        let par = DensitySketch::new(3, &cfg)
-            .unwrap()
-            .fit_obs(&sharded, threads(t), &rec)
-            .unwrap();
+        let par = par_fit(&sharded, &cfg, t);
         assert_eq!(par, whole, "threads {t} diverged from sequential fit");
-        assert_eq!(rec.counter(Counter::SketchUpdates), 10_000);
-        assert_eq!(
-            rec.counter(Counter::SketchMerges),
-            (10_000usize).div_ceil(CHUNK_POINTS) as u64
-        );
+        assert_eq!(par.points_ingested(), 10_000);
+        assert_eq!(par_fit(&ds, &cfg, t), whole, "threads {t}, memory");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -180,10 +179,6 @@ proptest! {
             prop_assert_eq!(&merged, &whole);
         }
 
-        let par = DensitySketch::new(2, &cfg)
-            .unwrap()
-            .fit_obs(&ds, threads(t), &Recorder::disabled())
-            .unwrap();
-        prop_assert_eq!(&par, &whole);
+        prop_assert_eq!(&par_fit(&ds, &cfg, t), &whole);
     }
 }
