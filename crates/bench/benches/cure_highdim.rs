@@ -1,7 +1,7 @@
 //! High-dimension CURE merge-loop scaling: the 16-d cliff curve.
 //!
 //! PR 7's shard bench exposed a merge-loop degeneration on tight
-//! high-dimensional blobs: `hierarchical_cluster` at d=16 ran in ~190 ms at
+//! high-dimensional blobs: the accelerated merge loop at d=16 ran in ~190 ms at
 //! n=1200 but exceeded 300 s at n=1500. This bench records the wall-clock
 //! curve for that exact workload (the shard bench's 10-component diagonal
 //! mixture, sigma 0.03), plus every merge-loop counter, as JSON lines to
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use dbs_bench::emit;
 use dbs_cluster::{
-    hierarchical_cluster_obs, hierarchical_cluster_reference, Clustering, HierarchicalConfig,
+    hierarchical_cluster_reference, partitioned_cluster_obs, Clustering, HierarchicalConfig,
 };
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::Dataset;
@@ -77,7 +77,7 @@ fn timed_run(phase: &str, dim: usize, n: usize) -> Clustering {
     let data = workload(dim, n);
     let rec = Recorder::enabled();
     let t0 = Instant::now();
-    let res = hierarchical_cluster_obs(&data, &config(1), &rec).expect("cluster");
+    let res = partitioned_cluster_obs(&data, &config(1), &rec).expect("cluster");
     let wall_ns = t0.elapsed().as_nanos();
     let mut counters = String::new();
     for c in Counter::ALL {
@@ -143,7 +143,7 @@ fn main() {
     let mut ok = true;
     for t in [1usize, 2, 7] {
         let fast =
-            hierarchical_cluster_obs(&data, &config(t), &Recorder::disabled()).expect("cluster");
+            partitioned_cluster_obs(&data, &config(t), &Recorder::disabled()).expect("cluster");
         if fingerprint(&fast) != want {
             ok = false;
             eprintln!("parity FAILED at threads={t}");

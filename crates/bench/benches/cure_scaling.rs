@@ -1,7 +1,7 @@
 //! Merge-loop scaling of the CURE-style hierarchical clusterer: the
-//! heap + rep-index core (`hierarchical_cluster`) against the retained
-//! quadratic reference loop (`hierarchical_cluster_reference`) at the
-//! paper's Figure 2 sample sizes.
+//! heap + rep-index core (`partitioned_cluster` at `p = 1`) against the
+//! retained quadratic reference loop (`hierarchical_cluster_reference`) at
+//! the paper's Figure 2 sample sizes.
 //!
 //! The two cores are bit-identical (`tests/hierarchical_parity.rs`), so
 //! any gap is pure merge-loop mechanics: lazy-deletion heap pops versus
@@ -19,7 +19,7 @@ use std::num::NonZeroUsize;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbs_bench::bench_workload;
-use dbs_cluster::{hierarchical_cluster, hierarchical_cluster_reference, HierarchicalConfig};
+use dbs_cluster::{hierarchical_cluster_reference, partitioned_cluster, HierarchicalConfig};
 
 fn cure_scaling(c: &mut Criterion) {
     let full_ref = std::env::var("CURE_SCALING_FULL_REF").is_ok_and(|v| v == "1");
@@ -32,7 +32,7 @@ fn cure_scaling(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.sample_size(if n >= 50_000 { 2 } else { 10 });
         group.bench_with_input(BenchmarkId::new("accelerated", 1), &n, |bench, _| {
-            bench.iter(|| hierarchical_cluster(&synth.data, &config).expect("clusters"));
+            bench.iter(|| partitioned_cluster(&synth.data, &config).expect("clusters"));
         });
         if n < 50_000 || full_ref {
             group.sample_size(2);

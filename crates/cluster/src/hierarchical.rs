@@ -25,7 +25,7 @@
 //! scans per merge: one to find the globally closest pair, one to refresh
 //! every cluster's closest pointer against the merged cluster (plus full
 //! `O(live · c²)` rescans whenever a pointer goes stale). That cost is
-//! exactly the paper's Figure 2 bottleneck. [`hierarchical_cluster`] now
+//! exactly the paper's Figure 2 bottleneck. [`crate::partitioned_cluster`]
 //! runs an accelerated core instead:
 //!
 //! * closest-pair selection pops a **lazy-deletion binary min-heap** of
@@ -57,7 +57,7 @@ use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
 
 use dbs_core::metric::euclidean_sq;
-use dbs_core::obs::{Counter, Recorder, Tally};
+use dbs_core::obs::{Counter, Tally};
 use dbs_core::{par, stats, Dataset, Error, Result};
 use dbs_spatial::{KdTree, RepIndex};
 
@@ -105,14 +105,14 @@ pub struct HierarchicalConfig {
     /// split on the fixed 4096-point chunk grid (chunk `c` goes to
     /// partition `c % p`), each partition is pre-clustered independently,
     /// and the partial clusters are merged in a final pass. `1` (the
-    /// default) clusters everything in one partition — bit-identical to
-    /// [`hierarchical_cluster`]. Ignored by the single-phase entry points.
+    /// default, and the paper's setting) runs the single-phase merge loop
+    /// over the whole input.
     pub partitions: usize,
     /// Pre-clustering reduction factor `q`: each partition of `n_j` points
     /// is pre-clustered down to `max(k, ceil(n_j / q))` partial clusters
     /// before the final merge pass (CURE §4.3 recommends a small constant;
-    /// larger values shrink the final pass at some quality risk). Ignored
-    /// by the single-phase entry points.
+    /// larger values shrink the final pass at some quality risk). Unused at
+    /// `partitions == 1`, though `0` is still rejected.
     pub pre_cluster_factor: usize,
     /// Worker threads for the setup phase (kd-tree construction and the
     /// initial nearest-neighbor scan) and for partition pre-clustering. The
@@ -158,7 +158,7 @@ impl HierarchicalConfig {
     }
 }
 
-/// A cluster produced by [`hierarchical_cluster`].
+/// A cluster produced by [`crate::partitioned_cluster`].
 #[derive(Debug, Clone)]
 pub struct FoundCluster {
     /// Indices of member points in the input dataset.
@@ -330,24 +330,12 @@ fn initial_trim_threshold_sq(
     n: usize,
     dim: usize,
 ) -> Option<f64> {
-    let nn: Vec<f64> = clusters.iter().map(|c| c.closest_dist).collect();
-    trim_threshold_from_nn(&nn, config, n, dim)
-}
-
-/// [`initial_trim_threshold_sq`] from a raw slice of initial squared NN
-/// distances. The partitioned path also uses this to derive the map-back
-/// noise threshold from the concatenated per-partition NN distances.
-pub(crate) fn trim_threshold_from_nn(
-    nn: &[f64],
-    config: &HierarchicalConfig,
-    n: usize,
-    dim: usize,
-) -> Option<f64> {
     if config.trim_min_size == 0 || n <= config.num_clusters {
         return None;
     }
+    let nn: Vec<f64> = clusters.iter().map(|c| c.closest_dist).collect();
     let q = config.trim_nn_quantile.clamp(0.0, 1.0);
-    let base = stats::quantile(nn, q);
+    let base = stats::quantile(&nn, q);
     // Distances concentrate with dimension: a density ratio rho between
     // cluster interiors and noise shows up as a distance ratio of only
     // rho^(1/d). The configured factor is interpreted at d = 2 and
@@ -374,19 +362,12 @@ fn trim_min_size(config: &HierarchicalConfig, n: usize, trim_round: u32) -> usiz
 /// One trim pass (shared by both cores): deactivates every active cluster
 /// smaller than `min_size`, in ascending id order, stopping once `live`
 /// reaches `k`. Returns the ids trimmed (empty when nothing qualified).
-fn trim_pass(
-    clusters: &mut [Agglo],
-    live: &mut usize,
-    noise: &mut Vec<u32>,
-    min_size: usize,
-    k: usize,
-) -> Vec<usize> {
+fn trim_pass(clusters: &mut [Agglo], live: &mut usize, min_size: usize, k: usize) -> Vec<usize> {
     let mut trimmed = Vec::new();
     for (id, c) in clusters.iter_mut().enumerate() {
         if c.active && c.members.len() < min_size && *live > k {
             c.active = false;
             *live -= 1;
-            noise.extend_from_slice(&c.members);
             trimmed.push(id);
         }
     }
@@ -676,11 +657,10 @@ fn insert_candidate(list: &mut CandList, dist: f64, owner: u32, rep_gen: u32) {
     }
 }
 
-/// Resumable noise-trim trigger state: the next squared-distance threshold
-/// (`None` when trimming is disabled or exhausted its preconditions) and
-/// how many trim rounds have fired. The partitioned path carries this
-/// across the phase boundary so a `p = 1` run is a pure continuation of
-/// the single-phase loop.
+/// Noise-trim trigger state: the next squared-distance threshold (`None`
+/// when trimming is disabled or exhausted its preconditions) and how many
+/// trim rounds have fired. Phase B of the partitioned path starts from the
+/// state its partitions reached in phase A.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TrimState {
     pub(crate) next_sq: Option<f64>,
@@ -688,9 +668,13 @@ pub(crate) struct TrimState {
 }
 
 impl TrimState {
-    /// The single-phase initial state for `clusters` fresh out of
-    /// [`init_singletons`].
-    fn initial(clusters: &[Agglo], config: &HierarchicalConfig, n: usize, dim: usize) -> TrimState {
+    /// The initial state for `clusters` fresh out of [`init_singletons`].
+    pub(crate) fn initial(
+        clusters: &[Agglo],
+        config: &HierarchicalConfig,
+        n: usize,
+        dim: usize,
+    ) -> TrimState {
         TrimState {
             next_sq: initial_trim_threshold_sq(clusters, config, n, dim),
             round: 0,
@@ -702,31 +686,19 @@ impl TrimState {
 /// recomputation, bbox-pruned broadcast. Mutates `clusters` in place and
 /// returns the live cluster count.
 ///
-/// Generalized for the partitioned path:
 /// * every cluster in `clusters` must be active on entry;
-/// * the loop merges until `live <= stop_live` (the single-phase callers
-///   pass `k`; partition pre-clustering passes its larger partial-cluster
-///   target — the trim *floor* stays `k` in every phase, so a `p = 1`
-///   two-phase run trims exactly like the single-phase loop);
-/// * `trim` carries the distance-trigger state across phases;
+/// * the loop merges until `live <= stop_live` (`k`, or partition
+///   pre-clustering's larger partial-cluster target); the trim *floor*
+///   stays `k`;
+/// * `trim` is the distance-trigger state, updated in place;
 /// * `reseed_pointers` recomputes every closest pointer (lexicographic
 ///   `(dist, id)` minimum) before merging — required when `clusters` was
-///   assembled from parts whose pointers do not span the whole id space.
-///   Continuation callers (`p = 1` phase B) instead pass `false` and keep
-///   the carried pointers: a maintained pointer keeps the incumbent on
-///   exact distance ties where a recomputation would pick the lowest id,
-///   so recomputing could change the merge sequence.
-///
-/// On every exit with `live > config.num_clusters`, all active closest
-/// pointers target active clusters (the trim branch refreshes stale
-/// pointers before stopping), so a later loop invocation can resume from
-/// the carried state.
-#[allow(clippy::too_many_arguments)]
+///   assembled from partitions, whose pointers are unset. Fresh singletons
+///   pass `false` and keep their kd-tree nearest-neighbor pointers.
 pub(crate) fn run_merge_loop(
     data: &Dataset,
     config: &HierarchicalConfig,
     clusters: &mut [Agglo],
-    noise: &mut Vec<u32>,
     stop_live: usize,
     trim: &mut TrimState,
     reseed_pointers: bool,
@@ -851,12 +823,12 @@ pub(crate) fn run_merge_loop(
             let min_size = trim_min_size(config, n_points, trim.round);
             trim.round += 1;
             let u_gen = gens[u];
-            let trimmed = trim_pass(clusters, &mut live, noise, min_size, k);
+            let trimmed = trim_pass(clusters, &mut live, min_size, k);
             for &id in &trimmed {
                 index.remove_all(id as u32, &clusters[id].reps);
                 deactivate(&mut active_ids, &mut active_pos, id);
             }
-            if live <= k {
+            if live <= stop_live {
                 break;
             }
             if !trimmed.is_empty() {
@@ -886,13 +858,6 @@ pub(crate) fn run_merge_loop(
                 // the refresh already replaced it (or `u` was trimmed).
                 if clusters[u].active && gens[u] == u_gen {
                     push_current(&mut heap, &gens, clusters, u);
-                }
-                // A pre-clustering phase (stop_live > k) stops here only
-                // *after* the stale-pointer refresh above, so the carried
-                // pointers stay resumable. Unreachable when stop_live == k
-                // (the `live <= k` break already fired).
-                if live <= stop_live {
-                    break;
                 }
                 continue; // re-select the closest pair among survivors
             }
@@ -982,7 +947,6 @@ fn run_merge_loop_reference(
     data: &Dataset,
     config: &HierarchicalConfig,
     clusters: &mut [Agglo],
-    noise: &mut Vec<u32>,
 ) -> usize {
     let n = clusters.len();
     let dim = data.dim();
@@ -1027,7 +991,7 @@ fn run_merge_loop_reference(
             next_trim_sq = Some(next_trim_sq.expect("checked above").max(best) * 4.0);
             let min_size = trim_min_size(config, n, trim_round);
             trim_round += 1;
-            let trimmed = trim_pass(clusters, &mut live, noise, min_size, k);
+            let trimmed = trim_pass(clusters, &mut live, min_size, k);
             if live <= k {
                 break;
             }
@@ -1078,68 +1042,12 @@ fn run_merge_loop_reference(
     live
 }
 
-/// Runs the CURE-style hierarchical algorithm on `data` (typically a
-/// sample).
-///
-/// Errors if the dataset is empty or the target cluster count is zero.
-///
-/// # Examples
-///
-/// ```
-/// use dbs_cluster::{hierarchical_cluster, HierarchicalConfig};
-/// use dbs_core::Dataset;
-///
-/// // Two blobs of 30 points each.
-/// let mut rows = vec![];
-/// for i in 0..30 {
-///     rows.push(vec![0.2 + (i % 6) as f64 * 0.01, 0.2 + (i / 6) as f64 * 0.01]);
-///     rows.push(vec![0.8 + (i % 6) as f64 * 0.01, 0.8 + (i / 6) as f64 * 0.01]);
-/// }
-/// let data = Dataset::from_rows(&rows)?;
-/// let result = hierarchical_cluster(&data, &HierarchicalConfig::paper_defaults(2))?;
-///
-/// assert_eq!(result.clusters.len(), 2);
-/// assert!(result.clusters.iter().all(|c| c.members.len() == 30));
-/// # Ok::<(), dbs_core::Error>(())
-/// ```
-pub fn hierarchical_cluster(data: &Dataset, config: &HierarchicalConfig) -> Result<Clustering> {
-    hierarchical_cluster_obs(data, config, &Recorder::disabled())
-}
-
-/// [`hierarchical_cluster`] with metrics: heap pops (total and stale),
-/// rep-index nearest-owner queries, and merges performed are accumulated
-/// in a local tally during the serial merge loop and merged into
-/// `recorder` once at the end. The clustering is byte-identical to the
-/// plain entry point (which is this function with a disabled recorder).
-pub fn hierarchical_cluster_obs(
-    data: &Dataset,
-    config: &HierarchicalConfig,
-    recorder: &Recorder,
-) -> Result<Clustering> {
-    validate(data, config)?;
-    let mut clusters = init_singletons(data, config);
-    let mut noise: Vec<u32> = Vec::new();
-    let mut tally = Tally::default();
-    let mut trim = TrimState::initial(&clusters, config, data.len(), data.dim());
-    let live = run_merge_loop(
-        data,
-        config,
-        &mut clusters,
-        &mut noise,
-        config.num_clusters,
-        &mut trim,
-        false,
-        &mut tally,
-    );
-    recorder.merge(&tally);
-    Ok(assemble(clusters, data.len(), live))
-}
-
-/// [`hierarchical_cluster`] through the retained pre-acceleration merge
-/// loop: per-merge linear scans and full `recompute_closest` rescans.
+/// Single-phase CURE clustering through the retained pre-acceleration
+/// merge loop: per-merge linear scans and full `recompute_closest` rescans.
 ///
 /// This path exists as the executable specification of the merge sequence:
-/// the accelerated core must produce bit-identical [`Clustering`] output
+/// the accelerated core ([`crate::partitioned_cluster`] at `p = 1`) must
+/// produce bit-identical [`Clustering`] output
 /// (`tests/hierarchical_parity.rs` property-tests it) and the
 /// `cure_scaling` bench measures the speedup against it. It is quadratic
 /// with a large constant — do not use it for real workloads.
@@ -1149,14 +1057,14 @@ pub fn hierarchical_cluster_reference(
 ) -> Result<Clustering> {
     validate(data, config)?;
     let mut clusters = init_singletons(data, config);
-    let mut noise: Vec<u32> = Vec::new();
-    let live = run_merge_loop_reference(data, config, &mut clusters, &mut noise);
+    let live = run_merge_loop_reference(data, config, &mut clusters);
     Ok(assemble(clusters, data.len(), live))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partitioned_cluster;
     use dbs_core::rng::seeded;
     use rand::Rng;
 
@@ -1181,7 +1089,7 @@ mod tests {
 
     /// Asserts the two cores agree bit for bit on every output field.
     fn assert_cores_agree(ds: &Dataset, cfg: &HierarchicalConfig) {
-        let fast = hierarchical_cluster(ds, cfg).unwrap();
+        let fast = partitioned_cluster(ds, cfg).unwrap();
         let reference = hierarchical_cluster_reference(ds, cfg).unwrap();
         assert_eq!(fast.assignments, reference.assignments);
         assert_eq!(fast.clusters.len(), reference.clusters.len());
@@ -1195,7 +1103,7 @@ mod tests {
     #[test]
     fn separates_well_separated_blobs() {
         let (ds, labels) = blobs(4, 50, 1);
-        let res = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(4)).unwrap();
+        let res = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(4)).unwrap();
         assert_eq!(res.clusters.len(), 4);
         // Every found cluster must be label-pure.
         for cluster in &res.clusters {
@@ -1207,7 +1115,7 @@ mod tests {
     #[test]
     fn assignments_match_clusters() {
         let (ds, _) = blobs(3, 30, 2);
-        let res = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(3)).unwrap();
+        let res = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(3)).unwrap();
         for (id, cluster) in res.clusters.iter().enumerate() {
             for &m in &cluster.members {
                 assert_eq!(res.assignments[m], id);
@@ -1221,7 +1129,7 @@ mod tests {
     #[test]
     fn representatives_are_shrunk_into_cluster() {
         let (ds, _) = blobs(2, 100, 3);
-        let res = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(2)).unwrap();
+        let res = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(2)).unwrap();
         for cluster in &res.clusters {
             assert!(cluster.representatives.len() <= 10);
             assert!(!cluster.representatives.is_empty());
@@ -1258,7 +1166,7 @@ mod tests {
         }
         let mut cfg = HierarchicalConfig::paper_defaults(2);
         cfg.trim_min_size = 0;
-        let res = hierarchical_cluster(&ds, &cfg).unwrap();
+        let res = partitioned_cluster(&ds, &cfg).unwrap();
         assert_eq!(res.clusters.len(), 2);
         let mut sizes: Vec<usize> = res.clusters.iter().map(|c| c.members.len()).collect();
         sizes.sort_unstable();
@@ -1274,7 +1182,7 @@ mod tests {
             ds.push(&[rng.gen::<f64>(), 0.9 + rng.gen::<f64>() * 0.1])
                 .unwrap();
         }
-        let res = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(2)).unwrap();
+        let res = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(2)).unwrap();
         assert_eq!(res.clusters.len(), 2);
         let noise = res.assignments.iter().filter(|&&a| a == NOISE).count();
         assert!(noise > 0, "expected some noise points to be trimmed");
@@ -1299,7 +1207,7 @@ mod tests {
         let (ds, _) = blobs(1, 5, 7);
         let mut cfg = HierarchicalConfig::paper_defaults(5);
         cfg.trim_min_size = 0;
-        let res = hierarchical_cluster(&ds, &cfg).unwrap();
+        let res = partitioned_cluster(&ds, &cfg).unwrap();
         assert_eq!(res.clusters.len(), 5);
         assert!(res.clusters.iter().all(|c| c.members.len() == 1));
     }
@@ -1307,7 +1215,7 @@ mod tests {
     #[test]
     fn k_larger_than_n_keeps_all_points() {
         let (ds, _) = blobs(1, 3, 8);
-        let res = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(10)).unwrap();
+        let res = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(10)).unwrap();
         assert_eq!(res.clusters.len(), 3);
     }
 
@@ -1315,36 +1223,36 @@ mod tests {
     fn rejects_degenerate_inputs() {
         let (ds, _) = blobs(1, 10, 9);
         assert!(
-            hierarchical_cluster(&Dataset::new(2), &HierarchicalConfig::paper_defaults(2)).is_err()
+            partitioned_cluster(&Dataset::new(2), &HierarchicalConfig::paper_defaults(2)).is_err()
         );
-        assert!(hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(0)).is_err());
+        assert!(partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(0)).is_err());
         let mut bad = HierarchicalConfig::paper_defaults(2);
         bad.shrink_factor = 1.5;
-        assert!(hierarchical_cluster(&ds, &bad).is_err());
+        assert!(partitioned_cluster(&ds, &bad).is_err());
         bad = HierarchicalConfig::paper_defaults(2);
         bad.num_representatives = 0;
-        assert!(hierarchical_cluster(&ds, &bad).is_err());
+        assert!(partitioned_cluster(&ds, &bad).is_err());
         assert!(hierarchical_cluster_reference(&Dataset::new(2), &bad).is_err());
     }
 
     #[test]
     fn deterministic() {
         let (ds, _) = blobs(3, 40, 10);
-        let a = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(3)).unwrap();
-        let b = hierarchical_cluster(&ds, &HierarchicalConfig::paper_defaults(3)).unwrap();
+        let a = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(3)).unwrap();
+        let b = partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(3)).unwrap();
         assert_eq!(a.assignments, b.assignments);
     }
 
     #[test]
     fn result_is_identical_for_every_thread_count() {
         let (ds, _) = blobs(3, 60, 11);
-        let serial = hierarchical_cluster(
+        let serial = partitioned_cluster(
             &ds,
             &HierarchicalConfig::paper_defaults(3).with_parallelism(NonZeroUsize::new(1).unwrap()),
         )
         .unwrap();
         for t in [2usize, 7] {
-            let par = hierarchical_cluster(
+            let par = partitioned_cluster(
                 &ds,
                 &HierarchicalConfig::paper_defaults(3)
                     .with_parallelism(NonZeroUsize::new(t).unwrap()),
@@ -1363,7 +1271,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows).unwrap();
         let mut cfg = HierarchicalConfig::paper_defaults(2);
         cfg.trim_min_size = 0;
-        let res = hierarchical_cluster(&ds, &cfg).unwrap();
+        let res = partitioned_cluster(&ds, &cfg).unwrap();
         assert_eq!(res.clusters.len(), 2);
         for c in &res.clusters {
             assert_eq!(c.members.len(), 50);
@@ -1379,7 +1287,7 @@ mod tests {
             let mut cfg = HierarchicalConfig::paper_defaults(k);
             cfg.trim_min_size = 0;
             assert_cores_agree(&ds, &cfg);
-            let res = hierarchical_cluster(&ds, &cfg).unwrap();
+            let res = partitioned_cluster(&ds, &cfg).unwrap();
             assert_eq!(res.clusters.len(), 5);
         }
     }
@@ -1420,7 +1328,7 @@ mod tests {
         let mut cfg = HierarchicalConfig::paper_defaults(2);
         cfg.trim_min_size = 3;
         cfg.trim_size_divisor = usize::MAX; // keep the bar at trim_min_size
-        let res = hierarchical_cluster(&ds, &cfg).unwrap();
+        let res = partitioned_cluster(&ds, &cfg).unwrap();
         assert_eq!(res.clusters.len(), 2);
         assert_eq!(res.assignments[60], NOISE);
         assert_eq!(res.assignments[61], NOISE);

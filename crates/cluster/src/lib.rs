@@ -9,6 +9,9 @@
 //!   closest representatives merge until the target count remains. This is
 //!   the algorithm the paper runs on both biased and uniform samples
 //!   (settings from §4.2: `α = 0.3`, 10 representatives, one partition).
+//!   Its entry point is [`partitioned_cluster`]: at the default `p = 1` it
+//!   runs the single-phase merge loop over the whole input, and the
+//!   pre-clustering factor `q` is unused.
 //! * [`birch`] — the BIRCH comparison method \[31\]: a CF-tree summarizing
 //!   the *entire* dataset under a memory budget equal to the sample size,
 //!   followed by hierarchical global clustering of the leaf entries.
@@ -30,8 +33,7 @@ pub mod partitioned;
 pub use birch::{Birch, BirchClustering, BirchConfig};
 pub use eval::{clusters_found, clusters_found_by_centers, EvalConfig};
 pub use hierarchical::{
-    hierarchical_cluster, hierarchical_cluster_obs, hierarchical_cluster_reference, Clustering,
-    FoundCluster, HierarchicalConfig, NOISE,
+    hierarchical_cluster_reference, Clustering, FoundCluster, HierarchicalConfig, NOISE,
 };
 pub use partitioned::{
     map_back_labels, map_back_labels_obs, partitioned_cluster, partitioned_cluster_obs,

@@ -10,7 +10,9 @@
 //!   thread schedule), pre-cluster each partition down to
 //!   `max(k, ceil(n_j / q))` partial clusters with the heap-accelerated
 //!   merge loop, then merge the partial clusters' representative sets in a
-//!   final pass over the whole id space.
+//!   final pass over the whole id space. At `p = 1` (the paper's setting)
+//!   there is no pre-clustering: the merge loop runs once over the whole
+//!   input and `q` is unused.
 //! * [`sample_fed_cluster`] — cluster a (density-biased) sample standing in
 //!   for the full dataset, then assign every original point via map-back.
 //! * [`map_back_labels`] — assign each point of the full dataset to the
@@ -22,28 +24,22 @@
 //! # Determinism contract
 //!
 //! The partitioned path is bit-reproducible at every thread count, and its
-//! `p = 1` degenerate case is **bit-identical** to [`hierarchical_cluster`](crate::hierarchical_cluster)
+//! `p = 1` case is **bit-identical** to the reference loop
+//! [`hierarchical_cluster_reference`](crate::hierarchical_cluster_reference)
 //! (`tests/hierarchical_parity.rs` property-tests this):
 //!
 //! * partition membership is a pure function of `(n, p)` on the fixed
 //!   chunk grid; partitions are pre-clustered through the par executor and
-//!   their partials concatenated in partition order, ascending local id —
-//!   for `p = 1` that is exactly the original ascending id order;
-//! * a `p = 1` run carries the merge-loop state (closest pointers remapped
-//!   through an order-preserving id compaction, plus the trim trigger
-//!   state) across the phase boundary, making phase B a pure continuation
-//!   of the single-phase loop. Recomputing pointers instead could diverge
-//!   on exact distance ties: a maintained pointer keeps its incumbent,
-//!   while a fresh lex-min computation picks the lowest id. The merge
-//!   loop's candidate caches need no remapping: they are loop-local
-//!   (rebuilt lazily inside each `run_merge_loop` invocation), and a
-//!   candidate fallback returns the same lex-min pair a full rescan would,
-//!   so the continuation semantics are unchanged;
-//! * for `p > 1` the carried pointers are partition-local, so phase B
-//!   reseeds every pointer as the lexicographic `(dist, id)` minimum via
-//!   the rep index before merging — deterministic regardless of insertion
-//!   or thread order (the reseed doubles as the candidate-cache warmup:
-//!   each cluster's list is rebuilt from its k-nearest query);
+//!   their partials concatenated in partition order, ascending local id;
+//! * phase B reseeds every closest pointer as the lexicographic
+//!   `(dist, id)` minimum via the rep index before merging — deterministic
+//!   regardless of insertion or thread order (the reseed doubles as the
+//!   candidate-cache warmup: each cluster's list is rebuilt from its
+//!   k-nearest query);
+//! * phase B's noise trim resumes from the smallest pending trigger
+//!   distance and the **lowest** trim round any non-empty partition
+//!   reached, so a partition that never trimmed keeps its small partials
+//!   eligible under the first round's gentle survival bar;
 //! * the map-back noise threshold is calibrated on the sample clustering
 //!   itself: the largest squared distance from any sample member to the
 //!   nearest representative of **its own** cluster, times a fixed slack.
@@ -62,32 +58,19 @@ use dbs_core::{par, BoundingBox, Dataset, Error, PointSource, Result};
 use dbs_spatial::RepIndex;
 
 use crate::hierarchical::{
-    assemble, init_singletons, run_merge_loop, trim_threshold_from_nn, validate, Agglo, Clustering,
-    FoundCluster, HierarchicalConfig, TrimState, NOISE,
+    assemble, init_singletons, run_merge_loop, validate, Agglo, Clustering, FoundCluster,
+    HierarchicalConfig, TrimState, NOISE,
 };
 
 /// Everything phase B needs from one pre-clustered partition.
 struct PartitionOutput {
-    /// Compacted surviving clusters: members hold indices into the *input*
-    /// dataset; closest pointers are partition-local compact ids.
+    /// Surviving clusters in ascending id order: members hold indices into
+    /// the *input* dataset; closest pointers are unset (phase B reseeds).
     aggs: Vec<Agglo>,
-    /// Carried trim-trigger state at the phase boundary.
+    /// Trim-trigger state at the end of phase A.
     trim: TrimState,
     /// Phase-A observability (merged into the caller in partition order).
     tally: Tally,
-}
-
-impl PartitionOutput {
-    fn empty() -> Self {
-        PartitionOutput {
-            aggs: Vec::new(),
-            trim: TrimState {
-                next_sq: None,
-                round: 0,
-            },
-            tally: Tally::default(),
-        }
-    }
 }
 
 /// The input indices of partition `part`: every chunk `c` of the fixed
@@ -104,72 +87,86 @@ fn partition_indices(n: usize, partitions: usize, chunk_points: usize, part: usi
 }
 
 /// Pre-clusters one partition down to `max(k, ceil(n_j / q))` partial
-/// clusters and compacts the survivors (ascending id order preserved).
-/// `globals` maps partition-local point indices back to input indices
-/// (`None` for the identity, i.e. the single-partition fast path).
-fn precluster(
-    data: &Dataset,
-    globals: Option<&[usize]>,
-    config: &HierarchicalConfig,
-) -> PartitionOutput {
+/// clusters and keeps the survivors in ascending id order. `globals` maps
+/// partition-local point indices back to input indices.
+fn precluster(data: &Dataset, globals: &[usize], config: &HierarchicalConfig) -> PartitionOutput {
     let mut tally = Tally::default();
     let mut clusters = init_singletons(data, config);
-    let nn_dists: Vec<f64> = clusters.iter().map(|c| c.closest_dist).collect();
-    let mut trim = TrimState {
-        next_sq: trim_threshold_from_nn(&nn_dists, config, data.len(), data.dim()),
-        round: 0,
-    };
+    let mut trim = TrimState::initial(&clusters, config, data.len(), data.dim());
     let stop = config
         .num_clusters
         .max(data.len().div_ceil(config.pre_cluster_factor));
-    let mut noise: Vec<u32> = Vec::new();
     run_merge_loop(
         data,
         config,
         &mut clusters,
-        &mut noise,
         stop,
         &mut trim,
         false,
         &mut tally,
     );
-    // Compact the survivors, preserving relative id order (so every later
-    // `(dist, id)` comparison orders exactly as it would have pre-compaction)
-    // and remapping the carried closest pointers into compact ids.
-    let mut id_map = vec![usize::MAX; clusters.len()];
-    let mut next = 0usize;
-    for (old, c) in clusters.iter().enumerate() {
-        if c.active {
-            id_map[old] = next;
-            next += 1;
-        }
-    }
-    let mut aggs = Vec::with_capacity(next);
-    for (old, mut c) in clusters.into_iter().enumerate() {
-        if id_map[old] == usize::MAX {
-            continue;
-        }
-        if let Some(globals) = globals {
+    let aggs = clusters
+        .into_iter()
+        .filter(|c| c.active)
+        .map(|mut c| {
             for m in &mut c.members {
                 *m = globals[*m as usize] as u32;
             }
-        }
-        if c.closest == usize::MAX || id_map[c.closest] == usize::MAX {
-            // A pointer into a trimmed cluster survives only when the loop
-            // exited at `live <= k`, in which case no later phase merges —
-            // park the pointer so it can never alias a compact id.
             c.closest = usize::MAX;
             c.closest_dist = f64::INFINITY;
-        } else {
-            c.closest = id_map[c.closest];
-        }
-        aggs.push(c);
-    }
+            c
+        })
+        .collect();
     PartitionOutput { aggs, trim, tally }
 }
 
-/// Shared core: phase A over the partitions, phase B over the partials.
-/// Returns the final clusters and the live count.
+/// Phase A: pre-clusters each non-empty partition through the par
+/// executor and concatenates the partials (partition order, ascending
+/// local id), with the trim state phase B resumes from.
+///
+/// Every task is a pure function of (data, config, partition id), so the
+/// partials are schedule-independent. Trimming resumes at the lowest round
+/// any partition reached: a partition that never trimmed still holds small
+/// partials that are real-cluster fragments, which a later round's higher
+/// survival bar would discard wholesale.
+fn precluster_partitions(
+    data: &Dataset,
+    config: &HierarchicalConfig,
+    chunk_points: usize,
+    tally: &mut Tally,
+) -> (Vec<Agglo>, TrimState) {
+    let n = data.len();
+    let p = config.partitions;
+    let inner = config.clone().with_parallelism(par::serial());
+    let partials: Vec<Option<PartitionOutput>> = par::par_tasks(p, config.parallelism, |j| {
+        let indices = partition_indices(n, p, chunk_points, j);
+        (!indices.is_empty()).then(|| precluster(&data.select(&indices), &indices, &inner))
+    });
+    let mut clusters: Vec<Agglo> = Vec::new();
+    let mut trim = TrimState {
+        next_sq: None,
+        round: u32::MAX,
+    };
+    // Pre-merges are the phase-A subset of ClusterMerges.
+    let mut pre_merges = 0u64;
+    for part in partials.into_iter().flatten() {
+        pre_merges += part.tally.get(Counter::ClusterMerges);
+        tally.merge(&part.tally);
+        trim.round = trim.round.min(part.trim.round);
+        trim.next_sq = match (trim.next_sq, part.trim.next_sq) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        clusters.extend(part.aggs);
+    }
+    tally.add(Counter::PartitionPreMerges, pre_merges);
+    (clusters, trim)
+}
+
+/// Shared core: at `p = 1` the single-phase merge loop over singletons;
+/// otherwise phase A over the partitions, then phase B merges the
+/// partials down to `k` after reseeding every closest pointer over the
+/// whole id space. Returns the final clusters and the live count.
 pub(crate) fn partitioned_core(
     data: &Dataset,
     config: &HierarchicalConfig,
@@ -192,94 +189,66 @@ pub(crate) fn partitioned_core(
             "pre_cluster_factor must be >= 1".into(),
         ));
     }
-    let k = config.num_clusters;
-
-    // Phase A: pre-cluster each partition through the par executor. Every
-    // task is a pure function of (data, config, partition id), so the
-    // partials are schedule-independent; they are consumed in partition
-    // order below.
-    let inner = if p == 1 {
-        config.clone()
+    let (mut clusters, mut trim, reseed) = if p == 1 {
+        let clusters = init_singletons(data, config);
+        let trim = TrimState::initial(&clusters, config, n, data.dim());
+        (clusters, trim, false)
     } else {
-        config.clone().with_parallelism(par::serial())
+        let (clusters, trim) = precluster_partitions(data, config, chunk_points, tally);
+        (clusters, trim, true)
     };
-    let partials: Vec<PartitionOutput> = par::par_tasks(p, config.parallelism, |j| {
-        if p == 1 {
-            return precluster(data, None, &inner);
-        }
-        let indices = partition_indices(n, p, chunk_points, j);
-        if indices.is_empty() {
-            return PartitionOutput::empty();
-        }
-        precluster(&data.select(&indices), Some(&indices), &inner)
-    });
-
-    // Phase-A observability, merged in partition order; pre-merges are the
-    // phase-A subset of ClusterMerges.
-    let mut pre_merges = 0u64;
-    for part in &partials {
-        pre_merges += part.tally.get(Counter::ClusterMerges);
-        tally.merge(&part.tally);
-    }
-    tally.add(Counter::PartitionPreMerges, pre_merges);
-
-    // Phase B: concatenate the partials (partition order, ascending local
-    // id) and merge down to k. For p == 1 the carried pointers continue
-    // the single-phase merge sequence bit for bit; for p > 1 they are
-    // partition-local, so the loop reseeds them (lex-min recomputation).
-    let mut clusters: Vec<Agglo> = Vec::new();
-    let mut trim = TrimState {
-        next_sq: None,
-        round: 0,
-    };
-    for part in partials {
-        let base = clusters.len();
-        trim.round = trim.round.max(part.trim.round);
-        trim.next_sq = match (trim.next_sq, part.trim.next_sq) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        for mut agg in part.aggs {
-            if agg.closest != usize::MAX {
-                agg.closest += base;
-            }
-            clusters.push(agg);
-        }
-    }
-    let mut live = clusters.len();
-    let mut noise: Vec<u32> = Vec::new();
-    if live > k {
-        live = run_merge_loop(
-            data,
-            config,
-            &mut clusters,
-            &mut noise,
-            k,
-            &mut trim,
-            p > 1,
-            tally,
-        );
-    }
+    let live = run_merge_loop(
+        data,
+        config,
+        &mut clusters,
+        config.num_clusters,
+        &mut trim,
+        reseed,
+        tally,
+    );
     Ok((clusters, live))
 }
 
 /// CURE's partitioned clustering: pre-cluster `config.partitions`
 /// deterministic partitions in parallel, then merge the partial clusters.
 ///
-/// With `config.partitions == 1` (the default) the result is bit-identical
-/// to [`hierarchical_cluster`](crate::hierarchical_cluster); with more
-/// partitions the quadratic merge work drops by roughly a factor of `p`.
+/// With `config.partitions == 1` (the default) this is the CURE-style
+/// algorithm the paper runs on its samples: one merge loop over every
+/// point. With more partitions the quadratic merge work drops by roughly a
+/// factor of `p`.
 ///
 /// Errors on an empty dataset, `num_clusters == 0`, `partitions == 0`,
 /// `partitions > n`, or `pre_cluster_factor == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use dbs_cluster::{partitioned_cluster, HierarchicalConfig};
+/// use dbs_core::Dataset;
+///
+/// // Two blobs of 30 points each.
+/// let mut rows = vec![];
+/// for i in 0..30 {
+///     rows.push(vec![0.2 + (i % 6) as f64 * 0.01, 0.2 + (i / 6) as f64 * 0.01]);
+///     rows.push(vec![0.8 + (i % 6) as f64 * 0.01, 0.8 + (i / 6) as f64 * 0.01]);
+/// }
+/// let data = Dataset::from_rows(&rows)?;
+/// let result = partitioned_cluster(&data, &HierarchicalConfig::paper_defaults(2))?;
+///
+/// assert_eq!(result.clusters.len(), 2);
+/// assert!(result.clusters.iter().all(|c| c.members.len() == 30));
+/// # Ok::<(), dbs_core::Error>(())
+/// ```
 pub fn partitioned_cluster(data: &Dataset, config: &HierarchicalConfig) -> Result<Clustering> {
     partitioned_cluster_obs(data, config, &Recorder::disabled())
 }
 
-/// [`partitioned_cluster`] with metrics: everything the merge loop records,
-/// plus [`Counter::PartitionPreMerges`] (phase-A merges, a subset of
-/// [`Counter::ClusterMerges`]). Counter totals are identical at every
-/// thread count (partition tallies merge in partition order).
+/// [`partitioned_cluster`] with metrics: heap pops (total and stale),
+/// rep-index queries, candidate-cache hits and rebuilds, and merges, plus
+/// [`Counter::PartitionPreMerges`] (phase-A merges, a subset of
+/// [`Counter::ClusterMerges`]; zero at `p = 1`). Counter totals are
+/// identical at every thread count (partition tallies merge in partition
+/// order), and the clustering is byte-identical to the plain entry point.
 pub fn partitioned_cluster_obs(
     data: &Dataset,
     config: &HierarchicalConfig,
@@ -569,7 +538,7 @@ pub fn sample_target_size(n: usize, frac: f64) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchical::hierarchical_cluster;
+    use crate::hierarchical::hierarchical_cluster_reference;
     use dbs_core::rng::seeded;
     use rand::Rng;
 
@@ -610,9 +579,8 @@ mod tests {
     fn p1_is_bit_identical_to_single_phase() {
         let (ds, _) = blobs(3, 60, 8, 40);
         let base = HierarchicalConfig::paper_defaults(3);
-        let single = hierarchical_cluster(&ds, &base).unwrap();
-        // q = 1: phase A never merges (pure pointer carry); q = 3: a real
-        // phase split; q large: phase A runs the whole loop.
+        let single = hierarchical_cluster_reference(&ds, &base).unwrap();
+        // p = 1 runs the single-phase loop: q is unused.
         for q in [1usize, 3, 10_000] {
             let cfg = base.clone().with_partitions(1).with_pre_cluster_factor(q);
             let part = partitioned_cluster(&ds, &cfg).unwrap();
@@ -625,7 +593,7 @@ mod tests {
         let (ds, _) = blobs(4, 40, 0, 41);
         let mut base = HierarchicalConfig::paper_defaults(4);
         base.trim_min_size = 0;
-        let single = hierarchical_cluster(&ds, &base).unwrap();
+        let single = hierarchical_cluster_reference(&ds, &base).unwrap();
         let part = partitioned_cluster(
             &ds,
             &base.clone().with_partitions(1).with_pre_cluster_factor(4),
@@ -669,6 +637,38 @@ mod tests {
                 "p={p}: pre-merges are a subset of all merges"
             );
         }
+    }
+
+    /// Three blobs of 2000 points, one after another: on the production
+    /// chunk grid partition 0 holds two whole blobs and partition 1 the
+    /// third, so the two partitions end phase A at different trim rounds.
+    /// Phase B must resume at the lower round; resuming at the higher one
+    /// made its first trim discard nearly every partial as noise.
+    #[test]
+    fn multi_partition_trims_like_a_single_partition() {
+        let mut rng = seeded(11);
+        let mut ds = Dataset::with_capacity(2, 6000);
+        for c in 0..3 {
+            for _ in 0..2000 {
+                let c = c as f64;
+                ds.push(&[c + rng.gen::<f64>() * 0.2, c + rng.gen::<f64>() * 0.2])
+                    .unwrap();
+            }
+        }
+        let noise = |res: &Clustering| res.assignments.iter().filter(|&&a| a == NOISE).count();
+        let base = HierarchicalConfig::paper_defaults(3);
+        let single = partitioned_cluster(&ds, &base).unwrap();
+        let res = partitioned_cluster(&ds, &base.with_partitions(2)).unwrap();
+        assert_eq!(res.clusters.len(), 3);
+        for c in &res.clusters {
+            assert!(c.members.len() >= 1000, "cluster of {}", c.members.len());
+        }
+        assert!(
+            noise(&res) <= noise(&single) + ds.len() / 20,
+            "p = 2 marked {} noise, p = 1 marked {}",
+            noise(&res),
+            noise(&single)
+        );
     }
 
     #[test]
@@ -747,7 +747,7 @@ mod tests {
         let sample = full.select(&sample_idx);
         let mut cfg = HierarchicalConfig::paper_defaults(3);
         cfg.trim_min_size = 0;
-        let sample_clustering = hierarchical_cluster(&sample, &cfg).unwrap();
+        let sample_clustering = partitioned_cluster(&sample, &cfg).unwrap();
         let rec = Recorder::enabled();
         let full_clustering =
             map_back_labels_obs(&full, &sample_clustering, None, cfg.parallelism, &rec).unwrap();
@@ -783,7 +783,7 @@ mod tests {
         let sample = full.select(&sample_idx);
         let mut cfg = HierarchicalConfig::paper_defaults(2);
         cfg.trim_min_size = 0;
-        let sc = hierarchical_cluster(&sample, &cfg).unwrap();
+        let sc = partitioned_cluster(&sample, &cfg).unwrap();
         let strict = map_back_labels(&full, &sc, Some(1e-4), cfg.parallelism).unwrap();
         assert_eq!(strict.assignments[100], NOISE);
         let lax = map_back_labels(&full, &sc, None, cfg.parallelism).unwrap();
@@ -796,7 +796,7 @@ mod tests {
         let sample_idx: Vec<usize> = (0..full.len()).step_by(2).collect();
         let sample = full.select(&sample_idx);
         let cfg = HierarchicalConfig::paper_defaults(3);
-        let sc = hierarchical_cluster(&sample, &cfg).unwrap();
+        let sc = partitioned_cluster(&sample, &cfg).unwrap();
         let mut outputs = Vec::new();
         for t in [1usize, 2, 7] {
             let rec = Recorder::enabled();

@@ -21,37 +21,18 @@ pub struct MinMaxScaler {
 }
 
 impl MinMaxScaler {
-    /// Learns the per-dimension min/max of `data`.
+    /// Learns the per-dimension min/max of `data`: [`MinMaxScaler::fit_source`]
+    /// on one thread.
     ///
     /// Dimensions with zero spread map every value to `0.0` (and invert back
-    /// to the constant). Errors on an empty dataset, and with
+    /// to the constant). Errors on an empty dataset, with
     /// [`Error::NonFinite`] naming the first point with a NaN or infinite
     /// coordinate — every command fits a scaler first, so this one check
-    /// screens the input for every backend.
+    /// screens the input for every backend — and with
+    /// [`Error::InvalidParameter`] naming the first dimension whose
+    /// `max - min` overflows to infinity.
     pub fn fit(data: &Dataset) -> Result<Self> {
-        if data.is_empty() {
-            return Err(Error::InvalidParameter(
-                "cannot fit scaler on empty dataset".into(),
-            ));
-        }
-        if let Some(index) = data.iter().position(|p| !p.iter().all(|v| v.is_finite())) {
-            return Err(Error::NonFinite { index });
-        }
-        let bb = data
-            .bounding_box()
-            .expect("non-empty dataset has a bounding box");
-        let mins = bb.min().to_vec();
-        let ranges = (0..data.dim())
-            .map(|j| {
-                let r = bb.max()[j] - bb.min()[j];
-                if r > 0.0 {
-                    r
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Ok(MinMaxScaler { mins, ranges })
+        Self::fit_source(data, crate::par::serial())
     }
 
     /// The dimensionality the scaler was fitted on.
@@ -116,23 +97,22 @@ impl MinMaxScaler {
     /// pass, without materializing it.
     ///
     /// Min/max merging is exactly associative, so the fitted scaler — or
-    /// the [`Error::NonFinite`] naming the first bad point — is identical to
-    /// [`MinMaxScaler::fit`] on the materialized data, at every thread count
-    /// and for every storage backing.
+    /// the error — is identical at every thread count and for every storage
+    /// backing. See [`MinMaxScaler::fit`] for the errors.
     pub fn fit_source<S: PointSource + ?Sized>(source: &S, threads: NonZeroUsize) -> Result<Self> {
         let bb = crate::par::par_bounding_box(source, threads)?
             .ok_or_else(|| Error::InvalidParameter("cannot fit scaler on empty dataset".into()))?;
         let mins = bb.min().to_vec();
-        let ranges = (0..source.dim())
-            .map(|j| {
-                let r = bb.max()[j] - bb.min()[j];
-                if r > 0.0 {
-                    r
-                } else {
-                    1.0
-                }
-            })
-            .collect();
+        let mut ranges = Vec::with_capacity(mins.len());
+        for (j, (&lo, &hi)) in bb.min().iter().zip(bb.max()).enumerate() {
+            let r = hi - lo;
+            if !r.is_finite() {
+                return Err(Error::InvalidParameter(format!(
+                    "dimension {j} spans [{lo:e}, {hi:e}], a range too wide to scale"
+                )));
+            }
+            ranges.push(if r > 0.0 { r } else { 1.0 });
+        }
         Ok(MinMaxScaler { mins, ranges })
     }
 
@@ -266,6 +246,21 @@ mod tests {
             let err = MinMaxScaler::fit_source(&ds, NonZeroUsize::new(threads).unwrap());
             assert!(matches!(err, Err(Error::NonFinite { index: 5000 })));
         }
+    }
+
+    #[test]
+    fn fit_rejects_a_range_too_wide_to_scale() {
+        // Every coordinate is finite, but max - min overflows in dimension 0.
+        let ds =
+            Dataset::from_rows(&[vec![-1e308, 0.0], vec![1e308, 1.0], vec![0.0, 0.5]]).unwrap();
+        for threads in [1, 2] {
+            let err = MinMaxScaler::fit_source(&ds, NonZeroUsize::new(threads).unwrap());
+            match err {
+                Err(Error::InvalidParameter(msg)) => assert!(msg.contains("dimension 0"), "{msg}"),
+                other => panic!("expected InvalidParameter, got {other:?}"),
+            }
+        }
+        assert!(MinMaxScaler::fit(&ds).is_err());
     }
 
     #[test]

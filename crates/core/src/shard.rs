@@ -751,6 +751,7 @@ mod tests {
             tally.get(Counter::ShardBytesMapped),
             (range.len() * 2 * 8) as u64
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn run_kernel_bandwidth(
                 &*est,
                 &BiasedConfig::new(b, 1.0).with_seed(seed ^ 3),
             )?;
-            let clustering = dbs_cluster::hierarchical_cluster(
+            let clustering = dbs_cluster::partitioned_cluster(
                 sample.points(),
                 &dbs_cluster::HierarchicalConfig::paper_defaults(10),
             )?;
@@ -171,7 +171,7 @@ pub fn backend_ablation(scale: Scale, seed: u64) -> Result<Vec<(String, usize)>>
             est,
             &BiasedConfig::new(b, 1.0).with_seed(seed ^ 4),
         )?;
-        let clustering = dbs_cluster::hierarchical_cluster(
+        let clustering = dbs_cluster::partitioned_cluster(
             sample.points(),
             &dbs_cluster::HierarchicalConfig::paper_defaults(10),
         )?;

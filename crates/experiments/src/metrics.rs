@@ -8,7 +8,7 @@
 //! the `--metrics-out` JSON are reproducible artifacts, unlike the span
 //! timings.
 
-use dbs_cluster::{hierarchical_cluster_obs, HierarchicalConfig};
+use dbs_cluster::{partitioned_cluster_obs, HierarchicalConfig};
 use dbs_core::obs::{MetricsReport, Recorder};
 use dbs_core::{BoundingBox, Result};
 use dbs_density::EstimatorSpec;
@@ -48,7 +48,7 @@ pub fn collect(scale: Scale, seed: u64) -> Result<MetricsReport> {
 
     {
         let _span = rec.span("cluster");
-        hierarchical_cluster_obs(
+        partitioned_cluster_obs(
             sample.points(),
             &HierarchicalConfig::paper_defaults(10),
             &rec,

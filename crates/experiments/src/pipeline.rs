@@ -3,8 +3,8 @@
 use std::time::{Duration, Instant};
 
 use dbs_cluster::{
-    clusters_found, clusters_found_by_centers, hierarchical_cluster, Birch, BirchConfig,
-    EvalConfig, HierarchicalConfig,
+    clusters_found, clusters_found_by_centers, partitioned_cluster, Birch, BirchConfig, EvalConfig,
+    HierarchicalConfig,
 };
 use dbs_core::{BoundingBox, Result, WeightedSample};
 use dbs_density::EstimatorSpec;
@@ -171,7 +171,7 @@ pub fn run_sampled_clustering(
     if !cfg.trim_noise {
         hc.trim_min_size = 0;
     }
-    let clustering = hierarchical_cluster(sample.points(), &hc)?;
+    let clustering = partitioned_cluster(sample.points(), &hc)?;
     let clustering_time = t0.elapsed();
     let found = clusters_found(
         &clustering.clusters,

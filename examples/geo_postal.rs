@@ -6,7 +6,7 @@
 //! cargo run -p dbs-examples --bin geo_postal
 //! ```
 
-use dbs_cluster::{clusters_found, hierarchical_cluster, EvalConfig, HierarchicalConfig};
+use dbs_cluster::{clusters_found, partitioned_cluster, EvalConfig, HierarchicalConfig};
 use dbs_core::BoundingBox;
 use dbs_density::{KdeConfig, KernelDensityEstimator};
 use dbs_sampling::{bernoulli_sample, density_biased_sample, BiasedConfig};
@@ -38,14 +38,14 @@ fn main() -> dbs_core::Result<()> {
     )?;
     let (biased, _) = density_biased_sample(&ne.data, &kde, &BiasedConfig::new(b, 1.0))?;
     let found_biased = clusters_found(
-        &hierarchical_cluster(biased.points(), &hc)?.clusters,
+        &partitioned_cluster(biased.points(), &hc)?.clusters,
         &ne.regions,
         &eval,
     );
 
     let uniform = bernoulli_sample(&ne.data, b, 42)?;
     let found_uniform = clusters_found(
-        &hierarchical_cluster(uniform.points(), &hc)?.clusters,
+        &partitioned_cluster(uniform.points(), &hc)?.clusters,
         &ne.regions,
         &eval,
     );

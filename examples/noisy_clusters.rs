@@ -9,7 +9,7 @@
 //! cargo run -p dbs-examples --bin noisy_clusters
 //! ```
 
-use dbs_cluster::{clusters_found, hierarchical_cluster, EvalConfig, HierarchicalConfig};
+use dbs_cluster::{clusters_found, partitioned_cluster, EvalConfig, HierarchicalConfig};
 use dbs_core::BoundingBox;
 use dbs_density::{KdeConfig, KernelDensityEstimator};
 use dbs_sampling::{bernoulli_sample, density_biased_sample, BiasedConfig};
@@ -55,7 +55,7 @@ fn main() -> dbs_core::Result<()> {
         .filter(|&&i| noisy.labels[i] == NOISE_LABEL)
         .count();
     let found_biased = clusters_found(
-        &hierarchical_cluster(biased.points(), &hc)?.clusters,
+        &partitioned_cluster(biased.points(), &hc)?.clusters,
         &noisy.regions,
         &eval,
     );
@@ -68,7 +68,7 @@ fn main() -> dbs_core::Result<()> {
         .filter(|&&i| noisy.labels[i] == NOISE_LABEL)
         .count();
     let found_uniform = clusters_found(
-        &hierarchical_cluster(uniform.points(), &hc)?.clusters,
+        &partitioned_cluster(uniform.points(), &hc)?.clusters,
         &noisy.regions,
         &eval,
     );

@@ -9,7 +9,7 @@
 //! cargo run -p dbs-examples --bin quickstart
 //! ```
 
-use dbs_cluster::{hierarchical_cluster, HierarchicalConfig};
+use dbs_cluster::{partitioned_cluster, HierarchicalConfig};
 use dbs_core::BoundingBox;
 use dbs_density::{KdeConfig, KernelDensityEstimator};
 use dbs_sampling::{density_biased_sample, BiasedConfig};
@@ -52,8 +52,7 @@ fn main() -> dbs_core::Result<()> {
     );
 
     // Cluster the sample with the paper's §4.2 settings.
-    let clustering =
-        hierarchical_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10))?;
+    let clustering = partitioned_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10))?;
     println!("clustering: {} clusters found", clustering.clusters.len());
     for (i, c) in clustering.clusters.iter().enumerate() {
         println!(

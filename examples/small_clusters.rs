@@ -10,7 +10,7 @@
 //! cargo run -p dbs-examples --bin small_clusters
 //! ```
 
-use dbs_cluster::{clusters_found, hierarchical_cluster, EvalConfig, HierarchicalConfig};
+use dbs_cluster::{clusters_found, partitioned_cluster, EvalConfig, HierarchicalConfig};
 use dbs_core::BoundingBox;
 use dbs_density::{KdeConfig, KernelDensityEstimator};
 use dbs_sampling::{bernoulli_sample, density_biased_sample, BiasedConfig};
@@ -63,7 +63,7 @@ fn main() -> dbs_core::Result<()> {
             }
         }
         let found = clusters_found(
-            &hierarchical_cluster(s.points(), &hc)?.clusters,
+            &partitioned_cluster(s.points(), &hc)?.clusters,
             &synth.regions,
             &eval,
         );
@@ -83,7 +83,7 @@ fn main() -> dbs_core::Result<()> {
         }
     }
     let found = clusters_found(
-        &hierarchical_cluster(u.points(), &hc)?.clusters,
+        &partitioned_cluster(u.points(), &hc)?.clusters,
         &synth.regions,
         &eval,
     );

@@ -262,6 +262,27 @@ fn non_finite_input_fails_the_same_way_for_every_estimator_and_format() {
 }
 
 #[test]
+fn finite_input_with_an_overflowing_range_fails_at_the_scaler() {
+    // Every coordinate is finite, but max - min overflows in dimension 0:
+    // the scaler pass rejects it before any command scales a point.
+    let text = tmp("wide_range.txt");
+    std::fs::write(&text, "-1e308 0\n1e308 1\n0 0.5\n").unwrap();
+    let input = text.to_str().unwrap();
+    for argv in [
+        vec!["sample", input, "--size", "2"],
+        vec!["sample", input, "--size", "2", "--estimator", "grid:4"],
+        vec!["stream", input, "--size", "2"],
+    ] {
+        let err = run_cli(&argv).unwrap_err();
+        assert_eq!(
+            err, "invalid parameter: dimension 0 spans [-1e308, 1e308], a range too wide to scale",
+            "{argv:?}"
+        );
+    }
+    std::fs::remove_file(&text).ok();
+}
+
+#[test]
 fn density_backends_route_through_the_estimator_factory() {
     // Factory-discipline gate: no CLI or experiments code may fit the KDE
     // directly — every density fit goes through `EstimatorSpec::fit`, so

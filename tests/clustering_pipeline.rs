@@ -1,8 +1,8 @@
 //! End-to-end checks of the sample → cluster → evaluate chain.
 
 use dbs_cluster::{
-    clusters_found, clusters_found_by_centers, hierarchical_cluster, Birch, BirchConfig,
-    EvalConfig, HierarchicalConfig,
+    clusters_found, clusters_found_by_centers, partitioned_cluster, Birch, BirchConfig, EvalConfig,
+    HierarchicalConfig,
 };
 use dbs_core::BoundingBox;
 use dbs_density::{KdeConfig, KernelDensityEstimator};
@@ -23,7 +23,7 @@ fn full_biased_pipeline_finds_all_clusters_on_clean_data() {
         density_biased_sample(&synth.data, &est, &BiasedConfig::new(800, 1.0).with_seed(3))
             .unwrap();
     let clustering =
-        hierarchical_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10)).unwrap();
+        partitioned_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10)).unwrap();
     let found = clusters_found(&clustering.clusters, &synth.regions, &EvalConfig::default());
     assert_eq!(found, 10, "all clusters must be found on clean data");
 }
@@ -47,7 +47,7 @@ fn pipeline_handles_3d_and_5d() {
             density_biased_sample(&synth.data, &est, &BiasedConfig::new(800, 1.0).with_seed(2))
                 .unwrap();
         let clustering =
-            hierarchical_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10)).unwrap();
+            partitioned_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10)).unwrap();
         let found = clusters_found(&clustering.clusters, &synth.regions, &EvalConfig::default());
         assert!(found >= 8, "{dim}-d pipeline found only {found}");
     }
@@ -138,7 +138,7 @@ fn noise_assignments_are_consistent_with_eval() {
     )
     .unwrap();
     let clustering =
-        hierarchical_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10)).unwrap();
+        partitioned_cluster(sample.points(), &HierarchicalConfig::paper_defaults(10)).unwrap();
     // Assignment table is total: every sample point is either in a reported
     // cluster or marked noise, never both.
     let mut seen = vec![false; sample.len()];

@@ -10,8 +10,8 @@
 use std::num::NonZeroUsize;
 
 use dbs_cluster::{
-    hierarchical_cluster, hierarchical_cluster_obs, hierarchical_cluster_reference,
-    partitioned_cluster, sample_target_size, HierarchicalConfig,
+    hierarchical_cluster_reference, partitioned_cluster, partitioned_cluster_obs,
+    sample_target_size, HierarchicalConfig,
 };
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::rng::seeded;
@@ -118,7 +118,7 @@ proptest! {
                 .expect("reference clustering");
                 let want = fingerprint(&reference);
                 for t in THREADS {
-                    let fast = hierarchical_cluster(
+                    let fast = partitioned_cluster(
                         &data,
                         &base.clone().with_parallelism(nz(t)),
                     )
@@ -136,9 +136,9 @@ proptest! {
         }
     }
 
-    /// Degenerate scalable paths ≡ the single-phase loop, bit for bit:
-    /// partitioned CURE with `p = 1` (both a trivial and a real phase
-    /// split via `pre_cluster_factor`), and the sample-fed pipeline at
+    /// Degenerate scalable paths ≡ the reference loop, bit for bit:
+    /// partitioned CURE with `p = 1` at every thread count, whatever the
+    /// (unused) `pre_cluster_factor`, and the sample-fed pipeline at
     /// `sample_frac = 1.0` — a full-size "sample" clustered by the
     /// partitioned path with no map-back, exactly what the CLI runs.
     #[test]
@@ -148,11 +148,11 @@ proptest! {
             let data = workload(n, dim, seed ^ (dim as u64) << 16);
             prop_assert_eq!(sample_target_size(data.len(), 1.0).expect("valid frac"), data.len());
             let base = HierarchicalConfig::paper_defaults(4);
-            let single = hierarchical_cluster(
+            let single = hierarchical_cluster_reference(
                 &data,
                 &base.clone().with_parallelism(nz(1)),
             )
-            .expect("single-phase clustering");
+            .expect("reference clustering");
             let want = fingerprint(&single);
             for t in THREADS {
                 for q in [1usize, 4] {
@@ -192,7 +192,7 @@ proptest! {
                 .expect("reference clustering");
                 let want = fingerprint(&reference);
                 for t in THREADS {
-                    let fast = hierarchical_cluster(
+                    let fast = partitioned_cluster(
                         &data,
                         &base.clone().with_parallelism(nz(t)),
                     )
@@ -228,7 +228,7 @@ fn all_duplicate_points_16d_bit_identical() {
                 .expect("reference clustering");
         let want = fingerprint(&reference);
         for t in THREADS {
-            let fast = hierarchical_cluster(&data, &base.clone().with_parallelism(nz(t)))
+            let fast = partitioned_cluster(&data, &base.clone().with_parallelism(nz(t)))
                 .expect("accelerated clustering");
             assert_eq!(
                 fingerprint(&fast),
@@ -252,7 +252,7 @@ fn high_dim_candidate_rebuilds_stay_subquadratic() {
         let data = tight_blobs(n, 16, 4242);
         let rec = Recorder::enabled();
         let cfg = HierarchicalConfig::paper_defaults(8).with_parallelism(nz(1));
-        hierarchical_cluster_obs(&data, &cfg, &rec).expect("accelerated clustering");
+        partitioned_cluster_obs(&data, &cfg, &rec).expect("accelerated clustering");
         (
             rec.counter(Counter::CandidateRebuilds),
             rec.counter(Counter::ClusterMerges),

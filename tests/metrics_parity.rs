@@ -12,7 +12,7 @@
 use std::num::NonZeroUsize;
 
 use dbs_cli::{commands::run, parse};
-use dbs_cluster::{hierarchical_cluster_obs, HierarchicalConfig};
+use dbs_cluster::{partitioned_cluster_obs, HierarchicalConfig};
 use dbs_core::io::write_binary;
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::rng::sub_seed;
@@ -245,9 +245,9 @@ fn hierarchical_clustering_metrics_parity() {
     let mut counter_sets = Vec::new();
     for t in THREADS {
         let hc = HierarchicalConfig::paper_defaults(10).with_parallelism(nz(t));
-        let off = hierarchical_cluster_obs(sample.points(), &hc, &Recorder::disabled()).unwrap();
+        let off = partitioned_cluster_obs(sample.points(), &hc, &Recorder::disabled()).unwrap();
         let rec = Recorder::enabled();
-        let on = hierarchical_cluster_obs(sample.points(), &hc, &rec).unwrap();
+        let on = partitioned_cluster_obs(sample.points(), &hc, &rec).unwrap();
         assert_eq!(off.assignments, on.assignments, "threads={t}");
         assert_eq!(off.clusters.len(), on.clusters.len(), "threads={t}");
         for (a, b) in off.clusters.iter().zip(&on.clusters) {

@@ -76,7 +76,7 @@ proptest! {
         k in 1usize..6,
     ) {
         let ds = Dataset::from_rows(&rows).unwrap();
-        let res = dbs_cluster::hierarchical_cluster(
+        let res = dbs_cluster::partitioned_cluster(
             &ds,
             &dbs_cluster::HierarchicalConfig::paper_defaults(k),
         )
