@@ -7,8 +7,9 @@
 //! * **full** — single-phase heap-accelerated CURE (50k only: this is the
 //!   quadratic wall, ~41 s per run; the 50k baseline is recorded here so
 //!   BENCH_cure_partitioned.json is self-contained);
-//! * **partitioned** — `p` pre-clustered partitions (one 4096-point chunk
-//!   each at these sizes), each reduced by `q` before the final merge;
+//! * **partitioned** — `p` pre-clustered partitions (every `p`-th point,
+//!   ~3.8k–4.1k points each at these sizes), each reduced by `q` before
+//!   the final merge;
 //! * **sample_fed** — the paper's pipeline end to end: averaged-grid
 //!   estimator fit, density-biased draw (`a = 1`), CURE over the sample,
 //!   and full-dataset label map-back.

@@ -14,10 +14,13 @@
 //!   (farthest-point selection) shrunk toward the cluster mean by `α`
 //!   (§4.2 settings: `c = 10`, `α = 0.3`);
 //! * following CURE's outlier handling, once merging leaves the
-//!   intra-cluster distance regime (see [`HierarchicalConfig`] for the
-//!   distance trigger), clusters that grew very slowly (fewer than
-//!   `trim_min_size` members) are set aside as noise rather than allowed
-//!   to chain real clusters together.
+//!   intra-cluster distance regime (the pending merge distance first
+//!   exceeds 3× the lower quartile of the initial nearest-neighbor
+//!   distances, a factor rescaled by dimension, and then each time it
+//!   doubles), clusters that grew very slowly are set aside as noise rather
+//!   than allowed to chain real clusters together. The first trim drops
+//!   clusters under `trim_min_size` members; each later one triples that
+//!   bar, capped at `max(trim_min_size, n / 200)`.
 //!
 //! # Merge-loop acceleration
 //!
@@ -71,42 +74,47 @@ pub const NOISE: usize = usize::MAX;
 /// have accepted.
 const BBOX_PRUNE_SLACK: f64 = 1.0 + 1e-9;
 
+/// Representatives per cluster (`c`, §4.2).
+const NUM_REPRESENTATIVES: usize = 10;
+
+/// Shrink factor `α` of the representatives toward the mean (§4.2).
+const SHRINK_FACTOR: f64 = 0.3;
+
+/// Noise-trim trigger: a trim fires when the pending merge distance first
+/// exceeds [`TRIM_DISTANCE_FACTOR`] times this quantile of the initial
+/// nearest-neighbor distances, and re-fires each time the merge distance
+/// doubles again. Intra-cluster merges happen at NN scale; merges beyond a
+/// few times that scale are bridging noise, so trimming there removes
+/// slow-growing noise clusters regardless of how unevenly dense the real
+/// clusters are (CURE's count-based trigger misfires when cluster densities
+/// differ a lot).
+const TRIM_NN_QUANTILE: f64 = 0.25;
+
+/// Multiplier on the NN-quantile distance for the trim trigger.
+const TRIM_DISTANCE_FACTOR: f64 = 3.0;
+
+/// Divisor for the sample-proportional part of the trim minimum: the
+/// survival bar is capped at `max(trim_min_size, n / TRIM_SIZE_DIVISOR)` —
+/// in a large noisy sample, noise agglomerates grow beyond any fixed size
+/// while real clusters grow proportionally with the sample.
+const TRIM_SIZE_DIVISOR: usize = 200;
+
 /// Configuration of the hierarchical algorithm (§4.2 defaults).
 #[derive(Debug, Clone)]
 pub struct HierarchicalConfig {
     /// Target number of clusters `k`.
     pub num_clusters: usize,
-    /// Representatives per cluster (`c`); paper default 10.
-    pub num_representatives: usize,
-    /// Shrink factor `α` toward the mean; paper default 0.3.
-    pub shrink_factor: f64,
-    /// Noise-trim trigger: a trim fires when the pending merge distance
-    /// first exceeds `trim_distance_factor` times the
-    /// `trim_nn_quantile`-quantile of the initial nearest-neighbor
-    /// distances, and re-fires each time the merge distance doubles again.
-    /// Intra-cluster merges happen at NN scale; merges beyond a few times
-    /// that scale are bridging noise, so trimming there removes
-    /// slow-growing noise clusters regardless of how unevenly dense the
-    /// real clusters are (CURE's count-based trigger misfires when cluster
-    /// densities differ a lot). Set `trim_min_size = 0` to disable
+    /// Minimum member count for a cluster to survive the first noise trim
+    /// (later trims raise the bar; see the module notes). `0` disables
     /// trimming.
-    pub trim_nn_quantile: f64,
-    /// Multiplier on the NN-quantile distance for the trigger.
-    pub trim_distance_factor: f64,
-    /// Minimum member count for a cluster to survive the trim phase. The
-    /// effective minimum also scales with the input: `max(trim_min_size,
-    /// n / trim_size_divisor)` — in a large noisy sample, noise
-    /// agglomerates grow beyond any fixed size while real clusters grow
-    /// proportionally with the sample.
     pub trim_min_size: usize,
-    /// Divisor for the sample-proportional part of the trim minimum.
-    pub trim_size_divisor: usize,
-    /// Partition count `p` for [`crate::partitioned_cluster`]: the input is
-    /// split on the fixed 4096-point chunk grid (chunk `c` goes to
-    /// partition `c % p`), each partition is pre-clustered independently,
-    /// and the partial clusters are merged in a final pass. `1` (the
-    /// default, and the paper's setting) runs the single-phase merge loop
-    /// over the whole input.
+    /// Partition count `p` for [`crate::partitioned_cluster`]: partition
+    /// `j` holds the input points `j, j + p, j + 2p, …`, each partition is
+    /// pre-clustered independently, and the partial clusters are merged in
+    /// a final pass. Strided rather than contiguous, so an input stored one
+    /// cluster after another still gives every partition a share of every
+    /// cluster. `1` (the default, and the paper's setting) runs the
+    /// single-phase merge loop over the whole input.
     pub partitions: usize,
     /// Pre-clustering reduction factor `q`: each partition of `n_j` points
     /// is pre-clustered down to `max(k, ceil(n_j / q))` partial clusters
@@ -126,12 +134,7 @@ impl HierarchicalConfig {
     pub fn paper_defaults(num_clusters: usize) -> Self {
         HierarchicalConfig {
             num_clusters,
-            num_representatives: 10,
-            shrink_factor: 0.3,
-            trim_nn_quantile: 0.25,
-            trim_distance_factor: 3.0,
             trim_min_size: 3,
-            trim_size_divisor: 200,
             partitions: 1,
             pre_cluster_factor: 3,
             parallelism: par::available_parallelism(),
@@ -266,16 +269,6 @@ pub(crate) fn validate(data: &Dataset, config: &HierarchicalConfig) -> Result<()
     if config.num_clusters == 0 {
         return Err(Error::InvalidParameter("num_clusters must be >= 1".into()));
     }
-    if !(0.0..=1.0).contains(&config.shrink_factor) {
-        return Err(Error::InvalidParameter(
-            "shrink_factor must be in [0,1]".into(),
-        ));
-    }
-    if config.num_representatives == 0 {
-        return Err(Error::InvalidParameter(
-            "num_representatives must be >= 1".into(),
-        ));
-    }
     Ok(())
 }
 
@@ -334,14 +327,13 @@ fn initial_trim_threshold_sq(
         return None;
     }
     let nn: Vec<f64> = clusters.iter().map(|c| c.closest_dist).collect();
-    let q = config.trim_nn_quantile.clamp(0.0, 1.0);
-    let base = stats::quantile(&nn, q);
+    let base = stats::quantile(&nn, TRIM_NN_QUANTILE);
     // Distances concentrate with dimension: a density ratio rho between
     // cluster interiors and noise shows up as a distance ratio of only
     // rho^(1/d). The configured factor is interpreted at d = 2 and
     // rescaled so the trigger separates the same density contrast in
     // any dimension.
-    let factor = config.trim_distance_factor.max(1.0).powf(2.0 / dim as f64);
+    let factor = TRIM_DISTANCE_FACTOR.powf(2.0 / dim as f64);
     Some(base.max(f64::MIN_POSITIVE) * factor * factor)
 }
 
@@ -350,13 +342,11 @@ fn initial_trim_threshold_sq(
 /// distance scales), later trims are strict (by then real clusters have
 /// consolidated while anything still small is noise agglomerate).
 fn trim_min_size(config: &HierarchicalConfig, n: usize, trim_round: u32) -> usize {
-    let cap = config
-        .trim_min_size
-        .max(n / config.trim_size_divisor.max(1));
+    let cap = config.trim_min_size.max(n / TRIM_SIZE_DIVISOR);
     config
         .trim_min_size
         .saturating_mul(3usize.saturating_pow(trim_round))
-        .min(cap.max(config.trim_min_size))
+        .min(cap)
 }
 
 /// One trim pass (shared by both cores): deactivates every active cluster
@@ -377,13 +367,7 @@ fn trim_pass(clusters: &mut [Agglo], live: &mut usize, min_size: usize, k: usize
 /// Merges cluster `v` into cluster `u` (shared by both cores): members,
 /// exact coordinate sums, mean, and freshly selected shrunk
 /// representatives.
-fn apply_merge(
-    data: &Dataset,
-    clusters: &mut [Agglo],
-    u: usize,
-    v: usize,
-    config: &HierarchicalConfig,
-) {
+fn apply_merge(data: &Dataset, clusters: &mut [Agglo], u: usize, v: usize) {
     let dim = data.dim();
     let (members_v, sum_v) = {
         let cv = &mut clusters[v];
@@ -408,8 +392,8 @@ fn apply_merge(
         data,
         &clusters[u].members,
         &clusters[u].mean,
-        config.num_representatives,
-        config.shrink_factor,
+        NUM_REPRESENTATIVES,
+        SHRINK_FACTOR,
     );
 }
 
@@ -869,7 +853,7 @@ pub(crate) fn run_merge_loop(
         index.remove_all(u as u32, &clusters[u].reps);
         index.remove_all(v as u32, &clusters[v].reps);
         deactivate(&mut active_ids, &mut active_pos, v);
-        apply_merge(data, clusters, u, v, config);
+        apply_merge(data, clusters, u, v);
         rep_gens[u] += 1;
         cands[v] = CandList::empty();
         tally.add(Counter::ClusterMerges, 1);
@@ -1014,7 +998,7 @@ fn run_merge_loop_reference(
         debug_assert!(clusters[v].active, "closest pointers are kept fresh");
 
         // Merge v into u.
-        apply_merge(data, clusters, u, v, config);
+        apply_merge(data, clusters, u, v);
         live -= 1;
 
         // Refresh closest pointers: u itself, plus anyone pointing at u/v.
@@ -1226,13 +1210,8 @@ mod tests {
             partitioned_cluster(&Dataset::new(2), &HierarchicalConfig::paper_defaults(2)).is_err()
         );
         assert!(partitioned_cluster(&ds, &HierarchicalConfig::paper_defaults(0)).is_err());
-        let mut bad = HierarchicalConfig::paper_defaults(2);
-        bad.shrink_factor = 1.5;
-        assert!(partitioned_cluster(&ds, &bad).is_err());
-        bad = HierarchicalConfig::paper_defaults(2);
-        bad.num_representatives = 0;
-        assert!(partitioned_cluster(&ds, &bad).is_err());
-        assert!(hierarchical_cluster_reference(&Dataset::new(2), &bad).is_err());
+        let cfg = HierarchicalConfig::paper_defaults(2);
+        assert!(hierarchical_cluster_reference(&Dataset::new(2), &cfg).is_err());
     }
 
     #[test]
@@ -1325,9 +1304,8 @@ mod tests {
         let (mut ds, _) = blobs(2, 30, 15);
         ds.push(&[0.05, 0.95]).unwrap();
         ds.push(&[0.95, 0.05]).unwrap();
-        let mut cfg = HierarchicalConfig::paper_defaults(2);
-        cfg.trim_min_size = 3;
-        cfg.trim_size_divisor = usize::MAX; // keep the bar at trim_min_size
+        // At 62 points the bar stays at trim_min_size (n / 200 = 0).
+        let cfg = HierarchicalConfig::paper_defaults(2);
         let res = partitioned_cluster(&ds, &cfg).unwrap();
         assert_eq!(res.clusters.len(), 2);
         assert_eq!(res.assignments[60], NOISE);

@@ -4,15 +4,19 @@
 //! Three composable pieces:
 //!
 //! * [`partitioned_cluster`] — CURE's partitioning scheme (§4.3 of the CURE
-//!   paper): split the input into `p` partitions on the fixed 4096-point
-//!   chunk grid of `dbs_core::par` (chunk `c` goes to partition `c % p`,
-//!   so membership is a pure function of the point index — never of the
-//!   thread schedule), pre-cluster each partition down to
-//!   `max(k, ceil(n_j / q))` partial clusters with the heap-accelerated
-//!   merge loop, then merge the partial clusters' representative sets in a
-//!   final pass over the whole id space. At `p = 1` (the paper's setting)
-//!   there is no pre-clustering: the merge loop runs once over the whole
-//!   input and `q` is unused.
+//!   paper): split the input into `p` equal partitions by stride (partition
+//!   `j` holds points `j, j + p, j + 2p, …`, so membership is a pure
+//!   function of `(n, p)` — never of the thread schedule — and every
+//!   partition holds `⌊n/p⌋` or `⌈n/p⌉` points), pre-cluster each partition
+//!   down to `max(k, ceil(n_j / q))` partial clusters with the
+//!   heap-accelerated merge loop, then merge the partial clusters'
+//!   representative sets in a final pass over the whole id space. Strides
+//!   rather than contiguous ranges because inputs are often stored one
+//!   cluster after another: a range would cut a cluster in two and leave
+//!   each partition with a skewed slice of the data, while a stride gives
+//!   every partition a thinned copy of all of it. At `p = 1` (the paper's
+//!   setting) there is no pre-clustering: the merge loop runs once over the
+//!   whole input and `q` is unused.
 //! * [`sample_fed_cluster`] — cluster a (density-biased) sample standing in
 //!   for the full dataset, then assign every original point via map-back.
 //! * [`map_back_labels`] — assign each point of the full dataset to the
@@ -28,18 +32,18 @@
 //! [`hierarchical_cluster_reference`](crate::hierarchical_cluster_reference)
 //! (`tests/hierarchical_parity.rs` property-tests this):
 //!
-//! * partition membership is a pure function of `(n, p)` on the fixed
-//!   chunk grid; partitions are pre-clustered through the par executor and
-//!   their partials concatenated in partition order, ascending local id;
+//! * partition membership is a pure function of `(n, p)`; partitions are
+//!   pre-clustered through the par executor and their partials
+//!   concatenated in partition order, ascending local id;
 //! * phase B reseeds every closest pointer as the lexicographic
 //!   `(dist, id)` minimum via the rep index before merging — deterministic
 //!   regardless of insertion or thread order (the reseed doubles as the
 //!   candidate-cache warmup: each cluster's list is rebuilt from its
 //!   k-nearest query);
 //! * phase B's noise trim resumes from the smallest pending trigger
-//!   distance and the **lowest** trim round any non-empty partition
-//!   reached, so a partition that never trimmed keeps its small partials
-//!   eligible under the first round's gentle survival bar;
+//!   distance and the **lowest** trim round any partition reached, so a
+//!   partition that never trimmed keeps its small partials eligible under
+//!   the first round's gentle survival bar;
 //! * the map-back noise threshold is calibrated on the sample clustering
 //!   itself: the largest squared distance from any sample member to the
 //!   nearest representative of **its own** cluster, times a fixed slack.
@@ -73,17 +77,10 @@ struct PartitionOutput {
     tally: Tally,
 }
 
-/// The input indices of partition `part`: every chunk `c` of the fixed
-/// `chunk_points` grid with `c % partitions == part`, in ascending order.
-fn partition_indices(n: usize, partitions: usize, chunk_points: usize, part: usize) -> Vec<usize> {
-    let mut indices = Vec::new();
-    let stride = partitions * chunk_points;
-    let mut start = part * chunk_points;
-    while start < n {
-        indices.extend(start..(start + chunk_points).min(n));
-        start += stride;
-    }
-    indices
+/// The input indices of partition `part`: every `partitions`-th point
+/// starting at `part`, in ascending order.
+fn partition_indices(n: usize, partitions: usize, part: usize) -> Vec<usize> {
+    (part..n).step_by(partitions).collect()
 }
 
 /// Pre-clusters one partition down to `max(k, ceil(n_j / q))` partial
@@ -120,9 +117,9 @@ fn precluster(data: &Dataset, globals: &[usize], config: &HierarchicalConfig) ->
     PartitionOutput { aggs, trim, tally }
 }
 
-/// Phase A: pre-clusters each non-empty partition through the par
-/// executor and concatenates the partials (partition order, ascending
-/// local id), with the trim state phase B resumes from.
+/// Phase A: pre-clusters each partition through the par executor and
+/// concatenates the partials (partition order, ascending local id), with
+/// the trim state phase B resumes from.
 ///
 /// Every task is a pure function of (data, config, partition id), so the
 /// partials are schedule-independent. Trimming resumes at the lowest round
@@ -132,15 +129,14 @@ fn precluster(data: &Dataset, globals: &[usize], config: &HierarchicalConfig) ->
 fn precluster_partitions(
     data: &Dataset,
     config: &HierarchicalConfig,
-    chunk_points: usize,
     tally: &mut Tally,
 ) -> (Vec<Agglo>, TrimState) {
     let n = data.len();
     let p = config.partitions;
     let inner = config.clone().with_parallelism(par::serial());
-    let partials: Vec<Option<PartitionOutput>> = par::par_tasks(p, config.parallelism, |j| {
-        let indices = partition_indices(n, p, chunk_points, j);
-        (!indices.is_empty()).then(|| precluster(&data.select(&indices), &indices, &inner))
+    let partials: Vec<PartitionOutput> = par::par_tasks(p, config.parallelism, |j| {
+        let indices = partition_indices(n, p, j);
+        precluster(&data.select(&indices), &indices, &inner)
     });
     let mut clusters: Vec<Agglo> = Vec::new();
     let mut trim = TrimState {
@@ -149,7 +145,7 @@ fn precluster_partitions(
     };
     // Pre-merges are the phase-A subset of ClusterMerges.
     let mut pre_merges = 0u64;
-    for part in partials.into_iter().flatten() {
+    for part in partials {
         pre_merges += part.tally.get(Counter::ClusterMerges);
         tally.merge(&part.tally);
         trim.round = trim.round.min(part.trim.round);
@@ -170,7 +166,6 @@ fn precluster_partitions(
 pub(crate) fn partitioned_core(
     data: &Dataset,
     config: &HierarchicalConfig,
-    chunk_points: usize,
     tally: &mut Tally,
 ) -> Result<(Vec<Agglo>, usize)> {
     validate(data, config)?;
@@ -194,7 +189,7 @@ pub(crate) fn partitioned_core(
         let trim = TrimState::initial(&clusters, config, n, data.dim());
         (clusters, trim, false)
     } else {
-        let (clusters, trim) = precluster_partitions(data, config, chunk_points, tally);
+        let (clusters, trim) = precluster_partitions(data, config, tally);
         (clusters, trim, true)
     };
     let live = run_merge_loop(
@@ -255,7 +250,7 @@ pub fn partitioned_cluster_obs(
     recorder: &Recorder,
 ) -> Result<Clustering> {
     let mut tally = Tally::default();
-    let (clusters, live) = partitioned_core(data, config, par::CHUNK_POINTS, &mut tally)?;
+    let (clusters, live) = partitioned_core(data, config, &mut tally)?;
     recorder.merge(&tally);
     Ok(assemble(clusters, data.len(), live))
 }
@@ -331,7 +326,7 @@ pub fn sample_fed_cluster_obs<S: PointSource + ?Sized>(
         )));
     }
     let mut tally = Tally::default();
-    let (clusters, live) = partitioned_core(sample, config, par::CHUNK_POINTS, &mut tally)?;
+    let (clusters, live) = partitioned_core(sample, config, &mut tally)?;
     let sample_clustering = assemble(clusters, sample.len(), live);
     let threshold = if config.trim_min_size == 0 {
         None
@@ -602,19 +597,17 @@ mod tests {
         assert_identical(&part, &single);
     }
 
-    /// Runs the partitioned core on a small chunk grid (the production grid
-    /// is 4096 points, far above unit-test sizes) so several partitions
-    /// actually form.
-    fn run_small_chunks(
-        ds: &Dataset,
-        cfg: &HierarchicalConfig,
-        chunk: usize,
-    ) -> (Clustering, Tally) {
-        let mut tally = Tally::default();
-        let (clusters, live) = partitioned_core(ds, cfg, chunk, &mut tally).unwrap();
-        (assemble(clusters, ds.len(), live), tally)
+    /// Runs the partitioned path with every counter recorded.
+    fn run_recorded(ds: &Dataset, cfg: &HierarchicalConfig) -> (Clustering, Recorder) {
+        let rec = Recorder::enabled();
+        let res = partitioned_cluster_obs(ds, cfg, &rec).unwrap();
+        (res, rec)
     }
 
+    /// The `blobs` input stores one blob after another, so contiguous
+    /// ranges would cut blobs between partitions and trim the pieces (one
+    /// blob kept only 60-68 of its 120 points); strided partitions each see
+    /// a thinned copy of every blob.
     #[test]
     fn multi_partition_recovers_blobs() {
         let (ds, labels) = blobs(4, 120, 0, 42);
@@ -622,7 +615,7 @@ mod tests {
             let cfg = HierarchicalConfig::paper_defaults(4)
                 .with_partitions(p)
                 .with_pre_cluster_factor(4);
-            let (res, tally) = run_small_chunks(&ds, &cfg, 64);
+            let (res, rec) = run_recorded(&ds, &cfg);
             assert_eq!(res.clusters.len(), 4, "p={p}");
             for cluster in &res.clusters {
                 let first = labels[cluster.members[0]];
@@ -630,30 +623,39 @@ mod tests {
                     cluster.members.iter().all(|&m| labels[m] == first),
                     "p={p}: cluster mixes blobs"
                 );
+                assert!(
+                    cluster.members.len() * 5 >= 120 * 3,
+                    "p={p}: a blob kept only {} of its 120 points",
+                    cluster.members.len()
+                );
             }
-            assert!(tally.get(Counter::PartitionPreMerges) > 0, "p={p}");
+            assert!(rec.counter(Counter::PartitionPreMerges) > 0, "p={p}");
             assert!(
-                tally.get(Counter::ClusterMerges) >= tally.get(Counter::PartitionPreMerges),
+                rec.counter(Counter::ClusterMerges) >= rec.counter(Counter::PartitionPreMerges),
                 "p={p}: pre-merges are a subset of all merges"
             );
         }
     }
 
-    /// Three blobs of 2000 points, one after another: on the production
-    /// chunk grid partition 0 holds two whole blobs and partition 1 the
-    /// third, so the two partitions end phase A at different trim rounds.
+    /// Three blobs of 2000 points, interleaved so that at `p = 2` partition
+    /// 0 (even indices) holds the first two blobs and partition 1 the
+    /// third: the two partitions end phase A at different trim rounds.
     /// Phase B must resume at the lower round; resuming at the higher one
-    /// made its first trim discard nearly every partial as noise.
+    /// made its first trim discard most partials as noise.
     #[test]
     fn multi_partition_trims_like_a_single_partition() {
         let mut rng = seeded(11);
         let mut ds = Dataset::with_capacity(2, 6000);
-        for c in 0..3 {
-            for _ in 0..2000 {
-                let c = c as f64;
-                ds.push(&[c + rng.gen::<f64>() * 0.2, c + rng.gen::<f64>() * 0.2])
-                    .unwrap();
-            }
+        for i in 0..6000 {
+            let c = if i % 2 == 1 {
+                2.0
+            } else if i < 3000 {
+                0.0
+            } else {
+                1.0
+            };
+            ds.push(&[c + rng.gen::<f64>() * 0.2, c + rng.gen::<f64>() * 0.2])
+                .unwrap();
         }
         let noise = |res: &Clustering| res.assignments.iter().filter(|&&a| a == NOISE).count();
         let base = HierarchicalConfig::paper_defaults(3);
@@ -680,30 +682,16 @@ mod tests {
                 .with_partitions(3)
                 .with_pre_cluster_factor(5)
                 .with_parallelism(NonZeroUsize::new(t).unwrap());
-            outputs.push(run_small_chunks(&ds, &cfg, 64));
+            outputs.push(run_recorded(&ds, &cfg));
         }
-        let (base, base_tally) = &outputs[0];
-        for (res, tally) in &outputs[1..] {
+        let (base, base_rec) = &outputs[0];
+        assert!(base_rec.counter(Counter::PartitionPreMerges) > 0);
+        for (res, rec) in &outputs[1..] {
             assert_identical(res, base);
             for c in Counter::ALL {
-                assert_eq!(tally.get(c), base_tally.get(c), "counter {}", c.name());
+                assert_eq!(rec.counter(c), base_rec.counter(c), "counter {}", c.name());
             }
         }
-    }
-
-    #[test]
-    fn empty_partitions_are_skipped() {
-        // 100 points on a 64-point chunk grid = 2 chunks; partitions 2..4
-        // of 5 are empty and must contribute nothing.
-        let (ds, _) = blobs(2, 50, 0, 44);
-        let mut cfg = HierarchicalConfig::paper_defaults(2)
-            .with_partitions(5)
-            .with_pre_cluster_factor(3);
-        cfg.trim_min_size = 0;
-        let (res, _) = run_small_chunks(&ds, &cfg, 64);
-        assert_eq!(res.clusters.len(), 2);
-        let assigned: usize = res.clusters.iter().map(|c| c.members.len()).sum();
-        assert!(assigned > 90);
     }
 
     #[test]
@@ -864,8 +852,7 @@ mod tests {
         // construction (slack >= 1): each sample point the sample
         // clustering kept as a member must map back to a cluster.
         let mut sample_tally = Tally::default();
-        let (sc, live) =
-            partitioned_core(&sample, &cfg, par::CHUNK_POINTS, &mut sample_tally).unwrap();
+        let (sc, live) = partitioned_core(&sample, &cfg, &mut sample_tally).unwrap();
         let sample_clustering = assemble(sc, sample.len(), live);
         let sample_members: usize = sample_clustering
             .clusters
@@ -950,15 +937,21 @@ mod tests {
 
     #[test]
     fn partition_indices_cover_input_exactly_once() {
-        for (n, p, chunk) in [(100usize, 3usize, 16usize), (1000, 7, 64), (50, 50, 16)] {
+        for (n, p) in [(100usize, 3usize), (1000, 7), (50, 50), (600, 2), (600, 4)] {
             let mut seen = vec![false; n];
             for j in 0..p {
-                for i in partition_indices(n, p, chunk, j) {
+                let indices = partition_indices(n, p, j);
+                assert!(
+                    indices.len() == n / p || indices.len() == n.div_ceil(p),
+                    "n={n} p={p}: partition {j} holds {} points",
+                    indices.len()
+                );
+                for i in indices {
                     assert!(!seen[i], "index {i} in two partitions");
                     seen[i] = true;
                 }
             }
-            assert!(seen.iter().all(|&s| s), "n={n} p={p} chunk={chunk}");
+            assert!(seen.iter().all(|&s| s), "n={n} p={p}");
         }
     }
 }

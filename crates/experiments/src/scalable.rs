@@ -198,21 +198,34 @@ mod tests {
 
     #[test]
     fn scalable_modes_recover_the_clusters() {
-        // A small instance of the comparison: every scalable mode must
-        // find (nearly) all 10 true clusters of the clean workload.
+        // A small instance of the comparison: every mode must find (nearly)
+        // all 10 true clusters of the clean workload, and partitioning must
+        // not mark more points noise than clustering the whole input.
         let cfg = RectConfig {
             total_points: 6_000,
             ..RectConfig::paper_standard(2, 77)
         };
         let synth = generate(&cfg, &SizeProfile::Equal).unwrap();
         let modes = [
+            Mode::Full,
             Mode::Partitioned { p: 2, q: 10 },
+            Mode::Partitioned { p: 4, q: 10 },
             Mode::SampleFedUniform { frac: 0.1 },
             Mode::SampleFedBiased { frac: 0.1, a: 1.0 },
         ];
-        for row in run_on(&synth, &modes, 10, 78).unwrap() {
+        let rows = run_on(&synth, &modes, 10, 78).unwrap();
+        for row in &rows {
             assert!(row.found >= 8, "{}: found only {}", row.mode, row.found);
             assert!(row.fed_points > 0);
+        }
+        for row in &rows[1..3] {
+            assert!(
+                row.noise <= rows[0].noise,
+                "{}: {} noise points, full marked {}",
+                row.mode,
+                row.noise,
+                rows[0].noise
+            );
         }
     }
 }

@@ -98,6 +98,7 @@ bench-pairs PARENT_DBS WORKLOAD PAIRS SEED="42":
 # 50k/250k/1M points, recorded as BENCH_cure_partitioned.json (includes
 # the 50k full baseline so the speedup is self-contained).
 bench-cure-part:
+    rm -f BENCH_cure_partitioned.json
     CRITERION_JSON={{justfile_directory()}}/BENCH_cure_partitioned.json cargo bench -p dbs-bench --bench cure_partitioned
 
 # Averaged-grid estimator A/B: fit + batch query vs KDE and hashed grid

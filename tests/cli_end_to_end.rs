@@ -385,15 +385,15 @@ clustered a 289-point sample into 3 clusters (98 sample points trimmed as noise)
   cluster 1: 16 sample points (≈86 dataset points), mean [0.351, 0.318]
   cluster 2: 13 sample points (≈144 dataset points), mean [0.931, 0.362]
 $ cluster <tmp>/in.txt --clusters 3 --size 300 --partitions 2
-clustered a 297-point sample into 3 clusters (103 sample points trimmed as noise)
-  cluster 0: 159 sample points (≈978 dataset points), mean [0.618, 0.744]
-  cluster 1: 11 sample points (≈70 dataset points), mean [0.354, 0.309]
-  cluster 2: 24 sample points (≈167 dataset points), mean [0.95, 0.364]
+clustered a 297-point sample into 3 clusters (123 sample points trimmed as noise)
+  cluster 0: 140 sample points (≈819 dataset points), mean [0.613, 0.754]
+  cluster 1: 10 sample points (≈60 dataset points), mean [0.35, 0.309]
+  cluster 2: 24 sample points (≈168 dataset points), mean [0.943, 0.355]
 $ cluster <tmp>/in.txt --clusters 3 --sample-frac 1.0 --partitions 3
-clustered 2010 points from a 2010-point sample into 3 clusters (602 points marked noise)
-  cluster 0: 1090 points, mean [0.593, 0.742]
-  cluster 1: 158 points, mean [0.348, 0.308]
-  cluster 2: 160 points, mean [0.951, 0.35]
+clustered 2010 points from a 2010-point sample into 3 clusters (489 points marked noise)
+  cluster 0: 1188 points, mean [0.605, 0.731]
+  cluster 1: 161 points, mean [0.35, 0.306]
+  cluster 2: 172 points, mean [0.949, 0.348]
 $ outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --kernels 200
 DB(p=1, k=0.03) outliers: 4 found (17 candidates verified, 2 dataset passes + estimator pass)
   #2001: [0.7491234211488095, 0.09933737071181004]
