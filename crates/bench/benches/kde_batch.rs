@@ -4,22 +4,19 @@
 //! dimensions 2, 3, and 5.
 //!
 //! The two paths are bit-identical (`tests/batch_parity.rs`), so any gap
-//! is pure engine throughput. The 2-d/100k `batch/1` entry is directly
-//! comparable to `par_scaling_density_100k/batch_density/1` in
-//! `BENCH_par_scaling.json` — same workload builder and seed — which is
-//! the baseline the ≥2× acceptance target in `BENCH_kde_batch.json` is
-//! measured against.
+//! is pure engine throughput. Thread scaling of the whole pipeline is
+//! measured end to end by the benchmark's `cli.parallel_efficiency`, not
+//! here.
 
 use std::num::NonZeroUsize;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbs_bench::{bench_kde, bench_workload_dim};
-use dbs_density::DensityEstimator;
+use dbs_density::{batch_densities, DensityEstimator};
 
 fn kde_batch(c: &mut Criterion) {
     for &dim in &[2usize, 3, 5] {
         for &n in &[100_000usize, 1_000_000] {
-            // Seed 11 at 2-d reproduces the par_scaling baseline workload.
             let synth = bench_workload_dim(n, dim, 11);
             let est = bench_kde(&synth.data, 1000, 2);
 
@@ -37,7 +34,7 @@ fn kde_batch(c: &mut Criterion) {
             });
             group.bench_with_input(BenchmarkId::new("batch", 1), &n, |bench, _| {
                 bench.iter(|| {
-                    est.densities(&synth.data, NonZeroUsize::MIN)
+                    batch_densities(&est, &synth.data, NonZeroUsize::MIN)
                         .expect("in-memory batch eval")
                 });
             });

@@ -69,12 +69,11 @@ commands:
   sample    draw a density-biased sample
               --size N        target sample size (default 1000)
               --exponent A    bias exponent a (default 1.0; 0 = uniform)
-              --kernels K     kernel centers (default 1000, kde only)
               --output FILE   write sampled points (text format)
               --weights FILE  also write the 1/p importance weights
   cluster   sample then run hierarchical clustering
               --clusters K    target cluster count (default 10)
-              --size/--exponent/--kernels as for sample
+              --size/--exponent as for sample
               --no-trim       disable CURE noise trimming
               --partitions P  pre-cluster P deterministic partitions before
                               the final merge pass (default 1)
@@ -87,11 +86,9 @@ commands:
   outliers  detect DB(p,k) outliers
               --radius K      neighborhood radius (normalized units)
               --neighbors P   max neighbors for an outlier (default 3)
-              --kernels K     kernel centers (default 1000, kde only)
               --slack S       pruning slack (default 3)
   density   evaluate the density estimate
               --at X,Y,...    query point (original coordinates)
-              --kernels K     kernel centers (default 1000, kde only)
   stream    treat the input as an unbounded stream: one bounded-memory
             ingest pass builds a Count-Min density sketch plus a uniform
             reservoir (never materializing the data), then one more pass
@@ -108,7 +105,7 @@ common options:
   --estimator SPEC    density backend: kde[:centers], grid[:res],
                       hashgrid[:res[:slots]], wavelet[:levels[:coeffs]],
                       agrid[:grids[:res]], or sketch[:grids[:slots]]
-                      (default kde; bare kde honors --kernels)
+                      (default kde, which is kde:1000)
   --seed N            RNG seed (default 0)
   --threads N         worker threads (default: all available cores; results
                       are identical for every value)
@@ -263,7 +260,7 @@ mod tests {
         assert_eq!(p.command, Command::Sample);
         assert_eq!(p.input, "data.txt");
         assert_eq!(p.get_usize("size", 1000).unwrap(), 500);
-        assert_eq!(p.get_usize("kernels", 1000).unwrap(), 1000);
+        assert_eq!(p.get_usize("partitions", 1).unwrap(), 1);
     }
 
     #[test]
@@ -304,28 +301,21 @@ mod tests {
         let table: [(&str, &[&str]); 7] = [
             ("info", &[]),
             ("convert", &["--output", "--shard-points"]),
-            (
-                "sample",
-                &["--size", "--exponent", "--kernels", "--output", "--weights"],
-            ),
+            ("sample", &["--size", "--exponent", "--output", "--weights"]),
             (
                 "cluster",
                 &[
                     "--clusters",
                     "--size",
                     "--exponent",
-                    "--kernels",
                     "--no-trim",
                     "--partitions",
                     "--pre-factor",
                     "--sample-frac",
                 ],
             ),
-            (
-                "outliers",
-                &["--radius", "--neighbors", "--kernels", "--slack"],
-            ),
-            ("density", &["--at", "--kernels"]),
+            ("outliers", &["--radius", "--neighbors", "--slack"]),
+            ("density", &["--at"]),
             (
                 "stream",
                 &[
@@ -339,7 +329,8 @@ mod tests {
             ),
         ];
         let every = table.iter().flat_map(|(_, own)| own.iter()).chain(&common);
-        let every: Vec<&str> = every.copied().chain(["--sise", "--help-me"]).collect();
+        let removed = ["--kernels", "--sise", "--help-me"];
+        let every: Vec<&str> = every.copied().chain(removed).collect();
         for (command, own) in table {
             for &option in &every {
                 let mut argv = vec![command, "d.txt", option];

@@ -60,24 +60,6 @@ impl Input {
     }
 }
 
-/// The scaled view of an input: materialized once for in-memory data (the
-/// executor then borrows it zero-copy), lazy for on-disk sources (chunks
-/// are transformed as they stream, keeping the pipeline out-of-core).
-/// Both produce bit-identical point values.
-enum Scaled<'a> {
-    Mem(Dataset),
-    View(ScaledSource<'a, dyn PointSource + 'a>),
-}
-
-impl Scaled<'_> {
-    fn source(&self) -> &dyn PointSource {
-        match self {
-            Scaled::Mem(d) => d,
-            Scaled::View(v) => v,
-        }
-    }
-}
-
 /// Runs a parsed invocation, writing human-readable output to `out`.
 ///
 /// With `--metrics-out FILE` an enabled [`Recorder`] is threaded through the
@@ -106,7 +88,7 @@ pub fn run(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
                 args,
                 input: &input,
                 scaler: &scaler,
-                scaled: scale_input(&input, &scaler)?,
+                scaled: scaler.scaled(input.source()).map_err(err)?,
                 rec: &rec,
                 threads,
             };
@@ -156,15 +138,6 @@ fn err(e: impl std::fmt::Display) -> String {
 
 fn io_err(e: std::io::Error) -> String {
     format!("write failed: {e}")
-}
-
-/// Builds the scaled view of the input. For in-memory data this is the
-/// familiar fit-and-transform; for on-disk data nothing is materialized.
-fn scale_input<'a>(input: &'a Input, scaler: &'a MinMaxScaler) -> Result<Scaled<'a>, String> {
-    Ok(match input {
-        Input::Mem(d) => Scaled::Mem(scaler.transform(d).map_err(err)?),
-        _ => Scaled::View(scaler.scaled(input.source()).map_err(err)?),
-    })
 }
 
 fn info(args: &ParsedArgs, input: &Input, out: &mut dyn Write) -> Result<(), String> {
@@ -218,38 +191,35 @@ fn convert(
 
 /// The stage runner of the five data commands: the parsed flags, the
 /// opened input, its unit-cube scaler and scaled view, the recorder and
-/// the thread count. Flags are read where each command first needs them,
-/// so a bad value is reported in the same order whichever stage reads it.
+/// the thread count. The view is lazy for every input format: chunks are
+/// transformed as they stream, so no scaled copy of the data is held and
+/// on-disk inputs stay out-of-core. Flags are read where each command
+/// first needs them, so a bad value is reported in the same order
+/// whichever stage reads it.
 struct Stages<'a> {
     args: &'a ParsedArgs,
     input: &'a Input,
     scaler: &'a MinMaxScaler,
-    scaled: Scaled<'a>,
+    scaled: ScaledSource<'a, dyn PointSource + 'a>,
     rec: &'a Recorder,
     threads: NonZeroUsize,
 }
 
 impl Stages<'_> {
     fn src(&self) -> &dyn PointSource {
-        self.scaled.source()
+        &self.scaled
     }
 
     fn seed(&self) -> Result<u64, String> {
         self.args.get_u64("seed", 0)
     }
 
-    /// The `--estimator` spec (`default` when absent) and its raw text. A
-    /// bare `kde` keeps honoring `--kernels`; parameterized specs (`kde:500`,
-    /// `grid:64`, `hashgrid`, `wavelet:5`, `agrid:8`, …) carry their own
-    /// knobs.
+    /// The `--estimator` spec (`default` when absent) and its raw text.
+    /// Every spec carries its own knobs (`kde:500`, `grid:64`, `hashgrid`,
+    /// `wavelet:5`, `agrid:8`, …).
     fn spec(&self, default: &'static str) -> Result<(&str, EstimatorSpec), String> {
         let raw = self.args.get_str("estimator").unwrap_or(default);
-        let spec = if raw == "kde" {
-            EstimatorSpec::kde(self.args.get_usize("kernels", 1000)?)
-        } else {
-            EstimatorSpec::parse(raw).map_err(err)?
-        };
-        Ok((raw, spec))
+        Ok((raw, EstimatorSpec::parse(raw).map_err(err)?))
     }
 
     /// Fits the density backend selected by `--estimator` (default `kde`)
@@ -388,12 +358,7 @@ impl Stages<'_> {
             let frac = self.args.get_f64("sample-frac", 1.0)?;
             let target = sample_target_size(src.len(), frac).map_err(err)?;
             let clustering = if target == src.len() {
-                let full = match &self.scaled {
-                    Scaled::Mem(d) => std::borrow::Cow::Borrowed(d),
-                    Scaled::View(v) => {
-                        std::borrow::Cow::Owned(dbs_core::scan::materialize(v).map_err(err)?)
-                    }
-                };
+                let full = dbs_core::scan::materialize(src).map_err(err)?;
                 let _span = self.rec.span("cluster");
                 partitioned_cluster_obs(&full, &hc, self.rec).map_err(err)?
             } else {
@@ -647,8 +612,8 @@ mod tests {
             "2",
             "--size",
             "300",
-            "--kernels",
-            "200",
+            "--estimator",
+            "kde:200",
         ]);
         assert!(output.contains("into 2 clusters"), "{output}");
         // Means reported in original coordinates (near the blob centers).
@@ -669,8 +634,8 @@ mod tests {
             "2",
             "--size",
             "300",
-            "--kernels",
-            "200",
+            "--estimator",
+            "kde:200",
             "--partitions",
             "2",
         ]);
@@ -774,8 +739,8 @@ mod tests {
             "0.1",
             "--neighbors",
             "2",
-            "--kernels",
-            "200",
+            "--estimator",
+            "kde:200",
             "--slack",
             "10",
         ]);
@@ -786,8 +751,22 @@ mod tests {
     #[test]
     fn density_contrasts_blob_and_void() {
         let file = write_sample_file("density");
-        let in_blob = run_cli(&["density", &file, "--at", "102,-47", "--kernels", "200"]);
-        let in_void = run_cli(&["density", &file, "--at", "105,-25", "--kernels", "200"]);
+        let in_blob = run_cli(&[
+            "density",
+            &file,
+            "--at",
+            "102,-47",
+            "--estimator",
+            "kde:200",
+        ]);
+        let in_void = run_cli(&[
+            "density",
+            &file,
+            "--at",
+            "105,-25",
+            "--estimator",
+            "kde:200",
+        ]);
         let ratio = |s: &str| -> f64 {
             s.lines()
                 .find(|l| l.contains("relative"))
@@ -833,8 +812,8 @@ mod tests {
             "0.1",
             "--neighbors",
             "2",
-            "--kernels",
-            "200",
+            "--estimator",
+            "kde:200",
             "--slack",
             "10",
         ];
@@ -933,8 +912,8 @@ mod tests {
                 "0.1",
                 "--neighbors",
                 "2",
-                "--kernels",
-                "200",
+                "--estimator",
+                "kde:200",
                 "--slack",
                 "10",
             ],

@@ -128,11 +128,6 @@ counter_catalog! {
     /// Points ingested into a streaming density sketch (one per
     /// `update`, whatever the schedule).
     SketchUpdates => "sketch_updates",
-    /// Sketch merge operations. No path records it since the sketch fit
-    /// moved to per-worker tables. It stays so every `--metrics-out` key
-    /// set stays the same, and goes when pipebench's mirror, which
-    /// compares those key sets, is retired.
-    SketchMerges => "sketch_merges",
 }
 
 /// A stack-allocated block of counter values — what instrumented inner

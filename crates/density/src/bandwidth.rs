@@ -17,8 +17,6 @@ pub enum Bandwidth {
     Silverman,
     /// The same bandwidth for every dimension.
     Fixed(f64),
-    /// Explicit per-dimension bandwidths.
-    PerDim(Vec<f64>),
 }
 
 /// Bandwidths are floored here so degenerate dimensions (zero variance)
@@ -31,8 +29,7 @@ impl Bandwidth {
     /// `sigmas` are the per-dimension sample standard deviations of the
     /// data, `n` the dataset size, `dim` the dimensionality.
     ///
-    /// Panics if a `PerDim` list has the wrong length or a fixed bandwidth
-    /// is non-positive.
+    /// Panics if a fixed bandwidth is non-positive.
     pub fn resolve(&self, sigmas: &[f64], n: usize, dim: usize) -> Vec<f64> {
         assert_eq!(sigmas.len(), dim, "sigma count must equal dim");
         assert!(n >= 1, "need at least one point");
@@ -55,11 +52,6 @@ impl Bandwidth {
             Bandwidth::Fixed(h) => {
                 assert!(*h > 0.0, "fixed bandwidth must be positive");
                 vec![*h; dim]
-            }
-            Bandwidth::PerDim(hs) => {
-                assert_eq!(hs.len(), dim, "PerDim bandwidth count must equal dim");
-                assert!(hs.iter().all(|&h| h > 0.0), "bandwidths must be positive");
-                hs.clone()
             }
         }
     }
@@ -94,21 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn fixed_and_per_dim() {
+    fn fixed_is_shared_by_every_dimension() {
         assert_eq!(
             Bandwidth::Fixed(0.05).resolve(&[9.0, 9.0], 10, 2),
             vec![0.05, 0.05]
         );
-        assert_eq!(
-            Bandwidth::PerDim(vec![0.1, 0.2]).resolve(&[9.0, 9.0], 10, 2),
-            vec![0.1, 0.2]
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn per_dim_wrong_length_panics() {
-        Bandwidth::PerDim(vec![0.1]).resolve(&[1.0, 1.0], 10, 2);
     }
 
     #[test]

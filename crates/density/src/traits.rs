@@ -44,7 +44,7 @@ pub trait DensityEstimator {
     /// executor evaluate chunks of an out-of-core source directly from each
     /// worker's chunk buffer. This is the per-chunk primitive under
     /// [`batch_densities`]; callers wanting a whole-dataset vector should
-    /// use that (or [`DensityEstimator::densities`]) instead.
+    /// use that instead.
     fn densities_into(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
         let _ = tally;
         debug_assert_eq!(out.len(), block.len());
@@ -72,31 +72,12 @@ pub trait DensityEstimator {
         let _ = (a, floor);
         None
     }
-
-    /// Densities of every point of `source`, in point order, evaluated with
-    /// up to `threads` worker threads.
-    ///
-    /// Delegates to [`batch_densities`], which maps
-    /// [`DensityEstimator::density`] over the source through the
-    /// deterministic executor (`dbs_core::par`): the output is identical
-    /// for every thread count and equal to a sequential scan evaluating one
-    /// point at a time. Excluded from `dyn DensityEstimator` vtables by the
-    /// `Sized` bound — dynamic callers use [`batch_densities`] directly.
-    fn densities<S: PointSource + ?Sized>(
-        &self,
-        source: &S,
-        threads: NonZeroUsize,
-    ) -> Result<Vec<f64>>
-    where
-        Self: Sized + Sync,
-    {
-        batch_densities(self, source, threads)
-    }
 }
 
-/// Batch density evaluation through the deterministic parallel executor —
-/// the free-function form of [`DensityEstimator::densities`], usable with
-/// unsized estimators (`dyn DensityEstimator + Sync`).
+/// Densities of every point of `source`, in point order, evaluated with
+/// up to `threads` worker threads through the deterministic parallel
+/// executor (`dbs_core::par`); works with unsized estimators
+/// (`dyn DensityEstimator + Sync`).
 ///
 /// Each fixed 4096-point chunk of the executor is evaluated through the
 /// [`DensityEstimator::densities_into`] hook, so backends with a blocked

@@ -2,6 +2,7 @@
 //! the one-pass normalizer approximation, the kernel function, the
 //! bandwidth rule, and the estimator backend.
 
+use dbs_core::obs::Recorder;
 use dbs_core::{BoundingBox, Result};
 use dbs_density::{Bandwidth, DensityEstimator, EstimatorKind, EstimatorSpec, Kernel};
 use dbs_sampling::onepass::estimate_normalizer;
@@ -75,7 +76,8 @@ pub fn one_pass_accuracy(scale: Scale, seed: u64) -> Result<Vec<(f64, f64, f64)>
         .fit(&synth.data)?;
     let mut rows = Vec::new();
     for &a in &[-0.5, 0.5, 1.0] {
-        let approx_k = estimate_normalizer(&*est, a, 0.01, dbs_core::par::available_parallelism())?;
+        let threads = dbs_core::par::available_parallelism();
+        let approx_k = estimate_normalizer(&*est, a, threads, &Recorder::disabled())?;
         let (_, stats) = density_biased_sample(
             &synth.data,
             &*est,

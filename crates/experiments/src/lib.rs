@@ -19,7 +19,6 @@
 //! | [`geo`] | §4.3 real-data experiments (NorthEast / California) |
 //! | [`outliers`] | §4.5 outlier detection (recall, passes, pruning) |
 //! | [`ablation`] | exponent sweep, one-pass vs two-pass, kernel/bandwidth |
-//! | [`metrics`] | instrumented pipeline: counted work + stage timings |
 //!
 //! All experiments are deterministic given their seeds; EXPERIMENTS.md
 //! records the paper-vs-measured comparison for each.
@@ -35,7 +34,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod geo;
-pub mod metrics;
 pub mod outliers;
 pub mod pipeline;
 pub mod report;

@@ -16,21 +16,17 @@
 //!   geo        NorthEast / California simulations
 //!   outliers   DB(p,k) detection
 //!   ablation   exponent / one-pass / kernel / backend ablations
-//!   metrics    instrumented pipeline: counted work + stage timings
-//!              (--metrics-out FILE additionally writes the JSON snapshot)
 //!   all        everything above, in order
 //! ```
 
 use dbs_experiments::{
-    ablation, fig2, fig3, fig4, fig5, fig6, fig7, geo, metrics, outliers, scalable, scaling,
-    theorem1, Scale,
+    ablation, fig2, fig3, fig4, fig5, fig6, fig7, geo, outliers, scalable, scaling, theorem1, Scale,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
     let mut seed = 42u64;
-    let mut metrics_out: Option<String> = None;
     let mut command: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -43,21 +39,11 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--seed requires an integer"));
             }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--metrics-out requires a file path")),
-                );
-            }
             c if command.is_none() && !c.starts_with('-') => command = Some(c.to_string()),
             other => die(&format!("unknown argument: {other}")),
         }
     }
     let command = command.unwrap_or_else(|| die("missing subcommand; see --help in module docs"));
-    if metrics_out.is_some() && command != "metrics" {
-        die("--metrics-out only applies to the metrics subcommand");
-    }
 
     let run_one = |name: &str| -> String {
         let result = match name {
@@ -73,7 +59,6 @@ fn main() {
             "geo" => geo::render(scale, seed),
             "outliers" => outliers::render(scale, seed),
             "ablation" => ablation::render(scale, seed),
-            "metrics" => metrics::render(scale, seed),
             other => die(&format!("unknown subcommand: {other}")),
         };
         match result {
@@ -85,7 +70,7 @@ fn main() {
     if command == "all" {
         for name in [
             "theorem1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "scaling", "scalable",
-            "geo", "outliers", "ablation", "metrics",
+            "geo", "outliers", "ablation",
         ] {
             println!("==================== {name} ====================");
             println!("{}", run_one(name));
@@ -93,23 +78,12 @@ fn main() {
     } else {
         println!("{}", run_one(&command));
     }
-
-    if let Some(path) = metrics_out {
-        let report = match metrics::collect(scale, seed) {
-            Ok(r) => r,
-            Err(e) => die(&format!("metrics collection failed: {e}")),
-        };
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote metrics JSON to {path}");
-    }
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments <theorem1|fig2|fig3|fig4|fig5|fig6|fig7|scaling|scalable|geo|outliers|ablation|metrics|all> [--paper] [--seed N] [--metrics-out FILE]"
+        "usage: experiments <theorem1|fig2|fig3|fig4|fig5|fig6|fig7|scaling|scalable|geo|outliers|ablation|all> [--paper] [--seed N]"
     );
     std::process::exit(2);
 }

@@ -34,6 +34,14 @@ use dbs_core::rng::keyed_unit;
 use dbs_core::{par, Dataset, Error, PointBlock, PointSource, Result, WeightedSample};
 use dbs_density::DensityEstimator;
 
+/// Densities are floored at `DENSITY_FLOOR * average_density` before
+/// exponentiation, where the average density is `n / volume(domain)`.
+/// Without a floor, points in `f(x) = 0` regions would receive unbounded
+/// weight for `a < 0` and soak up the whole sample budget; the relative
+/// floor caps their advantage over averagely-dense regions at
+/// `(1/DENSITY_FLOOR)^{|a|}`.
+pub const DENSITY_FLOOR: f64 = 0.01;
+
 /// Configuration of the density-biased sampler.
 #[derive(Debug, Clone)]
 pub struct BiasedConfig {
@@ -43,13 +51,6 @@ pub struct BiasedConfig {
     /// paper's Practitioner's Guide (§4.4) recommends `1.0` for noisy data
     /// and `-0.5` to find small/sparse clusters in clean data.
     pub exponent: f64,
-    /// Densities are floored at `density_floor * average_density` before
-    /// exponentiation, where the average density is `n / volume(domain)`.
-    /// Without a floor, points in `f(x) = 0` regions would receive
-    /// unbounded weight for `a < 0` and soak up the whole sample budget;
-    /// the relative floor caps their advantage over averagely-dense
-    /// regions at `(1/density_floor)^{|a|}`.
-    pub density_floor: f64,
     /// RNG seed for the inclusion draws.
     pub seed: u64,
     /// Worker threads for the density and inclusion passes. The sample is
@@ -59,13 +60,12 @@ pub struct BiasedConfig {
 }
 
 impl BiasedConfig {
-    /// A config with target size `b`, exponent `a`, and default floor/seed;
-    /// parallelism defaults to the machine's available parallelism.
+    /// A config with target size `b`, exponent `a` and seed 0; parallelism
+    /// defaults to the machine's available parallelism.
     pub fn new(target_size: usize, exponent: f64) -> Self {
         BiasedConfig {
             target_size,
             exponent,
-            density_floor: 0.01,
             seed: 0,
             parallelism: par::available_parallelism(),
         }
@@ -159,7 +159,7 @@ where
 {
     check_inputs(source, estimator, config)?;
     let a = config.exponent;
-    let floor = config.density_floor * estimator.average_density();
+    let floor = DENSITY_FLOOR * estimator.average_density();
     figure1_passes(source, config, recorder, |block, tally| {
         let mut fp = vec![0.0f64; block.len()];
         estimator.densities_into(block, &mut fp, tally);
@@ -229,11 +229,6 @@ where
             expected: estimator.dim(),
             got: source.dim(),
         });
-    }
-    if !(config.density_floor > 0.0) {
-        return Err(Error::InvalidParameter(
-            "density_floor must be positive".into(),
-        ));
     }
     Ok(())
 }
@@ -448,7 +443,7 @@ mod tests {
             let p = inclusion_probability(
                 est.density(ds.point(i)),
                 1.0,
-                cfg.density_floor,
+                DENSITY_FLOOR * est.average_density(),
                 500.0,
                 stats.normalizer_k,
             );
@@ -492,9 +487,6 @@ mod tests {
             density_biased_sample(&Dataset::new(2), &est, &BiasedConfig::new(10, 1.0)).is_err()
         );
         assert!(density_biased_sample(&ds, &est, &BiasedConfig::new(0, 1.0)).is_err());
-        let mut bad = BiasedConfig::new(10, 1.0);
-        bad.density_floor = 0.0;
-        assert!(density_biased_sample(&ds, &est, &bad).is_err());
         let ds3 = Dataset::from_rows(&[vec![0.0, 0.0, 0.0]]).unwrap();
         assert!(density_biased_sample(&ds3, &est, &BiasedConfig::new(10, 1.0)).is_err());
     }

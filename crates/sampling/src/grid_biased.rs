@@ -19,15 +19,21 @@
 //! the other makes the inclusion draws. Both run on the machine's
 //! available parallelism, and the draw for point `i` is a counter-based
 //! hash of `(seed, i)` ([`dbs_core::rng::keyed_unit`]), so the sample is a
-//! pure function of (data, config) at every thread count, and
-//! [`grid_biased_sample_obs`] records passes and clip events without
-//! perturbing it.
+//! pure function of (data, config) at every thread count.
+//!
+//! The grid is the one Figure 5(c) uses: [`GRID_CELLS_PER_DIM`] cells per
+//! dimension over the unit cube, the domain every caller scales its data
+//! to.
 
-use dbs_core::obs::{Counter, Recorder};
+use dbs_core::obs::Recorder;
 use dbs_core::{par, BoundingBox, Error, PointSource, Result, WeightedSample};
 use dbs_density::{DensityEstimator, ShiftedGrids};
 
 use crate::biased::{figure1_passes, BiasedConfig, BiasedSampleStats};
+
+/// Grid cells per dimension of the sampler's virtual grid over the unit
+/// cube (only hashed slots are stored).
+pub const GRID_CELLS_PER_DIM: usize = 32;
 
 /// Configuration of the Palmer–Faloutsos-style sampler.
 #[derive(Debug, Clone)]
@@ -36,28 +42,20 @@ pub struct GridBiasedConfig {
     pub target_size: usize,
     /// Exponent `e` on the cell count (per-point rate ∝ `count^e`).
     pub exponent: f64,
-    /// Grid cells per dimension (the virtual grid; only hashed slots are
-    /// stored).
-    pub cells_per_dim: usize,
     /// Hash-table slots — the memory budget. The paper allows \[22\] 5 MB;
     /// at 8 bytes per counter that is 655 360 slots.
     pub table_slots: usize,
-    /// Domain of the data (unit cube if `None`).
-    pub domain: Option<BoundingBox>,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl GridBiasedConfig {
-    /// A config with the Figure 5(c) defaults: `e`, 32 cells/dim, a 5 MB
-    /// table.
+    /// A config with the Figure 5(c) defaults: `e` and a 5 MB table.
     pub fn new(target_size: usize, exponent: f64) -> Self {
         GridBiasedConfig {
             target_size,
             exponent,
-            cells_per_dim: 32,
             table_slots: 5 * 1024 * 1024 / 8,
-            domain: None,
             seed: 0,
         }
     }
@@ -71,27 +69,13 @@ impl GridBiasedConfig {
 
 /// Runs the grid/hash-based biased sampler.
 ///
-/// Pass 1 builds the hashed cell counts; pass 2 computes
-/// `K = Σ_x max(1, c(x))^e`, where `c(x)` is the (hashed) count of the
-/// point's cell, and pass 3 samples each point with probability
+/// Pass 1 builds the hashed cell counts of the unit cube's grid; pass 2
+/// computes `K = Σ_x max(1, c(x))^e`, where `c(x)` is the (hashed) count
+/// of the point's cell, and pass 3 samples each point with probability
 /// `min(1, b · max(1, c(x))^e / K)` and weight `1/p`.
 pub fn grid_biased_sample<S: PointSource + ?Sized>(
     source: &S,
     config: &GridBiasedConfig,
-) -> Result<(WeightedSample, BiasedSampleStats)> {
-    grid_biased_sample_obs(source, config, &Recorder::disabled())
-}
-
-/// [`grid_biased_sample`] with metrics: records the three dataset passes
-/// (grid fit, normalizer, inclusion), the hashed grid's per-chunk query
-/// counts and the clip count into `recorder`.
-/// The sample and stats are byte-identical to the plain entry point
-/// whether the recorder is enabled or not (this *is* the implementation
-/// the plain entry point runs with a disabled recorder).
-pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
-    source: &S,
-    config: &GridBiasedConfig,
-    recorder: &Recorder,
 ) -> Result<(WeightedSample, BiasedSampleStats)> {
     if source.is_empty() {
         return Err(Error::InvalidParameter(
@@ -100,9 +84,6 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
     }
     if config.target_size == 0 {
         return Err(Error::InvalidParameter("target_size must be >= 1".into()));
-    }
-    if config.cells_per_dim == 0 {
-        return Err(Error::InvalidParameter("cells_per_dim must be >= 1".into()));
     }
     if config.table_slots == 0 {
         return Err(Error::InvalidParameter("table_slots must be >= 1".into()));
@@ -113,14 +94,9 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
             config.exponent
         )));
     }
-    let domain = config
-        .domain
-        .clone()
-        .unwrap_or_else(|| BoundingBox::unit(source.dim()));
-
     // Pass 1: hashed cell counts.
-    recorder.add(Counter::DatasetPasses, 1);
-    let est = ShiftedGrids::hashgrid(domain, config.cells_per_dim, config.table_slots)?
+    let domain = BoundingBox::unit(source.dim());
+    let est = ShiftedGrids::hashgrid(domain, GRID_CELLS_PER_DIM, config.table_slots)?
         .fit(source, par::serial())?;
 
     // Passes 2 and 3 are Figure 1's with f'(x) = max(1, c(x))^e, where
@@ -128,7 +104,8 @@ pub fn grid_biased_sample_obs<S: PointSource + ?Sized>(
     let cell_volume = est.cell_volume();
     let e = config.exponent;
     let biased = BiasedConfig::new(config.target_size, e).with_seed(config.seed);
-    let (sample, mut stats) = figure1_passes(source, &biased, recorder, |block, tally| {
+    let unrecorded = &Recorder::disabled();
+    let (sample, mut stats) = figure1_passes(source, &biased, unrecorded, |block, tally| {
         let mut fp = vec![0.0f64; block.len()];
         est.densities_into(block, &mut fp, tally);
         fp.iter_mut()
@@ -211,12 +188,8 @@ mod tests {
         assert!(grid_biased_sample(&Dataset::new(2), &GridBiasedConfig::new(5, -0.5)).is_err());
         let ds = two_blobs(100, 9);
         assert!(grid_biased_sample(&ds, &GridBiasedConfig::new(0, -0.5)).is_err());
-        // Degenerate grid/table/exponent settings must fail up front with
-        // a parameter error, not as a downstream normalizer surprise.
-        let mut no_cells = GridBiasedConfig::new(5, -0.5);
-        no_cells.cells_per_dim = 0;
-        let err = grid_biased_sample(&ds, &no_cells).unwrap_err();
-        assert!(err.to_string().contains("cells_per_dim"), "{err}");
+        // Degenerate table/exponent settings must fail up front with a
+        // parameter error, not as a downstream normalizer surprise.
         let mut no_slots = GridBiasedConfig::new(5, -0.5);
         no_slots.table_slots = 0;
         let err = grid_biased_sample(&ds, &no_slots).unwrap_err();
@@ -225,22 +198,6 @@ mod tests {
             let err = grid_biased_sample(&ds, &GridBiasedConfig::new(5, bad_e)).unwrap_err();
             assert!(err.to_string().contains("exponent"), "{bad_e}: {err}");
         }
-    }
-
-    #[test]
-    fn obs_variant_counts_passes_without_perturbing_sample() {
-        let ds = two_blobs(5000, 12);
-        let cfg = GridBiasedConfig::new(200, -0.5).with_seed(13);
-        let (plain, plain_stats) = grid_biased_sample(&ds, &cfg).unwrap();
-        let rec = Recorder::enabled();
-        let (obs, obs_stats) = grid_biased_sample_obs(&ds, &cfg, &rec).unwrap();
-        assert_eq!(plain.source_indices(), obs.source_indices());
-        assert_eq!(plain_stats, obs_stats);
-        assert_eq!(rec.counter(Counter::DatasetPasses), 3);
-        assert_eq!(
-            rec.counter(Counter::SamplerClipEvents),
-            obs_stats.clipped as u64
-        );
     }
 
     #[test]

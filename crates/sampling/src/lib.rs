@@ -30,7 +30,8 @@ pub mod uniform;
 
 pub use biased::{
     density_biased_sample, density_biased_sample_obs, BiasedConfig, BiasedSampleStats,
+    DENSITY_FLOOR,
 };
-pub use grid_biased::{grid_biased_sample, grid_biased_sample_obs, GridBiasedConfig};
+pub use grid_biased::{grid_biased_sample, GridBiasedConfig};
 pub use onepass::{one_pass_biased_sample, one_pass_biased_sample_obs};
 pub use uniform::bernoulli_sample;

@@ -21,37 +21,29 @@ use dbs_core::obs::Recorder;
 use dbs_core::{Error, PointSource, Result, WeightedSample};
 use dbs_density::DensityEstimator;
 
-use crate::biased::{check_inputs, inclusion_pass, BiasedConfig, BiasedSampleStats};
+use crate::biased::{check_inputs, inclusion_pass, BiasedConfig, BiasedSampleStats, DENSITY_FLOOR};
 
 /// Estimates the Figure 1 normalizer `k` from the fitted summary only
-/// (no dataset pass). `floor_rel` is the density floor relative to the
-/// average density, as in [`BiasedConfig::density_floor`]. Probe densities
-/// are evaluated with up to `threads` workers; the result is identical for
+/// (no dataset pass), with densities floored at [`DENSITY_FLOOR`] times
+/// the average density as in the two-pass sampler. Probe densities are
+/// evaluated with up to `threads` workers; the result is identical for
 /// every thread count (the batch evaluation returns densities in probe
-/// order and the fold over them is serial).
-pub fn estimate_normalizer<E>(est: &E, a: f64, floor_rel: f64, threads: NonZeroUsize) -> Result<f64>
-where
-    E: DensityEstimator + Sync + ?Sized,
-{
-    estimate_normalizer_obs(est, a, floor_rel, threads, &Recorder::disabled())
-}
-
-/// [`estimate_normalizer`] with the probe evaluation's work counts merged
-/// into `recorder`. The probe scan is over derived in-memory data, not
-/// the caller's primary source, so no `DatasetPasses` is recorded — that
-/// is the whole point of the one-pass variant. Errors if the backend
-/// offers neither a uniform probe sample nor a summary normalizer.
-pub fn estimate_normalizer_obs<E>(
+/// order and the fold over them is serial). The probe evaluation's work
+/// counts are merged into `recorder`; the probe scan is over derived
+/// in-memory data, not the caller's primary source, so no
+/// `DatasetPasses` is recorded — that is the whole point of the one-pass
+/// variant. Errors if the backend offers neither a uniform probe sample
+/// nor a summary normalizer.
+pub fn estimate_normalizer<E>(
     est: &E,
     a: f64,
-    floor_rel: f64,
     threads: NonZeroUsize,
     recorder: &Recorder,
 ) -> Result<f64>
 where
     E: DensityEstimator + Sync + ?Sized,
 {
-    let floor = floor_rel * est.average_density();
+    let floor = DENSITY_FLOOR * est.average_density();
     if let Some(probe) = est.uniform_probe() {
         let ks = probe.len() as f64;
         let n = est.dataset_size();
@@ -104,9 +96,8 @@ where
 {
     check_inputs(source, estimator, config)?;
     let a = config.exponent;
-    let floor_rel = config.density_floor;
-    let floor = floor_rel * estimator.average_density();
-    let k = estimate_normalizer_obs(estimator, a, floor_rel, config.parallelism, recorder)?;
+    let floor = DENSITY_FLOOR * estimator.average_density();
+    let k = estimate_normalizer(estimator, a, config.parallelism, recorder)?;
     if !(k.is_finite() && k > 0.0) {
         return Err(Error::InvalidParameter(format!(
             "approximated normalizer k = {k} is not positive/finite"
@@ -179,9 +170,11 @@ mod tests {
     fn normalizer_close_to_exact() {
         let ds = two_blobs(20_000, 2);
         let est = kde(&ds);
-        let floor = 0.01 * est.average_density();
+        let floor = DENSITY_FLOOR * est.average_density();
         for a in [-0.5, 0.5, 1.0] {
-            let approx = estimate_normalizer(&est, a, 0.01, par::available_parallelism()).unwrap();
+            let approx =
+                estimate_normalizer(&est, a, par::available_parallelism(), &Recorder::disabled())
+                    .unwrap();
             let mut exact = 0.0;
             for p in ds.iter() {
                 exact += est.density(p).max(floor).powf(a);
@@ -234,9 +227,14 @@ mod tests {
                 .with_domain(BoundingBox::unit(2))
                 .fit(&ds)
                 .unwrap();
-            let floor = 0.01 * est.average_density();
-            let approx =
-                estimate_normalizer(&*est, 1.0, 0.01, par::available_parallelism()).unwrap();
+            let floor = DENSITY_FLOOR * est.average_density();
+            let approx = estimate_normalizer(
+                &*est,
+                1.0,
+                par::available_parallelism(),
+                &Recorder::disabled(),
+            )
+            .unwrap();
             let mut exact = 0.0;
             for p in ds.iter() {
                 exact += est.density(p).max(floor);

@@ -30,6 +30,7 @@ bench:
 # CURE_SCALING_FULL_REF=1 also runs the (slow) reference at 50k, as done
 # for the recorded BENCH_cure_scaling.json.
 bench-cure:
+    rm -f BENCH_cure_scaling.json
     CRITERION_JSON={{justfile_directory()}}/BENCH_cure_scaling.json cargo bench -p dbs-bench --bench cure_scaling
 
 # Tracked `.rs` lines outside pipebench/, the net line count every
@@ -43,22 +44,9 @@ bench-kde:
     rm -f BENCH_kde_batch.json
     CRITERION_JSON={{justfile_directory()}}/BENCH_kde_batch.json cargo bench -p dbs-bench --bench kde_batch
 
-# Thread scaling of batch density and the two-pass biased sampler at
-# 1/2/4/8 threads, recorded as BENCH_par_scaling.json. The bench writes
-# JSON lines; the recorded file wraps the same records in one document
-# with a host note, which a re-recording has to restore by hand.
-bench-par:
-    rm -f BENCH_par_scaling.json
-    CRITERION_JSON={{justfile_directory()}}/BENCH_par_scaling.json cargo bench -p dbs-bench --bench par_scaling
-
 # Regenerate the CI-sized versions of every paper figure/table.
 experiments:
     cargo run --release -p dbs-experiments -- all
-
-# Run the instrumented pipeline and emit a sample metrics JSON
-# (deterministic counters + machine-dependent stage timings).
-metrics:
-    cargo run --release -p dbs-experiments -- metrics --metrics-out metrics_sample.json
 
 # Compare two pipebench results files (the JSON lines `pipeline --out FILE`
 # appends, e.g. one from the parent commit and one from a change) against
@@ -105,6 +93,7 @@ bench-cure-part:
 # at d in {2,3,5}, 100k and 1M points. The recorded BENCH_agrid.json
 # carries the d=5/100k agrid-vs-KDE query comparison (>=5x target).
 bench-agrid:
+    rm -f BENCH_agrid.json
     CRITERION_JSON={{justfile_directory()}}/BENCH_agrid.json cargo bench -p dbs-bench --bench agrid
 
 # High-dimension CURE merge-loop curve: tight 16-d (and 12-d) diagonal
@@ -122,6 +111,7 @@ bench-cure-highdim:
 # FileSource::scan A/B. Takes a few minutes on one core; drop
 # SHARD_SCAN_FULL=1 for a 1M-point smoke version.
 bench-shard:
+    rm -f BENCH_shard_scan.json
     SHARD_SCAN_FULL=1 CRITERION_JSON={{justfile_directory()}}/BENCH_shard_scan.json cargo bench -p dbs-bench --bench shard_scan
 
 # Streaming sketch service: one-pass fit throughput and merge cost for the
@@ -130,4 +120,5 @@ bench-shard:
 # (allocation TV <= 0.05, size within 10%, normalizer within 25%),
 # recorded as BENCH_stream_sketch.json.
 bench-stream:
+    rm -f BENCH_stream_sketch.json
     CRITERION_JSON={{justfile_directory()}}/BENCH_stream_sketch.json cargo bench -p dbs-bench --bench stream_sketch

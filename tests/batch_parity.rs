@@ -9,7 +9,7 @@ use std::num::NonZeroUsize;
 
 use dbs_core::rng::seeded;
 use dbs_core::{BoundingBox, Dataset};
-use dbs_density::{DensityEstimator, KdeConfig, Kernel, KernelDensityEstimator};
+use dbs_density::{batch_densities, DensityEstimator, KdeConfig, Kernel, KernelDensityEstimator};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -80,7 +80,7 @@ proptest! {
                         .map(|x| est.density(x).to_bits())
                         .collect();
                     for t in THREADS {
-                        let batch = est.densities(&data, nz(t)).expect("batch eval");
+                        let batch = batch_densities(&est, &data, nz(t)).expect("batch eval");
                         let batch_bits: Vec<u64> =
                             batch.iter().map(|d| d.to_bits()).collect();
                         prop_assert_eq!(

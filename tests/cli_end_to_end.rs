@@ -35,8 +35,8 @@ fn cluster_flow_over_text_file_finds_structure() {
         "10",
         "--size",
         "600",
-        "--kernels",
-        "500",
+        "--estimator",
+        "kde:500",
         "--seed",
         "2",
     ])
@@ -334,14 +334,14 @@ fn unbenchmarked_commands_match_their_golden_transcript() {
     )
     .unwrap();
     let cases = [
-        "sample <tmp>/in.txt --size 40 --kernels 100 --weights <tmp>/w.txt",
-        "cluster <tmp>/in.txt --clusters 3 --size 300 --kernels 200",
+        "sample <tmp>/in.txt --size 40 --estimator kde:100 --weights <tmp>/w.txt",
+        "cluster <tmp>/in.txt --clusters 3 --size 300 --estimator kde:200",
         "cluster <tmp>/in.txt --clusters 3 --size 300 --partitions 2",
         "cluster <tmp>/in.txt --clusters 3 --sample-frac 1.0 --partitions 3",
-        "outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --kernels 200",
+        "outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --estimator kde:200",
         "stream <tmp>/in.txt --size 40 --reservoir 25 --estimator sketch:3:4096 --seed 5 \
          --weights <tmp>/w.txt --reservoir-out <tmp>/r.txt",
-        "density <tmp>/in.txt --at 0.35,0.31 --kernels 200",
+        "density <tmp>/in.txt --at 0.35,0.31 --estimator kde:200",
         "info <tmp>/in.txt",
         "convert <tmp>/in.txt --output <tmp>/shards --shard-points 4096",
     ];
@@ -369,7 +369,7 @@ fn unbenchmarked_commands_match_their_golden_transcript() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-const GOLDEN: &str = r"$ sample <tmp>/in.txt --size 40 --kernels 100 --weights <tmp>/w.txt
+const GOLDEN: &str = r"$ sample <tmp>/in.txt --size 40 --estimator kde:100 --weights <tmp>/w.txt
 sampled 44 of 2010 points (target 40, a = 1, normalizer k = 1.1984e7, 0 clipped)
 wrote weights to <tmp>/w.txt
   [0.8077761397299625, 0.8077390095943964]
@@ -379,7 +379,7 @@ wrote weights to <tmp>/w.txt
   [0.376384414762746, 0.8219318304871098]
   ... (39 more; use --output FILE)
   <tmp>/w.txt: 797 bytes, fnv ecceae74e9ca1c34
-$ cluster <tmp>/in.txt --clusters 3 --size 300 --kernels 200
+$ cluster <tmp>/in.txt --clusters 3 --size 300 --estimator kde:200
 clustered a 289-point sample into 3 clusters (98 sample points trimmed as noise)
   cluster 0: 162 sample points (≈942 dataset points), mean [0.595, 0.753]
   cluster 1: 16 sample points (≈86 dataset points), mean [0.351, 0.318]
@@ -394,7 +394,7 @@ clustered 2010 points from a 2010-point sample into 3 clusters (489 points marke
   cluster 0: 1188 points, mean [0.605, 0.731]
   cluster 1: 161 points, mean [0.35, 0.306]
   cluster 2: 172 points, mean [0.949, 0.348]
-$ outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --kernels 200
+$ outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --estimator kde:200
 DB(p=1, k=0.03) outliers: 4 found (17 candidates verified, 2 dataset passes + estimator pass)
   #2001: [0.7491234211488095, 0.09933737071181004]
   #2006: [0.09943600654431084, 0.7514769865815079]
@@ -413,7 +413,7 @@ wrote reservoir to <tmp>/r.txt
   ... (31 more; use --output FILE)
   <tmp>/w.txt: 547 bytes, fnv e4b47d30f0adce77
   <tmp>/r.txt: 959 bytes, fnv 4c17c5552394ac4d
-$ density <tmp>/in.txt --at 0.35,0.31 --kernels 200
+$ density <tmp>/in.txt --at 0.35,0.31 --estimator kde:200
 density at [0.35, 0.31]: 10740.8006 (average over domain: 2010.0000)
 relative to average: 5.34x
 $ info <tmp>/in.txt

@@ -9,9 +9,9 @@
 use std::num::NonZeroUsize;
 
 use dbs_core::{BoundingBox, Dataset, Metric, WeightedSample};
-use dbs_density::{DensityEstimator, KdeConfig, KernelDensityEstimator};
+use dbs_density::{batch_densities, DensityEstimator, KdeConfig, KernelDensityEstimator};
 use dbs_outlier::{approx_outliers, ApproxConfig, DbOutlierParams};
-use dbs_sampling::{density_biased_sample, one_pass_biased_sample, BiasedConfig};
+use dbs_sampling::{density_biased_sample, one_pass_biased_sample, BiasedConfig, DENSITY_FLOOR};
 
 use dbs_integration_tests::clustered_noisy;
 
@@ -59,7 +59,7 @@ fn assert_samples_identical(a: &WeightedSample, b: &WeightedSample, what: &str) 
 #[test]
 fn kde_batch_densities_are_thread_count_independent() {
     let (data, est) = workload();
-    let serial = est.densities(&data, nz(1)).unwrap();
+    let serial = batch_densities(&est, &data, nz(1)).unwrap();
     // The cache-blocked batch engine must agree with per-point scalar
     // evaluation on every point, bit for bit.
     for (i, &d) in serial.iter().enumerate() {
@@ -70,7 +70,7 @@ fn kde_batch_densities_are_thread_count_independent() {
         );
     }
     for t in THREADS {
-        let par = est.densities(&data, nz(t)).unwrap();
+        let par = batch_densities(&est, &data, nz(t)).unwrap();
         assert_eq!(bits(&serial), bits(&par), "threads={t}");
     }
 }
@@ -85,7 +85,7 @@ fn batch_routed_pipelines_match_scalar_reference() {
     // Two-pass sampler: the normalizer k is the serial fold over f'(x);
     // recompute it from scalar density() calls and compare bits.
     let cfg = BiasedConfig::new(1500, 0.75).with_seed(5);
-    let floor = cfg.density_floor * est.average_density();
+    let floor = DENSITY_FLOOR * est.average_density();
     let reference_k: f64 = data
         .iter()
         .map(|x| est.density(x).max(floor).powf(cfg.exponent))
