@@ -22,11 +22,13 @@ use dbs_cluster::{
     partitioned_cluster_obs, sample_fed_cluster_obs, sample_target_size, Clustering,
     HierarchicalConfig, NOISE,
 };
-use dbs_core::io::{read_text, write_text, FileSource};
+use dbs_core::io::{read_text, write_rows, FileSource};
 use dbs_core::normalize::ScaledSource;
-use dbs_core::obs::{Counter, Recorder};
+use dbs_core::obs::{Counter, Recorder, Tally};
 use dbs_core::rng::sub_seed;
-use dbs_core::{par, shard, BoundingBox, Dataset, MinMaxScaler, PointSource, Reservoir};
+use dbs_core::{
+    par, shard, BoundingBox, Dataset, MinMaxScaler, PointBlock, PointSource, Reservoir,
+};
 use dbs_core::{ShardedSource, WeightedSample};
 use dbs_density::{DensityEstimator, DensitySketch, EstimatorKind, EstimatorSpec, SketchConfig};
 use dbs_outlier::{approx_outliers_obs, ApproxConfig, DbOutlierParams};
@@ -57,6 +59,47 @@ impl Input {
     /// Fetches `indices` (in order) in original coordinates.
     fn select(&self, indices: &[usize], rec: &Recorder) -> Result<Dataset, String> {
         self.source().select(indices, rec).map_err(err)
+    }
+}
+
+/// A density estimator fitted on the unit-cube view, queried with points
+/// in original coordinates: each block is scaled on the way in by the
+/// expression [`ScaledSource`] applies, so every density has the bits the
+/// estimator gives the scaled view. Densities stay in unit-cube units,
+/// like `average_density`, which is all the Figure 1 sampler compares
+/// them with; the unit-cube summaries (`uniform_probe`,
+/// `summary_normalizer`) are not offered.
+struct ScaledQueries<'a> {
+    est: &'a (dyn DensityEstimator + Sync),
+    scaler: &'a MinMaxScaler,
+}
+
+impl DensityEstimator for ScaledQueries<'_> {
+    fn dim(&self) -> usize {
+        self.est.dim()
+    }
+
+    fn dataset_size(&self) -> f64 {
+        self.est.dataset_size()
+    }
+
+    fn density(&self, x: &[f64]) -> f64 {
+        let mut scaled = x.to_vec();
+        self.scaler.transform_point(&mut scaled);
+        self.est.density(&scaled)
+    }
+
+    fn average_density(&self) -> f64 {
+        self.est.average_density()
+    }
+
+    fn densities_into(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
+        let mut scaled = block.as_flat().to_vec();
+        for p in scaled.chunks_exact_mut(block.dim()) {
+            self.scaler.transform_point(p);
+        }
+        let scaled = PointBlock::from_flat(block.range().start, block.dim(), &scaled);
+        self.est.densities_into(&scaled, out, tally);
     }
 }
 
@@ -249,31 +292,36 @@ impl Stages<'_> {
         sampler(&cfg).map_err(err)
     }
 
-    /// Writes a drawn sample: `--output` in original coordinates (fetched
-    /// back from the raw input by index, through cached chunk reads),
-    /// `--weights`, `--reservoir-out` when the command kept a `reservoir`,
-    /// and without `--output` a five-point preview.
+    /// Writes `data` in the text format to `path`, formatted on every
+    /// worker.
+    fn write_rows(&self, path: &str, data: &[f64], width: usize) -> Result<(), String> {
+        write_rows(Path::new(path), data, width, self.threads).map_err(err)
+    }
+
+    /// Writes a drawn sample whose rows in original coordinates are
+    /// `original`: `--output`, `--weights`, `--reservoir-out` when the
+    /// command kept a `reservoir`, and without `--output` a five-point
+    /// preview.
     fn write_sample(
         &self,
         s: &WeightedSample,
+        original: &Dataset,
         reservoir: Option<&[usize]>,
         out: &mut dyn Write,
     ) -> Result<(), String> {
-        let original = self.input.select(s.source_indices(), self.rec)?;
         if let Some(path) = self.args.get_str("output") {
-            write_text(Path::new(path), &original).map_err(err)?;
+            self.write_rows(path, original.as_flat(), original.dim())?;
             writeln!(out, "wrote sample to {path}").map_err(io_err)?;
         }
         if let Some(path) = self.args.get_str("weights") {
-            let w: String = s.weights().iter().map(|w| format!("{w}\n")).collect();
-            std::fs::write(path, w).map_err(err)?;
+            self.write_rows(path, s.weights(), 1)?;
             writeln!(out, "wrote weights to {path}").map_err(io_err)?;
         }
         if let (Some(path), Some(indices)) = (self.args.get_str("reservoir-out"), reservoir) {
             let mut sorted = indices.to_vec();
             sorted.sort_unstable();
             let kept = self.input.select(&sorted, self.rec)?;
-            write_text(Path::new(path), &kept).map_err(err)?;
+            self.write_rows(path, kept.as_flat(), kept.dim())?;
             writeln!(out, "wrote reservoir to {path}").map_err(io_err)?;
         }
         if self.args.get_str("output").is_none() {
@@ -319,12 +367,21 @@ impl Stages<'_> {
         Ok(())
     }
 
+    /// Samples the raw input, scaling each chunk on its way into the
+    /// estimator: the picks are the input's own rows, so writing them
+    /// needs no second read of the input.
     fn sample(&self, out: &mut dyn Write) -> Result<(), String> {
         let est = self.fit_density()?;
         let b = self.args.get_usize("size", 1000)?;
         let a = self.args.get_f64("exponent", 1.0)?;
-        let two_pass = |cfg: &_| density_biased_sample_obs(self.src(), &*est, cfg, self.rec);
-        let (s, stats) = self.draw(b, a, two_pass)?;
+        let est = ScaledQueries {
+            est: &*est,
+            scaler: self.scaler,
+        };
+        let raw = self.input.source();
+        let (s, stats) = self.draw(b, a, |cfg| {
+            density_biased_sample_obs(raw, &est, cfg, self.rec)
+        })?;
         writeln!(
             out,
             "sampled {} of {} points (target {b}, a = {a}, normalizer k = {:.4e}, {} clipped)",
@@ -334,7 +391,7 @@ impl Stages<'_> {
             stats.clipped
         )
         .map_err(io_err)?;
-        self.write_sample(&s, None, out)
+        self.write_sample(&s, s.points(), None, out)
     }
 
     fn cluster(&self, out: &mut dyn Write) -> Result<(), String> {
@@ -363,8 +420,8 @@ impl Stages<'_> {
                 partitioned_cluster_obs(&full, &hc, self.rec).map_err(err)?
             } else {
                 let est = self.fit_density()?;
-                let two_pass = |cfg: &_| density_biased_sample_obs(src, &*est, cfg, self.rec);
-                let (s, _) = self.draw(target, a, two_pass)?;
+                let figure1 = |cfg: &_| density_biased_sample_obs(src, &*est, cfg, self.rec);
+                let (s, _) = self.draw(target, a, figure1)?;
                 // Map-back streams the full (scaled) source chunk by chunk,
                 // so a sharded input stays out-of-core end to end.
                 let _span = self.rec.span("cluster");
@@ -378,8 +435,8 @@ impl Stages<'_> {
 
         let est = self.fit_density()?;
         let b = self.args.get_usize("size", 1000)?;
-        let two_pass = |cfg: &_| density_biased_sample_obs(src, &*est, cfg, self.rec);
-        let (s, _) = self.draw(b, a, two_pass)?;
+        let figure1 = |cfg: &_| density_biased_sample_obs(src, &*est, cfg, self.rec);
+        let (s, _) = self.draw(b, a, figure1)?;
         let clustering = {
             let _span = self.rec.span("cluster");
             partitioned_cluster_obs(s.points(), &hc, self.rec).map_err(err)?
@@ -501,7 +558,8 @@ impl Stages<'_> {
             stats.clipped
         )
         .map_err(io_err)?;
-        self.write_sample(&s, Some(&reservoir), out)
+        let original = self.input.select(s.source_indices(), self.rec)?;
+        self.write_sample(&s, &original, Some(&reservoir), out)
     }
 
     fn density(&self, out: &mut dyn Write) -> Result<(), String> {

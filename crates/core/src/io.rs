@@ -13,8 +13,10 @@
 //! `read_exact_at` is the one positional-read helper behind both this
 //! format and the shard directories of [`crate::shard`].
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
 
@@ -28,22 +30,48 @@ const MAGIC: &[u8; 4] = b"DBS1";
 /// Magic + `u32` dim + `u64` count.
 const HEADER_BYTES: u64 = 16;
 
+/// Rows per formatting block of [`write_rows`]: small, so that a sample of
+/// a few thousand rows still splits evenly over the workers and the blocks
+/// waiting for their turn to be written hold little memory.
+const TEXT_BLOCK_ROWS: usize = 1024;
+
 /// Writes `data` in the text format: one point per line, values separated by
-/// a single space.
+/// a single space. [`write_rows`] on one thread.
 pub fn write_text(path: &Path, data: &Dataset) -> Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for p in data.iter() {
-        let mut first = true;
-        for &x in p {
-            if !first {
-                write!(w, " ")?;
-            }
-            write!(w, "{x}")?;
-            first = false;
-        }
-        writeln!(w)?;
+    write_rows(path, data.as_flat(), data.dim(), crate::par::serial())
+}
+
+/// Writes `values` in the text format, `width` values per line, separated
+/// by a single space (`width = 1` writes one value per line). Blocks of
+/// 1024 lines are formatted on up to `threads` workers and written in
+/// order, so the file's bytes are the same at every thread count. Errors
+/// if `width` is 0 or does not divide `values.len()`.
+pub fn write_rows(path: &Path, values: &[f64], width: usize, threads: NonZeroUsize) -> Result<()> {
+    if width == 0 || !values.len().is_multiple_of(width) {
+        return Err(Error::InvalidParameter(format!(
+            "{} values do not form rows of width {width}",
+            values.len()
+        )));
     }
-    w.flush()?;
+    let mut file = File::create(path)?;
+    let block = TEXT_BLOCK_ROWS * width;
+    let format_block = |c: usize| {
+        let mut text = String::new();
+        for row in values[c * block..((c + 1) * block).min(values.len())].chunks_exact(width) {
+            for (j, x) in row.iter().enumerate() {
+                if j > 0 {
+                    text.push(' ');
+                }
+                write!(text, "{x}").expect("formatting into a String cannot fail");
+            }
+            text.push('\n');
+        }
+        text
+    };
+    let blocks = values.len().div_ceil(block);
+    crate::par::par_ordered(blocks, threads, format_block, |text| {
+        file.write_all(text.as_bytes())
+    })?;
     Ok(())
 }
 
@@ -278,6 +306,80 @@ mod tests {
         write_text(&path, &ds).unwrap();
         let back = read_text(&path).unwrap();
         assert_eq!(ds, back);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The text the writer produced before it formatted on workers: one
+    /// `write!` per value, straight into the file.
+    fn serial_text(data: &Dataset) -> String {
+        let mut text = String::new();
+        for p in data.iter() {
+            let mut first = true;
+            for &x in p {
+                if !first {
+                    text.push(' ');
+                }
+                write!(text, "{x}").unwrap();
+                first = false;
+            }
+            text.push('\n');
+        }
+        text
+    }
+
+    /// Values whose shortest representations differ in length and form.
+    fn value(i: usize) -> f64 {
+        match i % 5 {
+            0 => i as f64 * 0.37 - 1e3,
+            1 => 1.0 / (i as f64 + 3.0),
+            2 => -(i as f64) * 1e-300,
+            3 => (i as f64).powi(7),
+            _ => i as f64,
+        }
+    }
+
+    #[test]
+    fn threaded_writer_is_byte_identical() {
+        let path = tmp("threaded.txt");
+        let b = TEXT_BLOCK_ROWS;
+        for rows in [0, 1, b - 1, b, b + 1, 5 * b + 17] {
+            for dim in [1, 3] {
+                let flat: Vec<f64> = (0..rows * dim).map(value).collect();
+                let data = Dataset::from_flat(dim, flat).unwrap();
+                let want = serial_text(&data);
+                for threads in [1, 2, 7] {
+                    let threads = NonZeroUsize::new(threads).unwrap();
+                    write_rows(&path, data.as_flat(), dim, threads).unwrap();
+                    let got = std::fs::read_to_string(&path).unwrap();
+                    assert!(
+                        got == want,
+                        "rows = {rows}, dim = {dim}, threads = {threads}"
+                    );
+                }
+                write_text(&path, &data).unwrap();
+                assert!(std::fs::read_to_string(&path).unwrap() == want);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn weights_file_matches_one_format_per_weight() {
+        let path = tmp("weights.txt");
+        let weights: Vec<f64> = (1..3 * TEXT_BLOCK_ROWS + 5)
+            .map(|i| 1.0 / value(i).abs().max(1e-3))
+            .collect();
+        let want: String = weights.iter().map(|w| format!("{w}\n")).collect();
+        for threads in [1, 2, 7] {
+            write_rows(&path, &weights, 1, NonZeroUsize::new(threads).unwrap()).unwrap();
+            assert!(
+                std::fs::read_to_string(&path).unwrap() == want,
+                "threads = {threads}"
+            );
+        }
+        let two = NonZeroUsize::new(2).unwrap();
+        assert!(write_rows(&path, &weights[..3], 2, two).is_err());
+        assert!(write_rows(&path, &weights, 0, two).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -21,6 +21,10 @@
 //!   order-free — integer sums, max, set union — where the merged
 //!   accumulators equal the serial fold at every thread count.
 //!
+//! * [`par_scan_in_order`] streams such an order-sensitive fold with the
+//!   scan: it folds each chunk's value as soon as every earlier chunk's has
+//!   been folded, so only chunks that finished early wait in memory.
+//!
 //! Under this contract `parallelism = 1` and `parallelism = 64` produce
 //! bit-identical results, so callers expose a single
 //! [`std::num::NonZeroUsize`] knob and tests can assert equality outright
@@ -41,9 +45,10 @@
 //! order, so which backing served a scan is unobservable in the results —
 //! `tests/shard_parity.rs` asserts exactly that.
 
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::bbox::BoundingBox;
@@ -151,6 +156,130 @@ where
         init,
         |acc, _, range, block, _| fold(acc, range, block),
     )
+}
+
+/// [`par_scan_tallied`] that reduces as it scans: `reduce` folds the
+/// chunks' results into `reduced` in chunk order, each as soon as every
+/// earlier chunk's result has been folded, and then drops it.
+///
+/// So an order-sensitive reduction — a float sum that must equal the
+/// serial left fold — streams with the scan and holds only the results of
+/// chunks that finished ahead of an earlier one, never one per chunk.
+/// `reduce` runs on one thread at a time. Each chunk's [`Tally`] (its
+/// work and I/O counts) merges into `recorder`. A chunk read error is
+/// reported from the lowest failing chunk.
+pub fn par_scan_in_order<S, T, R, F, G>(
+    source: &S,
+    threads: NonZeroUsize,
+    recorder: &Recorder,
+    per_chunk: F,
+    reduced: R,
+    reduce: G,
+) -> Result<R>
+where
+    S: PointSource + ?Sized,
+    T: Send,
+    R: Send,
+    F: Fn(Range<usize>, &PointBlock, &mut Tally) -> T + Sync,
+    G: Fn(&mut R, T) + Sync,
+{
+    let state = Mutex::new((InOrder::default(), reduced, Tally::default()));
+    fold_chunks(
+        source,
+        threads,
+        CHUNK_POINTS,
+        || (),
+        |_, c, range, block, mut tally| {
+            let value = per_chunk(range, block, &mut tally);
+            let mut state = state.lock().expect("no poisoned reduction");
+            let (order, reduced, total) = &mut *state;
+            total.merge(&tally);
+            order.offer(c, value, |v| reduce(reduced, v));
+        },
+    )?;
+    let (_, reduced, total) = state.into_inner().expect("workers joined");
+    recorder.merge(&total);
+    Ok(reduced)
+}
+
+/// Runs `task(c)` for every `c` in `0..count` on up to `threads` workers
+/// and hands each result to `sink` in index order, as soon as every lower
+/// index's result has been handed over — so only results that finished
+/// early wait in memory. `sink` runs on one thread at a time. Its first
+/// error stops the run and is returned; no later result reaches it.
+pub fn par_ordered<T, E, F, G>(
+    count: usize,
+    threads: NonZeroUsize,
+    task: F,
+    sink: G,
+) -> std::result::Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize) -> T + Sync,
+    G: FnMut(T) -> std::result::Result<(), E> + Send,
+{
+    let workers = threads.get().min(count);
+    if workers <= 1 {
+        return (0..count).map(task).try_for_each(sink);
+    }
+    let cursor = AtomicUsize::new(0);
+    // Only tells workers to stop claiming; the error itself sits in the
+    // mutex, so `Relaxed`.
+    let failed = AtomicBool::new(false);
+    let state = Mutex::new((InOrder::default(), sink, None));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let c = cursor.fetch_add(1, Ordering::Relaxed);
+                if c >= count || failed.load(Ordering::Relaxed) {
+                    return;
+                }
+                let value = task(c);
+                let mut state = state.lock().expect("no poisoned sink");
+                let (order, sink, first_error) = &mut *state;
+                order.offer(c, value, |v| {
+                    if first_error.is_none() {
+                        if let Err(e) = sink(v) {
+                            *first_error = Some(e);
+                            failed.store(true, Ordering::Relaxed);
+                        }
+                    }
+                });
+            });
+        }
+    });
+    match state.into_inner().expect("workers joined").2 {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// Work units that finish out of order, released in index order: `offer`
+/// holds a unit's value until every lower unit has been released, then
+/// hands each value that is ready to `release`.
+struct InOrder<T> {
+    next: usize,
+    pending: BTreeMap<usize, T>,
+}
+
+impl<T> Default for InOrder<T> {
+    fn default() -> Self {
+        InOrder {
+            next: 0,
+            pending: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> InOrder<T> {
+    fn offer(&mut self, unit: usize, value: T, mut release: impl FnMut(T)) {
+        self.pending.insert(unit, value);
+        while let Some(value) = self.pending.remove(&self.next) {
+            release(value);
+            self.next += 1;
+        }
+    }
 }
 
 /// [`par_scan`] with an explicit chunk size (kept non-public: a caller-chosen
@@ -622,6 +751,94 @@ mod tests {
                 let want = format!("invalid parameter: chunk {lowest} unreadable");
                 assert_eq!(err.to_string(), want, "threads = {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn par_scan_in_order_streams_the_serial_fold() {
+        use crate::obs::{Counter, Recorder};
+        let n = 7 * CHUNK_POINTS + 123;
+        let ds = numbered(n);
+        let (file, path) = dbs1("in_order", &ds);
+        // An order-sensitive float fold and the order the values arrive in.
+        let want = (0..n).fold(-0.0f64, |sum, i| sum + i as f64 * 0.1);
+        for threads in [1, 2, 7] {
+            let sources: [(&str, &dyn PointSource); 3] = [
+                ("borrowed", &ds),
+                ("counted memory", &PassCounter::new(&ds)),
+                ("file", &file),
+            ];
+            for (name, source) in sources {
+                let rec = Recorder::enabled();
+                let (order, sum) = par_scan_in_order(
+                    source,
+                    t(threads),
+                    &rec,
+                    |range, block, tally| {
+                        tally.add(Counter::VerifyDistanceEvals, range.len() as u64);
+                        range.map(|i| (i, block.point(i)[0])).collect::<Vec<_>>()
+                    },
+                    (Vec::new(), -0.0f64),
+                    |(order, sum), chunk| {
+                        for (i, x) in chunk {
+                            order.push(i);
+                            *sum += x * 0.1;
+                        }
+                    },
+                )
+                .unwrap();
+                assert!(
+                    order.iter().copied().eq(0..n),
+                    "{name}, threads = {threads}"
+                );
+                assert_eq!(sum.to_bits(), want.to_bits(), "{name}, threads = {threads}");
+                assert_eq!(rec.counter(Counter::VerifyDistanceEvals), n as u64);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        let failing = Failing {
+            data: ds,
+            bad_chunks: vec![3, 5],
+        };
+        let err = par_scan_in_order(
+            &failing,
+            t(2),
+            &Recorder::disabled(),
+            |_, _, _| (),
+            (),
+            |_, _| (),
+        )
+        .unwrap_err();
+        assert_eq!(err.to_string(), "invalid parameter: chunk 3 unreadable");
+    }
+
+    #[test]
+    fn par_ordered_hands_results_over_in_index_order() {
+        for count in [0, 1, 5, 100] {
+            for threads in [1, 2, 7] {
+                let mut seen = Vec::new();
+                let sink = |x: usize| -> std::result::Result<(), String> {
+                    seen.push(x);
+                    Ok(())
+                };
+                par_ordered(count, t(threads), |c| c * 3, sink).unwrap();
+                let want: Vec<usize> = (0..count).map(|c| c * 3).collect();
+                assert_eq!(seen, want, "count = {count}, threads = {threads}");
+            }
+        }
+        // The sink's first error stops the run; nothing after it is handed over.
+        for threads in [1, 2, 7] {
+            let mut seen = Vec::new();
+            let sink = |x: usize| {
+                if x == 40 {
+                    return Err(format!("refused {x}"));
+                }
+                seen.push(x);
+                Ok(())
+            };
+            let err = par_ordered(100, t(threads), |c| c, sink).unwrap_err();
+            assert_eq!(err, "refused 40");
+            assert!(seen.iter().copied().eq(0..40), "threads = {threads}");
         }
     }
 

@@ -13,13 +13,14 @@
 //! the quality degradation caused by collisions is part of what the
 //! paper's comparison measures.
 //!
-//! After the hashed-grid fit, the sampler runs the same chunked Figure 1
-//! passes as [`crate::biased`], with `f'(x) = max(1, c(x))^e` for the
-//! hashed count `c(x)` of the point's cell: one pass folds the normalizer,
-//! the other makes the inclusion draws. Both run on the machine's
-//! available parallelism, and the draw for point `i` is a counter-based
-//! hash of `(seed, i)` ([`dbs_core::rng::keyed_unit`]), so the sample is a
-//! pure function of (data, config) at every thread count.
+//! After the hashed-grid fit, the sampler runs the same exact one-pass
+//! Figure 1 as [`crate::biased`], with `f'(x) = max(1, c(x))^e` for the
+//! hashed count `c(x)` of the point's cell: the pass folds the normalizer
+//! and keeps the points the inclusion draws can pick (with the same
+//! fallback pass). It runs on the machine's available parallelism, and
+//! the draw for point `i` is a counter-based hash of `(seed, i)`
+//! ([`dbs_core::rng::keyed_unit`]), so the sample is a pure function of
+//! (data, config) at every thread count.
 //!
 //! The grid is the one Figure 5(c) uses: [`GRID_CELLS_PER_DIM`] cells per
 //! dimension over the unit cube, the domain every caller scales its data
@@ -29,7 +30,7 @@ use dbs_core::obs::Recorder;
 use dbs_core::{par, BoundingBox, Error, PointSource, Result, WeightedSample};
 use dbs_density::{DensityEstimator, ShiftedGrids};
 
-use crate::biased::{figure1_passes, BiasedConfig, BiasedSampleStats};
+use crate::biased::{figure1_passes, floored_pow, BiasedConfig, BiasedSampleStats};
 
 /// Grid cells per dimension of the sampler's virtual grid over the unit
 /// cube (only hashed slots are stored).
@@ -71,8 +72,9 @@ impl GridBiasedConfig {
 ///
 /// Pass 1 builds the hashed cell counts of the unit cube's grid; pass 2
 /// computes `K = Σ_x max(1, c(x))^e`, where `c(x)` is the (hashed) count
-/// of the point's cell, and pass 3 samples each point with probability
-/// `min(1, b · max(1, c(x))^e / K)` and weight `1/p`.
+/// of the point's cell, and samples each point with probability
+/// `min(1, b · max(1, c(x))^e / K)` and weight `1/p`, as
+/// [`crate::density_biased_sample`] does in one pass.
 pub fn grid_biased_sample<S: PointSource + ?Sized>(
     source: &S,
     config: &GridBiasedConfig,
@@ -99,7 +101,7 @@ pub fn grid_biased_sample<S: PointSource + ?Sized>(
     let est = ShiftedGrids::hashgrid(domain, GRID_CELLS_PER_DIM, config.table_slots)?
         .fit(source, par::serial())?;
 
-    // Passes 2 and 3 are Figure 1's with f'(x) = max(1, c(x))^e, where
+    // Pass 2 is Figure 1's with f'(x) = max(1, c(x))^e, where
     // c(x) = density · cell_volume is the hashed count of x's cell.
     let cell_volume = est.cell_volume();
     let e = config.exponent;
@@ -109,7 +111,7 @@ pub fn grid_biased_sample<S: PointSource + ?Sized>(
         let mut fp = vec![0.0f64; block.len()];
         est.densities_into(block, &mut fp, tally);
         fp.iter_mut()
-            .for_each(|c| *c = (*c * cell_volume).max(1.0).powf(e));
+            .for_each(|c| *c = floored_pow(*c * cell_volume, 1.0, e));
         fp
     })?;
     stats.passes += 1;
@@ -198,6 +200,16 @@ mod tests {
             let err = grid_biased_sample(&ds, &GridBiasedConfig::new(5, bad_e)).unwrap_err();
             assert!(err.to_string().contains("exponent"), "{bad_e}: {err}");
         }
+    }
+
+    #[test]
+    fn fit_pass_and_one_sampling_pass() {
+        let ds = two_blobs(20_000, 12);
+        let counted = dbs_core::scan::PassCounter::new(&ds);
+        let cfg = GridBiasedConfig::new(500, -0.5).with_seed(13);
+        let (_, stats) = grid_biased_sample(&counted, &cfg).unwrap();
+        assert_eq!(counted.passes(), 2);
+        assert_eq!(stats.passes, 2);
     }
 
     #[test]

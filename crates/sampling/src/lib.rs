@@ -6,8 +6,9 @@
 //! * [`biased`] — the proposed technique (Figure 1 of the paper): include
 //!   point `x` with probability `(b/k) · f(x)^a`, where `f` is any
 //!   [`dbs_density::DensityEstimator`], `a` the tuning exponent, and
-//!   `k = Σ_x f(x)^a` the normalizer computed in one pass. Two passes over
-//!   the data after the estimator is built.
+//!   `k = Σ_x f(x)^a` the normalizer. Exact, in one pass over the data
+//!   after the estimator is built (a second pass only when its exactness
+//!   test fails, an ~8σ event).
 //! * [`onepass`] — the integrated single-pass variant mentioned at the end
 //!   of §2.2: the normalizer is *approximated* from the kernel centers, so
 //!   sampling happens during the only data pass.

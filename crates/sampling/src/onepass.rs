@@ -21,7 +21,9 @@ use dbs_core::obs::Recorder;
 use dbs_core::{Error, PointSource, Result, WeightedSample};
 use dbs_density::DensityEstimator;
 
-use crate::biased::{check_inputs, inclusion_pass, BiasedConfig, BiasedSampleStats, DENSITY_FLOOR};
+use crate::biased::{
+    check_inputs, floored_pow, inclusion_pass, BiasedConfig, BiasedSampleStats, DENSITY_FLOOR,
+};
 
 /// Estimates the Figure 1 normalizer `k` from the fitted summary only
 /// (no dataset pass), with densities floored at [`DENSITY_FLOOR`] times
@@ -48,7 +50,7 @@ where
         let ks = probe.len() as f64;
         let n = est.dataset_size();
         let densities = dbs_density::batch_densities_obs(est, probe, threads, recorder)?;
-        let sum: f64 = densities.iter().map(|&f| f.max(floor).powf(a)).sum();
+        let sum: f64 = densities.iter().map(|&f| floored_pow(f, floor, a)).sum();
         Ok(n / ks * sum)
     } else if let Some(k) = est.summary_normalizer(a, floor) {
         Ok(k)
@@ -108,9 +110,7 @@ where
     // estimator's batch engine (bit-identical to per-point evaluation).
     let (sample, clipped) = inclusion_pass(source, config, k, recorder, |_, block, tally, fp| {
         estimator.densities_into(block, fp, tally);
-        for f in fp.iter_mut() {
-            *f = f.max(floor).powf(a);
-        }
+        fp.iter_mut().for_each(|f| *f = floored_pow(*f, floor, a));
     })?;
     let stats = BiasedSampleStats {
         normalizer_k: k,

@@ -91,7 +91,8 @@ fn two_pass_sampler_metrics_parity() {
             on_stats.normalizer_k.to_bits()
         );
         assert_eq!(off_stats.clipped, on_stats.clipped);
-        assert_eq!(rec.counter(Counter::DatasetPasses), 2);
+        // Figure 1's two passes run as one exact pass.
+        assert_eq!(rec.counter(Counter::DatasetPasses), 1);
         assert_eq!(
             rec.counter(Counter::SamplerClipEvents),
             on_stats.clipped as u64
@@ -308,12 +309,12 @@ fn obs_passes_agree_with_pass_counter() {
     assert_eq!(rec.counter(Counter::DatasetPasses), counted.passes() as u64);
     assert_eq!(report.passes, 2);
 
-    // Two-pass sampler.
+    // Figure 1's sampler, exact in one pass.
     let counted = PassCounter::new(&data);
     let rec = Recorder::enabled();
     let scfg = BiasedConfig::new(1000, 1.0).with_seed(8);
     density_biased_sample_obs(&counted, &est, &scfg, &rec).unwrap();
-    assert_eq!(counted.passes(), 2);
+    assert_eq!(counted.passes(), 1);
     assert_eq!(rec.counter(Counter::DatasetPasses), counted.passes() as u64);
 
     // One-pass sampler: one pass over the primary source even though the

@@ -162,7 +162,8 @@ fn two_pass_sampler_is_thread_count_independent() {
             stats.normalizer_k.to_bits()
         );
         assert_eq!(serial_stats.clipped, stats.clipped);
-        assert_eq!(stats.passes, 2);
+        // Figure 1's two passes run as one exact pass.
+        assert_eq!(stats.passes, 1);
     }
 }
 

@@ -89,7 +89,8 @@ fn one_pass_and_two_pass_agree_statistically() {
     let cfg = BiasedConfig::new(800, 1.0).with_seed(12);
     let (two, s2) = density_biased_sample(&synth.data, &est, &cfg).unwrap();
     let (one, s1) = one_pass_biased_sample(&synth.data, &est, &cfg).unwrap();
-    assert_eq!(s2.passes, 2);
+    // The exact sampler needs one pass too (Figure 1 folds into it).
+    assert_eq!(s2.passes, 1);
     assert_eq!(s1.passes, 1);
     let k_rel = (s1.normalizer_k - s2.normalizer_k).abs() / s2.normalizer_k;
     assert!(k_rel < 0.1, "normalizer mismatch {k_rel}");

@@ -79,6 +79,6 @@ fn file_pass_counting_matches_algorithm_claims() {
     let est = KernelDensityEstimator::fit(&counted, &kde_cfg).unwrap();
     assert_eq!(counted.passes(), 1, "estimator = one pass");
     let _ = density_biased_sample(&counted, &est, &BiasedConfig::new(100, 0.5)).unwrap();
-    assert_eq!(counted.passes(), 3, "sampler = two more passes");
+    assert_eq!(counted.passes(), 2, "sampler = one more pass");
     std::fs::remove_file(&path).ok();
 }
