@@ -25,7 +25,7 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use dbs_bench::{bench_workload_dim, emit, median_ns, rss, tmp_dir};
-use dbs_core::shard::{ShardBackend, ShardedSource};
+use dbs_core::shard::ShardedSource;
 use dbs_core::{BoundingBox, WeightedSample};
 use dbs_density::{DensitySketch, ShiftedGrids, SketchConfig};
 use dbs_sampling::{one_pass_biased_sample, BiasedConfig};
@@ -84,7 +84,7 @@ fn streaming_proof() {
     let raw_bytes = written * DIM as u64 * 8;
 
     let one = NonZeroUsize::MIN;
-    let sharded = ShardedSource::open_with(&dir, ShardBackend::Read).expect("open");
+    let sharded = ShardedSource::open(&dir).expect("open");
     let cfg = SketchConfig {
         domain: Some(BoundingBox::unit(DIM)),
         seed: SEED,

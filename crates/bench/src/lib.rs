@@ -73,8 +73,7 @@ pub fn median_ns(samples: usize, mut f: impl FnMut()) -> u128 {
 }
 
 /// Peak resident set size of this process, via raw `getrusage(2)` FFI (the
-/// allowed dependency set has no libc crate; same approach as the mmap
-/// shim in `dbs-core::shard`).
+/// allowed dependency set has no libc crate).
 pub mod rss {
     #[repr(C)]
     #[derive(Default)]

@@ -39,7 +39,7 @@ use dbs_sampling::{
 use crate::args::{Command, ParsedArgs};
 
 /// An opened input: in-memory text data, a `DBS1` binary file, or a
-/// memory-mapped shard directory. Everything downstream works through
+/// shard directory (both read by chunk). Everything downstream works through
 /// [`PointSource`], so the input format never changes a result.
 enum Input {
     Mem(Dataset),
@@ -193,14 +193,7 @@ fn info(args: &ParsedArgs, input: &Input, out: &mut dyn Write) -> Result<(), Str
         writeln!(out, "max:        {:?}", bb.max()).map_err(io_err)?;
     }
     if let Input::Sharded(s) = input {
-        writeln!(
-            out,
-            "shards:     {} ({} memory-mapped, seed {})",
-            s.shard_count(),
-            s.mapped_shards(),
-            s.seed()
-        )
-        .map_err(io_err)?;
+        writeln!(out, "shards:     {} (seed {})", s.shard_count(), s.seed()).map_err(io_err)?;
     }
     Ok(())
 }
@@ -951,7 +944,7 @@ mod tests {
         let dir = shard_dir("shard_parity");
         run_cli(&["convert", &file, "--output", &dir]);
         // The same pipeline over the text file (in-memory path) and the
-        // shard directory (mmap chunk-read path) must print byte-identical
+        // shard directory (chunk-read path) must print byte-identical
         // results, sampled points included.
         let cases: Vec<Vec<&str>> = vec![
             vec!["sample", "--size", "100", "--estimator", "agrid:4"],

@@ -273,41 +273,30 @@ pub(crate) fn validate(data: &Dataset, config: &HierarchicalConfig) -> Result<()
 }
 
 /// Singleton initialization with kd-tree nearest neighbors (shared by both
-/// cores). Both the tree construction and the n nearest-neighbor queries
-/// parallelize without affecting the result: the parallel build is
-/// node-for-node identical to the serial one, and each query depends only
-/// on (tree, point i). Distances stay **squared** end to end —
+/// cores), built and queried serially: at sample sizes this setup is a few
+/// milliseconds next to the merge loop. Distances stay **squared** end to end —
 /// [`KdTree::nearest_excluding_sq`] returns exactly the `euclidean_sq`
 /// value the search computed, bit-equal to every later [`cluster_dist`]
 /// comparison (the rounded sqrt-then-square round trip is not).
-pub(crate) fn init_singletons(data: &Dataset, config: &HierarchicalConfig) -> Vec<Agglo> {
-    let n = data.len();
-    let threads = config.parallelism;
-    let tree = KdTree::build_par(data, threads);
-    let nearest = par::par_indices(n, threads, |i| {
-        tree.nearest_excluding_sq(data, data.point(i), i)
-    });
-    let mut clusters: Vec<Agglo> = (0..n)
+pub(crate) fn init_singletons(data: &Dataset) -> Vec<Agglo> {
+    let tree = KdTree::build(data);
+    (0..data.len())
         .map(|i| {
             let p = data.point(i).to_vec();
+            let (closest, closest_dist) = tree
+                .nearest_excluding_sq(data, &p, i)
+                .unwrap_or((usize::MAX, f64::INFINITY));
             Agglo {
                 members: vec![i as u32],
                 mean: p.clone(),
                 coord_sum: p.clone(),
                 reps: vec![p],
-                closest: usize::MAX,
-                closest_dist: f64::INFINITY,
+                closest,
+                closest_dist,
                 active: true,
             }
         })
-        .collect();
-    for (i, found) in nearest.into_iter().enumerate() {
-        if let Some((j, d_sq)) = found {
-            clusters[i].closest = j;
-            clusters[i].closest_dist = d_sq;
-        }
-    }
-    clusters
+        .collect()
 }
 
 /// Squared distance threshold for the first noise trim, `None` when
@@ -1040,7 +1029,7 @@ pub fn hierarchical_cluster_reference(
     config: &HierarchicalConfig,
 ) -> Result<Clustering> {
     validate(data, config)?;
-    let mut clusters = init_singletons(data, config);
+    let mut clusters = init_singletons(data);
     let live = run_merge_loop_reference(data, config, &mut clusters);
     Ok(assemble(clusters, data.len(), live))
 }

@@ -88,7 +88,7 @@ fn partition_indices(n: usize, partitions: usize, part: usize) -> Vec<usize> {
 /// partition-local point indices back to input indices.
 fn precluster(data: &Dataset, globals: &[usize], config: &HierarchicalConfig) -> PartitionOutput {
     let mut tally = Tally::default();
-    let mut clusters = init_singletons(data, config);
+    let mut clusters = init_singletons(data);
     let mut trim = TrimState::initial(&clusters, config, data.len(), data.dim());
     let stop = config
         .num_clusters
@@ -185,7 +185,7 @@ pub(crate) fn partitioned_core(
         ));
     }
     let (mut clusters, mut trim, reseed) = if p == 1 {
-        let clusters = init_singletons(data, config);
+        let clusters = init_singletons(data);
         let trim = TrimState::initial(&clusters, config, n, data.dim());
         (clusters, trim, false)
     } else {

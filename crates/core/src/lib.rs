@@ -32,10 +32,11 @@
 //!   counters and hierarchical timing spans, merged per par-chunk in chunk
 //!   order so enabling metrics never changes any computed output.
 //! * [`shard`] — the out-of-core storage engine: columnar on-disk shards
-//!   aligned to the executor's chunk grid, read back memory-mapped (or via
-//!   buffered positional reads) as a [`ShardedSource`] whose pipeline
-//!   outputs are byte-identical to the in-memory path.
+//!   aligned to the executor's chunk grid, read back by positional chunk
+//!   reads as a [`ShardedSource`] whose pipeline outputs are byte-identical
+//!   to the in-memory path.
 
+#![forbid(unsafe_code)]
 // Numeric-kernel loops in this crate index several parallel slices at once,
 // and NaN-rejecting guards are written as negated comparisons on purpose.
 #![allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]

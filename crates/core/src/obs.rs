@@ -123,7 +123,7 @@ counter_catalog! {
     /// Chunk-read operations served by sharded storage (one per shard
     /// chunk a [`crate::scan::PointSource::read_points_into`] call touched).
     ShardChunkReads => "shard_chunk_reads",
-    /// Bytes delivered out of mapped (or positionally read) shard storage.
+    /// Bytes of point data read from shard files.
     ShardBytesMapped => "shard_bytes_mapped",
     /// Points ingested into a streaming density sketch (one per
     /// `update`, whatever the schedule).

@@ -38,7 +38,7 @@
 //!    chunk buffer and fills it via [`PointSource::read_points_into`], so
 //!    peak memory is `workers x CHUNK_POINTS x dim` regardless of the
 //!    dataset size. This is how `DBS1` files ([`crate::io::FileSource`])
-//!    and memory-mapped shard directories ([`crate::shard`]) flow through
+//!    and shard directories ([`crate::shard`]) flow through
 //!    every parallel algorithm out-of-core.
 //!
 //! Both produce the same blocks over the same chunk grid in the same merge
@@ -460,64 +460,38 @@ where
 }
 
 /// Runs `task(index)` for every index in `0..count` and returns the results
-/// in index order. For index-driven parallel loops that are not scans of a
-/// `PointSource` (e.g. per-point queries against a spatial structure).
-/// Indices are distributed in [`CHUNK_POINTS`] blocks, so per-index work
-/// should be small and uniform-ish; for a handful of coarse units use
-/// [`par_tasks`].
-pub fn par_indices<T, F>(count: usize, threads: NonZeroUsize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    indices_chunked(count, threads, CHUNK_POINTS, task)
-}
-
-/// [`par_indices`] with one index per work unit — for few, coarse,
-/// possibly unequal tasks (e.g. building kd-subtrees), where block
-/// distribution would serialize them.
+/// in index order — for few, coarse, possibly unequal tasks (e.g. one
+/// CURE partition each). Workers claim one index at a time from a shared
+/// cursor.
 pub fn par_tasks<T, F>(count: usize, threads: NonZeroUsize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    indices_chunked(count, threads, 1, task)
-}
-
-fn indices_chunked<T, F>(count: usize, threads: NonZeroUsize, chunk: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let chunks = count.div_ceil(chunk);
-    let chunk_range = |c: usize| c * chunk..((c + 1) * chunk).min(count);
-    let workers = threads.get().min(chunks);
-    if workers == 1 {
+    let workers = threads.get().min(count);
+    if workers <= 1 {
         return (0..count).map(&task).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(chunks));
+    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
                     return;
                 }
-                let out: Vec<T> = chunk_range(c).map(&task).collect();
+                let out = task(i);
                 slots
                     .lock()
-                    .expect("no poisoned chunk collector")
-                    .push((c, out));
+                    .expect("no poisoned task collector")
+                    .push((i, out));
             });
         }
     });
     let mut slots = slots.into_inner().expect("workers joined");
-    slots.sort_unstable_by_key(|&(c, _)| c);
-    slots.into_iter().flat_map(|(_, v)| v).collect()
+    slots.sort_unstable_by_key(|&(i, _)| i);
+    slots.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]
@@ -843,10 +817,11 @@ mod tests {
     }
 
     #[test]
-    fn par_indices_matches_serial_loop() {
+    fn par_tasks_matches_serial_loop() {
         let serial: Vec<usize> = (0..500).map(|i| i * i).collect();
         for threads in [1, 2, 7] {
-            assert_eq!(par_indices(500, t(threads), |i| i * i), serial);
+            assert_eq!(par_tasks(500, t(threads), |i| i * i), serial);
         }
+        assert!(par_tasks(0, t(2), |i| i).is_empty());
     }
 }

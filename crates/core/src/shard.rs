@@ -6,9 +6,8 @@
 //! side of that bargain: a dataset is split into **shard files**, each a
 //! fixed 4096-byte header followed by `f64` little-endian blocks laid out
 //! on the executor's fixed [`CHUNK_POINTS`] chunk grid. A
-//! [`ShardedSource`] memory-maps the shards (falling back to positional
-//! reads where mapping is unavailable) and serves
-//! [`PointSource::read_points_into`] from them, so every parallel algorithm
+//! [`ShardedSource`] serves [`PointSource::read_points_into`] with one
+//! positional read per chunk, so every parallel algorithm
 //! in the workspace runs over it with peak memory bounded by
 //! `workers x CHUNK_POINTS x dim` — independent of the dataset size.
 //!
@@ -39,12 +38,13 @@
 //! # Determinism contract
 //!
 //! Reading a shard directory reproduces the written coordinates exactly
-//! (lossless `f64` round trip), chunk reads hand the executor the same
-//! blocks over the same chunk grid as the in-memory backing, and the
-//! mapped and positional-read backends decode identical bytes. Hence every
+//! (lossless `f64` round trip), and chunk reads hand the executor the same
+//! blocks over the same chunk grid as the in-memory backing. A shard that
+//! shrinks after opening fails the read with a typed I/O error. Hence every
 //! pipeline output over a sharded dataset is **byte-identical** to the
 //! in-memory run at every thread count (`tests/shard_parity.rs`).
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -316,28 +316,10 @@ pub fn write_shards_with<S: PointSource + ?Sized>(
     writer.finish()
 }
 
-/// How a [`ShardedSource`] reads shard bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardBackend {
-    /// Memory-map each shard, falling back to positional reads for shards
-    /// the platform refuses to map. The default.
-    Auto,
-    /// Memory-map only; opening fails if any shard cannot be mapped.
-    Mmap,
-    /// Buffered positional reads only (no mapping).
-    Read,
-}
-
-#[derive(Debug)]
-enum ShardData {
-    Mapped(sys::Mmap),
-    File(File),
-}
-
 #[derive(Debug)]
 struct Shard {
     count: usize,
-    data: ShardData,
+    file: File,
 }
 
 /// A shard directory exposed as a [`PointSource`]: scans, the parallel
@@ -354,15 +336,10 @@ pub struct ShardedSource {
 }
 
 impl ShardedSource {
-    /// Opens `dir` with the [`ShardBackend::Auto`] backend.
-    pub fn open(dir: &Path) -> Result<Self> {
-        Self::open_with(dir, ShardBackend::Auto)
-    }
-
     /// Opens `dir`, validating every shard header, the cross-shard
     /// dim/seed consistency, the chunk alignment of interior shards, and
     /// each file's exact size.
-    pub fn open_with(dir: &Path, backend: ShardBackend) -> Result<Self> {
+    pub fn open(dir: &Path) -> Result<Self> {
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
             .collect::<std::io::Result<Vec<_>>>()?
             .into_iter()
@@ -430,26 +407,10 @@ impl ShardedSource {
                     &format!("oversized shard: {actual} bytes, header promises {expect}"),
                 ));
             }
-            let data = match backend {
-                ShardBackend::Read => ShardData::File(file),
-                ShardBackend::Mmap => match sys::Mmap::map(&file, expect as usize) {
-                    Some(m) => ShardData::Mapped(m),
-                    None => {
-                        return Err(Error::InvalidParameter(format!(
-                            "cannot memory-map {}",
-                            path.display()
-                        )))
-                    }
-                },
-                ShardBackend::Auto => match sys::Mmap::map(&file, expect as usize) {
-                    Some(m) => ShardData::Mapped(m),
-                    None => ShardData::File(file),
-                },
-            };
             starts.push(starts.last().expect("non-empty") + h.count);
             shards.push(Shard {
                 count: h.count,
-                data,
+                file,
             });
         }
         Ok(ShardedSource {
@@ -471,15 +432,6 @@ impl ShardedSource {
         self.shards.len()
     }
 
-    /// Number of shards served by memory mapping (the rest use positional
-    /// reads).
-    pub fn mapped_shards(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s.data, ShardData::Mapped(_)))
-            .count()
-    }
-
     /// Copies the shard-local point range `local` of shard `s` into
     /// `dest`, row-major. `dest.len() == local.len() * dim`.
     fn read_shard_local(
@@ -488,7 +440,6 @@ impl ShardedSource {
         local: Range<usize>,
         dest: &mut [f64],
         tally: &mut Tally,
-        scratch: &mut Vec<u8>,
     ) -> Result<()> {
         let shard = &self.shards[s];
         let dim = self.dim;
@@ -503,28 +454,26 @@ impl ShardedSource {
             let out_base = chunk_start + a - local.start;
             tally.add(Counter::ShardChunkReads, 1);
             tally.add(Counter::ShardBytesMapped, ((b - a) * dim * 8) as u64);
-            match &shard.data {
-                ShardData::Mapped(map) => {
-                    let bytes = map.bytes();
-                    for j in 0..dim {
-                        let col = chunk_off + (j * m + a) * 8;
-                        for (k, off) in (a..b).zip((col..).step_by(8)) {
-                            dest[(out_base + k - a) * dim + j] = f64_at(bytes, off);
-                        }
+            // One positional read spans the chunk's `a..b` slice of every
+            // column (and the column tails in between).
+            let span = ((dim - 1) * m + b - a) * 8;
+            SCRATCH.with_borrow_mut(|scratch| -> Result<()> {
+                if scratch.len() < span {
+                    scratch.resize(span, 0);
+                }
+                read_exact_at(
+                    &shard.file,
+                    &mut scratch[..span],
+                    (chunk_off + a * 8) as u64,
+                )?;
+                for j in 0..dim {
+                    let col = j * m * 8;
+                    for k in 0..b - a {
+                        dest[(out_base + k) * dim + j] = f64_at(scratch, col + k * 8);
                     }
                 }
-                ShardData::File(file) => {
-                    for j in 0..dim {
-                        let col = chunk_off + (j * m + a) * 8;
-                        scratch.clear();
-                        scratch.resize((b - a) * 8, 0);
-                        read_exact_at(file, scratch, col as u64)?;
-                        for k in 0..b - a {
-                            dest[(out_base + k) * dim + j] = f64_at(scratch, k * 8);
-                        }
-                    }
-                }
-            }
+                Ok(())
+            })?;
             chunk += 1;
         }
         Ok(())
@@ -560,7 +509,6 @@ impl PointSource for ShardedSource {
         if range.is_empty() {
             return Ok(());
         }
-        let mut scratch = Vec::new();
         // First shard overlapping the range: starts[s] <= range.start.
         let mut s = self.starts.partition_point(|&st| st <= range.start) - 1;
         let mut pos = range.start;
@@ -571,7 +519,7 @@ impl PointSource for ShardedSource {
             let b = range.end.min(shard_end) - shard_start;
             let dest_off = (pos - range.start) * dim;
             let dest = &mut buf[dest_off..dest_off + (b - a) * dim];
-            self.read_shard_local(s, a..b, dest, tally, &mut scratch)?;
+            self.read_shard_local(s, a..b, dest, tally)?;
             pos = shard_start + b;
             s += 1;
         }
@@ -579,103 +527,11 @@ impl PointSource for ShardedSource {
     }
 }
 
-/// Memory mapping, via the platform's C library (read-only, private).
-mod sys {
-    #[cfg(unix)]
-    mod imp {
-        use std::fs::File;
-        use std::os::unix::io::AsRawFd;
-
-        use core::ffi::c_void;
-
-        extern "C" {
-            fn mmap(
-                addr: *mut c_void,
-                len: usize,
-                prot: i32,
-                flags: i32,
-                fd: i32,
-                offset: i64,
-            ) -> *mut c_void;
-            fn munmap(addr: *mut c_void, len: usize) -> i32;
-        }
-
-        const PROT_READ: i32 = 1;
-        const MAP_PRIVATE: i32 = 2;
-
-        /// A read-only private mapping of the first `len` bytes of a file.
-        #[derive(Debug)]
-        pub struct Mmap {
-            ptr: *mut c_void,
-            len: usize,
-        }
-
-        // SAFETY: the mapping is read-only for its whole lifetime, so
-        // shared references to its bytes are safe from any thread.
-        unsafe impl Send for Mmap {}
-        unsafe impl Sync for Mmap {}
-
-        impl Mmap {
-            pub fn map(file: &File, len: usize) -> Option<Mmap> {
-                if len == 0 {
-                    return None;
-                }
-                // SAFETY: a fresh PROT_READ/MAP_PRIVATE mapping of a file
-                // we hold open; failure is reported as MAP_FAILED (-1).
-                let ptr = unsafe {
-                    mmap(
-                        std::ptr::null_mut(),
-                        len,
-                        PROT_READ,
-                        MAP_PRIVATE,
-                        file.as_raw_fd(),
-                        0,
-                    )
-                };
-                if ptr as isize == -1 {
-                    None
-                } else {
-                    Some(Mmap { ptr, len })
-                }
-            }
-
-            pub fn bytes(&self) -> &[u8] {
-                // SAFETY: `ptr` maps exactly `len` readable bytes until
-                // drop.
-                unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-            }
-        }
-
-        impl Drop for Mmap {
-            fn drop(&mut self) {
-                // SAFETY: unmapping the exact region mapped above.
-                unsafe {
-                    munmap(self.ptr, self.len);
-                }
-            }
-        }
-    }
-
-    #[cfg(not(unix))]
-    mod imp {
-        use std::fs::File;
-
-        /// Stub: no mapping on this platform; `Auto` falls back to reads.
-        #[derive(Debug)]
-        pub struct Mmap(());
-
-        impl Mmap {
-            pub fn map(_file: &File, _len: usize) -> Option<Mmap> {
-                None
-            }
-
-            pub fn bytes(&self) -> &[u8] {
-                &[]
-            }
-        }
-    }
-
-    pub use imp::Mmap;
+thread_local! {
+    /// Each thread's buffer for raw chunk bytes. Reusing it keeps a chunk
+    /// read from allocating and zero-filling a fresh buffer, which cost
+    /// about a tenth of `dbs stream`'s wall time over shards.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 #[cfg(test)]
@@ -715,15 +571,12 @@ mod tests {
             let dir = tmp(&format!("rt_{name}"));
             let total = write_shards_with(&dir, &ds, 42, shard_points).unwrap();
             assert_eq!(total as usize, ds.len());
-            for backend in [ShardBackend::Auto, ShardBackend::Read] {
-                let src = ShardedSource::open_with(&dir, backend).unwrap();
-                assert_eq!(src.dim, 3);
-                assert_eq!(PointSource::len(&src), ds.len());
-                assert_eq!(src.seed(), 42);
-                let back = src.collect_dataset().unwrap();
-                assert_eq!(back, ds, "{name}/{backend:?}");
-            }
             let src = ShardedSource::open(&dir).unwrap();
+            assert_eq!(src.dim, 3);
+            assert_eq!(PointSource::len(&src), ds.len());
+            assert_eq!(src.seed(), 42);
+            let back = src.collect_dataset().unwrap();
+            assert_eq!(back, ds, "{name}");
             if shard_points == CHUNK_POINTS {
                 assert_eq!(src.shard_count(), 4);
             }
@@ -832,6 +685,26 @@ mod tests {
         let err = ShardedSource::open(&dir).unwrap_err();
         assert!(err.to_string().contains("dim"), "{err}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_shrunk_after_open_fails_the_read() {
+        let ds = numbered(CHUNK_POINTS + 10, 2);
+        let dir = tmp("shrink");
+        write_shards(&dir, &ds, 0).unwrap();
+        let src = ShardedSource::open(&dir).unwrap();
+        File::options()
+            .write(true)
+            .open(shard_path(&dir, 0))
+            .unwrap()
+            .set_len(HEADER_BYTES as u64)
+            .unwrap();
+        let mut buf = Vec::new();
+        let err = src
+            .read_points_into(0..CHUNK_POINTS, &mut buf, &mut Tally::default())
+            .unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,6 +2,10 @@
 
 use dbs_core::{BoundingBox, Dataset};
 
+/// The most cells a grid may hold (`2^26`), for [`GridIndex`] and
+/// [`crate::RepIndex`] alike.
+pub(crate) const MAX_CELLS: usize = 1 << 26;
+
 /// A uniform grid index over a fixed domain.
 ///
 /// The domain is divided into `cells_per_dim^dim` equal cells; each cell
@@ -28,7 +32,7 @@ impl GridIndex {
         assert_eq!(domain.dim(), data.dim(), "domain dimensionality mismatch");
         let total = cells_per_dim
             .checked_pow(data.dim() as u32)
-            .filter(|&t| t <= 1 << 26)
+            .filter(|&t| t <= MAX_CELLS)
             .expect("grid too large; lower cells_per_dim");
         let mut grid = GridIndex {
             domain,
@@ -44,7 +48,8 @@ impl GridIndex {
     }
 
     /// Picks a cell resolution so the expected points per cell is roughly
-    /// `target_per_cell`, capped to keep total cells manageable.
+    /// `target_per_cell`, capped to keep total cells manageable and never
+    /// above the `2^26` cells [`GridIndex::build`] accepts.
     pub fn auto_resolution(n: usize, dim: usize, target_per_cell: usize) -> usize {
         let want_cells = (n / target_per_cell.max(1)).max(1) as f64;
         let per_dim = want_cells.powf(1.0 / dim as f64).round() as usize;
@@ -56,7 +61,11 @@ impl GridIndex {
             5 => 32,
             _ => 16,
         };
-        per_dim.clamp(1, cap)
+        let mut res = per_dim.clamp(1, cap);
+        while res > 1 && res.checked_pow(dim as u32).is_none_or(|t| t > MAX_CELLS) {
+            res -= 1;
+        }
+        res
     }
 
     /// The flattened cell index containing `p` (clamped into the domain).
@@ -488,6 +497,21 @@ mod tests {
         assert!(GridIndex::auto_resolution(100_000, 2, 10) >= 10);
         assert!(GridIndex::auto_resolution(100_000, 5, 10) <= 32);
         assert_eq!(GridIndex::auto_resolution(1, 2, 10), 1);
+    }
+
+    #[test]
+    fn auto_resolution_fits_the_cell_cap() {
+        for dim in 1..=40 {
+            for n in [100_000, 1 << 40, usize::MAX] {
+                let res = GridIndex::auto_resolution(n, dim, 1);
+                assert!(res >= 1);
+                let cells = res.checked_pow(dim as u32);
+                assert!(
+                    cells.is_some_and(|c| c <= MAX_CELLS),
+                    "dim {dim}, n {n}: resolution {res}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Static kd-tree over a dataset.
 
-use std::num::NonZeroUsize;
-
-use dbs_core::{par, Dataset};
+use dbs_core::Dataset;
 
 /// A node of the kd-tree, stored in a flat arena.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum Node {
     /// Interior node: split dimension, split value, children arena indices.
     Split {
@@ -22,26 +20,13 @@ enum Node {
 ///
 /// The tree stores point *indices*; queries return indices into the dataset
 /// it was built from. Leaves hold up to [`KdTree::LEAF_SIZE`] points.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct KdTree {
     nodes: Vec<Node>,
     /// Permutation of `0..n`; leaves own contiguous sub-ranges.
     indices: Vec<u32>,
     root: u32,
     dim: usize,
-}
-
-/// The shape of the serially-split top of a parallel build: interior nodes
-/// mirror the splits [`KdTree::build`] would make; `Task` marks a subtree
-/// handed to a worker. Tasks are numbered left to right.
-enum BuildPlan {
-    Task,
-    Split {
-        dim: usize,
-        value: f64,
-        left: Box<BuildPlan>,
-        right: Box<BuildPlan>,
-    },
 }
 
 /// A `(rank_distance, index)` pair used in a bounded max-heap for kNN.
@@ -88,57 +73,8 @@ impl KdTree {
         }
     }
 
-    /// Builds the same tree as [`KdTree::build`] — node for node, index for
-    /// index — using up to `threads` workers.
-    ///
-    /// The top of the tree is split serially (splits are deterministic:
-    /// widest spread + median selection, no randomness) until there are
-    /// enough disjoint subtrees to occupy the workers; the subtrees build
-    /// concurrently and are stitched back in the serial build's postorder
-    /// arena layout, so the result is equal to the serial build for every
-    /// thread count.
-    ///
-    /// Panics if `data` is empty.
-    pub fn build_par(data: &Dataset, threads: NonZeroUsize) -> Self {
-        assert!(
-            !data.is_empty(),
-            "cannot build a kd-tree over an empty dataset"
-        );
-        let n = data.len();
-        if threads.get() == 1 || n <= 4 * Self::LEAF_SIZE {
-            return Self::build(data);
-        }
-        let mut indices: Vec<u32> = (0..n as u32).collect();
-        // Oversplit relative to the worker count so an unbalanced subtree
-        // cannot dominate the wall clock.
-        let min_task = (n / (threads.get() * 4)).max(Self::LEAF_SIZE);
-        let mut tasks: Vec<(usize, usize)> = Vec::new();
-        let plan = Self::plan_rec(data, &mut indices, 0, n, min_task, &mut tasks);
-
-        let indices_ro = &indices;
-        let built = par::par_tasks(tasks.len(), threads, |t| {
-            let (start, end) = tasks[t];
-            let mut local_idx: Vec<u32> = indices_ro[start..end].to_vec();
-            let mut local_nodes: Vec<Node> = Vec::new();
-            let m = local_idx.len();
-            let root = Self::build_rec(data, &mut local_nodes, &mut local_idx, 0, m);
-            debug_assert_eq!(root as usize, local_nodes.len() - 1);
-            (local_nodes, local_idx)
-        });
-
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut next = 0usize;
-        let root = Self::assemble(&plan, &tasks, &built, &mut next, &mut nodes, &mut indices);
-        KdTree {
-            nodes,
-            indices,
-            root,
-            dim: data.dim(),
-        }
-    }
-
-    /// Chooses the split the serial build would make at `[start, end)`, or
-    /// `None` when the serial build would emit a leaf / cannot split.
+    /// Chooses the split of `[start, end)` (widest spread, median point), or
+    /// `None` when every point there is identical.
     fn choose_split(
         data: &Dataset,
         indices: &mut [u32],
@@ -187,16 +123,12 @@ impl KdTree {
         start: usize,
         end: usize,
     ) -> u32 {
-        let count = end - start;
-        if count <= Self::LEAF_SIZE {
-            nodes.push(Node::Leaf {
-                start: start as u32,
-                end: end as u32,
-            });
-            return (nodes.len() - 1) as u32;
-        }
-        let Some((best_dim, split_value, mid)) = Self::choose_split(data, indices, start, end)
-        else {
+        let split = if end - start > Self::LEAF_SIZE {
+            Self::choose_split(data, indices, start, end)
+        } else {
+            None
+        };
+        let Some((best_dim, split_value, mid)) = split else {
             nodes.push(Node::Leaf {
                 start: start as u32,
                 end: end as u32,
@@ -212,97 +144,6 @@ impl KdTree {
             right,
         });
         (nodes.len() - 1) as u32
-    }
-
-    /// Performs the serial build's top splits on `indices`, recording a
-    /// subtree task (left to right) whenever a range shrinks to `min_task`
-    /// points or cannot be split further.
-    fn plan_rec(
-        data: &Dataset,
-        indices: &mut [u32],
-        start: usize,
-        end: usize,
-        min_task: usize,
-        tasks: &mut Vec<(usize, usize)>,
-    ) -> BuildPlan {
-        let count = end - start;
-        if count <= min_task.max(Self::LEAF_SIZE) {
-            tasks.push((start, end));
-            return BuildPlan::Task;
-        }
-        let Some((dim, value, mid)) = Self::choose_split(data, indices, start, end) else {
-            tasks.push((start, end));
-            return BuildPlan::Task;
-        };
-        let left = Self::plan_rec(data, indices, start, mid, min_task, tasks);
-        let right = Self::plan_rec(data, indices, mid, end, min_task, tasks);
-        BuildPlan::Split {
-            dim,
-            value,
-            left: Box::new(left),
-            right: Box::new(right),
-        }
-    }
-
-    /// Replays `plan` in the serial build's postorder, splicing each built
-    /// subtree into the arena with its node indices and leaf positions
-    /// rebased, and writing its permuted indices back. Returns the arena
-    /// index of the subtree root.
-    fn assemble(
-        plan: &BuildPlan,
-        tasks: &[(usize, usize)],
-        built: &[(Vec<Node>, Vec<u32>)],
-        next: &mut usize,
-        nodes: &mut Vec<Node>,
-        indices: &mut [u32],
-    ) -> u32 {
-        match plan {
-            BuildPlan::Task => {
-                let t = *next;
-                *next += 1;
-                let (start, end) = tasks[t];
-                let (local_nodes, local_idx) = &built[t];
-                let node_off = nodes.len() as u32;
-                let pos_off = start as u32;
-                for node in local_nodes {
-                    nodes.push(match *node {
-                        Node::Leaf { start, end } => Node::Leaf {
-                            start: start + pos_off,
-                            end: end + pos_off,
-                        },
-                        Node::Split {
-                            dim,
-                            value,
-                            left,
-                            right,
-                        } => Node::Split {
-                            dim,
-                            value,
-                            left: left + node_off,
-                            right: right + node_off,
-                        },
-                    });
-                }
-                indices[start..end].copy_from_slice(local_idx);
-                (nodes.len() - 1) as u32
-            }
-            BuildPlan::Split {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                let l = Self::assemble(left, tasks, built, next, nodes, indices);
-                let r = Self::assemble(right, tasks, built, next, nodes, indices);
-                nodes.push(Node::Split {
-                    dim: *dim,
-                    value: *value,
-                    left: l,
-                    right: r,
-                });
-                (nodes.len() - 1) as u32
-            }
-        }
     }
 
     /// Dimensionality of the indexed points.
@@ -538,31 +379,6 @@ mod tests {
             }
         }
         (best.0, best.1.sqrt())
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_serial() {
-        for (n, dim, seed) in [(5000, 3, 21), (1000, 2, 22), (257, 5, 23)] {
-            let data = random_dataset(n, dim, seed);
-            let serial = KdTree::build(&data);
-            for t in [1usize, 2, 7] {
-                let par = KdTree::build_par(&data, NonZeroUsize::new(t).unwrap());
-                assert_eq!(par, serial, "n={n} dim={dim} threads={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_handles_duplicate_points() {
-        // Zero-spread subsets force leaf cutoffs in the planner.
-        let mut ds = Dataset::with_capacity(2, 600);
-        for i in 0..600 {
-            let v = (i / 200) as f64;
-            ds.push(&[v, v]).unwrap();
-        }
-        let serial = KdTree::build(&ds);
-        let par = KdTree::build_par(&ds, NonZeroUsize::new(4).unwrap());
-        assert_eq!(par, serial);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl RepIndex {
         let dim = domain.dim();
         let total = cells_per_dim
             .checked_pow(dim as u32)
-            .filter(|&t| t <= 1 << 26)
+            .filter(|&t| t <= crate::gridindex::MAX_CELLS)
             .expect("rep grid too large; lower the resolution");
         RepIndex {
             domain,

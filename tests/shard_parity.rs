@@ -14,7 +14,7 @@ use dbs_cluster::{sample_fed_cluster, HierarchicalConfig};
 use dbs_core::io::{write_binary, FileSource};
 use dbs_core::obs::{Counter, Recorder};
 use dbs_core::par::CHUNK_POINTS;
-use dbs_core::shard::{write_shards_with, ShardBackend, ShardedSource};
+use dbs_core::shard::{write_shards_with, ShardedSource};
 use dbs_core::{BoundingBox, Dataset, PointSource};
 use dbs_density::{batch_densities, DensityEstimator, EstimatorSpec};
 use dbs_integration_tests::{clustered, clustered_noisy, uniform_cube};
@@ -72,8 +72,7 @@ impl Backings {
         }
     }
 
-    /// Runs `f` once per backing (mmap and read-fallback shards counted
-    /// separately) and asserts all four results are equal.
+    /// Runs `f` once per backing and asserts all three results are equal.
     fn assert_invariant<T, F>(&self, what: &str, f: F) -> T
     where
         T: PartialEq + std::fmt::Debug,
@@ -82,10 +81,8 @@ impl Backings {
         let from_mem = f(&self.mem);
         let file = FileSource::open(&self.bin).unwrap();
         assert_eq!(f(&file), from_mem, "{what}: file backing diverged");
-        let mapped = ShardedSource::open(&self.dir).unwrap();
-        assert_eq!(f(&mapped), from_mem, "{what}: mmap shards diverged");
-        let read = ShardedSource::open_with(&self.dir, ShardBackend::Read).unwrap();
-        assert_eq!(f(&read), from_mem, "{what}: read-fallback shards diverged");
+        let sharded = ShardedSource::open(&self.dir).unwrap();
+        assert_eq!(f(&sharded), from_mem, "{what}: shards diverged");
         from_mem
     }
 }
