@@ -19,7 +19,7 @@ pub struct ParsedArgs {
 pub enum Command {
     /// Print dataset shape and bounding box.
     Info,
-    /// Rewrite the input as a columnar shard directory.
+    /// Rewrite the input as a shard directory.
     Convert,
     /// Draw a density-biased (or uniform) sample.
     Sample,
@@ -61,7 +61,7 @@ to the same data held in memory.
 
 commands:
   info      print dataset shape and bounding box
-  convert   rewrite the input as a columnar shard directory
+  convert   rewrite the input as a shard directory
               --output DIR      destination directory (required; created if
                                 missing, must not already contain shards)
               --shard-points N  points per shard file (positive multiple of

@@ -122,9 +122,10 @@ pub struct HierarchicalConfig {
     /// larger values shrink the final pass at some quality risk). Unused at
     /// `partitions == 1`, though `0` is still rejected.
     pub pre_cluster_factor: usize,
-    /// Worker threads for the setup phase (kd-tree construction and the
-    /// initial nearest-neighbor scan) and for partition pre-clustering. The
-    /// clustering result is identical for every value; `1` runs fully
+    /// Worker threads for partition pre-clustering (one partition per
+    /// task, at `partitions > 1`) and for the map-back pass of
+    /// [`crate::sample_fed_cluster`]. Setup and the merge loop run serially.
+    /// The clustering result is identical for every value; `1` runs fully
     /// serial.
     pub parallelism: NonZeroUsize,
 }
@@ -141,7 +142,8 @@ impl HierarchicalConfig {
         }
     }
 
-    /// Sets the worker thread count for the setup phase.
+    /// Sets the worker thread count for partition pre-clustering and
+    /// map-back.
     pub fn with_parallelism(mut self, threads: NonZeroUsize) -> Self {
         self.parallelism = threads;
         self

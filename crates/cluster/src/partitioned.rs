@@ -54,6 +54,7 @@
 //!   so it is schedule-independent; `None` (assign everything) when
 //!   trimming is disabled.
 
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 
 use dbs_core::metric::euclidean_sq;
@@ -118,8 +119,9 @@ fn precluster(data: &Dataset, globals: &[usize], config: &HierarchicalConfig) ->
 }
 
 /// Phase A: pre-clusters each partition through the par executor and
-/// concatenates the partials (partition order, ascending local id), with
-/// the trim state phase B resumes from.
+/// folds each partition's output as it is handed over in partition order:
+/// the partials are concatenated (partition order, ascending local id)
+/// along with the trim state phase B resumes from.
 ///
 /// Every task is a pure function of (data, config, partition id), so the
 /// partials are schedule-independent. Trimming resumes at the lowest round
@@ -134,10 +136,6 @@ fn precluster_partitions(
     let n = data.len();
     let p = config.partitions;
     let inner = config.clone().with_parallelism(par::serial());
-    let partials: Vec<PartitionOutput> = par::par_tasks(p, config.parallelism, |j| {
-        let indices = partition_indices(n, p, j);
-        precluster(&data.select(&indices), &indices, &inner)
-    });
     let mut clusters: Vec<Agglo> = Vec::new();
     let mut trim = TrimState {
         next_sq: None,
@@ -145,7 +143,7 @@ fn precluster_partitions(
     };
     // Pre-merges are the phase-A subset of ClusterMerges.
     let mut pre_merges = 0u64;
-    for part in partials {
+    let fold = |part: PartitionOutput| -> std::result::Result<(), Infallible> {
         pre_merges += part.tally.get(Counter::ClusterMerges);
         tally.merge(&part.tally);
         trim.round = trim.round.min(part.trim.round);
@@ -154,7 +152,17 @@ fn precluster_partitions(
             (a, b) => a.or(b),
         };
         clusters.extend(part.aggs);
-    }
+        Ok(())
+    };
+    let Ok(()) = par::par_ordered(
+        p,
+        config.parallelism,
+        |j| {
+            let indices = partition_indices(n, p, j);
+            precluster(&data.select(&indices), &indices, &inner)
+        },
+        fold,
+    );
     tally.add(Counter::PartitionPreMerges, pre_merges);
     (clusters, trim)
 }

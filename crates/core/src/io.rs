@@ -10,8 +10,9 @@
 //!   every pass of every algorithm out-of-core — this is what makes the
 //!   paper's "one/two dataset passes" claims meaningful for large data.
 //!
-//! `read_exact_at` is the one positional-read helper behind both this
-//! format and the shard directories of [`crate::shard`].
+//! A shard of [`crate::shard`] stores its rows byte for byte as a `DBS1`
+//! file does after its header, so `read_f64s_at` is the one reader of
+//! both formats, and `checked_size` their one header size check.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -147,10 +148,8 @@ pub fn write_binary(path: &Path, data: &Dataset) -> Result<()> {
 ///
 /// The header is untrusted input: a corrupt or hostile `(dim, len)` pair
 /// can overflow `dim * len * 8` (wrapping in release) or demand a buffer
-/// far past the bytes that exist. Every declared quantity is therefore
-/// checked-multiplied and cross-checked against `actual_bytes` before any
-/// caller sizes an allocation from it — the same exact-size discipline as
-/// the shard engine (`shard.rs`).
+/// far past the bytes that exist, so [`checked_size`] checks it against
+/// `actual_bytes` before any caller sizes an allocation from it.
 fn read_header(r: &mut impl Read, actual_bytes: u64) -> Result<(usize, usize)> {
     let corrupt = |message: String| Error::Parse { line: 0, message };
     let mut magic = [0u8; 4];
@@ -167,51 +166,45 @@ fn read_header(r: &mut impl Read, actual_bytes: u64) -> Result<(usize, usize)> {
     if dim == 0 {
         return Err(corrupt("header declares dim 0".into()));
     }
-    let expect = (dim as u64)
-        .checked_mul(len)
-        .and_then(|coords| coords.checked_mul(8))
-        .and_then(|bytes| bytes.checked_add(HEADER_BYTES))
-        .ok_or_else(|| {
-            corrupt(format!(
-                "header declares {len} points of dim {dim}: byte size overflows"
-            ))
-        })?;
-    if actual_bytes < expect {
-        return Err(corrupt(format!(
-            "truncated file: {actual_bytes} bytes, header promises {expect}"
-        )));
-    }
-    if actual_bytes > expect {
-        return Err(corrupt(format!(
-            "oversized file: {actual_bytes} bytes, header promises {expect}"
-        )));
-    }
+    checked_size("file", HEADER_BYTES, dim, len, actual_bytes).map_err(corrupt)?;
     Ok((dim as usize, len as usize))
 }
 
-/// Reads the binary format fully into memory.
-pub fn read_binary(path: &Path) -> Result<Dataset> {
-    let file = File::open(path)?;
-    let actual = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let (dim, len) = read_header(&mut r, actual)?;
-    // `dim * len` cannot overflow or overshoot: the header validation
-    // above proved `dim * len * 8 + 16` equals the on-disk byte count.
-    let mut flat = vec![0.0f64; dim * len];
-    let mut buf = [0u8; 8];
-    for v in flat.iter_mut() {
-        r.read_exact(&mut buf)?;
-        *v = f64::from_le_bytes(buf);
+/// Checks that a `what` of `actual_bytes` holds exactly a `header_bytes`
+/// header and `len` rows of `dim` `f64`s. The product is checked, so a
+/// header whose `dim * len * 8` wraps fails as "overflows" rather than
+/// passing a size check it should fail. Returns the error message.
+pub(crate) fn checked_size(
+    what: &str,
+    header_bytes: u64,
+    dim: u32,
+    len: u64,
+    actual_bytes: u64,
+) -> std::result::Result<(), String> {
+    let expect = u64::from(dim)
+        .checked_mul(len)
+        .and_then(|coords| coords.checked_mul(8))
+        .and_then(|bytes| bytes.checked_add(header_bytes))
+        .ok_or_else(|| format!("header declares {len} points of dim {dim}: byte size overflows"))?;
+    if actual_bytes < expect {
+        return Err(format!(
+            "truncated {what}: {actual_bytes} bytes, header promises {expect}"
+        ));
     }
-    Dataset::from_flat(dim, flat)
+    if actual_bytes > expect {
+        return Err(format!(
+            "oversized {what}: {actual_bytes} bytes, header promises {expect}"
+        ));
+    }
+    Ok(())
 }
 
 /// A binary dataset file exposed as a [`PointSource`].
 ///
-/// The file stays open, and rows are contiguous, so a chunk read is one
-/// positional read of `range.len() * dim * 8` bytes: memory use is one
-/// chunk per reader, whatever the file size. A file that shrinks after
-/// open fails the first read past its new end.
+/// The file stays open, and rows are contiguous, so a chunk read fills
+/// the caller's buffer from one file region (`read_f64s_at`): memory use
+/// is one chunk per reader, whatever the file size. A file that shrinks
+/// after open fails the first read past its new end.
 pub struct FileSource {
     file: File,
     dim: usize,
@@ -247,35 +240,51 @@ impl PointSource for FileSource {
         if range.end > self.len {
             return Err(out_of_bounds(&range, self.len));
         }
-        let mut bytes = vec![0u8; range.len() * self.dim * 8];
+        buf.clear();
+        buf.resize(range.len() * self.dim, 0.0);
         let offset = HEADER_BYTES + (range.start * self.dim * 8) as u64;
-        read_exact_at(&self.file, &mut bytes, offset).map_err(|e| match e.kind() {
+        read_f64s_at(&self.file, buf, offset).map_err(|e| match e.kind() {
             std::io::ErrorKind::UnexpectedEof => Error::Parse {
                 line: 0,
                 message: format!("truncated file: points {range:?} lie past its end"),
             },
             _ => e.into(),
-        })?;
-        buf.clear();
-        buf.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes"))),
-        );
-        Ok(())
+        })
     }
 }
 
+/// Bytes of [`read_f64s_at`]'s stack buffer. Kept small: a 64 KiB stack
+/// buffer, or a chunk-sized buffer kept per thread, measured a higher peak
+/// RSS on the 10k-point `outliers_kde_d3` benchmark workload.
+const READ_BUF_BYTES: usize = 16 * 1024;
+
+/// Fills `dest` with the little-endian `f64`s stored from `offset` of
+/// `file` on, through a fixed [`READ_BUF_BYTES`] stack buffer. Both binary
+/// formats (`DBS1` files and shard directories) store rows this way and
+/// read them through here.
+pub(crate) fn read_f64s_at(file: &File, dest: &mut [f64], offset: u64) -> std::io::Result<()> {
+    let mut bytes = [0u8; READ_BUF_BYTES];
+    let mut offset = offset;
+    for block in dest.chunks_mut(READ_BUF_BYTES / 8) {
+        let raw = &mut bytes[..block.len() * 8];
+        read_exact_at(file, raw, offset)?;
+        for (x, b) in block.iter_mut().zip(raw.chunks_exact(8)) {
+            *x = f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        }
+        offset += raw.len() as u64;
+    }
+    Ok(())
+}
+
 /// Fills `buf` from `file` at `offset` without moving a shared cursor, so
-/// concurrent readers of one `File` never interfere. Both binary formats
-/// (`DBS1` files and shard directories) read through it.
+/// concurrent readers of one `File` never interfere.
 #[cfg(unix)]
-pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
 }
 
 #[cfg(not(unix))]
-pub(crate) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     // No positional-read API: clone the handle so the shared cursor of
     // `file` itself is never moved concurrently.
     use std::io::{Seek, SeekFrom};
@@ -426,16 +435,8 @@ mod tests {
         let path = tmp("bin.dbs");
         let ds = sample();
         write_binary(&path, &ds).unwrap();
-        let back = read_binary(&path).unwrap();
+        let back = FileSource::open(&path).unwrap().collect_dataset().unwrap();
         assert_eq!(ds, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let path = tmp("bad.dbs");
-        std::fs::write(&path, b"NOPE____________").unwrap();
-        assert!(read_binary(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -451,21 +452,31 @@ mod tests {
         std::fs::write(path, bytes).unwrap();
     }
 
-    fn assert_parse_err(res: Result<Dataset>, needle: &str, case: &str) {
-        match res {
+    /// Asserts that opening `path` fails with a `Parse` error whose message
+    /// contains `needle`.
+    fn assert_open_fails(path: &Path, needle: &str) {
+        match FileSource::open(path) {
             Err(Error::Parse { line: 0, message }) => {
-                assert!(message.contains(needle), "{case}: {message}");
+                assert!(message.contains(needle), "{needle}: {message}");
             }
-            other => panic!("{case}: expected Parse error, got {other:?}"),
+            Err(other) => panic!("{needle}: expected Parse error, got {other:?}"),
+            Ok(_) => panic!("{needle}: expected Parse error, got an open source"),
         }
+    }
+
+    #[test]
+    fn binary_rejects_bad_magic() {
+        let path = tmp("bad.dbs");
+        std::fs::write(&path, b"NOPE____________").unwrap();
+        assert_open_fails(&path, "bad magic");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_rejects_truncated_header() {
         let path = tmp("short_header.dbs");
         std::fs::write(&path, b"DBS1\x02\x00").unwrap();
-        assert!(matches!(read_binary(&path), Err(Error::Io(_))));
-        assert!(FileSource::open(&path).is_err());
+        assert!(matches!(FileSource::open(&path), Err(Error::Io(_))));
         std::fs::remove_file(&path).ok();
     }
 
@@ -474,12 +485,7 @@ mod tests {
         let path = tmp("short_body.dbs");
         // Header promises 5 points of dim 2; only 3 coordinates follow.
         write_raw(&path, 2, 5, &[1.0, 2.0, 3.0]);
-        assert_parse_err(read_binary(&path), "truncated file", "read_binary");
-        assert_parse_err(
-            FileSource::open(&path).map(|_| Dataset::new(1)),
-            "truncated file",
-            "FileSource::open",
-        );
+        assert_open_fails(&path, "truncated file");
         std::fs::remove_file(&path).ok();
     }
 
@@ -488,7 +494,7 @@ mod tests {
         let path = tmp("long_body.dbs");
         // Header promises 1 point of dim 2; two points follow.
         write_raw(&path, 2, 1, &[1.0, 2.0, 3.0, 4.0]);
-        assert_parse_err(read_binary(&path), "oversized file", "read_binary");
+        assert_open_fails(&path, "oversized file");
         std::fs::remove_file(&path).ok();
     }
 
@@ -498,12 +504,7 @@ mod tests {
         // dim * len * 8 wraps u64; a naive `vec![0.0; dim * len]` would
         // OOM or mis-size the buffer. Must fail fast instead.
         write_raw(&path, u32::MAX, u64::MAX / 2, &[]);
-        assert_parse_err(read_binary(&path), "overflows", "read_binary");
-        assert_parse_err(
-            FileSource::open(&path).map(|_| Dataset::new(1)),
-            "overflows",
-            "FileSource::open",
-        );
+        assert_open_fails(&path, "overflows");
         std::fs::remove_file(&path).ok();
     }
 
@@ -514,7 +515,7 @@ mod tests {
         // 16-byte file does not hold: size cross-check catches it before
         // any allocation.
         write_raw(&path, 1, 1 << 33, &[]);
-        assert_parse_err(read_binary(&path), "truncated file", "read_binary");
+        assert_open_fails(&path, "truncated file");
         std::fs::remove_file(&path).ok();
     }
 
@@ -522,7 +523,7 @@ mod tests {
     fn binary_rejects_zero_dim() {
         let path = tmp("zero_dim.dbs");
         write_raw(&path, 0, 10, &[]);
-        assert_parse_err(read_binary(&path), "dim 0", "read_binary");
+        assert_open_fails(&path, "dim 0");
         std::fs::remove_file(&path).ok();
     }
 
@@ -547,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn file_source_chunk_reads_equal_read_binary_bit_for_bit() {
+    fn file_source_chunk_reads_equal_the_written_dataset_bit_for_bit() {
         use crate::par::CHUNK_POINTS;
         use rand::Rng;
         let path = tmp("chunks.dbs");
@@ -556,15 +557,22 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..3).map(|_| rng.gen::<f64>() * 1e6 - 5e5).collect())
             .collect();
-        write_binary(&path, &Dataset::from_rows(&rows).unwrap()).unwrap();
-        let want = read_binary(&path).unwrap();
+        let want = Dataset::from_rows(&rows).unwrap();
+        write_binary(&path, &want).unwrap();
         let src = FileSource::open(&path).unwrap();
+        // Ranges of one buffer's worth of rows and a row more or less: 24
+        // bytes per row, so only the last is a whole number of buffers.
+        let buf_rows = READ_BUF_BYTES / 24;
         let mut ranges = vec![
             0..n,
             CHUNK_POINTS - 3..CHUNK_POINTS + 3,
             3 * CHUNK_POINTS..n,
             n - 1..n,
             5..5,
+            0..buf_rows,
+            7..8 + buf_rows,
+            100..100 + 2 * buf_rows + 1,
+            9..9 + READ_BUF_BYTES / 8,
         ];
         for _ in 0..50 {
             let a = rng.gen_range(0..n);

@@ -31,10 +31,10 @@
 //! * [`obs`] — the deterministic observability layer: named monotonic
 //!   counters and hierarchical timing spans, merged per par-chunk in chunk
 //!   order so enabling metrics never changes any computed output.
-//! * [`shard`] — the out-of-core storage engine: columnar on-disk shards
-//!   aligned to the executor's chunk grid, read back by positional chunk
-//!   reads as a [`ShardedSource`] whose pipeline outputs are byte-identical
-//!   to the in-memory path.
+//! * [`shard`] — the out-of-core storage engine: on-disk shards holding
+//!   rows as a `DBS1` file does, aligned to the executor's chunk grid, read
+//!   back by positional reads as a [`ShardedSource`] whose pipeline outputs
+//!   are byte-identical to the in-memory path.
 
 #![forbid(unsafe_code)]
 // Numeric-kernel loops in this crate index several parallel slices at once,

@@ -459,41 +459,6 @@ where
         .map(|(min, max)| BoundingBox::new(min, max)))
 }
 
-/// Runs `task(index)` for every index in `0..count` and returns the results
-/// in index order — for few, coarse, possibly unequal tasks (e.g. one
-/// CURE partition each). Workers claim one index at a time from a shared
-/// cursor.
-pub fn par_tasks<T, F>(count: usize, threads: NonZeroUsize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.get().min(count);
-    if workers <= 1 {
-        return (0..count).map(&task).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    return;
-                }
-                let out = task(i);
-                slots
-                    .lock()
-                    .expect("no poisoned task collector")
-                    .push((i, out));
-            });
-        }
-    });
-    let mut slots = slots.into_inner().expect("workers joined");
-    slots.sort_unstable_by_key(|&(i, _)| i);
-    slots.into_iter().map(|(_, v)| v).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,14 +779,5 @@ mod tests {
             assert_eq!(err, "refused 40");
             assert!(seen.iter().copied().eq(0..40), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn par_tasks_matches_serial_loop() {
-        let serial: Vec<usize> = (0..500).map(|i| i * i).collect();
-        for threads in [1, 2, 7] {
-            assert_eq!(par_tasks(500, t(threads), |i| i * i), serial);
-        }
-        assert!(par_tasks(0, t(2), |i| i).is_empty());
     }
 }

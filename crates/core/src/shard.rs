@@ -1,14 +1,14 @@
-//! Columnar on-disk shards: the out-of-core dataset engine.
+//! On-disk shards: the out-of-core dataset engine.
 //!
 //! The paper's algorithms are few-pass by design — one scan to fit the
 //! estimator, one or two to sample (§1, §2.2) — precisely so they apply to
 //! datasets too large to hold exactly. This module supplies the storage
 //! side of that bargain: a dataset is split into **shard files**, each a
-//! fixed 4096-byte header followed by `f64` little-endian blocks laid out
-//! on the executor's fixed [`CHUNK_POINTS`] chunk grid. A
-//! [`ShardedSource`] serves [`PointSource::read_points_into`] with one
-//! positional read per chunk, so every parallel algorithm
-//! in the workspace runs over it with peak memory bounded by
+//! fixed 4096-byte header followed by the points as row-major `f64`
+//! little-endian values, byte for byte as a `DBS1` file stores them after
+//! its header. A [`ShardedSource`] serves [`PointSource::read_points_into`]
+//! from one file region per shard a range touches, so every parallel
+//! algorithm in the workspace runs over it with peak memory bounded by
 //! `workers x CHUNK_POINTS x dim` — independent of the dataset size.
 //!
 //! # Format
@@ -18,22 +18,20 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "DBSSHRD1"
-//! 8       4     format version (u32 LE, = 1)
+//! 8       4     format version (u32 LE, = 2)
 //! 12      4     dim (u32 LE, >= 1)
 //! 16      8     points in this shard (u64 LE)
 //! 24      8     provenance seed (u64 LE; 0 for converted data)
 //! 32      4     shard index (u32 LE, position in the directory order)
 //! 36      4060  zero padding (header is exactly 4096 bytes)
-//! 4096    ...   point data
+//! 4096    ...   point data, row-major: point 0's dim values, then point 1's
 //! ```
 //!
-//! Point data is **chunk-major, columnar within the chunk**: the shard's
-//! points are grouped into runs of [`CHUNK_POINTS`] (the final chunk of the
-//! final shard may be shorter), and a chunk of `m` points is stored as
-//! `dim` contiguous columns of `m` values each. Every shard except the
-//! last must hold a multiple of [`CHUNK_POINTS`] points, so the global
-//! chunk grid never straddles a shard boundary and each executor chunk's
-//! bytes are one contiguous file region.
+//! Every shard except the last must hold a multiple of [`CHUNK_POINTS`]
+//! points, so the executor's chunk grid never straddles a shard boundary
+//! and each executor chunk is one read of one file. Version 1 stored each
+//! chunk column-major; it is refused at open, and `dbs convert` rewrites
+//! the source data as version 2.
 //!
 //! # Determinism contract
 //!
@@ -44,14 +42,13 @@
 //! pipeline output over a sharded dataset is **byte-identical** to the
 //! in-memory run at every thread count (`tests/shard_parity.rs`).
 
-use std::cell::RefCell;
 use std::fs::File;
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::error::{Error, Result};
-use crate::io::read_exact_at;
+use crate::io::{checked_size, read_f64s_at};
 use crate::obs::{Counter, Tally};
 use crate::par::CHUNK_POINTS;
 use crate::scan::{out_of_bounds, PointSource};
@@ -60,10 +57,10 @@ use crate::scan::{out_of_bounds, PointSource};
 const MAGIC: &[u8; 8] = b"DBSSHRD1";
 
 /// Shard format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Fixed header size: one 4096-byte block, so the point data of every
-/// shard starts page- (and thus `f64`-) aligned.
+/// Fixed header size: one 4096-byte block, room for the fields above and
+/// later ones without moving the point data.
 pub const HEADER_BYTES: usize = 4096;
 
 /// Shard file extension.
@@ -94,8 +91,8 @@ fn corrupt(path: &Path, what: &str) -> Error {
 
 #[derive(Debug, Clone, Copy)]
 struct ShardHeader {
-    dim: usize,
-    count: usize,
+    dim: u32,
+    count: u64,
     seed: u64,
     index: u32,
 }
@@ -104,17 +101,14 @@ fn encode_header(h: &ShardHeader) -> Vec<u8> {
     let mut buf = vec![0u8; HEADER_BYTES];
     buf[0..8].copy_from_slice(MAGIC);
     buf[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    buf[12..16].copy_from_slice(&(h.dim as u32).to_le_bytes());
-    buf[16..24].copy_from_slice(&(h.count as u64).to_le_bytes());
+    buf[12..16].copy_from_slice(&h.dim.to_le_bytes());
+    buf[16..24].copy_from_slice(&h.count.to_le_bytes());
     buf[24..32].copy_from_slice(&h.seed.to_le_bytes());
     buf[32..36].copy_from_slice(&h.index.to_le_bytes());
     buf
 }
 
-fn decode_header(path: &Path, buf: &[u8]) -> Result<ShardHeader> {
-    if buf.len() < 36 {
-        return Err(corrupt(path, "file shorter than the shard header"));
-    }
+fn decode_header(path: &Path, buf: &[u8; 36]) -> Result<ShardHeader> {
     if &buf[0..8] != MAGIC {
         return Err(corrupt(path, "bad magic, not a DBSSHRD1 shard"));
     }
@@ -122,21 +116,21 @@ fn decode_header(path: &Path, buf: &[u8]) -> Result<ShardHeader> {
     if version != VERSION {
         return Err(corrupt(
             path,
-            &format!("unsupported shard version {version}"),
+            &format!(
+                "shard format version {version}, but this build reads version {VERSION}; \
+                 re-run `dbs convert` on the source data"
+            ),
         ));
     }
-    let dim = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")) as usize;
+    let dim = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
     if dim == 0 {
         return Err(corrupt(path, "header declares dim 0"));
     }
-    let count = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")) as usize;
-    let seed = u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes"));
-    let index = u32::from_le_bytes(buf[32..36].try_into().expect("4 bytes"));
     Ok(ShardHeader {
         dim,
-        count,
-        seed,
-        index,
+        count: u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")),
+        seed: u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes")),
+        index: u32::from_le_bytes(buf[32..36].try_into().expect("4 bytes")),
     })
 }
 
@@ -144,17 +138,15 @@ fn shard_path(dir: &Path, index: u32) -> PathBuf {
     dir.join(format!("shard-{index:05}.{SHARD_EXT}"))
 }
 
-/// Streaming shard-directory writer: push points in order, chunks are
-/// transposed to columnar form and appended as they fill, shard files roll
-/// over at the configured size. Memory use is one chunk, regardless of how
-/// many points flow through.
+/// Streaming shard-directory writer: push points in order, each row goes
+/// straight to the current shard's buffered file, and shard files roll
+/// over at the configured size. Memory use is one write buffer, regardless
+/// of how many points flow through.
 pub struct ShardWriter {
     dir: PathBuf,
     dim: usize,
     seed: u64,
     shard_points: usize,
-    chunk: Vec<f64>,
-    colbuf: Vec<u8>,
     cur: Option<CurrentShard>,
     next_index: u32,
     total: u64,
@@ -166,17 +158,12 @@ struct CurrentShard {
 }
 
 impl ShardWriter {
-    /// Creates a writer targeting `dir` (created if missing) with the
-    /// default shard size. `seed` is provenance recorded in every header
-    /// (use 0 for converted external data).
-    pub fn create(dir: &Path, dim: usize, seed: u64) -> Result<Self> {
-        Self::create_with(dir, dim, seed, DEFAULT_SHARD_POINTS)
-    }
-
-    /// [`ShardWriter::create`] with an explicit shard size, which must be a
-    /// positive multiple of [`CHUNK_POINTS`] so the chunk grid never
-    /// straddles shard boundaries.
-    pub fn create_with(dir: &Path, dim: usize, seed: u64, shard_points: usize) -> Result<Self> {
+    /// Creates a writer targeting `dir` (created if missing). `seed` is
+    /// provenance recorded in every header (use 0 for converted external
+    /// data). `shard_points` ([`DEFAULT_SHARD_POINTS`] unless a caller
+    /// needs small shards) must be a positive multiple of [`CHUNK_POINTS`]
+    /// so the chunk grid never straddles shard boundaries.
+    pub fn create(dir: &Path, dim: usize, seed: u64, shard_points: usize) -> Result<Self> {
         if dim == 0 {
             return Err(Error::InvalidParameter("shard dim must be >= 1".into()));
         }
@@ -197,15 +184,14 @@ impl ShardWriter {
             dim,
             seed,
             shard_points,
-            chunk: Vec::with_capacity(CHUNK_POINTS * dim),
-            colbuf: Vec::new(),
             cur: None,
             next_index: 0,
             total: 0,
         })
     }
 
-    /// Appends one point. Errors on dimension mismatch.
+    /// Appends one point, opening a new shard file when none is open and
+    /// closing it when full. Errors on dimension mismatch.
     pub fn push(&mut self, point: &[f64]) -> Result<()> {
         if point.len() != self.dim {
             return Err(Error::DimensionMismatch {
@@ -213,46 +199,27 @@ impl ShardWriter {
                 got: point.len(),
             });
         }
-        self.chunk.extend_from_slice(point);
-        self.total += 1;
-        if self.chunk.len() == CHUNK_POINTS * self.dim {
-            self.flush_chunk()?;
-        }
-        Ok(())
-    }
-
-    /// Transposes the pending chunk to columnar form and appends it to the
-    /// current shard, rolling the shard file over when full.
-    fn flush_chunk(&mut self) -> Result<()> {
-        let m = self.chunk.len() / self.dim;
-        if m == 0 {
-            return Ok(());
-        }
-        if self.cur.is_none() {
-            let path = shard_path(&self.dir, self.next_index);
-            let mut file = BufWriter::new(File::create(path)?);
-            // Count is patched in when the shard closes.
-            file.write_all(&encode_header(&ShardHeader {
-                dim: self.dim,
-                count: 0,
-                seed: self.seed,
-                index: self.next_index,
-            }))?;
-            self.cur = Some(CurrentShard { file, count: 0 });
-        }
-        self.colbuf.clear();
-        self.colbuf.reserve(self.chunk.len() * 8);
-        for j in 0..self.dim {
-            for k in 0..m {
-                self.colbuf
-                    .extend_from_slice(&self.chunk[k * self.dim + j].to_le_bytes());
+        let cur = match &mut self.cur {
+            Some(cur) => cur,
+            None => {
+                let path = shard_path(&self.dir, self.next_index);
+                let mut file = BufWriter::new(File::create(path)?);
+                // Count is patched in when the shard closes.
+                file.write_all(&encode_header(&ShardHeader {
+                    dim: self.dim as u32,
+                    count: 0,
+                    seed: self.seed,
+                    index: self.next_index,
+                }))?;
+                self.cur.insert(CurrentShard { file, count: 0 })
             }
+        };
+        for &x in point {
+            cur.file.write_all(&x.to_le_bytes())?;
         }
-        let cur = self.cur.as_mut().expect("shard opened above");
-        cur.file.write_all(&self.colbuf)?;
-        cur.count += m;
-        self.chunk.clear();
-        if cur.count >= self.shard_points {
+        cur.count += 1;
+        self.total += 1;
+        if cur.count == self.shard_points {
             self.close_shard()?;
         }
         Ok(())
@@ -272,11 +239,10 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Flushes any partial chunk, closes the last shard, and returns the
-    /// total number of points written. Errors if no points were pushed (an
-    /// empty shard directory is unreadable by construction).
+    /// Closes the last shard and returns the total number of points
+    /// written. Errors if no points were pushed (an empty shard directory
+    /// is unreadable by construction).
     pub fn finish(mut self) -> Result<u64> {
-        self.flush_chunk()?;
         self.close_shard()?;
         if self.total == 0 {
             return Err(Error::InvalidParameter(
@@ -287,21 +253,16 @@ impl ShardWriter {
     }
 }
 
-/// Writes every point of `source` into `dir` as shards (one sequential
-/// pass) and returns the point count.
-pub fn write_shards<S: PointSource + ?Sized>(dir: &Path, source: &S, seed: u64) -> Result<u64> {
-    write_shards_with(dir, source, seed, DEFAULT_SHARD_POINTS)
-}
-
-/// [`write_shards`] with an explicit shard size (a positive multiple of
-/// [`CHUNK_POINTS`]).
+/// Writes every point of `source` into `dir` as shards of `shard_points`
+/// points (see [`ShardWriter::create`]) in one sequential pass, and returns
+/// the point count.
 pub fn write_shards_with<S: PointSource + ?Sized>(
     dir: &Path,
     source: &S,
     seed: u64,
     shard_points: usize,
 ) -> Result<u64> {
-    let mut writer = ShardWriter::create_with(dir, source.dim(), seed, shard_points)?;
+    let mut writer = ShardWriter::create(dir, source.dim(), seed, shard_points)?;
     let mut failed = None;
     source.scan(&mut |_, p| {
         if failed.is_none() {
@@ -316,12 +277,6 @@ pub fn write_shards_with<S: PointSource + ?Sized>(
     writer.finish()
 }
 
-#[derive(Debug)]
-struct Shard {
-    count: usize,
-    file: File,
-}
-
 /// A shard directory exposed as a [`PointSource`]: scans, the parallel
 /// executor and index fetches all read it chunk by chunk, so the whole
 /// pipeline runs over it without ever materializing the data.
@@ -332,7 +287,7 @@ pub struct ShardedSource {
     seed: u64,
     /// Start point index of each shard, plus the total as a sentinel.
     starts: Vec<usize>,
-    shards: Vec<Shard>,
+    shards: Vec<File>,
 }
 
 impl ShardedSource {
@@ -353,15 +308,15 @@ impl ShardedSource {
                 dir.display()
             )));
         }
-        let mut dim = 0usize;
+        let mut dim = 0u32;
         let mut seed = 0u64;
         let mut starts = vec![0usize];
         let mut shards = Vec::with_capacity(paths.len());
         let last = paths.len() - 1;
         for (pos, path) in paths.iter().enumerate() {
-            let file = File::open(path)?;
+            let mut file = File::open(path)?;
             let mut head = [0u8; 36];
-            read_exact_at(&file, &mut head, 0)
+            file.read_exact(&mut head)
                 .map_err(|_| corrupt(path, "file shorter than the shard header"))?;
             let h = decode_header(path, &head)?;
             if pos == 0 {
@@ -384,7 +339,7 @@ impl ShardedSource {
             if h.count == 0 {
                 return Err(corrupt(path, "shard holds no points"));
             }
-            if pos != last && !h.count.is_multiple_of(CHUNK_POINTS) {
+            if pos != last && !h.count.is_multiple_of(CHUNK_POINTS as u64) {
                 return Err(corrupt(
                     path,
                     &format!(
@@ -393,28 +348,15 @@ impl ShardedSource {
                     ),
                 ));
             }
-            let expect = HEADER_BYTES as u64 + (h.count as u64) * (h.dim as u64) * 8;
             let actual = file.metadata()?.len();
-            if actual < expect {
-                return Err(corrupt(
-                    path,
-                    &format!("truncated shard: {actual} bytes, header promises {expect}"),
-                ));
-            }
-            if actual > expect {
-                return Err(corrupt(
-                    path,
-                    &format!("oversized shard: {actual} bytes, header promises {expect}"),
-                ));
-            }
-            starts.push(starts.last().expect("non-empty") + h.count);
-            shards.push(Shard {
-                count: h.count,
-                file,
-            });
+            checked_size("shard", HEADER_BYTES as u64, h.dim, h.count, actual)
+                .map_err(|message| corrupt(path, &message))?;
+            // The size check bounds `count` by the file's length.
+            starts.push(starts.last().expect("non-empty") + h.count as usize);
+            shards.push(file);
         }
         Ok(ShardedSource {
-            dim,
+            dim: dim as usize,
             len: *starts.last().expect("non-empty"),
             seed,
             starts,
@@ -431,58 +373,6 @@ impl ShardedSource {
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
-
-    /// Copies the shard-local point range `local` of shard `s` into
-    /// `dest`, row-major. `dest.len() == local.len() * dim`.
-    fn read_shard_local(
-        &self,
-        s: usize,
-        local: Range<usize>,
-        dest: &mut [f64],
-        tally: &mut Tally,
-    ) -> Result<()> {
-        let shard = &self.shards[s];
-        let dim = self.dim;
-        debug_assert_eq!(dest.len(), local.len() * dim);
-        let mut chunk = local.start / CHUNK_POINTS;
-        while chunk * CHUNK_POINTS < local.end {
-            let chunk_start = chunk * CHUNK_POINTS;
-            let m = CHUNK_POINTS.min(shard.count - chunk_start);
-            let a = local.start.max(chunk_start) - chunk_start;
-            let b = local.end.min(chunk_start + m) - chunk_start;
-            let chunk_off = HEADER_BYTES + chunk_start * dim * 8;
-            let out_base = chunk_start + a - local.start;
-            tally.add(Counter::ShardChunkReads, 1);
-            tally.add(Counter::ShardBytesMapped, ((b - a) * dim * 8) as u64);
-            // One positional read spans the chunk's `a..b` slice of every
-            // column (and the column tails in between).
-            let span = ((dim - 1) * m + b - a) * 8;
-            SCRATCH.with_borrow_mut(|scratch| -> Result<()> {
-                if scratch.len() < span {
-                    scratch.resize(span, 0);
-                }
-                read_exact_at(
-                    &shard.file,
-                    &mut scratch[..span],
-                    (chunk_off + a * 8) as u64,
-                )?;
-                for j in 0..dim {
-                    let col = j * m * 8;
-                    for k in 0..b - a {
-                        dest[(out_base + k) * dim + j] = f64_at(scratch, col + k * 8);
-                    }
-                }
-                Ok(())
-            })?;
-            chunk += 1;
-        }
-        Ok(())
-    }
-}
-
-#[inline]
-fn f64_at(bytes: &[u8], off: usize) -> f64 {
-    f64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
 }
 
 impl PointSource for ShardedSource {
@@ -514,24 +404,21 @@ impl PointSource for ShardedSource {
         let mut pos = range.start;
         while pos < range.end {
             let shard_start = self.starts[s];
-            let shard_end = self.starts[s + 1];
+            // Shard-local points `a..b`, one file region.
             let a = pos - shard_start;
-            let b = range.end.min(shard_end) - shard_start;
+            let b = range.end.min(self.starts[s + 1]) - shard_start;
             let dest_off = (pos - range.start) * dim;
             let dest = &mut buf[dest_off..dest_off + (b - a) * dim];
-            self.read_shard_local(s, a..b, dest, tally)?;
+            read_f64s_at(&self.shards[s], dest, (HEADER_BYTES + a * dim * 8) as u64)?;
+            // `ShardChunkReads` counts the grid chunks the region spans.
+            let chunks = (b - 1) / CHUNK_POINTS - a / CHUNK_POINTS + 1;
+            tally.add(Counter::ShardChunkReads, chunks as u64);
+            tally.add(Counter::ShardBytesMapped, ((b - a) * dim * 8) as u64);
             pos = shard_start + b;
             s += 1;
         }
         Ok(())
     }
-}
-
-thread_local! {
-    /// Each thread's buffer for raw chunk bytes. Reusing it keeps a chunk
-    /// read from allocating and zero-filling a fresh buffer, which cost
-    /// about a tenth of `dbs stream`'s wall time over shards.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 #[cfg(test)]
@@ -647,7 +534,7 @@ mod tests {
     fn collect_honors_the_materialization_cap() {
         let ds = numbered(CHUNK_POINTS, 2);
         let dir = tmp("cap");
-        write_shards(&dir, &ds, 0).unwrap();
+        write_shards_with(&dir, &ds, 0, DEFAULT_SHARD_POINTS).unwrap();
         let src = ShardedSource::open(&dir).unwrap();
         let err = src.collect_dataset_capped(1024).unwrap_err();
         assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
@@ -684,7 +571,54 @@ mod tests {
         std::fs::write(&shard1, &other).unwrap();
         let err = ShardedSource::open(&dir).unwrap_err();
         assert!(err.to_string().contains("dim"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
 
+        // A last shard whose dim 1 x count x 8 wraps to exactly its file
+        // size: 2^61 + 5000 points over 5000 points' bytes.
+        let dir = tmp("overflow");
+        write_shards_with(&dir, &numbered(5000, 1), 0, DEFAULT_SHARD_POINTS).unwrap();
+        let shard0 = shard_path(&dir, 0);
+        let mut lying = std::fs::read(&shard0).unwrap();
+        assert_eq!(lying.len(), 44_096);
+        lying[16..24].copy_from_slice(&((1u64 << 61) + 5000).to_le_bytes());
+        std::fs::write(&shard0, &lying).unwrap();
+        match ShardedSource::open(&dir) {
+            Err(Error::Parse { message, .. }) => {
+                assert!(message.contains("overflows"), "{message}")
+            }
+            other => panic!("expected a Parse error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rows_are_stored_as_dbs1_stores_them() {
+        let ds = numbered(2 * CHUNK_POINTS + 17, 3);
+        let dir = tmp("dbs1_bytes");
+        write_shards_with(&dir, &ds, 5, DEFAULT_SHARD_POINTS).unwrap();
+        let file = dir.join("rows.dbs1");
+        crate::io::write_binary(&file, &ds).unwrap();
+        let shard = std::fs::read(shard_path(&dir, 0)).unwrap();
+        let dbs1 = std::fs::read(&file).unwrap();
+        assert!(shard[HEADER_BYTES..] == dbs1[16..]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_1_directories_are_refused() {
+        let dir = tmp("v1");
+        write_shards_with(&dir, &numbered(10, 2), 0, DEFAULT_SHARD_POINTS).unwrap();
+        let shard0 = shard_path(&dir, 0);
+        let mut v1 = std::fs::read(&shard0).unwrap();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&shard0, &v1).unwrap();
+        match ShardedSource::open(&dir) {
+            Err(Error::Parse { message, .. }) => {
+                assert!(message.contains("version 1"), "{message}");
+                assert!(message.contains("dbs convert"), "{message}");
+            }
+            other => panic!("expected a Parse error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -692,7 +626,7 @@ mod tests {
     fn shard_shrunk_after_open_fails_the_read() {
         let ds = numbered(CHUNK_POINTS + 10, 2);
         let dir = tmp("shrink");
-        write_shards(&dir, &ds, 0).unwrap();
+        write_shards_with(&dir, &ds, 0, DEFAULT_SHARD_POINTS).unwrap();
         let src = ShardedSource::open(&dir).unwrap();
         File::options()
             .write(true)
@@ -711,12 +645,12 @@ mod tests {
     #[test]
     fn writer_rejects_misuse() {
         let dir = tmp("misuse");
-        assert!(ShardWriter::create_with(&dir, 2, 0, CHUNK_POINTS + 1).is_err());
-        assert!(ShardWriter::create_with(&dir, 0, 0, CHUNK_POINTS).is_err());
-        let mut w = ShardWriter::create(&dir, 2, 0).unwrap();
+        assert!(ShardWriter::create(&dir, 2, 0, CHUNK_POINTS + 1).is_err());
+        assert!(ShardWriter::create(&dir, 0, 0, CHUNK_POINTS).is_err());
+        let mut w = ShardWriter::create(&dir, 2, 0, DEFAULT_SHARD_POINTS).unwrap();
         assert!(w.push(&[1.0]).is_err());
         drop(w);
-        let empty = ShardWriter::create(&dir, 2, 0).unwrap();
+        let empty = ShardWriter::create(&dir, 2, 0, DEFAULT_SHARD_POINTS).unwrap();
         assert!(empty.finish().is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -725,7 +659,7 @@ mod tests {
     fn shard_dir_detection() {
         let dir = tmp("detect");
         assert!(!is_shard_dir(&dir));
-        write_shards(&dir, &numbered(10, 2), 0).unwrap();
+        write_shards_with(&dir, &numbered(10, 2), 0, DEFAULT_SHARD_POINTS).unwrap();
         assert!(is_shard_dir(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -14,7 +14,7 @@
 use std::path::Path;
 
 use dbs_core::rng::{normal, seeded, sub_seed};
-use dbs_core::shard::ShardWriter;
+use dbs_core::shard::{ShardWriter, DEFAULT_SHARD_POINTS};
 use dbs_core::{BoundingBox, Dataset, Error, Result};
 
 use crate::SyntheticDataset;
@@ -117,12 +117,12 @@ pub fn generate(clusters: &[GaussCluster], seed: u64) -> Result<SyntheticDataset
 }
 
 /// Streams the same mixture [`generate`] would build straight into a
-/// columnar shard directory, never holding more than one 4096-point chunk
+/// shard directory, never holding more than one shard file's write buffer
 /// in memory — how the out-of-core benchmarks materialize datasets far
 /// larger than RAM. Returns the number of points written.
 pub fn generate_to_shards(clusters: &[GaussCluster], seed: u64, dir: &Path) -> Result<u64> {
     let d = validate(clusters)?;
-    let mut writer = ShardWriter::create(dir, d, seed)?;
+    let mut writer = ShardWriter::create(dir, d, seed, DEFAULT_SHARD_POINTS)?;
     emit_points(clusters, d, seed, &mut |_, p| writer.push(p))?;
     writer.finish()
 }

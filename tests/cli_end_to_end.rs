@@ -423,7 +423,7 @@ min:        [0.09943600654431084, 0.056306688206483324]
 max:        [0.9983837508105228, 0.9430793708240438]
 $ convert <tmp>/in.txt --output <tmp>/shards --shard-points 4096
 wrote 2010 points (2d) to 1 shards in <tmp>/shards
-  <tmp>/shards/shard-00000.dbss: 36256 bytes, fnv 624c885359844897
+  <tmp>/shards/shard-00000.dbss: 36256 bytes, fnv b6da2bf811f75d1c
 ";
 
 #[test]

@@ -1,7 +1,7 @@
 //! The storage-engine determinism contract: every pipeline stage —
 //! density batches, biased sampling, outlier detection, sample-fed
 //! clustering — produces byte-identical results whether the dataset lives
-//! in memory, in a single `DBS1` binary file, or in a multi-shard columnar
+//! in memory, in a single `DBS1` binary file, or in a multi-shard
 //! directory, at every thread count. Plus the shard format's error paths:
 //! corrupt headers, truncated files, and cross-shard dim mismatches must
 //! fail loudly at open time, never silently misread.
