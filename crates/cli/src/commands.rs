@@ -93,6 +93,15 @@ impl DensityEstimator for ScaledQueries<'_> {
         self.est.average_density()
     }
 
+    /// The scaled box's mass: the scaler maps each axis by an increasing
+    /// affine map, so the box's points are the same.
+    fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        let (mut lo, mut hi) = (lo.to_vec(), hi.to_vec());
+        self.scaler.transform_point(&mut lo);
+        self.scaler.transform_point(&mut hi);
+        self.est.box_mass(&lo, &hi)
+    }
+
     fn densities_into(&self, block: &PointBlock, out: &mut [f64], tally: &mut Tally) {
         let mut scaled = block.as_flat().to_vec();
         for p in scaled.chunks_exact_mut(block.dim()) {
@@ -447,7 +456,6 @@ impl Stages<'_> {
         let params = DbOutlierParams::new(radius, p).map_err(err)?;
         let mut cfg = ApproxConfig::new(params);
         cfg.slack = self.args.get_f64("slack", 3.0)?;
-        cfg.seed = self.seed()?;
         cfg.parallelism = self.threads;
         let report = {
             let _span = self.rec.span("outliers");

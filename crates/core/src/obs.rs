@@ -2,7 +2,7 @@
 //! timing spans.
 //!
 //! The pipeline's cost claims are stated in *counted work* — dataset passes
-//! (§4.5's "at most two"), kernel evaluations, Monte-Carlo ball samples,
+//! (§4.5's "at most two"), kernel evaluations, outlier ball integrals,
 //! heap operations — not in wall-clock. This module records those counts
 //! without perturbing anything:
 //!
@@ -79,10 +79,11 @@ counter_catalog! {
     /// the grid walk over the tile's box when the tile escapes its cell's
     /// box.
     GridCandidateVisits => "grid_candidate_visits",
-    /// Monte-Carlo evaluation points spent on ball integrals (§3.2). The
-    /// samples go through the estimator's batch engine, but their kernel
-    /// evaluations, tiles and grid visits are not counted: only this
-    /// counter records the ball work.
+    /// Ball integrals of the outlier detector (§3.2), one per point the
+    /// prefilter did not skip. Each is one closed-form box integral of the
+    /// estimator, whose work no density counter records. The key keeps
+    /// the name it had when each integral was a 64-sample Monte-Carlo
+    /// estimate, so existing metrics readers still find it.
     BallSamples => "mc_ball_samples",
     /// Sampler inclusion probabilities clipped at 1.
     SamplerClipEvents => "sampler_clip_events",

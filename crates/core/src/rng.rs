@@ -53,13 +53,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * standard_normal(rng)
 }
 
-/// Draws an exponential variate with the given rate.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate > 0.0, "rate must be positive");
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -u.ln() / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,15 +111,5 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|_| normal(&mut rng, 5.0, 2.0)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = seeded(3);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| exponential(&mut rng, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.03, "mean {mean}");
-        assert!(xs.iter().all(|&x| x >= 0.0));
     }
 }

@@ -24,6 +24,14 @@ use crate::kernel::Kernel;
 use crate::traits::DensityEstimator;
 
 /// Configuration for [`KernelDensityEstimator::fit`].
+///
+/// Query cost: a compact kernel's center grid lets a `density` or
+/// `box_mass` call visit only the centers near it. The grid has at most
+/// `round(ks^(1/d))` cells per dimension and at most 2^26 cells, so it
+/// collapses to one cell per dimension at d ≥ 27 whatever `ks` (d ≥ 18 at
+/// the default 1000 centers). Every call then visits all `ks` centers, and
+/// a pass over `n` points costs about `n · ks · d` kernel products (10^10
+/// for 10^5 points of 100 dimensions).
 #[derive(Debug, Clone)]
 pub struct KdeConfig {
     /// Number of kernel centers `ks`. The paper recommends 1000 (§4.4).
@@ -321,6 +329,47 @@ impl DensityEstimator for KernelDensityEstimator {
 
     fn average_density(&self) -> f64 {
         self.n / self.domain.volume()
+    }
+
+    /// `(n / ks) · Σ_c Π_j [F((hi_j − c_j)/h_j) − F((lo_j − c_j)/h_j)]` with
+    /// `F` the kernel's CDF, summed in ascending center index over the
+    /// centers the center grid reports within `prune_radius` of the box
+    /// (every center without a grid). The centers it skips lie past the
+    /// kernel's support in some dimension, where that factor is exactly 0.
+    fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        debug_assert_eq!(lo.len(), self.dim());
+        debug_assert_eq!(hi.len(), self.dim());
+        if lo.iter().zip(hi).any(|(l, h)| !(l < h)) {
+            return 0.0;
+        }
+        let mass = |c: &[f64]| {
+            let mut prod = 1.0;
+            for j in 0..c.len() {
+                let inv_h = self.inv_bandwidths[j];
+                let m = self.kernel.cdf((hi[j] - c[j]) * inv_h)
+                    - self.kernel.cdf((lo[j] - c[j]) * inv_h);
+                if m == 0.0 {
+                    return 0.0;
+                }
+                prod *= m;
+            }
+            prod
+        };
+        let acc: f64 = match &self.center_grid {
+            Some(grid) => {
+                let reach = self.prune_radius;
+                let lo: Vec<f64> = lo.iter().map(|l| l - reach).collect();
+                let hi: Vec<f64> = hi.iter().map(|h| h + reach).collect();
+                let mut candidates = Vec::new();
+                grid.candidates_in_box(&lo, &hi, &mut candidates);
+                candidates
+                    .iter()
+                    .map(|&ci| mass(self.centers.point(ci as usize)))
+                    .sum()
+            }
+            None => self.centers.iter().map(mass).sum(),
+        };
+        self.n / self.centers.len() as f64 * acc
     }
 
     /// The cache-blocked batch engine (see [`crate::batch`]): tile-shared

@@ -112,6 +112,30 @@ impl Kernel {
         }
     }
 
+    /// The kernel's CDF `F(u) = ∫_{−∞}^u K`, so a center's mass in `[a, b]`
+    /// is `F(b) − F(a)` (in bandwidth units). Closed-form polynomials on
+    /// `[−1, 1]` for the compact kernels; `(1 + erf(u/√2)) / 2` for the
+    /// Gaussian, cut to 0 and 1 at the truncation radius as
+    /// [`Kernel::eval`] is.
+    pub fn cdf(&self, u: f64) -> f64 {
+        let r = self.support_radius();
+        if u <= -r {
+            return 0.0;
+        }
+        if u >= r {
+            return 1.0;
+        }
+        match self {
+            Kernel::Epanechnikov => 0.5 + 0.75 * (u - u * u * u / 3.0),
+            Kernel::Gaussian => 0.5 * (1.0 + erf(u * std::f64::consts::FRAC_1_SQRT_2)),
+            Kernel::Biweight => {
+                let u2 = u * u;
+                0.5 + 0.9375 * u * (1.0 - u2 * (2.0 / 3.0 - u2 / 5.0))
+            }
+            Kernel::Uniform => 0.5 * (1.0 + u),
+        }
+    }
+
     /// The radius beyond which the kernel is (treated as) zero, in
     /// bandwidth units. Finite-support kernels return 1; the Gaussian
     /// returns its truncation radius.
@@ -133,15 +157,24 @@ impl Kernel {
     }
 }
 
-/// Error function, Abramowitz & Stegun formula 7.1.26 (|error| <= 1.5e-7).
+/// The error function, from its everywhere-convergent series
+/// `erf(x) = 2/√π · e^{−x²} · Σ_{n≥0} 2ⁿ x^{2n+1} / (1·3·…·(2n+1))`, whose
+/// terms are all positive, so no digits cancel. Summed until a term falls
+/// below `1e-17` of the total; `±1` from `|x| ≥ 6`, where `1 − erf(x) <
+/// 3e-17`. A plain loop over `exp` and arithmetic, so it gives the same
+/// bits wherever `exp` does.
 pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    sign * (1.0 - poly * (-x * x).exp())
+    let a = x.abs();
+    if a >= 6.0 {
+        return 1.0f64.copysign(x);
+    }
+    let (mut term, mut sum, mut n) = (a, a, 0.0);
+    while term > 1e-17 * sum {
+        n += 1.0;
+        term *= 2.0 * a * a / (2.0 * n + 1.0);
+        sum += term;
+    }
+    (std::f64::consts::FRAC_2_SQRT_PI * (-a * a).exp() * sum).copysign(x)
 }
 
 #[cfg(test)]
@@ -199,11 +232,48 @@ mod tests {
 
     #[test]
     fn erf_known_values() {
-        // The A&S 7.1.26 approximation carries ~1.5e-7 absolute error.
-        assert!(erf(0.0).abs() < 1e-6);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-        assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
+        // Reference values to 10 digits.
+        let known = [
+            (0.0, 0.0),
+            (0.1, 0.1124629160),
+            (0.5, 0.5204998778),
+            (1.0, 0.8427007929),
+            (1.5, 0.9661051465),
+            (2.0, 0.9953222650),
+            (3.0, 0.9999779095),
+            (4.0, 0.9999999846),
+            (6.5, 1.0),
+        ];
+        for (x, want) in known {
+            assert!((erf(x) - want).abs() < 1e-7, "erf({x}) = {}", erf(x));
+            assert!((erf(-x) + want).abs() < 1e-7, "erf({})", -x);
+        }
+    }
+
+    #[test]
+    fn cdf_integrates_the_kernel() {
+        // F rises from 0 to 1 across the support, and its increments match
+        // the trapezoid integral of the profile.
+        for k in KERNELS {
+            let r = k.support_radius();
+            assert_eq!(k.cdf(-r - 1.0), 0.0, "{k:?}");
+            assert_eq!(k.cdf(r + 1.0), 1.0, "{k:?}");
+            assert!((k.cdf(0.0) - 0.5).abs() < 1e-12, "{k:?}");
+            for (a, b) in [(-0.9, -0.2), (-0.3, 0.45), (0.1, 0.99)] {
+                let steps = 20_000;
+                let h = (b - a) / steps as f64;
+                let mut acc = 0.5 * (k.eval(a) + k.eval(b));
+                for i in 1..steps {
+                    acc += k.eval(a + i as f64 * h);
+                }
+                let want = acc * h;
+                let got = k.cdf(b) - k.cdf(a);
+                assert!(
+                    (got - want).abs() < 1e-7,
+                    "{k:?} on [{a}, {b}]: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

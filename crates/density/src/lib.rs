@@ -36,10 +36,12 @@
 //! [`DensityEstimator`], so the CLI and experiment harness never hardwire
 //! a concrete estimator type.
 //!
-//! [`ball::BallIntegral`] estimates `∫_{Ball(O,r)} f` over an L2, L1 or L∞
-//! ball, the quantity the approximate outlier detector of §3.2 uses to
-//! prune non-outliers. It integrates a block of centers at a time through
-//! the estimator's batch engine.
+//! Every backend integrates `f` over an axis-aligned box in closed form
+//! ([`DensityEstimator::box_mass`]): the KDE through its kernel's CDF
+//! ([`Kernel::cdf`]), the histograms by cell overlap. [`ball::ball_mass`]
+//! turns that into `∫_{Ball(O,r)} f` over an L2, L1 or L∞ ball (exact
+//! under L∞, over the cube of the ball's volume otherwise), the quantity
+//! the approximate outlier detector of §3.2 uses to prune non-outliers.
 
 // Numeric-kernel loops in this crate index several parallel slices at once,
 // and NaN-rejecting guards are written as negated comparisons on purpose.

@@ -140,6 +140,53 @@ pub(crate) fn auto_resolution(dim: usize) -> usize {
     }
 }
 
+/// Every cell of a grid of `span` cells per dimension that the box
+/// `[lo, hi]`, clipped to `domain`, overlaps, with the overlapped fraction
+/// of the cell's volume, in row-major cell order. Along dimension `j`,
+/// cell `c` covers `t ∈ [c, c + 1)` of `t = (x − min_j) · inv_widths[j] +
+/// offsets[j]`, and cell ids flatten row-major as the grids' `cell_of`
+/// does. A degenerate dimension (`inv_widths[j] == 0`) has the one cell
+/// `0`, covered wholly when the box spans the domain there: the backends
+/// count such a dimension as width 1 in their cell volume.
+///
+/// The cell-overlap integral shared by [`ShiftedGrids`] and the wavelet
+/// backend, whose densities are constant on each cell.
+pub(crate) fn cell_overlaps(
+    domain: &BoundingBox,
+    inv_widths: &[f64],
+    offsets: &[f64],
+    span: usize,
+    lo: &[f64],
+    hi: &[f64],
+) -> Vec<(u64, f64)> {
+    let mut cells = vec![(0u64, 1.0f64)];
+    for j in 0..lo.len() {
+        let (a, b) = (lo[j].max(domain.min()[j]), hi[j].min(domain.max()[j]));
+        // The cells the clipped box meets along `j`, each with the
+        // overlapped fraction of its width.
+        let run: Vec<(u64, f64)> = if !(lo[j] < hi[j]) || !(a <= b) {
+            Vec::new()
+        } else if inv_widths[j] == 0.0 {
+            vec![(0, 1.0)]
+        } else {
+            let t = |x: f64| (x - domain.min()[j]) * inv_widths[j] + offsets[j];
+            let (ta, tb) = (t(a), t(b));
+            (ta as usize..span)
+                .take_while(|&c| (c as f64) < tb)
+                .map(|c| (c as u64, tb.min(c as f64 + 1.0) - ta.max(c as f64)))
+                .collect()
+        };
+        cells = cells
+            .iter()
+            .flat_map(|&(cell, frac)| {
+                run.iter()
+                    .map(move |&(c, f)| (cell * span as u64 + c, frac * f))
+            })
+            .collect();
+    }
+    cells
+}
+
 /// `m` grids, shifted or not, over dense or hashed counters (see the
 /// module docs). Built only through the presets.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,6 +502,21 @@ impl<S: CounterStore> DensityEstimator for ShiftedGrids<S> {
 
     fn average_density(&self) -> f64 {
         self.n as f64 / self.domain.volume().max(f64::MIN_POSITIVE)
+    }
+
+    /// Each grid's counters weighted by how much of their cell the box
+    /// covers inside the domain, averaged over the grids.
+    fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for g in 0..self.grids {
+            let row = &self.counts[g * self.store.row_len()..(g + 1) * self.store.row_len()];
+            let offsets = &self.offsets[g * self.dim..(g + 1) * self.dim];
+            let cells = cell_overlaps(&self.domain, &self.inv_widths, offsets, self.span, lo, hi);
+            for (cell, frac) in cells {
+                total += row[self.store.slot(g, cell)] as f64 * frac;
+            }
+        }
+        total / self.grids as f64
     }
 
     /// Per-point queries plus two work counts: the grids averaged

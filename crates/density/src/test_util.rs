@@ -56,6 +56,13 @@ impl DensityEstimator for Flat {
     fn average_density(&self) -> f64 {
         self.n
     }
+    fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        self.n
+            * lo.iter()
+                .zip(hi)
+                .map(|(l, h)| (h - l).max(0.0))
+                .product::<f64>()
+    }
 }
 
 /// Midpoint-rule integral of `est` over `bbox` with `cells` cells per

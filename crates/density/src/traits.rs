@@ -27,6 +27,13 @@ pub trait DensityEstimator {
     /// above this are "denser than average" in the sense of §2.2.
     fn average_density(&self) -> f64;
 
+    /// The estimated number of points in the box `[lo, hi]`:
+    /// `∫_{[lo,hi]} f`, in closed form. Zero when the box is empty along
+    /// any dimension (`!(lo[j] < hi[j])`). This is the outlier pruner's
+    /// statistic (§3.2); it records no work counts, so a caller's density
+    /// counters count its density queries only.
+    fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64;
+
     /// Batch hook: writes the densities of the points in `block` into
     /// `out` (`out[k]` = density of point `block.range().start + k`), and
     /// counts the work done (kernel evaluations, tiles, grid candidate
@@ -155,6 +162,9 @@ mod tests {
             }
             fn average_density(&self) -> f64 {
                 1.0
+            }
+            fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+                hi[0] * hi[0] - lo[0] * lo[0]
             }
         }
         let got = midpoint_integral(&Linear, &BoundingBox::unit(1), 256);

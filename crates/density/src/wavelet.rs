@@ -14,6 +14,7 @@
 
 use dbs_core::{BoundingBox, Error, PointSource, Result};
 
+use crate::shifted::cell_overlaps;
 use crate::traits::DensityEstimator;
 
 /// A Haar-wavelet-compressed grid histogram.
@@ -249,6 +250,23 @@ impl DensityEstimator for WaveletEstimator {
 
     fn average_density(&self) -> f64 {
         self.n / self.domain.volume().max(f64::MIN_POSITIVE)
+    }
+
+    /// The clamped cell counts weighted by how much of their cell the box
+    /// covers inside the domain.
+    fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        let dim = self.domain.dim();
+        let inv_widths: Vec<f64> = (0..dim)
+            .map(|j| match self.domain.extent(j) {
+                e if e > 0.0 => self.res as f64 / e,
+                _ => 0.0,
+            })
+            .collect();
+        let offsets = vec![0.0; dim];
+        cell_overlaps(&self.domain, &inv_widths, &offsets, self.res, lo, hi)
+            .into_iter()
+            .map(|(cell, frac)| self.cells[cell as usize].max(0.0) * frac)
+            .sum()
     }
 
     /// Approximate: the reconstructed (clamped) cell counts stand in for

@@ -44,8 +44,8 @@ pub struct OutlierRow {
     pub passes: usize,
     /// Ball integrals the density prefilter skipped (counted work).
     pub prefilter_skips: u64,
-    /// Monte-Carlo samples spent on the remaining ball integrals.
-    pub ball_samples: u64,
+    /// Ball integrals computed for the remaining points.
+    pub ball_integrals: u64,
     /// Exact distance evaluations in the verification pass.
     pub verify_dists: u64,
     /// Approximate detector seconds (including estimator fit).
@@ -106,7 +106,7 @@ pub fn run(scale: Scale, seed: u64) -> Result<Vec<OutlierRow>> {
             candidates: report.candidates,
             passes: report.passes,
             prefilter_skips: rec.counter(Counter::PrefilterSkips),
-            ball_samples: rec.counter(Counter::BallSamples),
+            ball_integrals: rec.counter(Counter::BallSamples),
             verify_dists: rec.counter(Counter::VerifyDistanceEvals),
             approx_secs,
             exact_secs,
@@ -128,7 +128,7 @@ pub fn render(scale: Scale, seed: u64) -> Result<String> {
         "candidates",
         "passes",
         "pruned",
-        "mc samples",
+        "ball integrals",
         "dist evals",
         "approx s",
         "nested-loop s",
@@ -144,7 +144,7 @@ pub fn render(scale: Scale, seed: u64) -> Result<String> {
             r.candidates.to_string(),
             r.passes.to_string(),
             r.prefilter_skips.to_string(),
-            r.ball_samples.to_string(),
+            r.ball_integrals.to_string(),
             r.verify_dists.to_string(),
             f(r.approx_secs, 3),
             f(r.exact_secs, 3),
@@ -152,7 +152,7 @@ pub fn render(scale: Scale, seed: u64) -> Result<String> {
     }
     Ok(format!(
         "Outlier detection (§4.5): density-pruned DB(p,k) detector vs exact nested loop\n\
-         (pruned/mc samples/dist evals are deterministic operation counters from dbs_core::obs)\n{}",
+         (pruned/ball integrals/dist evals are deterministic operation counters from dbs_core::obs)\n{}",
         t.render()
     ))
 }
@@ -175,10 +175,9 @@ mod tests {
             assert_eq!(r.passes, 2);
             assert!(r.candidates < r.n / 4, "{r:?}");
             // The counted-work columns partition the first pass: every
-            // point was either prefilter-skipped or ball-integrated (64
-            // Monte-Carlo samples each), and verification did real work.
-            let integrated = r.ball_samples / 64;
-            assert_eq!(r.prefilter_skips + integrated, r.n as u64, "{r:?}");
+            // point was either prefilter-skipped or ball-integrated, and
+            // verification did real work.
+            assert_eq!(r.prefilter_skips + r.ball_integrals, r.n as u64, "{r:?}");
             assert!(r.verify_dists > 0, "{r:?}");
         }
     }

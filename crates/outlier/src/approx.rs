@@ -8,23 +8,26 @@
 //! likely outliers. Then, we make another pass over the data, and verify
 //! the number of neighbors for each of the likely outliers."
 //!
-//! The detector therefore costs **two dataset passes** (candidate
-//! generation + verification) on top of the one pass that built the density
-//! estimator — the §4.5 result this module reproduces. A slack factor on
+//! The detector therefore costs **at most two dataset passes** (candidate
+//! generation, then verification when any candidate survives) on top of
+//! the one pass that built the density estimator — the §4.5 result this
+//! module reproduces. A slack factor on
 //! the pruning threshold trades candidate-set size against the risk of the
 //! density estimate smoothing an outlier away.
 //!
 //! The distance is the config's [`Metric`]: L2 by default, or L1/L∞ —
 //! "different distance metrics (for example the L1 or Manhattan metric)
 //! can be used equally well" (§3.2). Only the ball integral and the final
-//! distance test depend on it.
+//! distance test depend on it. The ball integral is closed-form: the
+//! estimator's mass in the cube of the ball's volume
+//! ([`dbs_density::ball::ball_mass`]), exact under L∞.
 
 use std::num::NonZeroUsize;
 
 use dbs_core::metric::Metric;
-use dbs_core::obs::{Counter, Recorder, Tally};
-use dbs_core::{par, Dataset, Error, PointBlock, PointSource, Result};
-use dbs_density::ball::BallIntegral;
+use dbs_core::obs::{Counter, Recorder};
+use dbs_core::{par, Dataset, Error, PointSource, Result};
+use dbs_density::ball::ball_mass;
 use dbs_density::DensityEstimator;
 use dbs_spatial::GridIndex;
 
@@ -40,12 +43,8 @@ pub struct ApproxConfig {
     /// verify but less risk of missing a true outlier whose neighborhood
     /// the estimator over-smooths. Default 3.
     pub slack: f64,
-    /// Monte-Carlo evaluation points per ball integral.
-    pub ball_samples: usize,
-    /// Seed for the ball quadrature.
-    pub seed: u64,
-    /// Worker threads for both detector passes. The ball quadrature is
-    /// seeded per point index and neighbor counts merge by integer
+    /// Worker threads for both detector passes. Each point's ball integral
+    /// depends on that point alone and neighbor counts merge by integer
     /// addition, so the report is identical for every value; `1` executes
     /// serially.
     pub parallelism: NonZeroUsize,
@@ -54,13 +53,11 @@ pub struct ApproxConfig {
 }
 
 impl ApproxConfig {
-    /// Defaults: slack 3, 64 quadrature samples, all available cores, L2.
+    /// Defaults: slack 3, all available cores, L2.
     pub fn new(params: DbOutlierParams) -> Self {
         ApproxConfig {
             params,
             slack: 3.0,
-            ball_samples: 64,
-            seed: 0,
             parallelism: par::available_parallelism(),
             metric: Metric::Euclidean,
         }
@@ -79,48 +76,9 @@ pub struct OutlierReport {
     /// population is at most `p + 1`.
     pub candidates: usize,
     /// Dataset passes performed by this call (excluding estimator
-    /// construction): always 2.
+    /// construction): 2, or 1 when no candidate survives the pruning and
+    /// the verification pass is skipped.
     pub passes: usize,
-}
-
-/// Streams the points of `block` that pass `integrate` through the ball
-/// integral, [`BallIntegral::centers_per_block`] at a time through fixed
-/// buffers, and hands each `(index, expected neighbors)` to `emit` in index
-/// order. Point `i`'s quadrature is seeded by `seed` and `i` alone, so the
-/// results do not depend on how the source is chunked.
-fn for_each_ball_integral<E: DensityEstimator + ?Sized>(
-    est: &E,
-    ball: &BallIntegral,
-    seed: u64,
-    block: &PointBlock,
-    mut integrate: impl FnMut(usize) -> bool,
-    tally: &mut Tally,
-    mut emit: impl FnMut(usize, f64),
-) {
-    let group = ball.centers_per_block();
-    let mut ids = Vec::with_capacity(group);
-    let mut centers = Vec::with_capacity(group * block.dim());
-    let mut seeds = Vec::with_capacity(group);
-    let mut expected = vec![0.0f64; group];
-    let mut todo = block.range().filter(|&i| integrate(i));
-    loop {
-        ids.clear();
-        centers.clear();
-        seeds.clear();
-        for i in todo.by_ref().take(group) {
-            ids.push(i);
-            centers.extend_from_slice(block.point(i));
-            seeds.push(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        if ids.is_empty() {
-            return;
-        }
-        let out = &mut expected[..ids.len()];
-        ball.expected_neighbors(est, &centers, &seeds, out, tally);
-        for (&i, &e) in ids.iter().zip(out.iter()) {
-            emit(i, e);
-        }
-    }
 }
 
 /// Runs the §3.2 detector: density pruning pass + verification pass.
@@ -158,10 +116,11 @@ where
     approx_outliers_obs(source, estimator, config, &Recorder::disabled())
 }
 
-/// [`approx_outliers`] with metrics: records both dataset passes, the
-/// prefilter's skip count, the Monte-Carlo ball samples spent, the
-/// candidate count, and every exact distance computation of the
-/// verification pass into `recorder`. The report is byte-identical to the
+/// [`approx_outliers`] with metrics: records the dataset passes, the
+/// prefilter's skip count, the ball integrals computed
+/// ([`Counter::BallSamples`], one per integrated point), the candidate
+/// count, and every exact distance computation of the verification pass
+/// into `recorder`. The report is byte-identical to the
 /// plain entry point (which is this function with a disabled recorder).
 pub fn approx_outliers_obs<S, E>(
     source: &S,
@@ -179,12 +138,8 @@ where
             got: source.dim(),
         });
     }
-    // A negative or NaN radius and zero ball samples would reach the
-    // Monte-Carlo integral's asserts and panic inside a worker thread.
+    // A negative, NaN or infinite radius would prune nothing or everything.
     config.params.check()?;
-    if config.ball_samples == 0 {
-        return Err(Error::InvalidParameter("ball_samples must be >= 1".into()));
-    }
     // `!(>= 1.0)` also rejects a NaN slack; `+inf` would disable pruning.
     if !(config.slack >= 1.0) || !config.slack.is_finite() {
         return Err(Error::InvalidParameter(
@@ -196,49 +151,42 @@ where
     let k = config.params.radius;
     let p = config.params.max_neighbors;
     let threshold = config.slack * (p as f64 + 1.0);
-    let ball = BallIntegral {
-        metric,
-        radius: k,
-        samples: config.ball_samples,
-    };
 
     // Pass 1: likely outliers = points whose expected ball population is
     // small. (The integral counts the point's own smoothed mass too, hence
-    // p + 1 above.) A prefilter skips the Monte-Carlo ball integral for
-    // points whose center density alone puts their expected population
-    // 1000 times over the threshold. That population is at most about n,
-    // so the screen can only fire when `n > 1000 · slack · (p + 1)` — never
-    // below 12,000 points at the CLI defaults.
+    // p + 1 above.) A prefilter skips the ball integral for points whose
+    // center density alone puts their expected population 1000 times over
+    // the threshold. That population is at most about n, so the screen can
+    // only fire when `n > 1000 · slack · (p + 1)` — never below 12,000
+    // points at the CLI defaults.
     //
-    // Each point's keep/drop decision depends only on its own index (the
-    // quadrature is seeded per index), so the pass parallelizes chunk-wise
-    // with output in point order for every thread count. The prefilter's
-    // density screen and the ball samples both run through the estimator's
-    // batch engine (`densities_into`, bit-identical to per-point
-    // evaluation); only the screen's work is counted (see
-    // `BallIntegral::expected_neighbors`).
+    // Each point's keep/drop decision depends only on the point, so the
+    // pass parallelizes chunk-wise with output in point order for every
+    // thread count. The screen runs through the estimator's batch engine
+    // (`densities_into`), whose work is counted; the ball integrals record
+    // only their own count.
     let ball_vol = metric.ball_volume(source.dim(), k);
     let skip_above = 1000.0 * threshold;
     recorder.add(Counter::DatasetPasses, 1);
     let kept_chunks = par::par_scan_tallied(source, threads, recorder, |range, block, tally| {
         let mut dens = vec![0.0f64; range.len()];
         estimator.densities_into(block, &mut dens, tally);
-        let mut skips = 0u64;
-        let screen = |i: usize| {
-            let skip = dens[i - range.start] * ball_vol > skip_above;
-            skips += u64::from(skip);
-            !skip
-        };
         // Kept points go into one flat buffer per chunk, not a vector each.
         let (mut ids, mut coords) = (Vec::new(), Vec::new());
-        let keep = |i: usize, expected: f64| {
-            if expected <= threshold {
-                ids.push(i);
-                coords.extend_from_slice(block.point(i));
+        let mut integrated = 0u64;
+        for (i, &density) in range.zip(&dens) {
+            if density * ball_vol > skip_above {
+                continue;
             }
-        };
-        for_each_ball_integral(estimator, &ball, config.seed, block, screen, tally, keep);
-        tally.add(Counter::PrefilterSkips, skips);
+            integrated += 1;
+            let x = block.point(i);
+            if ball_mass(estimator, metric, x, k) <= threshold {
+                ids.push(i);
+                coords.extend_from_slice(x);
+            }
+        }
+        tally.add(Counter::PrefilterSkips, dens.len() as u64 - integrated);
+        tally.add(Counter::BallSamples, integrated);
         (ids, coords)
     })?;
     let mut candidate_indices: Vec<usize> = Vec::new();
@@ -309,7 +257,7 @@ where
     Ok(OutlierReport {
         outliers,
         candidates,
-        passes: 2,
+        passes: 1 + usize::from(candidates > 0),
     })
 }
 
@@ -318,6 +266,7 @@ mod tests {
     use super::*;
     use crate::nested::nested_loop_outliers;
     use dbs_core::rng::seeded;
+    use dbs_core::scan::PassCounter;
     use dbs_core::BoundingBox;
     use dbs_density::{KdeConfig, KernelDensityEstimator};
     use rand::Rng;
@@ -428,7 +377,7 @@ mod tests {
         let (ds, _) = planted(4);
         let params = DbOutlierParams::new(0.08, 2).unwrap();
         let est = kde(&ds);
-        let counted = dbs_core::scan::PassCounter::new(&ds);
+        let counted = PassCounter::new(&ds);
         let report = approx_outliers(&counted, &est, &ApproxConfig::new(params)).unwrap();
         assert_eq!(counted.passes(), 2);
         assert_eq!(report.passes, 2);
@@ -444,7 +393,6 @@ mod tests {
         let est = kde(&ds);
         let cfg = ApproxConfig {
             slack: 1.0,
-            seed: 6,
             ..ApproxConfig::new(params)
         };
         let estimate = approx_outliers(&ds, &est, &cfg).unwrap().candidates;
@@ -456,7 +404,8 @@ mod tests {
 
     #[test]
     fn no_candidates_short_circuits() {
-        // Uniform dense data with a huge radius: nothing looks sparse.
+        // Uniform dense data with a huge radius: nothing looks sparse, so
+        // the verification pass is skipped and the report says so.
         let mut rng = seeded(9);
         let mut ds = Dataset::with_capacity(2, 2000);
         for _ in 0..2000 {
@@ -464,9 +413,12 @@ mod tests {
         }
         let est = kde(&ds);
         let params = DbOutlierParams::new(0.5, 3).unwrap();
-        let report = approx_outliers(&ds, &est, &ApproxConfig::new(params)).unwrap();
+        let counted = PassCounter::new(&ds);
+        let report = approx_outliers(&counted, &est, &ApproxConfig::new(params)).unwrap();
         assert_eq!(report.candidates, 0);
         assert!(report.outliers.is_empty());
+        assert_eq!(counted.passes(), 1);
+        assert_eq!(report.passes, 1);
     }
 
     #[test]
@@ -485,7 +437,7 @@ mod tests {
     fn bad_radius_is_rejected() {
         // The fields are public, so a radius can bypass
         // `DbOutlierParams::new`. It must surface as an error, not as a
-        // worker panic in the ball integral or an all-points report.
+        // nothing-pruned or all-points report.
         let (ds, _) = planted(14);
         let est = kde(&ds);
         for radius in [-0.1, 0.0, f64::NAN, f64::INFINITY] {
@@ -498,24 +450,6 @@ mod tests {
                     Err(Error::InvalidParameter(msg)) => assert!(msg.contains("radius"), "{msg}"),
                     other => panic!("{metric:?}, radius {radius}: {other:?}"),
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_ball_samples_is_an_error_not_a_panic() {
-        // Regression: ball_samples = 0 used to reach the ball integral's
-        // assert and abort a par worker; it must surface as
-        // InvalidParameter.
-        let (ds, _) = planted(11);
-        let est = kde(&ds);
-        let params = DbOutlierParams::new(0.1, 3).unwrap();
-        for metric in METRICS {
-            let mut cfg = with_metric(params, metric);
-            cfg.ball_samples = 0;
-            match approx_outliers(&ds, &est, &cfg) {
-                Err(Error::InvalidParameter(msg)) => assert!(msg.contains("ball_samples"), "{msg}"),
-                other => panic!("{metric:?}: expected InvalidParameter, got {other:?}"),
             }
         }
     }
@@ -539,7 +473,6 @@ mod tests {
 
     #[test]
     fn metrics_match_report_and_never_change_it() {
-        use dbs_core::obs::{Counter, Recorder};
         let (ds, _) = planted(13);
         let params = DbOutlierParams::new(0.08, 2).unwrap();
         let est = kde(&ds);
@@ -558,7 +491,7 @@ mod tests {
             );
             // Prefilter skips + ball integrals partition the first pass.
             let skipped = snap.counter(Counter::PrefilterSkips);
-            let integrated = snap.counter(Counter::BallSamples) / cfg.ball_samples as u64;
+            let integrated = snap.counter(Counter::BallSamples);
             assert_eq!(skipped + integrated, ds.len() as u64, "{metric:?}");
             assert!(snap.counter(Counter::VerifyDistanceEvals) > 0, "{metric:?}");
         }
@@ -592,7 +525,7 @@ mod tests {
             let report = approx_outliers_obs(&ds, &est, &cfg, &rec).unwrap();
             let snap = rec.snapshot().unwrap();
             let skipped = snap.counter(Counter::PrefilterSkips);
-            let integrated = snap.counter(Counter::BallSamples) / cfg.ball_samples as u64;
+            let integrated = snap.counter(Counter::BallSamples);
             assert!(skipped > 0, "{metric:?}: the prefilter never fired");
             assert_eq!(skipped + integrated, ds.len() as u64, "{metric:?}");
             let exact = nested_loop_outliers(&ds, &params, metric);

@@ -12,7 +12,8 @@
 //!   variant.
 //! * [`approx`] — the paper's contribution: prune with the *density
 //!   estimate* (`N'(O,k) = ∫_Ball(O,k) f ≤ threshold` keeps `O` as a likely
-//!   outlier), then verify all survivors in one more dataset pass. The
+//!   outlier, the integral taken in closed form over the cube of the
+//!   ball's volume), then verify all survivors in one more dataset pass. The
 //!   paper reports this finds all outliers "with at most two dataset passes
 //!   plus the dataset pass that is required to compute the density
 //!   estimator" (§4.5) — the pass structure this module reproduces. The
@@ -31,8 +32,8 @@ pub use dbout::DbOutlierParams;
 pub use nested::{kdtree_outliers, nested_loop_outliers};
 
 /// End-to-end checks of the L1/L∞ path (§3.2: "different distance metrics
-/// ... can be used equally well"): the metric ball's volume and sampler,
-/// the exact nested loop and the approximate detector under one
+/// ... can be used equally well"): the metric ball's volume, the exact
+/// nested loop and the approximate detector under one
 /// [`Metric`](dbs_core::Metric).
 #[cfg(test)]
 mod metric_general {
@@ -41,7 +42,6 @@ mod metric_general {
         use crate::{ApproxConfig, DbOutlierParams, OutlierReport};
         use dbs_core::rng::seeded;
         use dbs_core::{BoundingBox, Dataset, Error, Metric, Result};
-        use dbs_density::ball::sample_in_ball;
         use dbs_density::{KdeConfig, KernelDensityEstimator};
         use rand::Rng;
 
@@ -71,18 +71,15 @@ mod metric_general {
             KernelDensityEstimator::fit_dataset(ds, &cfg).unwrap()
         }
 
-        /// The approximate detector under `metric`, slack 10, 64 ball samples.
+        /// The approximate detector under `metric`, slack 10.
         fn detect(
             ds: &Dataset,
             est: &KernelDensityEstimator,
             params: DbOutlierParams,
             metric: Metric,
-            seed: u64,
         ) -> Result<OutlierReport> {
             let config = ApproxConfig {
                 slack: 10.0,
-                ball_samples: 64,
-                seed,
                 metric,
                 ..ApproxConfig::new(params)
             };
@@ -100,39 +97,6 @@ mod metric_general {
         }
 
         #[test]
-        fn metric_ball_samples_stay_in_ball() {
-            let mut rng = seeded(1);
-            let center = [0.5, 0.5, 0.5];
-            let mut x = [0.0; 3];
-            for metric in [Metric::Manhattan, Metric::Chebyshev, Metric::Euclidean] {
-                for _ in 0..500 {
-                    sample_in_ball(&mut rng, metric, &center, 0.2, &mut x);
-                    assert!(
-                        metric.distance(&center, &x) <= 0.2 + 1e-12,
-                        "{metric:?} sample escaped the ball"
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn l1_ball_sampling_is_roughly_uniform() {
-            // The fraction of samples within half the radius should be (1/2)^d.
-            let mut rng = seeded(2);
-            let center = [0.0, 0.0];
-            let mut x = [0.0; 2];
-            let n = 40_000;
-            let inner = (0..n)
-                .filter(|_| {
-                    sample_in_ball(&mut rng, Metric::Manhattan, &center, 1.0, &mut x);
-                    Metric::Manhattan.distance(&center, &x) <= 0.5
-                })
-                .count();
-            let frac = inner as f64 / n as f64;
-            assert!((frac - 0.25).abs() < 0.02, "inner fraction {frac}");
-        }
-
-        #[test]
         fn euclidean_variant_matches_default_detector() {
             // `ApproxConfig::new` picks L2; its report, the L2 nested loop and
             // the kd-tree detector agree.
@@ -142,7 +106,7 @@ mod metric_general {
             assert_eq!(kdtree_outliers(&ds, &params), nested);
             let est = kde(&ds, 400);
             let default = approx_outliers(&ds, &est, &ApproxConfig::new(params)).unwrap();
-            let explicit = detect(&ds, &est, params, Metric::Euclidean, 0).unwrap();
+            let explicit = detect(&ds, &est, params, Metric::Euclidean).unwrap();
             assert_eq!(default.outliers, nested);
             assert_eq!(explicit.outliers, nested);
         }
@@ -155,7 +119,7 @@ mod metric_general {
             for p in &planted_idx {
                 assert!(exact.contains(p), "missed planted outlier {p}");
             }
-            let report = detect(&ds, &kde(&ds, 400), params, Metric::Manhattan, 5).unwrap();
+            let report = detect(&ds, &kde(&ds, 400), params, Metric::Manhattan).unwrap();
             assert_eq!(report.outliers, exact, "approx must match exact under L1");
             assert_eq!(report.passes, 2);
         }
@@ -165,7 +129,7 @@ mod metric_general {
             let (ds, _) = planted(6);
             let params = DbOutlierParams::new(0.07, 2).unwrap();
             let exact = nested_loop_outliers(&ds, &params, Metric::Chebyshev);
-            let report = detect(&ds, &kde(&ds, 400), params, Metric::Chebyshev, 7).unwrap();
+            let report = detect(&ds, &kde(&ds, 400), params, Metric::Chebyshev).unwrap();
             assert_eq!(report.outliers, exact);
         }
 
@@ -175,40 +139,27 @@ mod metric_general {
             let params = DbOutlierParams::new(0.1, 2).unwrap();
             let config = ApproxConfig {
                 slack: 0.5,
-                ball_samples: 32,
-                seed: 9,
                 metric: Metric::Manhattan,
                 ..ApproxConfig::new(params)
             };
             assert!(approx_outliers(&ds, &kde(&ds, 100), &config).is_err());
         }
 
-        fn rejection(slack: f64, ball_samples: usize) -> String {
+        #[test]
+        fn infinite_slack_is_rejected() {
             let (ds, _) = planted(8);
             let params = DbOutlierParams::new(0.1, 2).unwrap();
             let est =
                 KernelDensityEstimator::fit_dataset(&ds, &KdeConfig::with_centers(50)).unwrap();
             let config = ApproxConfig {
-                slack,
-                ball_samples,
-                seed: 1,
+                slack: f64::INFINITY,
                 metric: Metric::Chebyshev,
                 ..ApproxConfig::new(params)
             };
             match approx_outliers(&ds, &est, &config) {
-                Err(Error::InvalidParameter(msg)) => msg,
-                other => panic!("slack {slack}, {ball_samples} ball samples: {other:?}"),
+                Err(Error::InvalidParameter(msg)) => assert!(msg.contains("slack"), "{msg}"),
+                other => panic!("infinite slack: {other:?}"),
             }
-        }
-
-        #[test]
-        fn zero_ball_samples_is_an_error_not_a_panic() {
-            assert!(rejection(3.0, 0).contains("ball_samples"));
-        }
-
-        #[test]
-        fn infinite_slack_is_rejected() {
-            assert!(rejection(f64::INFINITY, 32).contains("slack"));
         }
     }
 }

@@ -395,7 +395,7 @@ clustered 2010 points from a 2010-point sample into 3 clusters (489 points marke
   cluster 1: 161 points, mean [0.35, 0.306]
   cluster 2: 172 points, mean [0.949, 0.348]
 $ outliers <tmp>/in.txt --radius 0.03 --neighbors 1 --estimator kde:200
-DB(p=1, k=0.03) outliers: 4 found (17 candidates verified, 2 dataset passes + estimator pass)
+DB(p=1, k=0.03) outliers: 4 found (16 candidates verified, 2 dataset passes + estimator pass)
   #2001: [0.7491234211488095, 0.09933737071181004]
   #2006: [0.09943600654431084, 0.7514769865815079]
   #2007: [0.7979945399137676, 0.056306688206483324]

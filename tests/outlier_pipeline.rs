@@ -110,7 +110,6 @@ fn one_pass_count_estimate_tracks_parameter_changes() {
     let estimate = |radius: f64| {
         let cfg = ApproxConfig {
             slack: 1.0,
-            seed: 7,
             ..ApproxConfig::new(DbOutlierParams::new(radius, 2).unwrap())
         };
         approx_outliers(&data, &est, &cfg).unwrap().candidates
@@ -135,4 +134,70 @@ fn total_pipeline_pass_budget_is_three() {
     let params = DbOutlierParams::new(radius, 2).unwrap();
     let _ = approx_outliers(&counted, &est, &ApproxConfig::new(params)).unwrap();
     assert_eq!(counted.passes(), 3, "1 estimator + 2 detector passes");
+}
+
+/// The recall gate's input, made up as pipebench's `outliers_kde_d3` is:
+/// 10,000 points in ten equal-volume 3-d boxes, 50 points isolated by
+/// 0.06, and 1% uniform noise, most of it DB(3, 0.05)-outlying. The box
+/// layout is drawn per seed.
+fn recall_workload(seed: u64) -> dbs_core::Dataset {
+    let background = RectConfig {
+        total_points: 10_000,
+        volume_range: (0.0165, 0.0165),
+        ..RectConfig::paper_standard(3, seed)
+    };
+    let planted = planted_outliers(&background, 50, 0.06, seed).unwrap();
+    dbs_synth::noise::with_noise_fraction(planted.synth, 0.01, seed ^ 0x5eed).data
+}
+
+#[test]
+fn many_seed_recall_gate() {
+    // kde:1000, radius 0.05, p 3 and the default slack 3, as `dbs
+    // outliers` runs them, over 20 seeds per metric. Each floor is the
+    // pooled recall the 64-sample Monte-Carlo ball integral reached on
+    // these inputs (L2 2561/2571 = 0.9961, L1 13962/13976 = 0.9990, L∞
+    // 2313/2338 = 0.9893), less 0.001 for that estimate's sampling noise,
+    // which kept some outliers whose closed-form integral exceeds the
+    // threshold (and dropped others). The closed form recalls 2563, 13961
+    // and 2312.
+    let params = DbOutlierParams::new(0.05, 3).unwrap();
+    let floors = [
+        (Metric::Euclidean, 0.9951),
+        (Metric::Manhattan, 0.9980),
+        (Metric::Chebyshev, 0.9883),
+    ];
+    for (metric, floor) in floors {
+        let (mut found, mut exact_total, mut candidates) = (0usize, 0usize, 0usize);
+        for seed in 0..20 {
+            let data = recall_workload(seed);
+            let kde_cfg = KdeConfig {
+                num_centers: 1000,
+                domain: Some(BoundingBox::unit(3)),
+                seed,
+                ..Default::default()
+            };
+            let est = KernelDensityEstimator::fit_dataset(&data, &kde_cfg).unwrap();
+            let cfg = ApproxConfig {
+                metric,
+                ..ApproxConfig::new(params)
+            };
+            let report = approx_outliers(&data, &est, &cfg).unwrap();
+            let exact = nested_loop_outliers(&data, &params, metric);
+            for o in &report.outliers {
+                assert!(
+                    exact.binary_search(o).is_ok(),
+                    "{metric:?}, seed {seed}: {o} is not an exact outlier"
+                );
+            }
+            found += report.outliers.len();
+            exact_total += exact.len();
+            candidates += report.candidates;
+        }
+        let recall = found as f64 / exact_total as f64;
+        eprintln!("{metric:?}: pooled recall {found}/{exact_total} = {recall:.4}, {candidates} candidates");
+        assert!(
+            recall >= floor,
+            "{metric:?}: pooled recall {recall} < {floor}"
+        );
+    }
 }

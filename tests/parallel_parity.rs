@@ -125,26 +125,20 @@ fn batch_routed_pipelines_match_scalar_reference() {
         fn average_density(&self) -> f64 {
             self.0.average_density()
         }
+        fn box_mass(&self, lo: &[f64], hi: &[f64]) -> f64 {
+            self.0.box_mass(lo, hi)
+        }
         // densities_into deliberately left at the per-point default.
     }
-    // The ball integrals fold blocks of samples through the batch engine;
-    // 7 samples per center do not divide the block.
     let params = DbOutlierParams::new(0.02, 3).unwrap();
-    for ball_samples in [7, 64] {
-        let ocfg = ApproxConfig {
-            slack: 5.0,
-            seed: 3,
-            ball_samples,
-            ..ApproxConfig::new(params)
-        };
-        let batched = approx_outliers(&data, &est, &ocfg).unwrap();
-        let scalar = approx_outliers(&data, &ScalarOnly(&est), &ocfg).unwrap();
-        assert_eq!(batched.outliers, scalar.outliers, "{ball_samples} samples");
-        assert_eq!(
-            batched.candidates, scalar.candidates,
-            "{ball_samples} samples"
-        );
-    }
+    let ocfg = ApproxConfig {
+        slack: 5.0,
+        ..ApproxConfig::new(params)
+    };
+    let batched = approx_outliers(&data, &est, &ocfg).unwrap();
+    let scalar = approx_outliers(&data, &ScalarOnly(&est), &ocfg).unwrap();
+    assert_eq!(batched.outliers, scalar.outliers);
+    assert_eq!(batched.candidates, scalar.candidates);
 }
 
 #[test]
@@ -193,7 +187,6 @@ fn approx_outlier_detector_is_thread_count_independent() {
     for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
         let base = ApproxConfig {
             slack: 5.0,
-            seed: 3,
             metric,
             ..ApproxConfig::new(params)
         };
@@ -241,8 +234,6 @@ fn outlier_count_estimate_is_thread_count_independent() {
     let params = DbOutlierParams::new(0.02, 3).unwrap();
     let base = ApproxConfig {
         slack: 1.0,
-        ball_samples: 64,
-        seed: 11,
         ..ApproxConfig::new(params)
     };
     let count = |t: usize| {

@@ -161,7 +161,6 @@ fn outlier_detection_is_backing_invariant() {
         let report = backings.assert_invariant(&format!("outliers t={t}"), |source| {
             let est = fit("kde:100", source);
             let mut cfg = ApproxConfig::new(DbOutlierParams::new(0.04, 3).unwrap());
-            cfg.seed = 25;
             cfg.parallelism = threads(t);
             let r = approx_outliers(source, &*est, &cfg).unwrap();
             (r.outliers, r.candidates)
